@@ -71,8 +71,9 @@ class TestVectorizationMicro:
 class TestEngineThroughput:
     """Scalar vs batched vectorization on products at 10k pairs.
 
-    The pair of timings (same pairs, same library, engine switched)
-    is the headline number for the batched feature-evaluation engine;
+    The pair of timings (same pairs, same library) is the headline
+    number for the batched feature-evaluation engine: ``scalar`` is a
+    per-pair ``Feature.value`` loop, ``batched`` is ``vectorize_pairs``.
     ``collect_results.py --substrates`` distills their ratio into the
     ``BENCH_substrates.json`` baseline.
     """
@@ -98,16 +99,28 @@ class TestEngineThroughput:
         ]
         return dataset, library, pairs
 
+    @staticmethod
+    def _scalar(dataset, library, pairs) -> np.ndarray:
+        matrix = np.empty((len(pairs), len(library)), dtype=np.float64)
+        for row, pair in enumerate(pairs):
+            record_a = dataset.table_a[pair.a_id]
+            record_b = dataset.table_b[pair.b_id]
+            for col, feature in enumerate(library):
+                matrix[row, col] = feature.value(record_a, record_b)
+        return matrix
+
     def _run(self, benchmark, products_world, engine, rounds):
         from repro.features.vectorize import vectorize_pairs
         dataset, library, pairs = products_world
-        result = benchmark.pedantic(
-            lambda: vectorize_pairs(
-                dataset.table_a, dataset.table_b, pairs, library,
-                engine=engine,
-            ),
-            rounds=rounds, iterations=1, warmup_rounds=1,
-        )
+        if engine == "scalar":
+            def run():
+                return self._scalar(dataset, library, pairs)
+        else:
+            def run():
+                return vectorize_pairs(dataset.table_a, dataset.table_b,
+                                       pairs, library)
+        result = benchmark.pedantic(run, rounds=rounds, iterations=1,
+                                    warmup_rounds=1)
         benchmark.extra_info["engine"] = engine
         benchmark.extra_info["pairs"] = self.N_PAIRS
         assert len(result) == self.N_PAIRS

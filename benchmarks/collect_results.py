@@ -62,11 +62,13 @@ committed ``BENCH_obs.json`` (CI runs this as a soft gate):
     python benchmarks/collect_results.py --check-regress
 
 A seventh mode measures the sharded multi-core blocking executor
-(docs/architecture.md): the streaming baseline versus
+(docs/architecture.md): the full-matrix streaming oracle versus
 ``repro.exec.apply_rules_sharded`` at 1/2/4/8 workers on a
 citations-shaped workload, checking that every worker count returns a
-candidate list bit-identical to the sequential path, recorded as
-``BENCH_shard.json`` plus a ``shard_scaling`` result table:
+candidate list bit-identical to the oracle's, recorded as
+``BENCH_shard.json`` plus a ``shard_scaling`` result table (a
+committed paper-scale ``citations_full`` entry is carried over unless
+``--shard-full`` measures it again):
 
     python benchmarks/collect_results.py --shard
 
@@ -83,9 +85,10 @@ result table:
     python benchmarks/collect_results.py --storage
 
 A ninth mode measures the columnar plan compiler
-(docs/architecture.md, "The plan compiler"): full-matrix streaming
-blocking versus the fused plan executor on a citations-shaped
-workload, and in-RAM versus memmap-spilled candidate vectorization —
+(docs/architecture.md, "The plan compiler"): the full-matrix streaming
+oracle versus the sharded plan executor on one worker over a
+citations-shaped workload, and in-RAM versus memmap-spilled candidate
+vectorization —
 each variant in its own fresh subprocess so the recorded peak RSS is
 honest, with survivor/matrix checksums proving bit-identity.  Recorded
 as ``BENCH_plan.json`` plus a ``plan_compiler`` result table:
@@ -1018,7 +1021,7 @@ def collect_shard(output: Path | None = None, repeats: int = 2,
 
     Applies two blocking rules over a citations-shaped A x B workload
     once through :func:`repro.core.blocker.apply_rules_streaming` (the
-    sequential baseline) and once per worker count through
+    full-matrix oracle) and once per worker count through
     :func:`repro.exec.apply_rules_sharded`, recording wall-clock best-of
     ``repeats``, the speedup over streaming and — the contract that
     makes the speedup meaningful — whether each worker count's survivor
@@ -1032,7 +1035,8 @@ def collect_shard(output: Path | None = None, repeats: int = 2,
     sharded pass over the *paper-size* Citations product (2616 x 64263
     ~ 168M pairs — the workload the paper shipped to Hadoop) and
     records its completion under a ``citations_full`` key.  Expect this
-    to take on the order of ten minutes on a laptop core.
+    to take on the order of ten minutes on a laptop core.  Without it,
+    the ``citations_full`` entry already in ``output`` is kept as is.
     """
     import os
     import time
@@ -1049,9 +1053,9 @@ def collect_shard(output: Path | None = None, repeats: int = 2,
     dataset = generate_citations(n_a=n_a, n_b=n_b,
                                  n_matches=max(4, n_a // 10), seed=7)
     library = build_feature_library(dataset.table_a, dataset.table_b)
-    # One corpus-independent rule plus one TF/IDF rule: the latter is
-    # exactly the class the legacy parallel path had to run sequentially
-    # and the sharded executor parallelizes via the fork-shared caches.
+    # One corpus-independent rule plus one TF/IDF rule, whose weights
+    # depend on the whole corpus: the forked workers must read the
+    # parent's, through the fork-shared caches.
     rules = []
     for name, threshold in (("title_jaccard_word", 0.3),
                             ("title_cosine_tfidf", 0.3)):
@@ -1102,6 +1106,7 @@ def collect_shard(output: Path | None = None, repeats: int = 2,
         ),
     }
 
+    target = output if output is not None else SHARD_OUTPUT
     if full:
         full_a, full_b = 2616, 64263  # the paper's Citations sizes
         print(f"running full-scale citations blocking "
@@ -1131,8 +1136,11 @@ def collect_shard(output: Path | None = None, repeats: int = 2,
             "survivors": len(full_survivors),
             "reduction_ratio": round(len(full_survivors) / full_pairs, 6),
         }
+    elif target.is_file():
+        committed = json.loads(target.read_text()).get("citations_full")
+        if committed is not None:
+            payload["citations_full"] = committed
 
-    target = output if output is not None else SHARD_OUTPUT
     target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {target} ({pairs} pairs, "
           f"{payload['run']['cpu_count']} cores, determinism "
@@ -1147,7 +1155,7 @@ def collect_shard(output: Path | None = None, repeats: int = 2,
         "workers  seconds  speedup  bit-identical",
         "-------  -------  -------  -------------",
         f"stream   {payload['streaming_seconds']:>7.3f}     1.00"
-        "  (baseline)",
+        "  (oracle)",
     ]
     for n_workers in worker_counts:
         entry = workers[str(n_workers)]
@@ -1180,9 +1188,10 @@ import hashlib, json, sys, tempfile, time
 from pathlib import Path
 
 from repro.core.blocker import apply_rules_streaming
+from repro.exec import apply_rules_sharded
 from repro.features.library import build_feature_library
 from repro.features.vectorize import vectorize_pairs
-from repro.plan import PlanStats, SpillManager, apply_rules_plan
+from repro.plan import PlanStats, SpillManager
 from repro.rules.predicates import Predicate
 from repro.rules.rule import Rule
 from repro.synth.citations import generate_citations
@@ -1213,7 +1222,7 @@ if variant in ("blocking_streaming", "blocking_plan"):
         survivors = apply_rules_streaming(
             dataset.table_a, dataset.table_b, rules, library)
     else:
-        survivors = apply_rules_plan(
+        survivors = apply_rules_sharded(
             dataset.table_a, dataset.table_b, rules, library,
             stats=stats)
         out["plan_stats"] = stats.as_dict()
@@ -1234,8 +1243,7 @@ else:  # vectorize_ram / vectorize_spill
         buffer = spill.allocate("candidates",
                                 (len(pairs), len(library)))
         candidates = vectorize_pairs(
-            dataset.table_a, dataset.table_b, pairs, library,
-            engine="plan", out=buffer)
+            dataset.table_a, dataset.table_b, pairs, library, out=buffer)
         out["spill_threshold_bytes"] = 1 << 13
         out["bytes_spilled"] = spill.bytes_spilled
         spill.close()
@@ -1259,13 +1267,14 @@ def collect_plan(output: Path | None = None,
 
     Four fresh subprocesses over the same citations-shaped workload
     (each variant gets its own interpreter so ``ru_maxrss`` measures
-    that variant alone): full-matrix streaming blocking versus the
-    fused plan executor under a three-rule cheap-to-expensive rule set
-    (the shape the compiler's predicate pushdown exploits), then
+    that variant alone): the full-matrix streaming oracle versus the
+    sharded plan executor on one worker under a three-rule
+    cheap-to-expensive rule set (the shape the compiler's predicate
+    pushdown exploits), then
     in-RAM versus memmap-spilled candidate vectorization where the
     spill variant's matrix exceeds an 8 KiB configured RAM cap.
     SHA-256 checksums of the survivor list and the feature matrix
-    assert bit-identity across engines.  Writes ``BENCH_plan.json``
+    assert bit-identity against the oracle.  Writes ``BENCH_plan.json``
     and a ``plan_compiler`` result table, and returns the payload.
     """
     import os
@@ -1294,7 +1303,7 @@ def collect_plan(output: Path | None = None,
     spill = run_variant("vectorize_spill")
 
     assert plan["survivors_sha256"] == streaming["survivors_sha256"], (
-        "plan executor diverged from streaming blocking")
+        "plan executor diverged from the streaming oracle")
     assert spill["matrix_sha256"] == ram["matrix_sha256"], (
         "spilled vectorization diverged from the in-RAM matrix")
     assert spill["bytes_spilled"] > spill["spill_threshold_bytes"], (
@@ -1452,8 +1461,9 @@ if __name__ == "__main__":
     )
     parser.add_argument(
         "--plan", action="store_true",
-        help="measure the plan compiler's fused-blocking speedup and "
-             "memmap spill behaviour in fresh subprocesses (honest peak "
+        help="measure the plan executor's speedup over the streaming "
+             "oracle and memmap spill behaviour in fresh subprocesses "
+             "(honest peak "
              "RSS), recording BENCH_plan.json instead of collecting "
              "RESULTS.md",
     )

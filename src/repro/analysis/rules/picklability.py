@@ -1,6 +1,6 @@
 """CL005 — picklability: pool workers must be module-level functions.
 
-The parallel blocker (``rules of core/blocker.py``) ships work to a
+The sharded blocking executor (``exec/executor.py``) ships work to a
 ``multiprocessing`` pool; callables passed to pool methods cross the
 process boundary by pickling, and lambdas or closures fail there at
 runtime — on the fork path only when a worker actually unpickles them,

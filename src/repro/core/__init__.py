@@ -11,12 +11,7 @@
 
 from .stopping import ConfidenceMonitor, StopDecision, smooth
 from .matcher import ActiveLearningMatcher, MatcherResult
-from .blocker import (
-    Blocker,
-    BlockerResult,
-    apply_rules_parallel,
-    apply_rules_streaming,
-)
+from .blocker import Blocker, BlockerResult, apply_rules_streaming
 from .estimator import AccuracyEstimate, AccuracyEstimator
 from .locator import DifficultPairsLocator, LocatorResult
 from .pipeline import Corleone, CorleoneResult, IterationRecord
@@ -30,7 +25,6 @@ __all__ = [
     "MatcherResult",
     "Blocker",
     "BlockerResult",
-    "apply_rules_parallel",
     "apply_rules_streaming",
     "AccuracyEstimate",
     "AccuracyEstimator",

@@ -27,7 +27,6 @@ from ..features.library import FeatureLibrary
 from ..features.vectorize import vectorize_pairs
 from ..forest.forest import RandomForest
 from ..rules.rule import Rule
-from .blocker import apply_rules_streaming
 
 
 @dataclass
@@ -74,7 +73,10 @@ def reapply_matcher(table_a: Table, table_b: Table,
                 f"library ({len(library)} features)"
             )
 
-    survivors = apply_rules_streaming(
+    # Imported here so that ``import repro`` does not load the executor.
+    from ..exec import apply_rules_sharded
+
+    survivors = apply_rules_sharded(
         table_a, table_b, blocking_rules, library
     )
     candidates = vectorize_pairs(table_a, table_b, survivors, library)

@@ -4,16 +4,15 @@ A *shard* is a contiguous slice of table A's rows; its work unit is the
 slice crossed with all of B.  Planning is pure arithmetic and part of
 the determinism contract: the same ``(n_rows, shard_size)`` always
 yields the same shard list, shards partition ``range(n_rows)`` exactly,
-and no shard is ever empty — the legacy ``apply_rules_parallel``
-ceil-division sharding could in principle enumerate an empty trailing
-job, so :func:`plan_shards` is the single source of truth now.
+and no shard is ever empty.
 
 :class:`ShardStore` persists one ``shard-NNNNN.npz`` file per completed
 shard under a run's ``shards/`` directory, next to a ``plan.json``
 carrying a fingerprint of everything the shard results depend on
 (tables, feature names, rules, shard/chunk geometry).  A resumed run
 with the same fingerprint loads completed shards instead of recomputing
-them; a directory left by a *different* configuration is cleared, since
+them; a directory left by a *different* configuration — or whose
+``plan.json`` fails its checksum or does not parse — is cleared, since
 its shard files would splice wrong survivors into the merge.
 """
 
@@ -94,13 +93,13 @@ def shard_fingerprint(table_a: "Table", table_b: "Table",
     files, so a resumed run may load them; anything else (different
     rules, tables, feature order or geometry) must recompute.
     """
-    from ..core.blocker import _rule_payload
+    from ..persistence import rule_to_dict
 
     document = {
         "table_a": [table_a.name, list(table_a.record_ids)],
         "table_b": [table_b.name, list(table_b.record_ids)],
         "library": list(library.names),
-        "rules": [_rule_payload(rule) for rule in rules],
+        "rules": [rule_to_dict(rule) for rule in rules],
         "shard_size": int(shard_size),
         "chunk_size": int(chunk_size),
     }
@@ -141,17 +140,15 @@ class ShardStore:
         (a shard that fails its manifest sha256 is moved under the
         directory's ``quarantine/`` and dropped from the completed
         set, so the pool recomputes it).  Any other content (different
-        fingerprint, or shard files with no plan) is stale — loading
-        it would splice another configuration's survivors into this
-        run — so it is cleared and a fresh plan is written.
+        fingerprint, or shard files with no usable plan) is stale —
+        loading it would splice another configuration's survivors into
+        this run — so it is cleared and a fresh plan is written.
         """
         self.directory.mkdir(parents=True, exist_ok=True)
-        plan_path = self.directory / PLAN_FILE
-        if plan_path.is_file():
-            plan = json.loads(plan_path.read_text())
-            if (plan.get("fingerprint") == self.fingerprint
-                    and plan.get("n_shards") == n_shards):
-                return self._verified_completed(n_shards)
+        plan = self._read_plan()
+        if (plan is not None and plan.get("fingerprint") == self.fingerprint
+                and plan.get("n_shards") == n_shards):
+            return self._verified_completed(n_shards)
         for stale in self.directory.glob("shard-*.npz"):
             stale.unlink()
             self.writer.forget(stale.name)
@@ -160,6 +157,29 @@ class ShardStore:
         self.writer.atomic_write_json(PLAN_FILE, document,
                                       indent=2, sort_keys=True)
         return set()
+
+    def _read_plan(self) -> dict | None:
+        """The directory's ``plan.json`` document, if it can be trusted.
+
+        A plan that fails its manifest sha256, does not parse, or is not
+        a JSON object is moved under ``quarantine/`` like a corrupt
+        shard, and the directory is treated as having no plan.
+        """
+        path = self.directory / PLAN_FILE
+        if not path.is_file():
+            return None
+        verdict, _, _ = verify_artifact(self.directory, path)
+        plan = None
+        if verdict is not False:
+            try:
+                plan = json.loads(path.read_bytes())
+            except ValueError:  # JSONDecodeError, UnicodeDecodeError
+                pass
+        if isinstance(plan, dict):
+            return plan
+        quarantine_artifact(self.directory, path)
+        self.writer.forget(path.name)
+        return None
 
     def _verified_completed(self, n_shards: int) -> set[int]:
         """Completed shard indices whose bytes still verify."""
@@ -180,16 +200,15 @@ class ShardStore:
         return completed
 
     def write(self, index: int, survivors: list[tuple[str, str]],
-              pairs_scanned: int, cells_computed: int = -1,
+              pairs_scanned: int, cells_computed: int,
               sections: "dict[str, dict[str, float]] | None" = None
               ) -> None:
         """Persist one completed shard durably.
 
-        ``cells_computed`` is the plan engine's per-shard feature-cell
-        count (-1 for the chunk engine, which computes every needed
-        cell).  Persisting it is what keeps plan metrics convergent
-        across kill/resume: a resumed run re-contributes a loaded
-        shard's cells without recomputing the shard.
+        ``cells_computed`` is the plan's per-shard feature-cell count.
+        Persisting it is what keeps plan metrics convergent across
+        kill/resume: a resumed run re-contributes a loaded shard's
+        cells without recomputing the shard.
 
         ``sections`` is the worker's captured wall-clock telemetry
         (:mod:`repro.obs.workers`), stored as one canonical-JSON string
@@ -220,11 +239,8 @@ class ShardStore:
         """Load a shard's (survivors, pairs_scanned, cells_computed,
         worker sections).
 
-        ``cells_computed`` is -1 and the sections dict empty for shards
-        written by the chunk engine or by an older version of this
-        store (the fingerprint is engine- and telemetry-independent, so
-        those files remain loadable).  A shard file whose bytes no
-        longer parse raises a typed
+        A shard file whose bytes no longer parse, or that lacks any of
+        the five arrays :meth:`write` stores, raises a typed
         :class:`~repro.exceptions.DataError` naming the file — never a
         raw zipfile or numpy traceback.
         """
@@ -236,14 +252,8 @@ class ShardStore:
                 survivors = list(zip(data["a_ids"].tolist(),
                                      data["b_ids"].tolist()))
                 pairs_scanned = int(data["pairs_scanned"][0])
-                if "cells_computed" in data:
-                    cells_computed = int(data["cells_computed"][0])
-                else:
-                    cells_computed = -1
-                if "telemetry" in data:
-                    sections = decode_sections(data["telemetry"][0])
-                else:
-                    sections = {}
+                cells_computed = int(data["cells_computed"][0])
+                sections = decode_sections(data["telemetry"][0])
         except (KeyError, ValueError, EOFError, OSError,
                 zipfile.BadZipFile) as error:
             raise DataError(f"{path}: malformed shard file "

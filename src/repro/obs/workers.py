@@ -104,9 +104,11 @@ def encode_sections(sections: dict[str, dict[str, float]]) -> str:
 
 
 def decode_sections(blob: Any) -> dict[str, dict[str, float]]:
-    """Inverse of :func:`encode_sections`; tolerant of old shard files."""
-    if blob is None:
-        return {}
+    """Inverse of :func:`encode_sections`.
+
+    A blob that does not parse yields no sections: they are advisory
+    wall-clock telemetry, never part of a deterministic artifact.
+    """
     try:
         document = json.loads(str(blob))
     except (TypeError, ValueError):

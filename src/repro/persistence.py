@@ -356,9 +356,24 @@ def config_to_dict(config: CorleoneConfig) -> dict[str, Any]:
     return dataclasses.asdict(config)
 
 
+_REMOVED_CONFIG_KEYS = (("blocker", "executor"), ("plan", "enabled"))
+"""Executor switches older documents may carry; blocking has one path."""
+
+
 def config_from_dict(data: dict[str, Any]) -> CorleoneConfig:
-    """Rebuild a configuration saved with :func:`config_to_dict`."""
+    """Rebuild a configuration saved with :func:`config_to_dict`.
+
+    A document naming a removed key (see ``_REMOVED_CONFIG_KEYS``)
+    raises a :class:`~repro.exceptions.DataError` that names the key
+    and its replacement.
+    """
     try:
+        for section, key in _REMOVED_CONFIG_KEYS:
+            if key in data.get(section, ()):
+                raise DataError(
+                    f"config key {section}.{key} was removed: blocking "
+                    "always runs the sharded plan executor, sized by "
+                    "blocker.n_workers")
         return CorleoneConfig(
             forest=ForestConfig(**data["forest"]),
             blocker=BlockerConfig(**data["blocker"]),
@@ -374,7 +389,7 @@ def config_from_dict(data: dict[str, Any]) -> CorleoneConfig:
             budget=data["budget"],
             seed=data["seed"],
         )
-    except (KeyError, TypeError) as error:
+    except (AttributeError, KeyError, TypeError) as error:
         raise DataError(f"malformed config document: {error}") from None
 
 

@@ -13,10 +13,7 @@ from .compiler import (
     BlockingPlan,
     PredicateStep,
     RuleNode,
-    VectorizePlan,
-    VectorizeStep,
     compile_blocking_plan,
-    compile_vectorize_plan,
 )
 from .executor import PlanExecutor, PlanStats, apply_rules_plan
 from .spill import (
@@ -34,11 +31,8 @@ __all__ = [
     "RuleNode",
     "SPILL_DIR_NAME",
     "SpillManager",
-    "VectorizePlan",
-    "VectorizeStep",
     "apply_rules_plan",
     "compile_blocking_plan",
-    "compile_vectorize_plan",
     "open_readonly",
     "spill_path",
 ]

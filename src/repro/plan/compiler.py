@@ -1,8 +1,8 @@
-"""Columnar plan compilation for blocking rules and pair features.
+"""Columnar plan compilation for blocking rules.
 
 The blocker's output is a disjunction of conjunction-of-predicate
 rules, and the feature library carries a per-measure cost model
-(``features/library.py``).  Both stream paths so far evaluated them
+(``features/library.py``).  The reference evaluator evaluates them
 naively: every needed feature for every pair, then every rule over the
 full matrix.  This module compiles the same inputs into an ordered
 execution plan instead:
@@ -165,49 +165,3 @@ def _order_steps(rule: Rule, features: list[Feature],
             ))
             seen.add(index)
     return tuple(steps)
-
-
-@dataclass(frozen=True)
-class VectorizeStep:
-    """One feature column of the vectorization plan."""
-
-    column: int
-    """Destination column in the (pairs x features) output matrix."""
-    feature: Feature
-
-
-@dataclass(frozen=True)
-class VectorizePlan:
-    """Column evaluation order for full feature-matrix construction.
-
-    Vectorization computes *every* column (the matcher needs the full
-    matrix), so there is nothing to prune — the win is ordering:
-    columns are grouped by attribute so all measures over one attribute
-    run back-to-back against warm prepared-column caches, cheapest
-    measure first (the cheap kernel's accessor materialization warms
-    the cache the expensive kernels then reuse).
-    """
-
-    steps: tuple[VectorizeStep, ...]
-
-
-def compile_vectorize_plan(library: FeatureLibrary) -> VectorizePlan:
-    """Group the library's columns by attribute, ascending cost within."""
-    order: list[str] = []
-    by_attribute: dict[str, list[int]] = {}
-    for column, feature in enumerate(library.features):
-        if feature.attribute not in by_attribute:
-            order.append(feature.attribute)
-            by_attribute[feature.attribute] = []
-        by_attribute[feature.attribute].append(column)
-    steps: list[VectorizeStep] = []
-    for attribute in order:
-        columns = sorted(
-            by_attribute[attribute],
-            key=lambda column: (library.features[column].cost, column),
-        )
-        steps.extend(
-            VectorizeStep(column=column, feature=library.features[column])
-            for column in columns
-        )
-    return VectorizePlan(steps=tuple(steps))

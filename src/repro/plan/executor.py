@@ -1,9 +1,10 @@
 """Fused evaluate-then-filter execution of compiled blocking plans.
 
-:class:`PlanExecutor` is the plan-driven successor of the full-matrix
-:class:`~repro.core.blocker.ChunkEvaluator` (which it subclasses, so
-every executor that speaks the evaluator interface — streaming,
-sharded, the fork prewarmer — can run either engine).  Instead of
+:class:`PlanExecutor` is the evaluator the sharded executor
+(:func:`repro.exec.apply_rules_sharded`) runs in every shard.  It
+subclasses the full-matrix reference evaluator,
+:class:`~repro.core.blocker.ChunkEvaluator`, so the fork prewarm reads
+the same needed-feature projection and caches.  Instead of
 materializing every needed feature for every pair of a chunk, it walks
 the compiled :class:`~repro.plan.compiler.BlockingPlan` node by node,
 keeping an *active row set* per node and computing each feature column
@@ -33,7 +34,6 @@ import numpy as np
 
 from ..core.blocker import _STREAM_CHUNK, ChunkEvaluator
 from ..data.pairs import Pair
-from ..data.sampling import iter_cartesian
 from ..data.table import Table
 from ..features.library import FeatureLibrary
 from ..obs.profiling import profile_section
@@ -94,16 +94,15 @@ class PlanExecutor(ChunkEvaluator):
     """
 
     def __init__(self, table_a: Table, table_b: Table,
-                 rules: list[Rule], library: FeatureLibrary,
-                 stats: PlanStats | None = None) -> None:
+                 rules: list[Rule], library: FeatureLibrary) -> None:
         super().__init__(table_a, table_b, rules, library)
         self.plan: BlockingPlan = compile_blocking_plan(rules, library)
         self._features_by_index = {
             index: feature
             for index, feature in zip(self.needed, self.needed_features)
         }
-        self.stats = stats if stats is not None else PlanStats()
-        self.stats.needed_width = len(self.needed)
+        self.cells_computed = 0
+        """Feature cells this executor's kernels have evaluated."""
 
     def blocked_mask(self, records_a: list, records_b: list) -> np.ndarray:
         """Plan-ordered, row-pruned equivalent of the chunk evaluator.
@@ -136,7 +135,6 @@ class PlanExecutor(ChunkEvaluator):
                     rows = rows[step.predicate.evaluate_column(column[rows])]
             if rows.size:
                 blocked[rows] = True
-        self.stats.pairs += n
         return blocked
 
     def _column(self, index: int, rows: np.ndarray, records_a: list,
@@ -163,7 +161,7 @@ class PlanExecutor(ChunkEvaluator):
                 self.cache_a, self.cache_b,
             )
             have[index][pending] = True
-            self.stats.cells_computed += int(pending.size)
+            self.cells_computed += int(pending.size)
         return column
 
 
@@ -171,28 +169,12 @@ def apply_rules_plan(table_a: Table, table_b: Table, rules: list[Rule],
                      library: FeatureLibrary,
                      chunk_size: int = _STREAM_CHUNK,
                      stats: PlanStats | None = None) -> list[Pair]:
-    """Apply blocking rules over A x B through the plan executor.
+    """:func:`repro.exec.apply_rules_sharded` with one worker.
 
-    The plan-engine twin of
-    :func:`~repro.core.blocker.apply_rules_streaming`: same A x B
-    stream order, same chunking, bit-identical survivors — only the
-    per-chunk evaluation strategy differs.  ``stats`` (optional)
-    accumulates the deterministic cell-count accounting.
+    Kept under this name because ``benchmarks/e2e/tracing.py`` wraps it
+    by name and the benchmark's self-test fails on a missing target.
     """
-    evaluator = PlanExecutor(table_a, table_b, rules, library, stats=stats)
-    survivors: list[Pair] = []
-    chunk: list[Pair] = []
+    from ..exec import apply_rules_sharded  # repro.exec imports this module
 
-    def flush() -> None:
-        if not chunk:
-            return
-        with profile_section("blocker.plan_flush"):
-            survivors.extend(evaluator.survivors(chunk))
-            chunk.clear()
-
-    for pair in iter_cartesian(table_a, table_b):
-        chunk.append(pair)
-        if len(chunk) >= chunk_size:
-            flush()
-    flush()
-    return survivors
+    return apply_rules_sharded(table_a, table_b, rules, library,
+                               chunk_size=chunk_size, stats=stats)

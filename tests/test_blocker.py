@@ -119,149 +119,3 @@ class TestStreamingApplication:
         assert len(survivors) == cartesian_size(
             dataset.table_a, dataset.table_b
         )
-
-
-class TestParallelApplication:
-    def test_parallel_matches_sequential(self, blocking_setup):
-        from repro.core.blocker import apply_rules_parallel
-        dataset, _, _, library, _ = blocking_setup
-        name_col = library.names.index("name_jaro_winkler")
-        phone_col = library.names.index("phone_jaro_winkler")
-        rules = [
-            Rule([Predicate(name_col, "name_jaro_winkler", True, 0.5)],
-                 predicts_match=False),
-            Rule([Predicate(phone_col, "phone_jaro_winkler", True, 0.3)],
-                 predicts_match=False),
-        ]
-        sequential = apply_rules_streaming(
-            dataset.table_a, dataset.table_b, rules, library
-        )
-        parallel = apply_rules_parallel(
-            dataset.table_a, dataset.table_b, rules, library, n_workers=3
-        )
-        assert parallel == sequential
-
-    def test_tfidf_rules_fall_back_to_sequential(self, blocking_setup):
-        """Corpus-dependent features must not be sharded; the call still
-        succeeds and agrees with the sequential result."""
-        from repro.core.blocker import apply_rules_parallel
-        from repro.data.table import AttrType, Record, Schema, Table
-        from repro.features.library import build_feature_library
-        schema = Schema.from_pairs([("desc", AttrType.TEXT)])
-        table_a = Table("a", schema, [
-            Record(f"a{i}", {"desc": f"alpha beta gamma {i}"})
-            for i in range(12)
-        ])
-        table_b = Table("b", schema, [
-            Record(f"b{i}", {"desc": f"alpha beta delta {i}"})
-            for i in range(12)
-        ])
-        library = build_feature_library(table_a, table_b)
-        cosine_col = library.names.index("desc_cosine_tfidf")
-        rule = Rule(
-            [Predicate(cosine_col, "desc_cosine_tfidf", True, 0.2)],
-            predicts_match=False,
-        )
-        sequential = apply_rules_streaming(table_a, table_b, [rule],
-                                           library)
-        parallel = apply_rules_parallel(table_a, table_b, [rule],
-                                        library, n_workers=4)
-        assert parallel == sequential
-
-    def test_mismatched_worker_library_falls_back(self, blocking_setup):
-        """Regression: rules extracted against one feature order used to
-        be applied against a worker's differently-ordered rebuilt
-        library, silently scoring the wrong features.  The mismatch is
-        now detected and the call warns and falls back to the (correct)
-        sequential path."""
-        from repro.core.blocker import apply_rules_parallel
-        from repro.features.library import FeatureLibrary
-        dataset, _, _, library, _ = blocking_setup
-        shuffled = FeatureLibrary(list(library.features)[::-1])
-        name_col = shuffled.names.index("name_jaro_winkler")
-        rules = [
-            Rule([Predicate(name_col, "name_jaro_winkler", True, 0.5)],
-                 predicts_match=False),
-        ]
-        sequential = apply_rules_streaming(
-            dataset.table_a, dataset.table_b, rules, shuffled
-        )
-        with pytest.warns(RuntimeWarning,
-                          match="parallel blocking disabled"):
-            survivors = apply_rules_parallel(
-                dataset.table_a, dataset.table_b, rules, shuffled,
-                n_workers=3,
-            )
-        assert survivors == sequential
-
-    def test_single_worker_is_sequential(self, blocking_setup):
-        from repro.core.blocker import apply_rules_parallel
-        dataset, _, _, library, _ = blocking_setup
-        survivors = apply_rules_parallel(
-            dataset.table_a, dataset.table_b, [], library, n_workers=1
-        )
-        assert len(survivors) == cartesian_size(
-            dataset.table_a, dataset.table_b
-        )
-
-
-class TestFallbackReporting:
-    """Lost parallelism is reported through ``on_fallback``, not hidden."""
-
-    def test_corpus_dependent_fallback_is_reported(self):
-        from repro.core.blocker import apply_rules_parallel
-        from repro.data.table import AttrType, Record, Schema, Table
-        schema = Schema.from_pairs([("desc", AttrType.TEXT)])
-        table_a = Table("a", schema, [
-            Record(f"a{i}", {"desc": f"alpha beta gamma {i}"})
-            for i in range(12)
-        ])
-        table_b = Table("b", schema, [
-            Record(f"b{i}", {"desc": f"alpha beta delta {i}"})
-            for i in range(12)
-        ])
-        library = build_feature_library(table_a, table_b)
-        cosine_col = library.names.index("desc_cosine_tfidf")
-        rule = Rule(
-            [Predicate(cosine_col, "desc_cosine_tfidf", True, 0.2)],
-            predicts_match=False,
-        )
-        fallbacks = []
-        apply_rules_parallel(
-            table_a, table_b, [rule], library, n_workers=4,
-            on_fallback=lambda reason, detail: fallbacks.append(reason),
-        )
-        assert fallbacks == ["corpus_dependent"]
-
-    def test_library_mismatch_fallback_is_reported(self, blocking_setup):
-        from repro.core.blocker import apply_rules_parallel
-        from repro.features.library import FeatureLibrary
-        dataset, _, _, library, _ = blocking_setup
-        shuffled = FeatureLibrary(list(library.features)[::-1])
-        name_col = shuffled.names.index("name_jaro_winkler")
-        rules = [
-            Rule([Predicate(name_col, "name_jaro_winkler", True, 0.5)],
-                 predicts_match=False),
-        ]
-        fallbacks = []
-        with pytest.warns(RuntimeWarning,
-                          match="parallel blocking disabled"):
-            apply_rules_parallel(
-                dataset.table_a, dataset.table_b, rules, shuffled,
-                n_workers=3,
-                on_fallback=lambda reason, detail: fallbacks.append(
-                    (reason, detail)),
-            )
-        assert [reason for reason, _ in fallbacks] == ["library_mismatch"]
-        assert "expected" in fallbacks[0][1]
-
-    def test_deliberate_sizing_is_not_reported(self, blocking_setup):
-        """n_workers=1 / tiny A are choices, not lost parallelism."""
-        from repro.core.blocker import apply_rules_parallel
-        dataset, _, _, library, _ = blocking_setup
-        fallbacks = []
-        apply_rules_parallel(
-            dataset.table_a, dataset.table_b, [], library, n_workers=1,
-            on_fallback=lambda reason, detail: fallbacks.append(reason),
-        )
-        assert fallbacks == []

@@ -170,10 +170,16 @@ def test_check_regress_without_committed_record(collector, monkeypatch):
 
 
 def test_collect_shard_scaling_curve(collector):
-    """--shard records the worker curve and the determinism check."""
+    """--shard records the worker curve and the determinism check, and
+    carries a committed paper-scale ``citations_full`` entry over."""
     import json
     module, tmp_path = collector
     output = tmp_path / "BENCH_shard.json"
+    committed = {"dataset": "citations 2616x64263", "n_workers": 1,
+                 "pairs": 168112008, "pairs_per_second": 387341.6,
+                 "reduction_ratio": 0.001177, "seconds": 434.0,
+                 "survivors": 197785}
+    output.write_text(json.dumps({"citations_full": committed}))
     payload = module.collect_shard(output=output, repeats=1,
                                    n_a=20, n_b=40,
                                    worker_counts=(1, 2))
@@ -185,7 +191,10 @@ def test_collect_shard_scaling_curve(collector):
         assert entry["seconds"] > 0
         assert entry["speedup_vs_streaming"] > 0
     assert payload["merge_determinism_ok"]
+    assert payload["citations_full"] == committed
     assert json.loads(output.read_text()) == payload
     table = (tmp_path / "results" / "shard_scaling.txt").read_text()
     assert "workers" in table and "bit-identical" in table
     assert "stream" in table
+    assert "168112008 pairs in 434 s" in table
+

@@ -610,8 +610,7 @@ class TestRunTelemetry:
 
 def _sharded_identity_config() -> CorleoneConfig:
     config = _identity_config()
-    blocker = dataclasses.replace(config.blocker, executor="sharded",
-                                  n_workers=4)
+    blocker = dataclasses.replace(config.blocker, n_workers=4)
     return dataclasses.replace(config, blocker=blocker)
 
 

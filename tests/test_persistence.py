@@ -1,4 +1,4 @@
-"""JSON persistence of rules, forests and run reports."""
+"""JSON persistence of rules, forests, configs and run reports."""
 
 from __future__ import annotations
 
@@ -7,10 +7,12 @@ import json
 import numpy as np
 import pytest
 
-from repro.config import ForestConfig
+from repro.config import CorleoneConfig, ForestConfig
 from repro.exceptions import DataError
 from repro.forest.forest import train_forest
 from repro.persistence import (
+    config_from_dict,
+    config_to_dict,
     forest_from_dict,
     forest_to_dict,
     load_forest,
@@ -201,3 +203,18 @@ class TestCandidateRoundTrip:
         np.savez(path, wrong_key=np.zeros(3))
         with pytest.raises(DataError):
             load_candidates(path)
+
+
+class TestConfigRoundTrip:
+    @pytest.mark.parametrize(("section", "key", "value"), [
+        ("blocker", "executor", "sharded"),
+        ("plan", "enabled", True),
+    ])
+    def test_removed_key_names_its_replacement(self, section, key, value):
+        """A run.json written before the key was removed fails typed."""
+        document = config_to_dict(CorleoneConfig())
+        assert config_from_dict(document) == CorleoneConfig()
+        document[section][key] = value
+        with pytest.raises(DataError, match=rf"{section}\.{key}.*"
+                           r"sharded plan executor.*blocker\.n_workers"):
+            config_from_dict(document)

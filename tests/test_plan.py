@@ -2,13 +2,12 @@
 
 Four layers of coverage: property tests over the compiler's greedy
 cheapest-marginal-first ordering and predicate pushdown; a bit-exact
-parity sweep (plan executor vs streaming, under rule permutations,
-chunk geometries and the sharded executor's plan engine) on all three
+parity sweep (plan executor vs the streaming oracle, under rule
+permutations, chunk geometries and worker counts) on all three
 synthetic datasets; the spill manager + external-candidates
-persistence contract; and engine-level integration — a plan-enabled,
-spill-backed hands-off run must reproduce the plan-disabled report
-byte for byte, including through kill/resume at spill-referencing
-checkpoints.
+persistence contract; and engine-level integration — a spill-backed
+hands-off run must reproduce the in-RAM report byte for byte,
+including through kill/resume at spill-referencing checkpoints.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from repro.plan import (
     SpillManager,
     apply_rules_plan,
     compile_blocking_plan,
-    compile_vectorize_plan,
     open_readonly,
     spill_path,
 )
@@ -192,33 +190,6 @@ class TestCompileBlockingPlan:
         assert "[shared]" in plan.describe()
 
 
-class TestCompileVectorizePlan:
-    def test_covers_every_column_exactly_once(self):
-        dataset = _DATASETS["restaurants"]()
-        library = build_feature_library(dataset.table_a, dataset.table_b)
-        plan = compile_vectorize_plan(library)
-        assert sorted(s.column for s in plan.steps) == \
-            list(range(len(library)))
-
-    def test_grouped_by_attribute_ascending_cost(self):
-        dataset = _DATASETS["restaurants"]()
-        library = build_feature_library(dataset.table_a, dataset.table_b)
-        plan = compile_vectorize_plan(library)
-        seen_attributes: list[str] = []
-        previous = None
-        for step in plan.steps:
-            attribute = step.feature.attribute
-            if attribute not in seen_attributes:
-                seen_attributes.append(attribute)
-                previous = None
-            else:
-                assert attribute == seen_attributes[-1], \
-                    "attribute groups interleaved"
-                assert previous is not None
-                assert step.feature.cost >= previous
-            previous = step.feature.cost
-
-
 # ----------------------------------------------------------------------
 # Bit-exact parity sweep
 # ----------------------------------------------------------------------
@@ -256,13 +227,6 @@ class TestPlanParity:
                                     rules, library,
                                     chunk_size=chunk_size) == golden
 
-    def test_sharded_plan_engine_matches_streaming(self, parity_setup):
-        dataset, library, rules, golden = parity_setup
-        for n_workers in (1, 3):
-            assert apply_rules_sharded(
-                dataset.table_a, dataset.table_b, rules, library,
-                n_workers=n_workers, engine="plan") == golden
-
     def test_sharded_stats_are_worker_count_invariant(self, parity_setup):
         dataset, library, rules, _ = parity_setup
         snapshots = []
@@ -270,7 +234,7 @@ class TestPlanParity:
             stats = PlanStats()
             apply_rules_sharded(dataset.table_a, dataset.table_b, rules,
                                 library, n_workers=n_workers,
-                                engine="plan", stats=stats)
+                                stats=stats)
             snapshots.append(stats.as_dict())
         assert snapshots[0] == snapshots[1]
         assert snapshots[0]["pairs"] > 0
@@ -286,19 +250,11 @@ class TestPlanParity:
         assert stats.cells_pruned == \
             stats.cells_budget - stats.cells_computed
 
-    def test_vectorize_plan_engine_bit_identical(self, parity_setup):
-        dataset, library, _, golden = parity_setup
-        batched = vectorize_pairs(dataset.table_a, dataset.table_b,
-                                  golden, library)
-        planned = vectorize_pairs(dataset.table_a, dataset.table_b,
-                                  golden, library, engine="plan")
-        assert batched.features.tobytes() == planned.features.tobytes()
-
     def test_vectorize_out_buffer_is_filled_in_place(self, parity_setup):
         dataset, library, _, golden = parity_setup
         out = np.empty((len(golden), len(library)), dtype=np.float64)
         result = vectorize_pairs(dataset.table_a, dataset.table_b,
-                                 golden, library, engine="plan", out=out)
+                                 golden, library, out=out)
         assert result.features.base is out or result.features is out
 
     def test_vectorize_out_shape_mismatch_rejected(self, parity_setup):
@@ -440,7 +396,7 @@ class TestPlanConfig:
 
 
 # ----------------------------------------------------------------------
-# Engine integration: plan + spill through checkpoints
+# Engine integration: spill through checkpoints
 # ----------------------------------------------------------------------
 
 class TestEngineIntegration:
@@ -449,7 +405,7 @@ class TestEngineIntegration:
             forest=ForestConfig(n_trees=5),
             blocker=BlockerConfig(t_b=1500, top_k_rules=10,
                                   max_labels_per_rule=60,
-                                  executor="sharded", n_workers=2),
+                                  n_workers=2),
             matcher=MatcherConfig(batch_size=10, pool_size=40,
                                   n_converged=8, n_degrade=6,
                                   max_iterations=12),
@@ -477,21 +433,14 @@ class TestEngineIntegration:
         golden = self._run(self._config(PlanConfig()), dataset, crowd)
         golden_report = persistence.result_report(golden)
 
-        # The uninterrupted plan+spill run every resume test compares
+        # The uninterrupted spill run every resume test compares
         # against (report AND checkpointed metrics must both match).
         run_dir = tmp_path_factory.mktemp("plan") / "golden_run"
-        spill_plan = PlanConfig(enabled=True, spill_threshold_mb=0.001)
+        spill_plan = PlanConfig(spill_threshold_mb=0.001)
         result = self._run(self._config(spill_plan), dataset, crowd,
                            run_dir=run_dir)
         assert persistence.result_report(result) == golden_report
         return dataset, crowd, golden_report, run_dir, spill_plan
-
-    def test_plan_engine_reproduces_plan_off_report(self, engine_setup):
-        from repro import persistence
-        dataset, crowd, golden_report, _, _ = engine_setup
-        plan_only = PlanConfig(enabled=True)
-        result = self._run(self._config(plan_only), dataset, crowd)
-        assert persistence.result_report(result) == golden_report
 
     def test_spill_run_checkpoints_reference_the_spill_file(
             self, engine_setup):

@@ -1,12 +1,12 @@
 """The sharded multi-core A x B executor (repro.exec).
 
 Covers the determinism contract from every angle: a parity sweep
-asserting that streaming, legacy-parallel, sharded in-process and
-sharded multi-worker execution return *identical* candidate lists (same
-pairs, same order) on all three synthetic datasets; shard planning
-invariants; kill/resume mid-shard at the executor level and mid-block
-at the engine level; the NaN-never-blocks missing-value guard; and the
-fallback events that replace the old silent degradations.
+asserting that the executor returns the *identical* candidate list
+(same pairs, same order) as the ``apply_rules_streaming`` oracle on all
+three synthetic datasets, for 1, 2 and 4 workers and several shard
+sizes; shard planning invariants; kill/resume mid-shard at the executor
+level and mid-block at the engine level; the NaN-never-blocks
+missing-value guard; and the fork-unavailable fallback event.
 """
 
 from __future__ import annotations
@@ -16,11 +16,7 @@ import pytest
 
 from repro.config import BlockerConfig, CorleoneConfig, ForestConfig, \
     MatcherConfig
-from repro.core.blocker import (
-    ChunkEvaluator,
-    apply_rules_parallel,
-    apply_rules_streaming,
-)
+from repro.core.blocker import ChunkEvaluator, apply_rules_streaming
 from repro.data.table import AttrType, Record, Schema, Table
 from repro.engine.events import (
     EVENT_BLOCKER_FALLBACK,
@@ -29,7 +25,8 @@ from repro.engine.events import (
     EventBus,
 )
 from repro.exec import apply_rules_sharded, auto_shard_size, plan_shards
-from repro.exec.sharding import ShardStore
+from repro.exceptions import DataError
+from repro.exec.sharding import PLAN_FILE, ShardStore
 from repro.features.library import build_feature_library
 from repro.rules.predicates import Predicate
 from repro.rules.rule import Rule
@@ -48,24 +45,29 @@ _DATASETS = {
 
 
 def _blocking_rules(library) -> list[Rule]:
-    """Two single-predicate rules over string-similarity features.
+    """Single-predicate rules over string-similarity features.
 
-    Thresholds are mid-range so each dataset blocks some pairs and
-    keeps others — a parity assertion over an empty or full survivor
-    list would prove nothing.
+    Two jaro_winkler/levenshtein rules, plus one cosine_tfidf rule when
+    the library has such a feature (products and citations do): TF/IDF
+    weights depend on the whole corpus, so a shard must see the
+    parent's weights.  Thresholds are mid-range so each dataset blocks
+    some pairs and keeps others — a parity assertion over an empty or
+    full survivor list would prove nothing.
     """
-    rules = []
-    for feature in library.features:
+    string_rules, tfidf_rules = [], []
+    for index, feature in enumerate(library.features):
         if feature.measure in ("jaro_winkler", "levenshtein"):
-            index = library.names.index(feature.name)
-            rules.append(Rule(
+            string_rules.append(Rule(
                 [Predicate(index, feature.name, True, 0.45)],
                 predicts_match=False,
             ))
-        if len(rules) == 2:
-            break
-    assert rules, "no string-similarity feature in the library"
-    return rules
+        elif feature.measure == "cosine_tfidf":
+            tfidf_rules.append(Rule(
+                [Predicate(index, feature.name, True, 0.1)],
+                predicts_match=False,
+            ))
+    assert string_rules, "no string-similarity feature in the library"
+    return string_rules[:2] + tfidf_rules[:1]
 
 
 @pytest.fixture(scope="module", params=sorted(_DATASETS))
@@ -79,26 +81,26 @@ def parity_setup(request):
     return dataset, library, rules, golden
 
 
-class TestParitySweep:
-    """All executors must return the identical candidate list."""
+def _assert_sweep(parity_setup, n_workers: int) -> None:
+    """Auto-sized shards and 7-row shards (a ragged last shard)."""
+    dataset, library, rules, golden = parity_setup
+    for shard_size in (0, 7):
+        survivors = apply_rules_sharded(
+            dataset.table_a, dataset.table_b, rules, library,
+            n_workers=n_workers, shard_size=shard_size)
+        assert survivors == golden, (
+            f"n_workers={n_workers} shard_size={shard_size} diverged")
 
-    def test_parallel_matches_streaming(self, parity_setup):
-        dataset, library, rules, golden = parity_setup
-        survivors = apply_rules_parallel(
-            dataset.table_a, dataset.table_b, rules, library, n_workers=3)
-        assert survivors == golden
+
+class TestParitySweep:
+    """The executor must return the oracle's identical candidate list."""
 
     def test_sharded_in_process_matches_streaming(self, parity_setup):
-        dataset, library, rules, golden = parity_setup
-        survivors = apply_rules_sharded(
-            dataset.table_a, dataset.table_b, rules, library, n_workers=1)
-        assert survivors == golden
+        _assert_sweep(parity_setup, n_workers=1)
 
     def test_sharded_pool_matches_streaming(self, parity_setup):
-        dataset, library, rules, golden = parity_setup
-        survivors = apply_rules_sharded(
-            dataset.table_a, dataset.table_b, rules, library, n_workers=3)
-        assert survivors == golden
+        for n_workers in (2, 4):
+            _assert_sweep(parity_setup, n_workers)
 
     def test_sharded_is_shard_size_invariant(self, parity_setup):
         dataset, library, rules, golden = parity_setup
@@ -236,6 +238,47 @@ class TestKillResume:
                             bus=bus)
         assert names.count(EVENT_SHARD_STARTED) == n_shards
         assert names.count(EVENT_SHARD_COMPLETED) == n_shards
+
+
+class TestShardStore:
+    """What ``prepare`` and ``load`` accept from a shard directory."""
+
+    def _store(self, tmp_path) -> ShardStore:
+        store = ShardStore(tmp_path / "shards", fingerprint="f")
+        store.prepare(n_shards=2)
+        store.write(0, [("a0", "b0")], pairs_scanned=1, cells_computed=1)
+        return store
+
+    @pytest.mark.parametrize("manifested", [True, False])
+    @pytest.mark.parametrize("damage", ["flipped_first_byte", "not_object"])
+    def test_untrusted_plan_is_quarantined_and_shards_cleared(
+            self, tmp_path, damage, manifested):
+        store = self._store(tmp_path)
+        plan = store.directory / PLAN_FILE
+        data = plan.read_bytes()
+        plan.write_bytes(bytes([data[0] ^ 0x80]) + data[1:]
+                         if damage == "flipped_first_byte" else b"[1, 2]")
+        if not manifested:
+            # No manifest entry: the plan's content alone must be judged.
+            (store.directory / "MANIFEST.json").unlink()
+        assert ShardStore(store.directory, "f").prepare(n_shards=2) == set()
+        assert not store.shard_path(0).exists()
+        assert (store.directory / "quarantine" / PLAN_FILE).is_file()
+        # The fresh plan written in its place verifies on the next resume.
+        assert ShardStore(store.directory, "f").prepare(n_shards=2) == set()
+        assert not (store.directory / "quarantine" / f"{PLAN_FILE}.1").exists()
+
+    def test_shard_file_missing_a_key_is_a_typed_error(self, tmp_path):
+        store = self._store(tmp_path)
+        path = store.shard_path(0)
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files
+                      if name != "cells_computed"}
+        np.savez(path, **arrays)
+        with pytest.raises(DataError) as excinfo:
+            store.load(0)
+        assert str(path) in str(excinfo.value)
+        assert "cells_computed" in str(excinfo.value)
 
 
 class TestMissingValueSemantics:
@@ -404,12 +447,12 @@ class TestWorkerTelemetry:
 
 
 class TestEngineIntegration:
-    def _config(self, executor: str) -> CorleoneConfig:
+    def _config(self, n_workers: int) -> CorleoneConfig:
         return CorleoneConfig(
             forest=ForestConfig(n_trees=5),
             blocker=BlockerConfig(t_b=1500, top_k_rules=10,
                                   max_labels_per_rule=60,
-                                  executor=executor, n_workers=2),
+                                  n_workers=n_workers),
             matcher=MatcherConfig(batch_size=10, pool_size=40,
                                   n_converged=8, n_degrade=6,
                                   max_iterations=12),
@@ -424,7 +467,6 @@ class TestEngineIntegration:
 
     @pytest.fixture(scope="class")
     def engine_setup(self):
-        from repro import persistence
         from repro.crowd.simulated import PerfectCrowd
         dataset = generate_restaurants(n_a=60, n_b=40, n_matches=15,
                                        seed=7)
@@ -433,26 +475,32 @@ class TestEngineIntegration:
             return PerfectCrowd(dataset.matches,
                                 rng=np.random.default_rng(11))
 
-        golden = self._run(self._config("streaming"), dataset, crowd)
-        return dataset, crowd, persistence.result_report(golden)
+        golden = self._run(self._config(1), dataset, crowd)
+        return dataset, crowd, golden
+
+    def test_blocked_run_candidates_equal_the_oracle(self, engine_setup):
+        """A blocked run's umbrella set is the oracle over its rules."""
+        dataset, _, golden = engine_setup
+        blocker = golden.blocker
+        assert blocker.triggered and blocker.applied_rules
+        library = build_feature_library(dataset.table_a, dataset.table_b)
+        assert blocker.candidate_pairs == apply_rules_streaming(
+            dataset.table_a, dataset.table_b, blocker.applied_rules,
+            library)
 
     def test_sharded_executor_reaches_streaming_golden(self, engine_setup):
-        """Executor choice must not change the pipeline result at all."""
+        """Worker count must not change the pipeline result at all: a
+        2-worker run reaches the in-process (n_workers=1) golden."""
         from repro import persistence
-        dataset, crowd, golden_report = engine_setup
-        result = self._run(self._config("sharded"), dataset, crowd)
-        assert persistence.result_report(result) == golden_report
+        dataset, crowd, golden = engine_setup
+        result = self._run(self._config(2), dataset, crowd)
+        assert persistence.result_report(result) == \
+            persistence.result_report(golden)
 
-    def test_kill_mid_blocking_resumes_bit_identically(
-            self, engine_setup, tmp_path):
-        """Kill the engine run mid-shard; resume reuses shard files."""
-        import json
-
-        from repro import persistence
+    def _kill_mid_blocking(self, engine_setup, run_dir) -> None:
+        """Run 2 workers into ``run_dir``; die after 2 completed shards."""
         from repro.core.pipeline import Corleone
-        dataset, crowd, golden_report = engine_setup
-        config = self._config("sharded")
-        run_dir = tmp_path / "run"
+        dataset, crowd, _ = engine_setup
 
         class _Killed(Exception):
             pass
@@ -465,7 +513,8 @@ class TestEngineIntegration:
                 if seen[0] >= 2:
                     raise _Killed()
 
-        pipeline = Corleone(config, crowd(), seed=123, run_dir=run_dir)
+        pipeline = Corleone(self._config(2), crowd(), seed=123,
+                            run_dir=run_dir)
         pipeline.bus.subscribe(killer)
         with pytest.raises(_Killed):
             pipeline.run(dataset.table_a, dataset.table_b,
@@ -473,8 +522,20 @@ class TestEngineIntegration:
         shard_files = list((run_dir / "shards").glob("shard-*.npz"))
         assert len(shard_files) >= 2  # progress survived the kill
 
+    def test_kill_mid_blocking_resumes_bit_identically(
+            self, engine_setup, tmp_path):
+        """Kill the engine run mid-shard; resume reuses shard files."""
+        import json
+
+        from repro import persistence
+        from repro.core.pipeline import Corleone
+        _, crowd, golden = engine_setup
+        run_dir = tmp_path / "run"
+        self._kill_mid_blocking(engine_setup, run_dir)
+
         resumed = Corleone.resume(run_dir, crowd())
-        assert persistence.result_report(resumed) == golden_report
+        assert persistence.result_report(resumed) == \
+            persistence.result_report(golden)
 
         # The resumed run's shard metrics converge to the full count:
         # loaded shards re-emitted their events.
@@ -484,3 +545,21 @@ class TestEngineIntegration:
         completed = families["corleone_shards_completed_total"]["series"]
         assert started and completed
         assert started[0]["value"] == completed[0]["value"] > 0
+
+    def test_corrupt_plan_after_kill_resumes_bit_identically(
+            self, engine_setup, tmp_path):
+        """A plan.json bit-flipped between kill and resume is
+        quarantined; every shard is recomputed to the same result."""
+        from repro import persistence
+        from repro.core.pipeline import Corleone
+        _, crowd, golden = engine_setup
+        run_dir = tmp_path / "run"
+        self._kill_mid_blocking(engine_setup, run_dir)
+        plan = run_dir / "shards" / PLAN_FILE
+        data = plan.read_bytes()
+        plan.write_bytes(bytes([data[0] ^ 0x80]) + data[1:])
+
+        resumed = Corleone.resume(run_dir, crowd())
+        assert persistence.result_report(resumed) == \
+            persistence.result_report(golden)
+        assert (run_dir / "shards" / "quarantine" / PLAN_FILE).is_file()
