@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint lint-fast test bench bench-smoke bench-shard bench-plan trace-report results examples clean
+.PHONY: install lint lint-fast test bench bench-smoke bench-shard bench-plan bench-e2e trace-report results examples clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -60,6 +60,13 @@ bench-shard:
 bench-plan:
 	mkdir -p benchmarks/results
 	$(PYTHON) benchmarks/collect_results.py --plan
+
+# The whole-run benchmark declared in BENCHMARK.json: the Corleone
+# workloads timed end to end with per-layer times (benchmarks/e2e/
+# README.md).  Writes its set to benchmarks/e2e/.work/set.json;
+# compare two sets with `python3 benchmarks/e2e/run.py compare A B`.
+bench-e2e:
+	python3 benchmarks/e2e/run.py
 
 # Render the obs report (docs/observability.md) for the newest run
 # directory under the repo — any directory holding a run.json; `make

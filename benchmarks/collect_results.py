@@ -457,17 +457,12 @@ def collect_faults(output: Path | None = None, repeats: int = 3) -> dict:
         CorleoneConfig,
         EstimatorConfig,
         ForestConfig,
+        GatewayConfig,
         LocatorConfig,
         MatcherConfig,
     )
     from repro.core.pipeline import Corleone
-    from repro.crowd import (
-        CircuitBreaker,
-        FaultSpec,
-        FaultyCrowd,
-        ResilientCrowd,
-        RetryPolicy,
-    )
+    from repro.crowd import FaultSpec, FaultyCrowd, ResilientCrowd
     from repro.crowd.simulated import SimulatedCrowd
     from repro.synth.restaurants import generate_restaurants
 
@@ -505,10 +500,7 @@ def collect_faults(output: Path | None = None, repeats: int = 3) -> dict:
             spec = FaultSpec.uniform(fault_rate, spammer_rate=0.0)
             faulty = FaultyCrowd(crowd, spec, seed=77)
             platform = ResilientCrowd(
-                faulty,
-                RetryPolicy(max_attempts=7),
-                breaker=CircuitBreaker(failure_threshold=20),
-            )
+                faulty, GatewayConfig(max_attempts=7, failure_threshold=20))
         started = time.perf_counter()
         result = Corleone(config, platform, seed=123).run(
             dataset.table_a, dataset.table_b, dataset.seed_labels)

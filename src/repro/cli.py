@@ -224,8 +224,7 @@ def cmd_match(args: argparse.Namespace) -> int:
           f"stop: {result.stop_reason}")
 
     if args.report is not None:
-        report = result_report(result, platform=crowd,
-                               telemetry=pipeline.context.telemetry)
+        report = result_report(result, platform=crowd)
         report["n_predicted_matches"] = len(result.predicted_matches)
         report["repro_version"] = __version__
         args.report.write_text(json.dumps(report, indent=2))

@@ -13,8 +13,12 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .exceptions import ConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -242,6 +246,42 @@ class GatewayConfig:
     cooldown_seconds: float = 3600.0
     """Simulated seconds the circuit stays open before half-open."""
 
+    def __post_init__(self) -> None:
+        _raise_first_failure([
+            (self.max_attempts >= 1, "gateway.max_attempts must be >= 1"),
+            (self.base_delay_seconds >= 0,
+             "gateway.base_delay_seconds must be >= 0"),
+            (self.backoff_factor >= 1.0,
+             "gateway.backoff_factor must be >= 1"),
+            (self.max_delay_seconds >= 0,
+             "gateway.max_delay_seconds must be >= 0"),
+            (0 <= self.jitter_fraction < 1,
+             "gateway.jitter_fraction must be in [0, 1)"),
+            (self.question_timeout_seconds >= 0,
+             "gateway.question_timeout_seconds must be >= 0"),
+            (self.failure_threshold >= 1,
+             "gateway.failure_threshold must be >= 1"),
+            (self.cooldown_seconds >= 0,
+             "gateway.cooldown_seconds must be >= 0"),
+        ])
+
+    def delay_seconds(self, attempt: int,
+                      rng: "np.random.Generator") -> float:
+        """The backoff delay before retry number ``attempt`` (0-based).
+
+        Capped exponential, then jittered by a draw from ``rng`` — one
+        draw per scheduled retry, so identical seeds yield bit-identical
+        retry schedules.
+        """
+        if attempt < 0:
+            raise ConfigurationError("attempt must be >= 0")
+        delay = min(self.max_delay_seconds,
+                    self.base_delay_seconds * self.backoff_factor ** attempt)
+        if self.jitter_fraction:
+            swing = self.jitter_fraction * (2.0 * float(rng.random()) - 1.0)
+            delay *= 1.0 + swing
+        return delay
+
 
 @dataclass(frozen=True)
 class PlanConfig:
@@ -342,28 +382,17 @@ def _validate(cfg: CorleoneConfig) -> None:
          "crowd.strong_majority_max must be >= strong_majority_gap"),
         (cfg.crowd.max_platform_retries >= 0,
          "crowd.max_platform_retries must be >= 0"),
-        (cfg.gateway.max_attempts >= 1,
-         "gateway.max_attempts must be >= 1"),
-        (cfg.gateway.base_delay_seconds >= 0,
-         "gateway.base_delay_seconds must be >= 0"),
-        (cfg.gateway.backoff_factor >= 1.0,
-         "gateway.backoff_factor must be >= 1"),
-        (cfg.gateway.max_delay_seconds >= 0,
-         "gateway.max_delay_seconds must be >= 0"),
-        (0 <= cfg.gateway.jitter_fraction < 1,
-         "gateway.jitter_fraction must be in [0, 1)"),
-        (cfg.gateway.question_timeout_seconds >= 0,
-         "gateway.question_timeout_seconds must be >= 0"),
-        (cfg.gateway.failure_threshold >= 1,
-         "gateway.failure_threshold must be >= 1"),
-        (cfg.gateway.cooldown_seconds >= 0,
-         "gateway.cooldown_seconds must be >= 0"),
         (cfg.plan.spill_threshold_mb >= 0,
          "plan.spill_threshold_mb must be >= 0"),
         (cfg.max_pipeline_iterations >= 1,
          "max_pipeline_iterations must be >= 1"),
         (cfg.budget is None or cfg.budget > 0, "budget must be positive"),
     ]
+    _raise_first_failure(checks)
+
+
+def _raise_first_failure(checks: list[tuple[bool, str]]) -> None:
+    """Raise :class:`ConfigurationError` for the first failed check."""
     for ok, message in checks:
         if not ok:
             raise ConfigurationError(message)

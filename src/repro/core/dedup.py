@@ -120,8 +120,7 @@ class _DedupPlatform(CrowdPlatform):
     """Strips the L:/R: prefixes and answers self-pairs for free."""
 
     def __init__(self, inner: CrowdPlatform) -> None:
-        self._inner = inner
-        self._free_answers = 0
+        self.inner = inner
 
     def ask(self, pair: Pair):
         from ..crowd.base import WorkerAnswer
@@ -129,9 +128,8 @@ class _DedupPlatform(CrowdPlatform):
         original_b = pair.b_id[2:]
         if original_a == original_b:
             # A record always matches itself; no human needed.
-            self._free_answers += 1
             return WorkerAnswer(pair, True, worker_id=-1)
-        answer = self._inner.ask(canonical_pair(original_a, original_b))
+        answer = self.inner.ask(canonical_pair(original_a, original_b))
         return WorkerAnswer(pair, answer.label, answer.worker_id)
 
 

@@ -22,7 +22,7 @@ from ..crowd.service import LabelingService
 from ..data.pairs import CandidateSet, Pair
 from ..exceptions import BudgetExhaustedError, DataError
 from ..forest.forest import RandomForest, train_forest
-from ..obs import hooks
+from ..obs.profiling import record_entropy_pool
 from .stopping import ConfidenceMonitor, StopDecision
 
 
@@ -297,7 +297,7 @@ class ActiveLearningMatcher:
         pool_order = np.argsort(entropy)[::-1][:pool_size]
         pool_rows = unlabeled[pool_order]
         pool_entropy = entropy[pool_order]
-        hooks.record_entropy_pool(pool_rows.size)
+        record_entropy_pool(pool_rows.size)
 
         take = min(take, pool_rows.size)
         weights = pool_entropy + 1e-9  # keep zero-entropy rows samplable

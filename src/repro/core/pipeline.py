@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from ..config import CorleoneConfig
-from ..crowd.base import CrowdPlatform
+from ..crowd.base import CrowdPlatform, load_stack_state
 from ..data.pairs import CandidateSet, Pair
 from ..data.table import Table
 from ..engine.checkpoint import (
@@ -150,8 +150,8 @@ class Corleone:
         from the directory's latest checkpoint, so the resumed run
         produces exactly the result the uninterrupted run would have.
         ``platform`` must be constructed the same way as the original
-        run's (its internal state is then fast-forwarded from the
-        checkpoint when it supports ``load_state``).
+        run's: every layer of its stack is then fast-forwarded from the
+        checkpoint (:func:`~repro.crowd.base.load_stack_state`).
         """
         run_dir = Path(run_dir)
         # Heal the directory before reading anything from it: drop
@@ -198,9 +198,7 @@ class Corleone:
         telemetry_state = checkpoint.get("telemetry")
         if ctx.telemetry is not None and telemetry_state is not None:
             ctx.telemetry.load_state(telemetry_state)
-        if (checkpoint["platform"] is not None
-                and hasattr(platform, "load_state")):
-            platform.load_state(checkpoint["platform"])
+        load_stack_state(platform, checkpoint["platform"])
         ctx.bus.restore_sequence(checkpoint["sequence"])
 
         candidates = None

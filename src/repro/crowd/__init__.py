@@ -54,7 +54,6 @@ from .gateway import (
     CIRCUIT_OPEN,
     CircuitBreaker,
     ResilientCrowd,
-    RetryPolicy,
     find_clock,
 )
 from .transcript import (
@@ -112,7 +111,6 @@ __all__ = [
     "CIRCUIT_OPEN",
     "CircuitBreaker",
     "ResilientCrowd",
-    "RetryPolicy",
     "find_clock",
     "Hit",
     "Question",

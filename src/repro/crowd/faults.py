@@ -173,7 +173,7 @@ class FaultyCrowd(CrowdPlatform):
     def __init__(self, inner: CrowdPlatform, spec: FaultSpec,
                  seed: int | np.random.SeedSequence = 0,
                  on_fault: FaultObserver | None = None) -> None:
-        self._inner = inner
+        self.inner = inner
         self.spec = spec
         self._rngs = {
             kind: np.random.default_rng(fault_stream_seed(seed, kind))
@@ -191,11 +191,6 @@ class FaultyCrowd(CrowdPlatform):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    @property
-    def inner(self) -> CrowdPlatform:
-        """The wrapped platform."""
-        return self._inner
 
     @property
     def answers_delivered(self) -> int:
@@ -250,7 +245,7 @@ class FaultyCrowd(CrowdPlatform):
         if spamming:
             self._spam_remaining -= 1
             return self._spam_answer(pair)
-        answer = self._inner.ask(pair)
+        answer = self.inner.ask(pair)
         self._delivered += 1
         self._last[pair] = answer
         return answer
@@ -263,7 +258,7 @@ class FaultyCrowd(CrowdPlatform):
         real answer, random spam flips a fair coin.  Spammer answers
         carry negative worker ids so transcripts can tell them apart.
         """
-        answer = self._inner.ask(pair)
+        answer = self.inner.ask(pair)
         if self.spec.adversarial_spam:
             label = not answer.label
         else:
@@ -287,12 +282,12 @@ class FaultyCrowd(CrowdPlatform):
             self.on_fault(kind, pair)
 
     # ------------------------------------------------------------------
-    # Checkpoint support (duck-typed by the engine's Checkpointer)
+    # Checkpoint support (see repro.crowd.base.stack_state)
     # ------------------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """The fault schedule's full state (JSON-compatible)."""
-        state: dict = {
+        """The fault schedule's own state (JSON-compatible)."""
+        return {
             "rngs": {kind: self._rngs[kind].bit_generator.state
                      for kind in FAULT_KINDS},
             "counts": dict(self.counts),
@@ -306,9 +301,6 @@ class FaultyCrowd(CrowdPlatform):
                 for pair, answer in self._last.items()
             ],
         }
-        if hasattr(self._inner, "state_dict"):
-            state["inner"] = self._inner.state_dict()
-        return state
 
     def load_state(self, state: dict) -> None:
         """Restore a schedule captured by :meth:`state_dict`."""
@@ -324,5 +316,3 @@ class FaultyCrowd(CrowdPlatform):
             pair = Pair(str(a_id), str(b_id))
             self._last[pair] = WorkerAnswer(pair, bool(label),
                                             worker_id=int(worker_id))
-        if "inner" in state and hasattr(self._inner, "load_state"):
-            self._inner.load_state(state["inner"])

@@ -24,8 +24,10 @@ taxonomy of :mod:`repro.crowd.faults`:
   simulated time the breaker goes *half-open* and lets one trial
   question through.
 
-Every hook (``on_retry`` / ``on_repost`` / ``on_circuit_open``) is
-wired to the engine's event bus by
+One :class:`~repro.config.GatewayConfig` sets every knob: the backoff
+schedule, the question deadline and the breaker's threshold and
+cooldown.  Every hook (``on_retry`` / ``on_repost`` /
+``on_circuit_open``) is wired to the engine's event bus by
 :class:`~repro.engine.context.RunContext`, surfacing the
 ``retry_scheduled`` / ``hit_reposted`` / ``circuit_opened`` events; see
 ``docs/robustness.md`` for the full state machine.
@@ -34,11 +36,10 @@ wired to the engine's event bus by
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..config import GatewayConfig
 from ..data.pairs import Pair
 from ..exceptions import (
     AnswerTimeoutError,
@@ -48,12 +49,9 @@ from ..exceptions import (
     HitExpiredError,
     TransientCrowdError,
 )
-from .base import CrowdPlatform, WorkerAnswer
+from .base import CrowdPlatform, WorkerAnswer, layers
 from .cost import CostTracker
 from .latency import SimulatedClock
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..config import GatewayConfig
 
 CIRCUIT_CLOSED = "closed"
 CIRCUIT_OPEN = "open"
@@ -67,62 +65,6 @@ RepostObserver = Callable[[Pair, int], None]
 
 CircuitObserver = Callable[[int], None]
 """``on_circuit_open(failures)`` — the circuit breaker just opened."""
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Capped exponential backoff with deterministic jitter."""
-
-    max_attempts: int = 5
-    """Total tries per question (first attempt + retries)."""
-
-    base_delay_seconds: float = 30.0
-    """Backoff delay before the first retry."""
-
-    backoff_factor: float = 2.0
-    """Multiplier applied to the delay per further retry."""
-
-    max_delay_seconds: float = 600.0
-    """Cap on any single backoff delay."""
-
-    jitter_fraction: float = 0.1
-    """Delays are perturbed by up to this fraction either way, drawn
-    from the gateway's own seeded stream (deterministic jitter)."""
-
-    question_timeout_seconds: float = 300.0
-    """Simulated time charged for a question whose answer never arrived
-    (the per-HIT deadline the gateway waited out)."""
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigurationError("max_attempts must be >= 1")
-        if self.base_delay_seconds < 0 or self.max_delay_seconds < 0:
-            raise ConfigurationError("backoff delays must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError("backoff_factor must be >= 1")
-        if not 0.0 <= self.jitter_fraction < 1.0:
-            raise ConfigurationError("jitter_fraction must be in [0, 1)")
-        if self.question_timeout_seconds < 0:
-            raise ConfigurationError(
-                "question_timeout_seconds must be >= 0"
-            )
-
-    def delay_seconds(self, attempt: int,
-                      rng: np.random.Generator) -> float:
-        """The backoff delay before retry number ``attempt`` (0-based).
-
-        Capped exponential, then jittered by a draw from ``rng`` — one
-        draw per scheduled retry, so identical seeds yield bit-identical
-        retry schedules.
-        """
-        if attempt < 0:
-            raise ConfigurationError("attempt must be >= 0")
-        delay = min(self.max_delay_seconds,
-                    self.base_delay_seconds * self.backoff_factor ** attempt)
-        if self.jitter_fraction:
-            swing = self.jitter_fraction * (2.0 * float(rng.random()) - 1.0)
-            delay *= 1.0 + swing
-        return delay
 
 
 class CircuitBreaker:
@@ -220,17 +162,15 @@ class CircuitBreaker:
 
 
 def find_clock(platform: CrowdPlatform) -> SimulatedClock | None:
-    """The first :class:`SimulatedClock` down a decorator stack, if any.
+    """The first :class:`SimulatedClock` down a platform stack, if any.
 
     Lets the gateway share the clock a :class:`TimedCrowd` somewhere
     below it already accounts answer latency on.
     """
-    node: object = platform
-    while node is not None:
-        clock = getattr(node, "clock", None)
+    for layer in layers(platform):
+        clock = getattr(layer, "clock", None)
         if isinstance(clock, SimulatedClock):
             return clock
-        node = getattr(node, "_inner", None)
     return None
 
 
@@ -244,25 +184,23 @@ class ResilientCrowd(CrowdPlatform):
     :class:`CrowdUnavailableError` once the breaker opens,
     :class:`BudgetExhaustedError` passed through untouched, or the last
     :class:`TransientCrowdError` if retries ran out while the circuit
-    stayed closed.
+    stayed closed.  ``config`` (default: :class:`GatewayConfig`'s
+    defaults) sets the retry schedule and sizes the breaker.
     """
 
     def __init__(self, inner: CrowdPlatform,
-                 policy: RetryPolicy | None = None,
-                 breaker: CircuitBreaker | None = None,
+                 config: GatewayConfig | None = None,
                  clock: SimulatedClock | None = None,
                  rng: np.random.Generator | None = None,
                  tracker: CostTracker | None = None) -> None:
-        self._inner = inner
-        self.policy = policy if policy is not None else RetryPolicy()
+        self.inner = inner
+        self.config = config if config is not None else GatewayConfig()
         if clock is None:
             clock = find_clock(inner)
         self.clock = clock if clock is not None else SimulatedClock()
-        if breaker is None:
-            breaker = CircuitBreaker(clock=self.clock)
-        else:
-            breaker.clock = self.clock
-        self.breaker = breaker
+        self.breaker = CircuitBreaker(self.config.failure_threshold,
+                                      self.config.cooldown_seconds,
+                                      self.clock)
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self.tracker = tracker  # corlint: derived
         """Bound by :class:`~repro.engine.context.RunContext` so reposted
@@ -278,28 +216,6 @@ class ResilientCrowd(CrowdPlatform):
         self.on_repost: RepostObserver | None = None
         self.on_circuit_open: CircuitObserver | None = None
 
-    @classmethod
-    def from_config(cls, inner: CrowdPlatform, config: "GatewayConfig",
-                    **kwargs: object) -> "ResilientCrowd":
-        """Build a gateway from a :class:`~repro.config.GatewayConfig`."""
-        policy = RetryPolicy(
-            max_attempts=config.max_attempts,
-            base_delay_seconds=config.base_delay_seconds,
-            backoff_factor=config.backoff_factor,
-            max_delay_seconds=config.max_delay_seconds,
-            jitter_fraction=config.jitter_fraction,
-            question_timeout_seconds=config.question_timeout_seconds,
-        )
-        gateway = cls(inner, policy=policy, **kwargs)  # type: ignore[arg-type]
-        gateway.breaker.failure_threshold = config.failure_threshold
-        gateway.breaker.cooldown_seconds = config.cooldown_seconds
-        return gateway
-
-    @property
-    def inner(self) -> CrowdPlatform:
-        """The wrapped platform."""
-        return self._inner
-
     def bind_tracker(self, tracker: CostTracker) -> None:
         """Meter reposted HITs into ``tracker`` from now on."""
         self.tracker = tracker
@@ -311,7 +227,7 @@ class ResilientCrowd(CrowdPlatform):
     def ask(self, pair: Pair) -> WorkerAnswer:
         """One answer for ``pair``, retried/reposted as needed."""
         last_error: TransientCrowdError | None = None
-        for attempt in range(self.policy.max_attempts):
+        for attempt in range(self.config.max_attempts):
             if not self.breaker.allow():
                 raise CrowdUnavailableError(
                     self.breaker.consecutive_failures,
@@ -320,7 +236,7 @@ class ResilientCrowd(CrowdPlatform):
                     "the simulated clock)",
                 )
             try:
-                answer = self._inner.ask(pair)
+                answer = self.inner.ask(pair)
             except BudgetExhaustedError:
                 # Money running out is the caller's concern, not a
                 # platform failure; never counts against the breaker.
@@ -336,7 +252,7 @@ class ResilientCrowd(CrowdPlatform):
                     raise CrowdUnavailableError(
                         self.breaker.consecutive_failures
                     ) from error
-                if attempt + 1 < self.policy.max_attempts:
+                if attempt + 1 < self.config.max_attempts:
                     self._schedule_retry(error, attempt)
                 continue
             self.breaker.record_success()
@@ -354,7 +270,7 @@ class ResilientCrowd(CrowdPlatform):
         """
         if isinstance(error, AnswerTimeoutError):
             # We waited the full question deadline for nothing.
-            waited = self.policy.question_timeout_seconds
+            waited = self.config.question_timeout_seconds
             self.clock.advance(waited)
             self.retry_seconds += waited
         if isinstance(error, HitExpiredError):
@@ -369,7 +285,7 @@ class ResilientCrowd(CrowdPlatform):
     def _schedule_retry(self, error: TransientCrowdError,
                         attempt: int) -> None:
         """Back off (on the simulated clock) before the next attempt."""
-        delay = self.policy.delay_seconds(attempt, self._rng)
+        delay = self.config.delay_seconds(attempt, self._rng)
         self.clock.advance(delay)
         self.retry_seconds += delay
         self.retries_scheduled += 1
@@ -377,12 +293,12 @@ class ResilientCrowd(CrowdPlatform):
             self.on_retry(type(error).__name__, attempt, delay)
 
     # ------------------------------------------------------------------
-    # Checkpoint support (duck-typed by the engine's Checkpointer)
+    # Checkpoint support (see repro.crowd.base.stack_state)
     # ------------------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """The gateway's full state (JSON-compatible)."""
-        state: dict = {
+        """The gateway's own state (JSON-compatible)."""
+        return {
             "rng": self._rng.bit_generator.state,
             "breaker": self.breaker.state_dict(),
             "clock": self.clock.state_dict(),
@@ -391,9 +307,6 @@ class ResilientCrowd(CrowdPlatform):
             "answers_recovered": self.answers_recovered,
             "retry_seconds": self.retry_seconds,
         }
-        if hasattr(self._inner, "state_dict"):
-            state["inner"] = self._inner.state_dict()
-        return state
 
     def load_state(self, state: dict) -> None:
         """Restore a state captured by :meth:`state_dict`."""
@@ -404,5 +317,3 @@ class ResilientCrowd(CrowdPlatform):
         self.hits_reposted = int(state["hits_reposted"])
         self.answers_recovered = int(state["answers_recovered"])
         self.retry_seconds = float(state["retry_seconds"])
-        if "inner" in state and hasattr(self._inner, "load_state"):
-            self._inner.load_state(state["inner"])

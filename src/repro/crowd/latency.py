@@ -134,7 +134,7 @@ class TimedCrowd(CrowdPlatform):
                  clock: SimulatedClock | None = None) -> None:
         if parallelism < 1:
             raise CrowdError("parallelism must be >= 1")
-        self._inner = inner
+        self.inner = inner
         self.model = model
         self.pay_per_question = pay_per_question
         self._rng = rng if rng is not None else np.random.default_rng(0)
@@ -169,7 +169,7 @@ class TimedCrowd(CrowdPlatform):
         lane = min(range(self.parallelism),
                    key=lambda i: self._lane_clocks[i])
         try:
-            answer = self._inner.ask(pair)
+            answer = self.inner.ask(pair)
         except CrowdError:
             # The worker's time was spent even though no answer arrived;
             # charge the lane and tally it as retry time so the money-time
@@ -184,15 +184,12 @@ class TimedCrowd(CrowdPlatform):
 
     def state_dict(self) -> dict:
         """Timing state for engine checkpoints (JSON-compatible)."""
-        state: dict = {
+        return {
             "rng": self._rng.bit_generator.state,
             "lanes": list(self._lane_clocks),
             "retry_seconds": self.retry_seconds,
             "clock": self.clock.state_dict(),
         }
-        if hasattr(self._inner, "state_dict"):
-            state["inner"] = self._inner.state_dict()
-        return state
 
     def load_state(self, state: dict) -> None:
         """Restore timing state captured by :meth:`state_dict`."""
@@ -200,8 +197,6 @@ class TimedCrowd(CrowdPlatform):
         self._lane_clocks = [float(v) for v in state["lanes"]]
         self.retry_seconds = float(state["retry_seconds"])
         self.clock.load_state(state["clock"])
-        if "inner" in state and hasattr(self._inner, "load_state"):
-            self._inner.load_state(state["inner"])
 
 
 @dataclass(frozen=True)

@@ -132,13 +132,13 @@ class _RecordingPlatform(CrowdPlatform):
 
     def __init__(self, inner: CrowdPlatform,
                  estimator: ErrorRateEstimator) -> None:
-        self._inner = inner
+        self.inner = inner
         self._estimator = estimator
         self._pending: dict[Pair, bool] = {}
         self._done: set[Pair] = set()
 
     def ask(self, pair: Pair) -> WorkerAnswer:
-        answer = self._inner.ask(pair)
+        answer = self.inner.ask(pair)
         if pair in self._done:
             return answer
         if pair in self._pending:

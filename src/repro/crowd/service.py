@@ -35,12 +35,12 @@ class _CountingPlatform(CrowdPlatform):
     """Pass-through proxy that counts consumed answers (for retry cost)."""
 
     def __init__(self, inner: CrowdPlatform) -> None:
-        self._inner = inner
+        self.inner = inner
         self.asked = 0
 
     def ask(self, pair: Pair):
         """Forward to the wrapped platform, counting the answer."""
-        answer = self._inner.ask(pair)
+        answer = self.inner.ask(pair)
         self.asked += 1
         return answer
 

@@ -31,8 +31,8 @@ Oracle = Callable[[Pair], bool]
 class _StatefulCrowd(CrowdPlatform):
     """Shared answer-stream state capture for the simulated platforms.
 
-    The staged execution engine checkpoints any platform exposing
-    ``state_dict()`` / ``load_state()`` (duck-typed), so that a resumed
+    The staged execution engine checkpoints every layer's
+    ``state_dict()`` (:func:`repro.crowd.base.stack_state`), so a resumed
     run draws the *same* noisy answers the uninterrupted run would have
     — without it, a noisy crowd's RNG would restart and diverge.
     """

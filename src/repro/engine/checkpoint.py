@@ -53,6 +53,7 @@ import numpy as np
 
 from .. import persistence
 from ..core.budgeting import BudgetPlan
+from ..crowd.base import stack_state
 from ..data.pairs import Pair
 from ..exceptions import DataError
 from ..storage.recovery import quarantine_artifact, verify_artifact
@@ -210,9 +211,6 @@ class Checkpointer:
                 for kind in ("generation", "checkpoint",
                              "metrics", "spans", "manifest"):
                     ctx.telemetry.record_artifact_write(kind)
-            platform_state = None
-            if hasattr(ctx.platform, "state_dict"):
-                platform_state = ctx.platform.state_dict()
             document = {
                 "format": "corleone-checkpoint",
                 "version": persistence.FORMAT_VERSION,
@@ -223,7 +221,7 @@ class Checkpointer:
                 "tracker": ctx.tracker.state_dict(),
                 "manager": (ctx.manager.state_dict()
                             if ctx.manager is not None else None),
-                "platform": platform_state,
+                "platform": stack_state(ctx.platform),
                 "rng": ctx.rng_states(),
                 "telemetry": (ctx.telemetry.state_dict()
                               if ctx.telemetry is not None else None),

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Any, Callable
 import numpy as np
 
 from ..config import CorleoneConfig
-from ..crowd.base import CrowdPlatform
+from ..crowd.base import CrowdPlatform, layers
 from ..crowd.cost import CostTracker
 from ..crowd.faults import FaultyCrowd
 from ..crowd.gateway import ResilientCrowd, find_clock
@@ -208,7 +208,7 @@ class RunContext:
     def _wire_platform(self, platform: CrowdPlatform) -> None:
         """Hook the robustness wrappers in the stack up to this run.
 
-        Walks the decorator stack: a
+        Walks every layer of the platform stack: a
         :class:`~repro.crowd.gateway.ResilientCrowd` is bound to the
         run's cost tracker (reposted HITs are metered) and its
         retry/repost/circuit hooks emit ``retry_scheduled`` /
@@ -216,16 +216,14 @@ class RunContext:
         :class:`~repro.crowd.faults.FaultyCrowd` emits
         ``fault_injected``.  Plain platforms pass through untouched.
         """
-        node: Any = platform
-        while node is not None:
-            if isinstance(node, ResilientCrowd):
-                node.bind_tracker(self.tracker)
-                node.on_retry = self._emit_retry
-                node.on_repost = self._emit_repost
-                node.on_circuit_open = self._emit_circuit_open
-            if isinstance(node, FaultyCrowd):
-                node.on_fault = self._emit_fault
-            node = getattr(node, "_inner", None)
+        for layer in layers(platform):
+            if isinstance(layer, ResilientCrowd):
+                layer.bind_tracker(self.tracker)
+                layer.on_retry = self._emit_retry
+                layer.on_repost = self._emit_repost
+                layer.on_circuit_open = self._emit_circuit_open
+            if isinstance(layer, FaultyCrowd):
+                layer.on_fault = self._emit_fault
 
     def _emit_fault(self, kind: str, pair) -> None:
         """Forward one injected fault from a FaultyCrowd to the bus."""

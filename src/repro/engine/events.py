@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, TextIO
 
+from ..storage.recovery import read_jsonl
+
 __all__ = [
     "EVENT_ARTIFACT_CORRUPT",
     "EVENT_ARTIFACT_QUARANTINED",
@@ -181,10 +183,9 @@ def read_trace(path: str | Path) -> list[Event]:
     fails:
 
     * **Torn tail** — a crash mid-append can persist a *prefix* of the
-      final line.  Only the last line may legally be invalid JSON, and
-      a torn one is dropped rather than raised on (a resuming process
-      additionally truncates it off the file and emits
-      ``trace_torn_tail`` — see
+      final line, which :func:`repro.storage.recovery.read_jsonl`
+      drops (a resuming process additionally truncates it off the
+      file and emits ``trace_torn_tail`` — see
       :func:`repro.storage.recovery.repair_trace`); invalid JSON
       anywhere *earlier* is real corruption and raises a typed
       :class:`~repro.exceptions.DataError`.
@@ -198,28 +199,11 @@ def read_trace(path: str | Path) -> list[Event]:
       run's authoritative one
       (:func:`repro.obs.report.effective_trace`).
     """
-    from ..exceptions import DataError
-
-    path = Path(path)
-    lines = path.read_text().splitlines()
-    last_index = len(lines) - 1
-    events: list[Event] = []
-    for index, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError:
-            if index == last_index:
-                break  # torn tail: a crash cut the final append short
-            raise DataError(
-                f"{path}: invalid JSON on trace line {index + 1} "
-                f"(not a torn tail — line {len(lines)} follows it)"
-            ) from None
-        name = data.pop("event")
-        sequence = data.pop("sequence")
-        events.append(Event(name=name, sequence=sequence, payload=data))
-    return events
+    return [
+        Event(name=data.pop("event"), sequence=data.pop("sequence"),
+              payload=data)
+        for data in read_jsonl(path, "trace")
+    ]
 
 
 class ProgressReporter:

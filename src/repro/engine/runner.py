@@ -73,12 +73,13 @@ class StagedEngine:
         stage propagates to the caller with the partial state intact.
 
         For the run's duration the context's telemetry (if any) is
-        *activated*: ambient hot-path hooks and the wall-clock profiler
-        report to it, a root ``run`` span brackets the whole run and
-        each stage executes inside its own ``stage`` span.  A stage
-        that raises leaves its span open; the span then simply never
-        reaches ``spans.jsonl`` (the tracer serializes completed spans
-        only), and a resumed run re-opens it afresh.
+        *activated*: the hot paths' wall-clock sections and metrics
+        (:mod:`repro.obs.profiling`) report to it, a root ``run`` span
+        brackets the whole run and each stage executes inside its own
+        ``stage`` span.  A stage that raises leaves its span open; the
+        span then simply never reaches ``spans.jsonl`` (the tracer
+        serializes completed spans only), and a resumed run re-opens it
+        afresh.
         """
         telemetry = self.ctx.telemetry
         if telemetry is not None:

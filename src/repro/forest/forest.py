@@ -15,8 +15,7 @@ import numpy as np
 
 from ..config import ForestConfig
 from ..exceptions import DataError
-from ..obs import hooks
-from ..obs.profiling import profile_section
+from ..obs.profiling import profile_section, record_trees_trained
 from .tree import DecisionTree, TreePath
 
 
@@ -174,5 +173,5 @@ def train_forest(x: np.ndarray, y: np.ndarray, config: ForestConfig,
             )
             tree.fit(x[rows], y[rows], rng=rng)
             trees.append(tree)
-    hooks.record_trees_trained(len(trees))
+    record_trees_trained(len(trees))
     return RandomForest(trees)

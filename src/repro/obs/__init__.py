@@ -7,10 +7,11 @@ The observability layer of the staged engine (``docs/observability.md``):
 * :mod:`repro.obs.spans` — nested spans on the shared simulated clock,
   written as ``spans.jsonl`` and bit-identical across seeded replays
   and kill/resume;
-* :mod:`repro.obs.profiling` — the one wall-clock instrument, dumped
-  to ``profile.json`` and excluded from every deterministic artifact;
-* :mod:`repro.obs.hooks` — ambient hooks the algorithmic hot paths
-  report through without ever seeing a run context;
+* :mod:`repro.obs.profiling` — the ambient activation stack the
+  algorithmic hot paths report through without ever seeing a run
+  context: the one wall-clock instrument (dumped to ``profile.json``
+  and excluded from every deterministic artifact) plus the two
+  hot-path metrics it feeds into the run's registry;
 * :mod:`repro.obs.telemetry` — the per-run binder feeding metrics from
   the event bus and direct instrumentation;
 * :mod:`repro.obs.workers` — worker-side telemetry capture for the

@@ -34,7 +34,7 @@ from .telemetry import METRICS_FILE
 def _watch(run_dir: Path, interval: float, iterations: int) -> int:
     """The ``watch`` refresh loop (bounded when ``iterations`` > 0)."""
     from .progress import read_progress
-    from .report import TRACE_FILE
+    from ..engine.checkpoint import TRACE_FILE
     from .tail import TraceTail
 
     tail = TraceTail(run_dir / TRACE_FILE)

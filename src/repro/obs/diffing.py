@@ -21,8 +21,7 @@ from pathlib import Path
 from typing import Any
 
 from .spans import SPANS_FILE, read_spans
-
-METRICS_FILE = "metrics.json"
+from .telemetry import METRICS_FILE
 
 
 def _load_metrics(run_dir: Path) -> dict[str, Any]:

@@ -1,21 +1,26 @@
-"""Wall-clock profiling hooks for the hot paths — NOT deterministic.
+"""The ambient activation stack the hot paths report through.
 
-Everything else in :mod:`repro.obs` is simulated-time and bit-identical
-across replays; this module is the one sanctioned exception.  It
-measures *real* wall time (``time.perf_counter``) around the hot
-sections — the batched feature kernels, forest training, the blocker's
-shard flush — and dumps the totals to ``profile.json``.  Profiles
-are therefore excluded from traces, spans, metrics and checkpoints, and
-``profile.json`` carries an explicit ``deterministic: false`` marker so
-no tooling ever diffs it across runs.
+The engine *activates* the run's :class:`Profiler` for the duration of
+a run (nested runs push their own; reports go to the innermost), so the
+hot paths report without ever seeing a run context; with nothing
+active every call is a cheap no-op.  Two kinds of figure flow here:
+
+* **wall-clock sections** — :func:`profile_section` measures *real*
+  time (``time.perf_counter``) into ``profile.json``, the one
+  sanctioned non-deterministic instrument: it is excluded from traces,
+  spans, metrics and checkpoints and marked ``deterministic: false``;
+* **two deterministic metrics** — :func:`record_trees_trained` and
+  :func:`record_entropy_pool` feed the active profiler's metrics
+  registry (a :class:`~repro.obs.telemetry.RunTelemetry` builds its
+  profiler with the run's registry; worker-capture profilers have
+  none).  The registry is checkpointed, so they survive kill/resume.
 
 Most of the hot paths live inside corlint CL001's wall-clock-free zone
 (``core/``, ``forest/``, ``crowd/``, ``rules/``), so they must not
-read clocks directly; instead they call :func:`profile_section`, which
-is a near-no-op unless a profiler has been activated (the engine
-activates one for the duration of a run).  The clock reads happen
-here, in ``obs/``, outside CL001's scope — by design, not by loophole:
-the measurements never feed back into any algorithmic decision.
+read clocks directly; instead they call :func:`profile_section`.  The
+clock reads happen here, in ``obs/``, outside CL001's scope — by
+design, not by loophole: the measurements never feed back into any
+algorithmic decision.
 """
 
 from __future__ import annotations
@@ -23,9 +28,12 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..storage.writer import atomic_write_json
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .registry import MetricsRegistry
 
 PROFILE_FILE = "profile.json"
 
@@ -45,14 +53,16 @@ sections are re-keyed as ``worker{slot}.{name}`` when merged (see
 """
 
 _ACTIVE: list["Profiler"] = []
-"""The activation stack; :func:`profile_section` reports to the top."""
+"""The activation stack; every hot-path report goes to the top."""
 
 
 class Profiler:
     """Accumulates wall-clock call counts and seconds per section."""
 
-    def __init__(self) -> None:
+    def __init__(self, registry: "MetricsRegistry | None" = None) -> None:
         self.sections: dict[str, dict[str, float]] = {}
+        self.registry = registry
+        """Where the two hot-path metrics go (None: dropped)."""
 
     def record(self, name: str, seconds: float) -> None:
         """Add one timed call to section ``name``."""
@@ -89,7 +99,7 @@ class Profiler:
 
 
 def activate(profiler: Profiler) -> None:
-    """Make ``profiler`` the target of :func:`profile_section`."""
+    """Make ``profiler`` the target of every hot-path report."""
     _ACTIVE.append(profiler)
 
 
@@ -97,6 +107,27 @@ def deactivate(profiler: Profiler) -> None:
     """Remove ``profiler`` from the activation stack (no-op if absent)."""
     if profiler in _ACTIVE:
         _ACTIVE.remove(profiler)
+
+
+def active_profiler() -> Profiler | None:
+    """The innermost active profiler (None when nothing is active)."""
+    return _ACTIVE[-1] if _ACTIVE else None
+
+
+def record_trees_trained(n_trees: int) -> None:
+    """Count ``n_trees`` freshly trained decision trees."""
+    profiler = active_profiler()
+    if profiler is not None and profiler.registry is not None:
+        profiler.registry.get("corleone_trees_trained_total").inc(
+            int(n_trees))
+
+
+def record_entropy_pool(size: int) -> None:
+    """Observe the size of one active-learning entropy pool."""
+    profiler = active_profiler()
+    if profiler is not None and profiler.registry is not None:
+        profiler.registry.get("corleone_entropy_pool_size").observe(
+            int(size))
 
 
 @contextmanager

@@ -20,42 +20,26 @@ import json
 from pathlib import Path
 from typing import Any
 
-from ..exceptions import DataError
+from ..engine.checkpoint import CHECKPOINT_FILE, TRACE_FILE
+from ..storage.recovery import read_jsonl
 from .profiling import PROFILE_FILE
 from .progress import read_progress
 from .spans import SPANS_FILE, read_spans
 from .telemetry import METRICS_FILE
-
-TRACE_FILE = "trace.jsonl"
-CHECKPOINT_FILE = "checkpoint.json"
 
 
 def effective_trace(path: str | Path) -> list[dict[str, Any]]:
     """The authoritative event history of a (possibly resumed) trace.
 
     Tolerates a torn *final* line exactly like
-    :func:`repro.engine.events.read_trace` — an in-flight run's trace
-    may end mid-write, and the report/serve surfaces must render what
-    is there rather than raise.  An invalid line anywhere earlier is
-    real corruption and raises :class:`DataError`.
+    :func:`repro.engine.events.read_trace` (both read through
+    :func:`repro.storage.recovery.read_jsonl`) — an in-flight run's
+    trace may end mid-write, and the report/serve surfaces must render
+    what is there rather than raise.  An invalid line anywhere earlier
+    is real corruption and raises :class:`~repro.exceptions.DataError`.
     """
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    last_index = len(lines) - 1
-    by_sequence: dict[int, dict[str, Any]] = {}
-    for index, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError:
-            if index == last_index:
-                break
-            raise DataError(
-                f"{path}: invalid JSON on trace line {index + 1} "
-                f"(not a torn tail — line {len(lines)} follows it)"
-            ) from None
-        by_sequence[int(event["sequence"])] = event
+    by_sequence = {int(event["sequence"]): event
+                   for event in read_jsonl(path, "trace")}
     return [by_sequence[seq] for seq in sorted(by_sequence)]
 
 

@@ -32,12 +32,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
+from ..engine.checkpoint import TRACE_FILE
 from .progress import read_progress
 from .prometheus import render_prometheus
 from .tail import TraceTail
-
-METRICS_FILE = "metrics.json"
-TRACE_FILE = "trace.jsonl"
+from .telemetry import METRICS_FILE
 
 
 class RunMonitorHandler(BaseHTTPRequestHandler):

@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Any
 
 from ..exceptions import DataError
+from ..storage.recovery import read_jsonl
 from ..storage.writer import atomic_write_text
 
 SPANS_FILE = "spans.jsonl"
@@ -159,26 +160,11 @@ class SpanTracer:
 def read_spans(path: str | Path) -> list[dict[str, Any]]:
     """Parse a ``spans.jsonl`` file back into span records.
 
-    Shares :func:`repro.engine.events.read_trace`'s torn-tail repair
-    semantics: a run killed mid-write may leave a truncated *final*
-    line, which is silently dropped — ``watch``/``serve`` must never
-    crash on an in-flight file.  An invalid line anywhere *before* the
-    tail cannot be a torn write and raises :class:`DataError`.
+    Torn-tail tolerant through :func:`repro.storage.recovery.read_jsonl`,
+    like :func:`repro.engine.events.read_trace`: a run killed mid-write
+    may leave a truncated *final* line, which is silently dropped —
+    ``watch``/``serve`` must never crash on an in-flight file.  An
+    invalid line anywhere *before* the tail cannot be a torn write and
+    raises :class:`DataError`.
     """
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    last_index = len(lines) - 1
-    records = []
-    for index, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            if index == last_index:
-                break
-            raise DataError(
-                f"{path}: invalid JSON on spans line {index + 1} "
-                f"(not a torn tail — line {len(lines)} follows it)"
-            ) from None
-    return records
+    return read_jsonl(path, "spans")

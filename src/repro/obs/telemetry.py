@@ -8,15 +8,18 @@ RunContext` and aggregates three instruments:
   front, which is what makes ``metrics.json`` diffable across runs;
 * the **span tracer** (:mod:`repro.obs.spans`) on the platform stack's
   shared simulated clock;
-* the **wall-clock profiler** (:mod:`repro.obs.profiling`) — the one
-  deliberately non-deterministic instrument, kept out of checkpoints.
+* the **profiler** (:mod:`repro.obs.profiling`) — the run's entry on
+  the ambient activation stack: wall-clock sections (the one
+  deliberately non-deterministic instrument, kept out of checkpoints)
+  plus the two hot-path metrics it feeds into this registry.
 
-Metrics are fed two ways: the telemetry subscribes to the engine's
+Metrics are fed three ways: the telemetry subscribes to the engine's
 :class:`~repro.engine.events.EventBus` (labels, spend, faults, retries,
-reposts, circuit trips) and takes direct calls for figures that never
+reposts, circuit trips), takes direct calls for figures that never
 cross the bus or that resume would double-count off the bus (HITs
-posted, stage runs, blocking-rule coverage, trees trained,
-entropy-pool sizes).  ``checkpoint_written`` events are
+posted, stage runs, blocking-rule coverage), and receives trees
+trained and entropy-pool sizes from the hot paths through its
+activated profiler.  ``checkpoint_written`` events are
 deliberately *ignored*: the checkpoint counter must increment before
 the checkpoint document is serialized (see
 :meth:`RunTelemetry.record_checkpoint`), or a run killed at a
@@ -46,10 +49,9 @@ from ..engine.events import (
     Event,
 )
 from ..storage.writer import atomic_write_json
-from . import hooks, profiling
+from . import profiling
 from .registry import MetricsRegistry
 from .spans import SPANS_FILE, SpanTracer
-from .timing import platform_timing
 
 METRICS_FILE = "metrics.json"
 METRICS_FORMAT = "corleone-metrics"
@@ -192,8 +194,8 @@ class RunTelemetry:
         self.registry = MetricsRegistry()
         build_catalog(self.registry)
         self.tracer = SpanTracer(clock=clock)
-        self.profiler = profiling.Profiler()
-        self._activations = 0  # corlint: derived — hook-stack depth,
+        self.profiler = profiling.Profiler(self.registry)
+        self._activations = 0  # corlint: derived — activation depth,
         # an activation-scoped runtime counter, not checkpoint state
 
     # -- event-bus feed -------------------------------------------------
@@ -353,21 +355,13 @@ class RunTelemetry:
         """Count one completed active-learning iteration."""
         self.registry.get("corleone_matcher_iterations_total").inc()
 
-    def record_trees_trained(self, n_trees: int) -> None:
-        """Count trees trained (ambient hook target)."""
-        self.registry.get("corleone_trees_trained_total").inc(int(n_trees))
-
-    def record_entropy_pool(self, size: int) -> None:
-        """Observe one entropy-pool size (ambient hook target)."""
-        self.registry.get("corleone_entropy_pool_size").observe(int(size))
-
     # -- activation -----------------------------------------------------
 
     def activate(self) -> None:
-        """Route ambient hooks and wall-clock profiling to this run."""
+        """Route the ambient hot-path reports (:mod:`repro.obs.profiling`)
+        to this run."""
         self._activations += 1
         if self._activations == 1:
-            hooks.activate(self)
             profiling.activate(self.profiler)
 
     def deactivate(self) -> None:
@@ -375,7 +369,6 @@ class RunTelemetry:
         if self._activations > 0:
             self._activations -= 1
             if self._activations == 0:
-                hooks.deactivate(self)
                 profiling.deactivate(self.profiler)
 
     # -- spans ----------------------------------------------------------
@@ -472,15 +465,3 @@ class RunTelemetry:
         self.tracer.write(run_dir / SPANS_FILE, writer=writer)
         if include_profile:
             self.profiler.write(run_dir / profiling.PROFILE_FILE)
-
-    # -- timing ---------------------------------------------------------
-
-    def timing_snapshot(self, platform: Any) -> dict[str, Any] | None:
-        """The run's timing section (single source of truth).
-
-        Delegates to :func:`repro.obs.timing.platform_timing` — the same
-        implementation :func:`repro.persistence.result_report` uses — so
-        reports built from a live telemetry object and reports built
-        from a bare platform stack can never disagree.
-        """
-        return platform_timing(platform)

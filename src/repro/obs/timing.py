@@ -1,59 +1,48 @@
 """The single source of run-timing truth.
 
-PR 4 left two independent implementations of "how long did the crowd
-take": the gateway/timed-wrapper counters and a private re-derivation
-inside :func:`repro.persistence.result_report`.  This module is now the
-only implementation — :func:`platform_timing` scrapes a platform
-decorator stack once, and both the report pipeline and
-:meth:`repro.obs.telemetry.RunTelemetry.timing_snapshot` call it, so
-elapsed/retry bookkeeping can never drift between the two again.
-
-All figures are *simulated* seconds from the stack's shared
-:class:`~repro.crowd.latency.SimulatedClock`; stacks that keep no time
-at all (plain simulated crowds) yield ``None``.
+:func:`platform_timing` scrapes a platform stack once; every ``timing``
+report section comes from it.  All figures are *simulated* seconds
+from the stack's shared :class:`~repro.crowd.latency.SimulatedClock`.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
+from ..crowd.base import layers
+
 
 def platform_timing(platform: Any) -> dict[str, Any] | None:
-    """Timing telemetry scraped from a platform decorator stack.
+    """Timing telemetry scraped from a platform stack (or None).
 
-    Walks the ``_inner`` chain collecting whatever the wrappers expose:
-    ``elapsed_seconds``/``retry_seconds`` from
-    :class:`~repro.crowd.latency.TimedCrowd` and retry counters from
-    :class:`~repro.crowd.gateway.ResilientCrowd`.  Returns None when the
-    stack tracks no time at all (plain simulated platforms).
+    One pass over the layers collects ``elapsed_seconds``/
+    ``retry_seconds`` from :class:`~repro.crowd.latency.TimedCrowd` and
+    retry counters from :class:`~repro.crowd.gateway.ResilientCrowd`;
+    without a timed layer, elapsed time is the first clock's (a gateway
+    keeps one).  None when no layer tracks time.
     """
     timing: dict[str, Any] = {}
     retry_seconds = 0.0
     saw_timer = False
-    node = platform
-    while node is not None:
-        if (hasattr(node, "elapsed_seconds")
+    clock_now = None
+    for layer in layers(platform):
+        if (hasattr(layer, "elapsed_seconds")
                 and "elapsed_seconds" not in timing):
-            timing["elapsed_seconds"] = float(node.elapsed_seconds)
+            timing["elapsed_seconds"] = float(layer.elapsed_seconds)
             saw_timer = True
-        if hasattr(node, "retry_seconds"):
-            retry_seconds += float(node.retry_seconds)
+        if hasattr(layer, "retry_seconds"):
+            retry_seconds += float(layer.retry_seconds)
             saw_timer = True
         for counter in ("retries_scheduled", "hits_reposted",
                         "answers_recovered"):
-            if hasattr(node, counter) and counter not in timing:
-                timing[counter] = int(getattr(node, counter))
-        node = getattr(node, "_inner", None)
+            if hasattr(layer, counter) and counter not in timing:
+                timing[counter] = int(getattr(layer, counter))
+        clock = getattr(layer, "clock", None)
+        if clock_now is None and hasattr(clock, "now"):
+            clock_now = float(clock.now)
     if not saw_timer:
         return None
-    if "elapsed_seconds" not in timing:
-        # A gateway without a TimedCrowd below it still keeps a clock.
-        node = platform
-        while node is not None:
-            clock = getattr(node, "clock", None)
-            if clock is not None and hasattr(clock, "now"):
-                timing["elapsed_seconds"] = float(clock.now)
-                break
-            node = getattr(node, "_inner", None)
+    if "elapsed_seconds" not in timing and clock_now is not None:
+        timing["elapsed_seconds"] = clock_now
     timing["retry_seconds"] = retry_seconds
     return timing

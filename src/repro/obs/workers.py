@@ -35,7 +35,7 @@ import json
 from contextlib import contextmanager
 from typing import Any
 
-from .profiling import Profiler, activate, deactivate
+from .profiling import Profiler, activate, active_profiler, deactivate
 
 __all__ = [
     "worker_slot",
@@ -86,10 +86,9 @@ def merge_worker_sections(slot: int, sections: dict[str, dict[str, float]],
     used; with none active this is a no-op (profiling disabled).
     """
     if profiler is None:
-        from .profiling import _ACTIVE
-        if not _ACTIVE:
+        profiler = active_profiler()
+        if profiler is None:
             return
-        profiler = _ACTIVE[-1]
     for name in sorted(sections):
         entry = sections[name]
         merged = profiler.sections.setdefault(

@@ -65,7 +65,6 @@ __all__ = [
     "matcher_result_to_dict",
     "matcher_train_state_from_dict",
     "matcher_train_state_to_dict",
-    "platform_timing",
     "result_report",
     "rule_evaluation_from_dict",
     "rule_evaluation_to_dict",
@@ -742,8 +741,8 @@ def iteration_record_from_dict(data: dict[str, Any],
 # Run reports
 # ----------------------------------------------------------------------
 
-def result_report(result: CorleoneResult, platform: Any = None,
-                  telemetry: Any = None) -> dict[str, Any]:
+def result_report(result: CorleoneResult,
+                  platform: Any = None) -> dict[str, Any]:
     """A machine-readable summary of a pipeline run.
 
     Predicted matches are included as sorted (a_id, b_id) pairs;
@@ -751,13 +750,9 @@ def result_report(result: CorleoneResult, platform: Any = None,
     the run's platform stack to add a ``timing`` section: simulated
     elapsed time plus the retry-time totals the gateway and the timed
     wrapper accrued (timeout waits, backoff sleeps, worker time burned
-    by faults) — omitted when no wrapper in the stack tracks time, so
-    reports from plain platforms are unchanged.  Pass the run's
-    :class:`~repro.obs.telemetry.RunTelemetry` to source the section
-    through its :meth:`~repro.obs.telemetry.RunTelemetry.timing_snapshot`
-    instead; both routes resolve to the same single implementation
-    (:func:`repro.obs.timing.platform_timing`), so the numbers cannot
-    drift.
+    by faults), scraped by :func:`repro.obs.timing.platform_timing` —
+    omitted when no wrapper in the stack tracks time, so reports from
+    plain platforms are unchanged.
     """
     report: dict[str, Any] = {
         "format": "corleone-report",
@@ -812,24 +807,10 @@ def result_report(result: CorleoneResult, platform: Any = None,
             "eps_recall": result.estimate.eps_recall,
             "converged": result.estimate.converged,
         }
-    timing = None
-    if telemetry is not None:
-        timing = telemetry.timing_snapshot(platform)
-    elif platform is not None:
-        timing = platform_timing(platform)
+    timing = _timing.platform_timing(platform)
     if timing is not None:
         report["timing"] = timing
     return report
-
-
-def platform_timing(platform: Any) -> dict[str, Any] | None:
-    """Timing telemetry scraped from a platform decorator stack.
-
-    Thin alias for :func:`repro.obs.timing.platform_timing` — the
-    observability package owns the one implementation of elapsed/retry
-    bookkeeping; this name survives for report-era callers.
-    """
-    return _timing.platform_timing(platform)
 
 
 def save_report(result: CorleoneResult, path: str | Path) -> None:

@@ -5,7 +5,8 @@ is either its old or its new complete content; this module is what a
 *resuming* run uses to cope with everything the guarantee does not
 cover — bit rot at rest, a stale manifest entry from a mid-batch
 crash, ``.tmp`` droppings from a dead predecessor, and a torn tail on
-the append-only trace.
+the append-only JSONL files (:func:`repair_trace` cuts it off before a
+resume appends; :func:`read_jsonl` skips it for every reader).
 
 The policy, applied by :func:`repro.engine.checkpoint.load_checkpoint`:
 
@@ -31,10 +32,12 @@ nothing to emit to at detection time).
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 from typing import Any
 
+from ..exceptions import DataError
 from .writer import TMP_SUFFIX, file_sha256, load_manifest
 
 __all__ = [
@@ -42,6 +45,7 @@ __all__ = [
     "RecoveryLog",
     "cleanup_stale_tmp",
     "quarantine_artifact",
+    "read_jsonl",
     "repair_trace",
     "verify_artifact",
 ]
@@ -170,3 +174,29 @@ def repair_trace(path: str | Path) -> int:
     with open(path, "r+b") as handle:
         handle.truncate(keep)
     return len(data) - keep
+
+
+def read_jsonl(path: str | Path, kind: str) -> list[dict[str, Any]]:
+    """Parse an append-only JSONL file, dropping a torn final line.
+
+    A crash mid-append can persist a prefix of the final line, so only
+    that line may be invalid JSON.  Invalid JSON anywhere earlier is
+    corruption: a :class:`~repro.exceptions.DataError` naming the
+    ``kind`` of file (``"trace"``, ``"spans"``) and the line.
+    """
+    path = Path(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    records: list[dict[str, Any]] = []
+    for index, line in enumerate(lines):
+        if not line.strip():
+            continue
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError:
+            if index == len(lines) - 1:
+                break  # torn tail: a crash cut the final append short
+            raise DataError(
+                f"{path}: invalid JSON on {kind} line {index + 1} "
+                f"(not a torn tail — line {len(lines)} follows it)"
+            ) from None
+    return records

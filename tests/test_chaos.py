@@ -35,17 +35,16 @@ from repro.config import (
     CorleoneConfig,
     EstimatorConfig,
     ForestConfig,
+    GatewayConfig,
     LocatorConfig,
     MatcherConfig,
 )
 from repro.core.pipeline import Corleone
 from repro.crowd import (
-    CircuitBreaker,
     FaultSpec,
     FaultyCrowd,
     PerfectCrowd,
     ResilientCrowd,
-    RetryPolicy,
     SimulatedCrowd,
 )
 from repro.engine import (
@@ -118,10 +117,7 @@ def chaos_stack(crowd, spec: FaultSpec):
     """
     faulty = FaultyCrowd(crowd, spec, seed=FAULT_SEED)
     gateway = ResilientCrowd(
-        faulty,
-        RetryPolicy(max_attempts=7),
-        breaker=CircuitBreaker(failure_threshold=20),
-    )
+        faulty, GatewayConfig(max_attempts=7, failure_threshold=20))
     return gateway, faulty
 
 

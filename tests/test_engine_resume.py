@@ -6,7 +6,9 @@ subscribing a sink that raises on ``checkpoint_written``, then resumes
 from the directory and demands the exact golden result (compared as
 :func:`repro.persistence.result_report` documents, which cover
 predictions, iteration records and the cost snapshot).  Runs on the
-restaurants and products synthetic datasets; a separate test injects
+restaurants and products synthetic datasets — restaurants a second
+time with its crowd under a stateless wrapper, which must not hide the
+crowd's answer stream from the checkpoint; a separate test injects
 ``BudgetExhaustedError`` mid-run and resumes past it.
 """
 
@@ -27,6 +29,7 @@ from repro.config import (
 from repro.core.dedup import Deduplicator
 from repro.core.pipeline import Corleone
 from repro.crowd.simulated import PerfectCrowd, SimulatedCrowd
+from repro.crowd.transcript import TranscriptingPlatform
 from repro.engine import EVENT_CHECKPOINT_WRITTEN, load_checkpoint
 from repro.exceptions import BudgetExhaustedError
 from repro.synth.products import generate_products
@@ -116,26 +119,39 @@ class TestResumeSweep:
 
     def test_resume_is_bit_identical_at_every_checkpoint(
             self, scenario, tmp_path):
-        """Kill at checkpoint k, resume, compare — for every k."""
-        _, dataset, config, crowd, golden_report = scenario
-        # First, count the checkpoints of an uninterrupted run.
-        probe_dir = tmp_path / "probe"
-        Corleone(config, crowd(), seed=123, run_dir=probe_dir).run(
-            dataset.table_a, dataset.table_b, dataset.seed_labels)
-        n_checkpoints = load_checkpoint(probe_dir)["index"] + 1
-        assert n_checkpoints >= 5  # at least one per stage
+        """Kill at checkpoint k, resume, compare — for every k.
 
-        for kill_at in range(n_checkpoints):
-            run_dir = tmp_path / f"kill{kill_at}"
-            pipeline = Corleone(config, crowd(), seed=123, run_dir=run_dir)
-            pipeline.bus.subscribe(_killer_sink(kill_at))
-            with pytest.raises(_Killed):
-                pipeline.run(dataset.table_a, dataset.table_b,
-                             dataset.seed_labels)
-            resumed = Corleone.resume(run_dir, crowd())
-            assert persistence.result_report(resumed) == golden_report, (
-                f"resume after checkpoint {kill_at} diverged"
-            )
+        Restaurants' noisy crowd sweeps again under a
+        :class:`TranscriptingPlatform` (products' perfect crowd answers
+        the same whatever its stream state, so it cannot show a lost
+        one).
+        """
+        name, dataset, config, crowd, golden_report = scenario
+        stacks = {"plain": crowd}
+        if name == "restaurants":
+            stacks["transcript"] = lambda: TranscriptingPlatform(crowd())
+        for label, stack in stacks.items():
+            # First, count the checkpoints of an uninterrupted run.
+            probe_dir = tmp_path / f"{label}-probe"
+            Corleone(config, stack(), seed=123, run_dir=probe_dir).run(
+                dataset.table_a, dataset.table_b, dataset.seed_labels)
+            n_checkpoints = load_checkpoint(probe_dir)["index"] + 1
+            assert n_checkpoints >= 5  # at least one per stage
+
+            for kill_at in range(n_checkpoints):
+                run_dir = tmp_path / f"{label}-kill{kill_at}"
+                pipeline = Corleone(config, stack(), seed=123,
+                                    run_dir=run_dir)
+                pipeline.bus.subscribe(_killer_sink(kill_at))
+                with pytest.raises(_Killed):
+                    pipeline.run(dataset.table_a, dataset.table_b,
+                                 dataset.seed_labels)
+                resumed = Corleone.resume(run_dir, stack())
+                assert persistence.result_report(resumed) == \
+                    golden_report, (
+                        f"{label}: resume after checkpoint {kill_at} "
+                        f"diverged"
+                    )
 
     def test_resumed_trace_appends_to_the_original(self, scenario,
                                                    tmp_path):

@@ -20,6 +20,7 @@ from repro.crowd import (
     PerfectCrowd,
     fault_stream_seed,
 )
+from repro.crowd.base import load_stack_state, stack_state
 from repro.data.pairs import Pair
 from repro.exceptions import (
     AnswerTimeoutError,
@@ -231,16 +232,17 @@ class TestStateRoundtrip:
         spec = FaultSpec.uniform(0.2)
         original = make(spec, seed=9)
         drive(original, 60)
-        state = json.loads(json.dumps(original.state_dict()))
+        state = json.loads(json.dumps(stack_state(original)))
 
         restored = make(spec, seed=9)
-        restored.load_state(state)
-        assert restored.state_dict() == original.state_dict()
+        load_stack_state(restored, state)
+        assert stack_state(restored) == stack_state(original)
         assert drive(restored, 40) == drive(original, 40)
 
     def test_state_recurses_into_the_inner_platform(self):
         spec = FaultSpec()
         faulty = make(spec, seed=0)
         drive(faulty, 5)
-        state = faulty.state_dict()
+        state = stack_state(faulty)
         assert "inner" in state  # PerfectCrowd is stateful (rng + count)
+        assert "inner" not in faulty.state_dict()  # its own fields only

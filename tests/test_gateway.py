@@ -2,10 +2,11 @@
 
 Property tests (hypothesis) pin the backoff-determinism contract —
 identical seeds yield bit-identical retry schedules and final labels
-across two gateway runs, including through a state round-trip — and
-unit tests cover the breaker state machine, HIT repost metering, the
-shared-clock accounting and the answers-consumed == answers-charged
-invariant through the labelling service.
+across two gateway runs, including through a whole-stack state
+round-trip — and unit tests cover the breaker state machine, HIT repost
+metering, the shared-clock accounting, the answers-consumed ==
+answers-charged invariant through the labelling service, and a
+stateless wrapper mid-stack that must not hide the layers below it.
 """
 
 from __future__ import annotations
@@ -17,25 +18,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import CrowdConfig, GatewayConfig
+from repro.config import CorleoneConfig, CrowdConfig, GatewayConfig
 from repro.crowd import (
     CIRCUIT_CLOSED,
     CIRCUIT_HALF_OPEN,
     CIRCUIT_OPEN,
     CircuitBreaker,
     CostTracker,
+    CrowdPlatform,
     FaultSpec,
     FaultyCrowd,
     LabelingService,
     LatencyModel,
     PerfectCrowd,
     ResilientCrowd,
-    RetryPolicy,
     SimulatedClock,
     TimedCrowd,
+    TranscriptingPlatform,
+    WorkerAnswer,
     find_clock,
 )
+from repro.crowd.base import load_stack_state, stack_state
 from repro.data.pairs import Pair
+from repro.engine.context import RunContext
+from repro.engine.events import EVENT_FAULT_INJECTED
 from repro.exceptions import (
     AnswerTimeoutError,
     BudgetExhaustedError,
@@ -54,11 +60,9 @@ def stack(spec: FaultSpec, seed: int = 0, *, max_attempts: int = 6,
           jitter: float = 0.1) -> tuple[ResilientCrowd, FaultyCrowd]:
     """A gateway over a faulty perfect oracle; returns both layers."""
     faulty = FaultyCrowd(PerfectCrowd(MATCHES), spec, seed=seed)
-    gateway = ResilientCrowd(
-        faulty,
-        RetryPolicy(max_attempts=max_attempts, jitter_fraction=jitter),
-        breaker=CircuitBreaker(failure_threshold=threshold),
-    )
+    gateway = ResilientCrowd(faulty, GatewayConfig(
+        max_attempts=max_attempts, jitter_fraction=jitter,
+        failure_threshold=threshold))
     return gateway, faulty
 
 
@@ -69,27 +73,27 @@ class _AlwaysDown(PerfectCrowd):
         raise TransientCrowdError("down")
 
 
-class TestRetryPolicy:
+class TestGatewayConfig:
     def test_delays_grow_exponentially_to_the_cap(self):
-        policy = RetryPolicy(base_delay_seconds=10.0, backoff_factor=2.0,
-                             max_delay_seconds=35.0, jitter_fraction=0.0)
+        config = GatewayConfig(base_delay_seconds=10.0, backoff_factor=2.0,
+                               max_delay_seconds=35.0, jitter_fraction=0.0)
         rng = np.random.default_rng(0)
-        delays = [policy.delay_seconds(k, rng) for k in range(4)]
+        delays = [config.delay_seconds(k, rng) for k in range(4)]
         assert delays == [10.0, 20.0, 35.0, 35.0]
 
     def test_jitter_stays_within_the_fraction(self):
-        policy = RetryPolicy(base_delay_seconds=100.0, backoff_factor=1.0,
-                             jitter_fraction=0.2)
+        config = GatewayConfig(base_delay_seconds=100.0, backoff_factor=1.0,
+                               jitter_fraction=0.2)
         rng = np.random.default_rng(3)
         for _ in range(50):
-            delay = policy.delay_seconds(0, rng)
+            delay = config.delay_seconds(0, rng)
             assert 80.0 <= delay <= 120.0
 
     def test_jitter_is_deterministic(self):
-        policy = RetryPolicy()
-        a = [policy.delay_seconds(k, np.random.default_rng(5))
+        config = GatewayConfig()
+        a = [config.delay_seconds(k, np.random.default_rng(5))
              for k in range(5)]
-        b = [policy.delay_seconds(k, np.random.default_rng(5))
+        b = [config.delay_seconds(k, np.random.default_rng(5))
              for k in range(5)]
         assert a == b
 
@@ -99,14 +103,18 @@ class TestRetryPolicy:
         {"backoff_factor": 0.5},
         {"jitter_fraction": 1.0},
         {"question_timeout_seconds": -5.0},
+        {"max_delay_seconds": -1.0},
+        {"failure_threshold": 0},
+        {"cooldown_seconds": -1.0},
     ])
     def test_validation(self, kwargs):
+        """A standalone config is validated, not only a CorleoneConfig."""
         with pytest.raises(ConfigurationError):
-            RetryPolicy(**kwargs)
+            GatewayConfig(**kwargs)
 
     def test_negative_attempt_rejected(self):
         with pytest.raises(ConfigurationError):
-            RetryPolicy().delay_seconds(-1, np.random.default_rng(0))
+            GatewayConfig().delay_seconds(-1, np.random.default_rng(0))
 
 
 class TestCircuitBreaker:
@@ -193,8 +201,7 @@ class TestGatewayRetries:
         gateway = ResilientCrowd(
             FaultyCrowd(PerfectCrowd(MATCHES),
                         FaultSpec(timeout_rate=1.0)),
-            RetryPolicy(max_attempts=3),
-            breaker=CircuitBreaker(failure_threshold=50),
+            GatewayConfig(max_attempts=3, failure_threshold=50),
         )
         with pytest.raises(AnswerTimeoutError):
             gateway.ask(PAIR)
@@ -214,8 +221,7 @@ class TestGatewayRetries:
     def test_circuit_opens_and_raises_typed_error(self):
         gateway = ResilientCrowd(
             _AlwaysDown(MATCHES),
-            RetryPolicy(max_attempts=10),
-            breaker=CircuitBreaker(failure_threshold=4),
+            GatewayConfig(max_attempts=10, failure_threshold=4),
         )
         with pytest.raises(CrowdUnavailableError) as info:
             gateway.ask(PAIR)
@@ -229,8 +235,7 @@ class TestGatewayRetries:
         gateway = ResilientCrowd(
             FaultyCrowd(PerfectCrowd(MATCHES),
                         FaultSpec(expiry_rate=1.0)),
-            RetryPolicy(max_attempts=2),
-            breaker=CircuitBreaker(failure_threshold=2),
+            GatewayConfig(max_attempts=2, failure_threshold=2),
         )
         gateway.on_retry = lambda kind, attempt, delay: events.append(
             ("retry", kind, attempt))
@@ -251,8 +256,7 @@ class TestMeteringAndClock:
         gateway = ResilientCrowd(
             FaultyCrowd(PerfectCrowd(MATCHES),
                         FaultSpec(expiry_rate=0.3), seed=2),
-            RetryPolicy(max_attempts=8),
-            breaker=CircuitBreaker(failure_threshold=100),
+            GatewayConfig(max_attempts=8, failure_threshold=100),
             tracker=tracker,
         )
         for _ in range(40):
@@ -264,9 +268,9 @@ class TestMeteringAndClock:
         gateway = ResilientCrowd(
             FaultyCrowd(PerfectCrowd(MATCHES),
                         FaultSpec(timeout_rate=1.0)),
-            RetryPolicy(max_attempts=2, question_timeout_seconds=300.0,
-                        base_delay_seconds=30.0, jitter_fraction=0.0),
-            breaker=CircuitBreaker(failure_threshold=100),
+            GatewayConfig(max_attempts=2, question_timeout_seconds=300.0,
+                          base_delay_seconds=30.0, jitter_fraction=0.0,
+                          failure_threshold=100),
         )
         with pytest.raises(AnswerTimeoutError):
             gateway.ask(PAIR)
@@ -277,9 +281,12 @@ class TestMeteringAndClock:
     def test_gateway_shares_a_timed_crowd_clock(self):
         timed = TimedCrowd(PerfectCrowd(MATCHES), LatencyModel(),
                            pay_per_question=0.01)
-        gateway = ResilientCrowd(timed)
-        assert gateway.clock is timed.clock
-        assert find_clock(gateway) is timed.clock
+        # A stateless wrapper in between must not hide the clock.
+        for inner in (timed, TranscriptingPlatform(timed)):
+            gateway = ResilientCrowd(inner)
+            assert gateway.clock is timed.clock
+            assert gateway.breaker.clock is timed.clock
+            assert find_clock(gateway) is timed.clock
         gateway.ask(PAIR)
         assert timed.elapsed_seconds > 0
 
@@ -293,16 +300,21 @@ class TestMeteringAndClock:
         assert timed.retry_seconds > 0
         assert timed.elapsed_seconds >= timed.retry_seconds
 
-    def test_from_config_applies_every_knob(self):
+    def test_config_applies_every_knob(self):
         config = GatewayConfig(max_attempts=7, base_delay_seconds=1.0,
                                backoff_factor=3.0, max_delay_seconds=9.0,
                                jitter_fraction=0.0,
                                question_timeout_seconds=42.0,
                                failure_threshold=11,
                                cooldown_seconds=120.0)
-        gateway = ResilientCrowd.from_config(PerfectCrowd(MATCHES), config)
-        assert gateway.policy.max_attempts == 7
-        assert gateway.policy.question_timeout_seconds == 42.0
+        gateway = ResilientCrowd(
+            FaultyCrowd(PerfectCrowd(MATCHES), FaultSpec(timeout_rate=1.0)),
+            config)
+        with pytest.raises(AnswerTimeoutError):
+            gateway.ask(PAIR)
+        # 7 deadlines of 42 s plus backoff 1 + 3 + 9 + 9 + 9 + 9 (capped).
+        assert gateway.retries_scheduled == 6
+        assert gateway.clock.now == pytest.approx(7 * 42.0 + 40.0)
         assert gateway.breaker.failure_threshold == 11
         assert gateway.breaker.cooldown_seconds == 120.0
 
@@ -314,8 +326,7 @@ class TestAccountingInvariant:
         faulty = FaultyCrowd(PerfectCrowd(MATCHES),
                              FaultSpec.uniform(0.1), seed=4)
         gateway = ResilientCrowd(
-            faulty, RetryPolicy(max_attempts=8),
-            breaker=CircuitBreaker(failure_threshold=100),
+            faulty, GatewayConfig(max_attempts=8, failure_threshold=100),
             tracker=tracker,
         )
         service = LabelingService(gateway, CrowdConfig(), tracker)
@@ -330,8 +341,7 @@ class TestAccountingInvariant:
                                                hard_outage_after=25),
                              seed=4)
         gateway = ResilientCrowd(
-            faulty, RetryPolicy(max_attempts=4),
-            breaker=CircuitBreaker(failure_threshold=5),
+            faulty, GatewayConfig(max_attempts=4, failure_threshold=5),
             tracker=tracker,
         )
         service = LabelingService(gateway, CrowdConfig(), tracker)
@@ -394,7 +404,7 @@ class TestBackoffDeterminismProperties:
                 labels.append(
                     persistent_ask(gateway,
                                    Pair(f"a{i % 3}", f"b{i % 3}")).label)
-            return labels, gateway.state_dict(), faulty.state_dict()
+            return labels, stack_state(gateway), faulty.state_dict()
 
         labels_a, gw_a, fc_a = run()
         labels_b, gw_b, fc_b = run()
@@ -424,14 +434,14 @@ class TestBackoffDeterminismProperties:
         first, _ = stack(FaultSpec.uniform(rate), seed=seed,
                          max_attempts=10, threshold=10_000)
         head = asks(first, 0, split)
-        state = json.loads(json.dumps(first.state_dict()))
+        state = json.loads(json.dumps(stack_state(first)))
 
         resumed, _ = stack(FaultSpec.uniform(rate), seed=seed,
                            max_attempts=10, threshold=10_000)
-        resumed.load_state(state)
+        load_stack_state(resumed, state)
         tail = asks(resumed, split, total)
         assert head + tail == golden
-        assert resumed.state_dict() == straight.state_dict()
+        assert stack_state(resumed) == stack_state(straight)
 
 
 class TestGatewayStateRoundtrip:
@@ -442,9 +452,40 @@ class TestGatewayStateRoundtrip:
                 gateway.ask(PAIR)
             except TransientCrowdError:
                 pass
-        state = json.loads(json.dumps(gateway.state_dict()))
+        state = json.loads(json.dumps(stack_state(gateway)))
         fresh, _ = stack(FaultSpec.uniform(0.2), seed=6)
-        fresh.load_state(state)
-        assert fresh.state_dict() == gateway.state_dict()
+        load_stack_state(fresh, state)
+        assert stack_state(fresh) == stack_state(gateway)
         assert fresh.retries_scheduled == gateway.retries_scheduled
         assert fresh.retry_seconds == gateway.retry_seconds
+        # A stateless wrapper nests the stack below it unchanged.
+        assert stack_state(TranscriptingPlatform(gateway)) == {
+            "inner": stack_state(gateway)}
+
+    def test_stateless_stack_records_null(self):
+        """No layer keeps state: a null document, which loads as a no-op."""
+        class Stateless(CrowdPlatform):
+            def ask(self, pair):
+                return WorkerAnswer(pair, pair in MATCHES, worker_id=0)
+
+        transcript = TranscriptingPlatform(Stateless())
+        assert stack_state(transcript) is None
+        load_stack_state(transcript, None)
+
+
+class TestRunContextWiring:
+    def test_faults_below_a_stateless_wrapper_reach_the_bus(self):
+        """One fault_injected event per injected fault, mid-stack or not."""
+        faulty = FaultyCrowd(PerfectCrowd(MATCHES),
+                             FaultSpec(timeout_rate=0.3), seed=1)
+        gateway = ResilientCrowd(TranscriptingPlatform(faulty),
+                                 GatewayConfig(max_attempts=10,
+                                               failure_threshold=100))
+        ctx = RunContext(CorleoneConfig(), gateway, seed=0)
+        events = []
+        ctx.bus.subscribe(events.append)
+        ctx.service.label_all([Pair(f"a{i}", f"b{i}") for i in range(40)])
+        faults = [e for e in events if e.name == EVENT_FAULT_INJECTED]
+        assert faulty.faults_injected > 0
+        assert len(faults) == faulty.faults_injected
+        assert gateway.tracker is ctx.tracker

@@ -38,17 +38,16 @@ from repro.config import (
     CorleoneConfig,
     EstimatorConfig,
     ForestConfig,
+    GatewayConfig,
     LocatorConfig,
     MatcherConfig,
 )
 from repro.core.pipeline import Corleone
 from repro.crowd import (
-    CircuitBreaker,
     FaultSpec,
     FaultyCrowd,
     PerfectCrowd,
     ResilientCrowd,
-    RetryPolicy,
     SimulatedCrowd,
 )
 from repro.engine import (
@@ -121,10 +120,7 @@ def accounted_stack(crowd):
     """
     faulty = FaultyCrowd(crowd, FaultSpec(), seed=3)
     gateway = ResilientCrowd(
-        faulty,
-        RetryPolicy(max_attempts=7),
-        breaker=CircuitBreaker(failure_threshold=20),
-    )
+        faulty, GatewayConfig(max_attempts=7, failure_threshold=20))
     return gateway, faulty
 
 
