@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint lint-fast test bench bench-smoke bench-shard bench-plan bench-e2e trace-report results examples clean
+.PHONY: install lint lint-fast test bench bench-micro bench-smoke bench-shard bench-plan bench-e2e trace-report results examples clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -24,21 +24,25 @@ test: lint
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Quick substrate microbenches; refreshes the BENCH_substrates.json
-# baseline (scalar vs batched feature-evaluation throughput), the
-# BENCH_engine.json baseline (checkpoint overhead, event throughput),
-# BENCH_faults.json (gateway overhead/recovery), BENCH_obs.json
-# (run-telemetry instrumentation overhead), BENCH_shard.json
-# (sharded blocking worker-scaling curve), BENCH_plan.json
-# (plan-compiler fused blocking + memmap spill) and BENCH_storage.json
-# (durable-storage fsync overhead + crash-recovery sweep).
-bench-smoke:
+# The substrate microbenches (similarity kernels, vectorization,
+# forest, rules); refreshes the BENCH_substrates.json baseline and
+# benchmarks/results/micro_substrates.txt.
+bench-micro:
 	mkdir -p benchmarks/results
 	PYTHONPATH=src $(PYTHON) -m pytest \
 		benchmarks/bench_micro_substrates.py --benchmark-only \
 		--benchmark-json=benchmarks/results/substrates_benchmark.json
 	$(PYTHON) benchmarks/collect_results.py \
 		--substrates benchmarks/results/substrates_benchmark.json
+
+# Quick benches: bench-micro, then the BENCH_engine.json baseline
+# (checkpoint overhead, event throughput), BENCH_faults.json (gateway
+# overhead/recovery), BENCH_obs.json (run-telemetry instrumentation
+# overhead), BENCH_shard.json (sharded blocking worker-scaling curve),
+# BENCH_plan.json (plan-compiler fused blocking + memmap spill) and
+# BENCH_storage.json (durable-storage fsync overhead + crash-recovery
+# sweep).
+bench-smoke: bench-micro
 	$(PYTHON) benchmarks/collect_results.py --engine
 	$(PYTHON) benchmarks/collect_results.py --faults
 	$(PYTHON) benchmarks/collect_results.py --obs

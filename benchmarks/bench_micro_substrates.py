@@ -134,6 +134,69 @@ class TestEngineThroughput:
         self._run(benchmark, products_world, "batched", rounds=5)
 
 
+class TestStringKernelMicro:
+    """The string kernels over a whole A x B, as one e2e instance meets
+    them (``benchmarks/e2e`` workloads ``restaurants`` and ``citations``).
+
+    Each round starts from fresh table caches, and the Monge-Elkan
+    round also from empty word-level Jaro-Winkler caches, because every
+    e2e instance is a fresh process.
+    """
+
+    @staticmethod
+    def _cross(dataset):
+        records_a = [a for a in dataset.table_a for _ in dataset.table_b]
+        records_b = [b for _ in dataset.table_a for b in dataset.table_b]
+        return records_a, records_b
+
+    def test_levenshtein_jaro_winkler_restaurants_axb(self, benchmark):
+        """Every Levenshtein and Jaro-Winkler feature, 180 x 120 pairs."""
+        from repro.features.batch import TableFeatureCache
+        from repro.features.library import build_feature_library
+        from repro.synth.restaurants import generate_restaurants
+        dataset = generate_restaurants(180, 120, 40)
+        features = [
+            feature for feature in build_feature_library(
+                dataset.table_a, dataset.table_b)
+            if feature.measure in ("levenshtein", "jaro_winkler")
+        ]
+        records_a, records_b = self._cross(dataset)
+
+        def run():
+            cache_a, cache_b = TableFeatureCache(), TableFeatureCache()
+            return [feature.batch_value(records_a, records_b,
+                                        cache_a, cache_b)
+                    for feature in features]
+
+        columns = benchmark.pedantic(run, rounds=3, iterations=1)
+        benchmark.extra_info["features"] = len(features)
+        benchmark.extra_info["pairs"] = len(records_a)
+        assert len(columns) == 10
+
+    def test_monge_elkan_citations_title_axb(self, benchmark):
+        """``title_monge_elkan`` over 100 x 1000 pairs, cold word caches."""
+        from repro.features import batch, similarity
+        from repro.features.library import build_feature_library
+        from repro.synth.citations import generate_citations
+        dataset = generate_citations(100, 1000, 200)
+        feature = build_feature_library(
+            dataset.table_a, dataset.table_b)["title_monge_elkan"]
+        records_a, records_b = self._cross(dataset)
+
+        def cold_caches():
+            batch._JW_BY_KEY.clear()
+            similarity._jaro_winkler_words.cache_clear()
+
+        column = benchmark.pedantic(
+            lambda: feature.batch_value(records_a, records_b,
+                                        batch.TableFeatureCache(),
+                                        batch.TableFeatureCache()),
+            setup=cold_caches, rounds=3, iterations=1,
+        )
+        benchmark.extra_info["pairs"] = len(records_a)
+        assert column.shape == (100_000,)
+
+
 class TestForestMicro:
     @pytest.fixture(scope="class")
     def training_data(self):

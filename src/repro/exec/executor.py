@@ -81,9 +81,9 @@ _ACCESSOR_WARMERS: dict[str, tuple[str, ...]] = {
     "overlap": ("token_sets",),
     "containment": ("token_sets",),
     "jaccard_qgram": ("qgram_sets",),
-    "levenshtein": ("norms",),
-    "jaro_winkler": ("norms",),
-    "smith_waterman": ("norms",),
+    "levenshtein": ("string_codes",),
+    "jaro_winkler": ("string_codes",),
+    "smith_waterman": ("string_codes",),
     "prefix": ("norms",),
     "monge_elkan": ("word_id_arrays",),
     "soundex": ("soundex_sets",),

@@ -10,8 +10,6 @@ cheap ones, or use them directly.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from .tokenize import normalize, word_tokens
@@ -114,64 +112,42 @@ def smith_waterman(s: str, t: str, match: float = 2.0,
     return best / (match * min(len(s), len(t)))
 
 
-def batch_smith_waterman(norms_a: Sequence[str],
-                         norms_b: Sequence[str]) -> np.ndarray:
-    """:func:`smith_waterman` (default scores) over pre-normalized pairs.
+def batch_smith_waterman(chars_a: np.ndarray, chars_b: np.ndarray,
+                         len_a: np.ndarray, len_b: np.ndarray) -> np.ndarray:
+    """:func:`smith_waterman` (default scores) over non-empty string pairs.
 
-    One numpy DP row per unique pair, like the batched Levenshtein: the
-    in-row gap dependency collapses to a prefix-maximum (the zero floor
-    of cells never propagates, because a floored cell's decayed
-    contribution downstream is negative and re-floored anyway).  All
-    scores are small integer-valued doubles, so results are bit-identical
-    to the scalar function.
+    ``chars_a``/``chars_b`` are row-aligned code-point matrices of the
+    pre-normalized strings, of lengths ``len_a``/``len_b``, padded with
+    a negative value that differs between the two sides (so a padded
+    cell never matches).  One numpy DP row per pair: the in-row gap
+    dependency collapses to a prefix-maximum (the zero floor of cells
+    never propagates, because a floored cell's decayed contribution
+    downstream is negative and re-floored anyway).  All scores are small
+    integer-valued doubles, so results are bit-identical to the scalar
+    function.
     """
-    from .similarity import _char_matrix, _dedup_pairs, _PAD_A, _PAD_B
-
     match, mismatch, gap = 2.0, -1.0, -1.0
-    unique, index = _dedup_pairs(norms_a, norms_b)
-    values = np.empty(len(unique), dtype=np.float64)
-
-    hard: list[int] = []
-    for slot, (s, t) in enumerate(unique):
-        if not s and not t:
-            values[slot] = 1.0
-        elif not s or not t:
-            values[slot] = 0.0
-        else:
-            hard.append(slot)
-
-    if hard:
-        strs_a = [unique[slot][0] for slot in hard]
-        strs_b = [unique[slot][1] for slot in hard]
-        len_a = np.array([len(s) for s in strs_a], dtype=np.int32)
-        len_b = np.array([len(t) for t in strs_b], dtype=np.int32)
-        width_a = int(len_a.max())
-        width_b = int(len_b.max())
-        chars_a = _char_matrix(strs_a, width_a, _PAD_A)
-        chars_b = _char_matrix(strs_b, width_b, _PAD_B)
-
-        offsets = np.arange(width_b + 1, dtype=np.float64)
-        previous = np.zeros((len(hard), width_b + 1), dtype=np.float64)
-        best = np.zeros(len(hard), dtype=np.float64)
-        base = np.empty_like(previous)
-        for i in range(1, width_a + 1):
-            substitution = np.where(
-                chars_a[:, i - 1:i] == chars_b, match, mismatch
-            )
-            base[:, 0] = -np.inf  # first column is always the zero floor
-            np.maximum(previous[:, :-1] + substitution,
-                       previous[:, 1:] + gap, out=base[:, 1:])
-            current = np.maximum(
-                np.maximum.accumulate(base + offsets, axis=1) - offsets,
-                0.0,
-            )
-            # Padded cells only ever decay from real cells, so the row
-            # maximum over the padded width equals the in-bounds maximum.
-            np.maximum(best, current.max(axis=1), out=best)
-            previous = current
-        values[hard] = best / (match * np.minimum(len_a, len_b))
-
-    return values[index]
+    width_b = chars_b.shape[1]
+    offsets = np.arange(width_b + 1, dtype=np.float64)
+    previous = np.zeros((chars_a.shape[0], width_b + 1), dtype=np.float64)
+    best = np.zeros(chars_a.shape[0], dtype=np.float64)
+    base = np.empty_like(previous)
+    for i in range(1, chars_a.shape[1] + 1):
+        substitution = np.where(
+            chars_a[:, i - 1:i] == chars_b, match, mismatch
+        )
+        base[:, 0] = -np.inf  # first column is always the zero floor
+        np.maximum(previous[:, :-1] + substitution,
+                   previous[:, 1:] + gap, out=base[:, 1:])
+        current = np.maximum(
+            np.maximum.accumulate(base + offsets, axis=1) - offsets,
+            0.0,
+        )
+        # Padded cells only ever decay from real cells, so the row
+        # maximum over the padded width equals the in-bounds maximum.
+        np.maximum(best, current.max(axis=1), out=best)
+        previous = current
+    return best / (match * np.minimum(len_a, len_b))
 
 
 _SOUNDEX_CODES = {
