@@ -1276,11 +1276,6 @@ def collect_plan(output: Path | None = None,
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get(
         "PYTHONPATH", "")
-    # TF/IDF cosine sums iterate token *sets*, so summation order — and
-    # therefore the float bytes — depends on string hash order.  Pin
-    # the hash seed so all four interpreters agree and the cross-process
-    # checksums compare bytes, not hash-randomization noise.
-    env["PYTHONHASHSEED"] = "0"
 
     def run_variant(variant: str) -> dict:
         proc = subprocess.run(
