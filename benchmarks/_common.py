@@ -10,11 +10,12 @@ style rows alongside pytest-benchmark's timing table.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import os
 import pickle
 from pathlib import Path
 
+import repro
 from repro.config import CorleoneConfig, scaled_config
 from repro.evaluation.experiment import CorleoneRunSummary, run_corleone
 from repro.evaluation.reporting import format_table
@@ -42,25 +43,63 @@ def bench_config(**changes: object) -> CorleoneConfig:
     return cfg
 
 
-_CACHE_VERSION = 2
 _DISK_CACHE_DIR = Path(__file__).parent / ".cache"
+
+
+@functools.cache
+def _code_digest() -> str:
+    """sha256 over the imported ``repro`` package's ``*.py`` files.
+
+    Computed on the first disk access, not at import: the whole-run
+    benchmark's child imports this module for its configuration only
+    and must not pay for hashing the tree.
+    """
+    root = Path(repro.__file__).parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def memo_disk(key: object, compute):
+    """Disk-memoize any deterministic bench computation.
+
+    ``key`` must be a repr-stable value capturing every input the result
+    depends on besides the program itself (include a version token when
+    the bench-side computation changes): the cache key adds a hash of
+    the ``repro`` sources, so a program change never replays a stale
+    result.  Results must be picklable.
+    """
+    digest = hashlib.sha256(
+        repr((_code_digest(), key)).encode()
+    ).hexdigest()[:24]
+    path = _DISK_CACHE_DIR / f"{digest}.pkl"
+    if path.is_file():
+        try:
+            with path.open("rb") as handle:
+                return pickle.load(handle)
+        except Exception:
+            path.unlink(missing_ok=True)  # corrupt: recompute
+    value = compute()
+    path.parent.mkdir(exist_ok=True)
+    with path.open("wb") as handle:
+        pickle.dump(value, handle)
+    return value
 
 
 class RunCache:
     """Session-wide memo of datasets and pipeline runs.
 
-    Full pipeline runs are deterministic per (dataset, config, seeds), so
-    they are additionally persisted to ``benchmarks/.cache`` — re-running
-    the bench suite reuses previous runs instead of re-simulating minutes
-    of crowdsourcing.  Delete the directory (or set
-    ``CORLEONE_BENCH_NO_CACHE=1``) to force fresh runs after a code
-    change that alters pipeline behaviour.
+    Full pipeline runs are deterministic per (code, dataset, config,
+    seeds), so they are additionally persisted by :func:`memo_disk` —
+    re-running the bench suite on unchanged code reuses previous runs
+    instead of re-simulating minutes of crowdsourcing.
     """
 
     def __init__(self) -> None:
         self._datasets: dict[tuple, SyntheticDataset] = {}
         self._runs: dict[tuple, CorleoneRunSummary] = {}
-        self._disk_enabled = not os.environ.get("CORLEONE_BENCH_NO_CACHE")
 
     def dataset(self, name: str, scale: str = "bench",
                 seed: int = 0) -> SyntheticDataset:
@@ -75,66 +114,17 @@ class RunCache:
                  scale: str = "bench") -> CorleoneRunSummary:
         """A full (or partial) Corleone run, memoized (RAM + disk)."""
         resolved = config if config is not None else bench_config()
-        key = (name, error_rate, seed, mode, scale, repr(resolved))
-        if key in self._runs:
-            return self._runs[key]
-
-        disk_path = self._disk_path(key)
-        if self._disk_enabled and disk_path.is_file():
-            try:
-                with disk_path.open("rb") as handle:
-                    summary = pickle.load(handle)
-                self._runs[key] = summary
-                return summary
-            except Exception:
-                disk_path.unlink(missing_ok=True)  # corrupt: recompute
-
-        summary = run_corleone(
-            self.dataset(name, scale=scale),
-            resolved,
-            error_rate=error_rate,
-            seed=seed,
-            mode=mode,
-        )
-        self._runs[key] = summary
-        if self._disk_enabled:
-            disk_path.parent.mkdir(exist_ok=True)
-            with disk_path.open("wb") as handle:
-                pickle.dump(summary, handle)
-        return summary
-
-    @staticmethod
-    def _disk_path(key: tuple) -> Path:
-        digest = hashlib.sha256(
-            repr((_CACHE_VERSION, key)).encode()
-        ).hexdigest()[:24]
-        return _DISK_CACHE_DIR / f"run_{digest}.pkl"
-
-
-def memo_disk(key: object, compute):
-    """Disk-memoize any deterministic bench computation.
-
-    ``key`` must be a repr-stable value capturing everything the result
-    depends on (include a version token when the computation changes).
-    Results must be picklable.  Honors ``CORLEONE_BENCH_NO_CACHE``.
-    """
-    if os.environ.get("CORLEONE_BENCH_NO_CACHE"):
-        return compute()
-    digest = hashlib.sha256(
-        repr((_CACHE_VERSION, key)).encode()
-    ).hexdigest()[:24]
-    path = _DISK_CACHE_DIR / f"memo_{digest}.pkl"
-    if path.is_file():
-        try:
-            with path.open("rb") as handle:
-                return pickle.load(handle)
-        except Exception:
-            path.unlink(missing_ok=True)
-    value = compute()
-    path.parent.mkdir(exist_ok=True)
-    with path.open("wb") as handle:
-        pickle.dump(value, handle)
-    return value
+        key = ("corleone", name, error_rate, seed, mode, scale,
+               repr(resolved))
+        if key not in self._runs:
+            self._runs[key] = memo_disk(key, lambda: run_corleone(
+                self.dataset(name, scale=scale),
+                resolved,
+                error_rate=error_rate,
+                seed=seed,
+                mode=mode,
+            ))
+        return self._runs[key]
 
 
 def save_table(name: str, title: str, headers, rows,

@@ -35,7 +35,9 @@ def test_sec93_reduction_effect(runs, benchmark, name):
                       f"{summary.result.stop_reason})"])
         return
 
-    difficult_pairs = set(locator.difficult.pairs)
+    # Iteration 1 worked on all of C, so its difficult rows index C.
+    candidate_pairs = summary.result.candidates.pairs
+    difficult_pairs = {candidate_pairs[row] for row in locator.difficult_rows}
     gold_difficult = {
         pair for pair in summary.dataset.matches if pair in difficult_pairs
     }

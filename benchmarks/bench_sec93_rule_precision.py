@@ -91,8 +91,8 @@ def test_sec93_rule_precision(runs, benchmark, name):
         if record.locator is not None and record.locator.accepted_rules:
             steps.append((f"reduction{record.index}",
                           record.locator.accepted_rules, working))
-        if record.locator is not None and record.locator.difficult:
-            working = record.locator.difficult
+        if record.locator is not None and record.locator.should_continue:
+            working = working.subset(record.locator.difficult_rows)
 
     # Blocking rules were certified over the blocker's A x B sample; we
     # measure them against a fresh uniform sample of A x B plus the exact

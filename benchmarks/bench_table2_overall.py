@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from _common import DATASETS, bench_config, save_table
+from _common import DATASETS, bench_config, memo_disk, save_table
 from repro.core.baselines import build_baseline_candidates, run_baseline
 from repro.evaluation.reporting import pct
 
@@ -28,41 +28,27 @@ def _baselines(runs, name):
     Results are disk-cached next to the pipeline runs (baseline-2
     training on 20% of the candidate set takes minutes).
     """
-    if name in _BASELINES:
-        return _BASELINES[name]
+    if name not in _BASELINES:
+        n_train = runs.corleone(name).pairs_labeled
+        _BASELINES[name] = memo_disk(
+            ("baselines", name, n_train),
+            lambda: _run_baselines(runs.dataset(name), n_train),
+        )
+    return _BASELINES[name]
 
-    import pickle
 
-    from _common import _DISK_CACHE_DIR, _CACHE_VERSION
-
-    summary = runs.corleone(name)
-    cache_path = (_DISK_CACHE_DIR /
-                  f"baselines_{_CACHE_VERSION}_{name}_"
-                  f"{summary.pairs_labeled}.pkl")
-    if cache_path.is_file():
-        try:
-            with cache_path.open("rb") as handle:
-                _BASELINES[name] = pickle.load(handle)
-            return _BASELINES[name]
-        except Exception:
-            cache_path.unlink(missing_ok=True)
-
-    dataset = runs.dataset(name)
+def _run_baselines(dataset, n_train):
     candidates = build_baseline_candidates(dataset)
     config = bench_config()
     baseline1 = run_baseline(
-        dataset, n_train=summary.pairs_labeled, config=config,
+        dataset, n_train=n_train, config=config,
         candidates=candidates, seed=2, name="baseline1",
     )
     baseline2 = run_baseline(
         dataset, n_train=max(1, len(candidates) // 5), config=config,
         candidates=candidates, seed=2, name="baseline2",
     )
-    _BASELINES[name] = (baseline1, baseline2)
-    cache_path.parent.mkdir(exist_ok=True)
-    with cache_path.open("wb") as handle:
-        pickle.dump(_BASELINES[name], handle)
-    return _BASELINES[name]
+    return baseline1, baseline2
 
 
 @pytest.mark.parametrize("name", DATASETS)

@@ -271,7 +271,7 @@ class Blocker:
         if not rules:
             return []
         target = len(sample) * (self.config.blocker.t_b / cartesian)
-        known = self._known_labels(sample)
+        known = self.service.known_rows(sample.pairs)
 
         remaining = list(rules)
         chosen: list[Rule] = []
@@ -325,15 +325,6 @@ class Blocker:
             stats=stats,
         )
         return survivors, stats.as_dict()
-
-    def _known_labels(self, sample: CandidateSet) -> dict[int, bool]:
-        """Sample row -> crowd label, for rows the cache knows."""
-        cached = self.service.labeled_pairs()
-        return {
-            row: cached[pair]
-            for row, pair in enumerate(sample.pairs)
-            if pair in cached
-        }
 
 
 def apply_rules_streaming(table_a: Table, table_b: Table,

@@ -218,12 +218,7 @@ class AccuracyEstimator:
         """Top-k candidate reduction rules from the matcher's forest."""
         if forest is None:
             return []
-        cached = self.service.labeled_pairs()
-        known = {
-            row: cached[pair]
-            for row, pair in enumerate(candidates.pairs)
-            if pair in cached
-        }
+        known = self.service.known_rows(candidates.pairs)
         negative = extract_negative_rules(
             forest, candidates.feature_names
         )

@@ -29,8 +29,9 @@ from ..rules.selection import select_top_k
 class LocatorResult:
     """The locator's verdict for one iteration."""
 
-    difficult: CandidateSet | None
-    """The difficult set C', or None when iteration should stop."""
+    difficult_rows: list[int] | None
+    """Rows of the set passed to :meth:`DifficultPairsLocator.locate`
+    that form the difficult set C', or None when iteration should stop."""
 
     stop_reason: str
     """"ok", "too_small", "no_reduction" or "no_rules"."""
@@ -41,7 +42,7 @@ class LocatorResult:
 
     @property
     def should_continue(self) -> bool:
-        return self.difficult is not None
+        return self.difficult_rows is not None
 
 
 class DifficultPairsLocator:
@@ -59,12 +60,7 @@ class DifficultPairsLocator:
         cfg = self.config.locator
         before = self.service.tracker.snapshot()
 
-        cached = self.service.labeled_pairs()
-        known = {
-            row: cached[pair]
-            for row, pair in enumerate(candidates.pairs)
-            if pair in cached
-        }
+        known = self.service.known_rows(candidates.pairs)
 
         selected: list[Rule] = []
         for polarity in (False, True):
@@ -78,7 +74,7 @@ class DifficultPairsLocator:
             selected.extend(r.rule for r in ranked)
 
         if not selected:
-            return LocatorResult(difficult=None, stop_reason="no_rules")
+            return LocatorResult(difficult_rows=None, stop_reason="no_rules")
 
         evaluations = evaluate_rules(
             selected, candidates, self.service, self.rng,
@@ -102,13 +98,10 @@ class DifficultPairsLocator:
             pairs_labeled=spent.pairs_labeled,
         )
         if remaining.size < cfg.min_difficult_pairs:
-            return LocatorResult(difficult=None, stop_reason="too_small",
-                                 **result_common)
+            return LocatorResult(difficult_rows=None,
+                                 stop_reason="too_small", **result_common)
         if remaining.size >= cfg.max_reduction_ratio * len(candidates):
-            return LocatorResult(difficult=None, stop_reason="no_reduction",
-                                 **result_common)
-        return LocatorResult(
-            difficult=candidates.subset(remaining),
-            stop_reason="ok",
-            **result_common,
-        )
+            return LocatorResult(difficult_rows=None,
+                                 stop_reason="no_reduction", **result_common)
+        return LocatorResult(difficult_rows=remaining.tolist(),
+                             stop_reason="ok", **result_common)

@@ -24,6 +24,7 @@ from ..data.pairs import CandidateSet, Pair
 from ..data.table import Table
 from ..engine.checkpoint import (
     CANDIDATES_FILE,
+    CHECKPOINT_FILE,
     TRACE_FILE,
     Checkpointer,
     load_checkpoint,
@@ -190,17 +191,6 @@ class Corleone:
             return pipeline._execute(state, Checkpointer(run_dir),
                                      recovery=recovery)
 
-        ctx.tracker.load_state(checkpoint["tracker"])
-        if ctx.manager is not None and checkpoint["manager"] is not None:
-            ctx.manager.load_state(checkpoint["manager"])
-        ctx.service.restore_cache(checkpoint["service_cache"])
-        ctx.restore_rng_states(checkpoint["rng"])
-        telemetry_state = checkpoint.get("telemetry")
-        if ctx.telemetry is not None and telemetry_state is not None:
-            ctx.telemetry.load_state(telemetry_state)
-        load_stack_state(platform, checkpoint["platform"])
-        ctx.bus.restore_sequence(checkpoint["sequence"])
-
         candidates = None
         candidates_path = run_dir / CANDIDATES_FILE
         if candidates_path.is_file():
@@ -220,7 +210,26 @@ class Corleone:
                     f"{quarantined})"
                 )
             candidates = load_candidates(candidates_path)
-        state = RunState.from_dict(checkpoint["state"], candidates)
+        # A generation copy of the same index holds the same bytes, so
+        # the primary's name plus the index identifies the document.
+        source = (f"{run_dir / CHECKPOINT_FILE} "
+                  f"(checkpoint {checkpoint.get('index')})")
+        try:
+            ctx.tracker.load_state(checkpoint["tracker"])
+            if ctx.manager is not None and checkpoint["manager"] is not None:
+                ctx.manager.load_state(checkpoint["manager"])
+            ctx.service.restore_cache(checkpoint["service_cache"])
+            ctx.restore_rng_states(checkpoint["rng"])
+            telemetry_state = checkpoint.get("telemetry")
+            if ctx.telemetry is not None and telemetry_state is not None:
+                ctx.telemetry.load_state(telemetry_state)
+            load_stack_state(platform, checkpoint["platform"])
+            ctx.bus.restore_sequence(checkpoint["sequence"])
+            state = RunState.from_dict(checkpoint["state"], candidates)
+        except KeyError as error:
+            raise DataError(f"{source}: missing key {error}") from None
+        except DataError as error:
+            raise DataError(f"{source}: {error}") from None
         state.attach(table_a, table_b, library)
         return pipeline._execute(state, Checkpointer(run_dir),
                                  recovery=recovery)
@@ -294,8 +303,9 @@ class Corleone:
         are reported — not fabricated empties — so callers can inspect
         how far the run got.
         """
-        if state.best_predictions:
-            predicted = state.best_predictions
+        kept = state.kept
+        if kept is not None and kept.predicted_pairs:
+            predicted = kept.predicted_pairs
         elif state.iterations:
             predicted = state.iterations[-1].predicted_pairs
         else:
@@ -311,7 +321,7 @@ class Corleone:
                                         candidate_pairs=[],
                                         cartesian=0)),
             iterations=state.iterations,
-            estimate=state.best_estimate,
+            estimate=None if kept is None else kept.estimate,
             cost=self.tracker.snapshot(),
             stop_reason=stop_reason,
         )

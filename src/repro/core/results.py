@@ -31,7 +31,13 @@ class IterationRecord:
     estimation_pairs_labeled: int = 0
     locator: LocatorResult | None = None
     reduction_pairs_labeled: int = 0
-    difficult_size: int | None = None
+
+    @property
+    def difficult_size(self) -> int | None:
+        """|C'| handed to the next iteration; None when the loop stopped."""
+        if self.locator is None or self.locator.difficult_rows is None:
+            return None
+        return len(self.locator.difficult_rows)
 
 
 @dataclass

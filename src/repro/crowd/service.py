@@ -108,6 +108,15 @@ class LabelingService:
         """All labels obtained so far (a copy)."""
         return {pair: entry.label for pair, entry in self._cache.items()}
 
+    def known_rows(self, pairs: Sequence[Pair]) -> dict[int, bool]:
+        """Row -> cached label for the rows of ``pairs`` the cache knows
+        (any strength), in row order."""
+        return {
+            row: self._cache[pair].label
+            for row, pair in enumerate(pairs)
+            if pair in self._cache
+        }
+
     def reliable_labels(self, scheme: VoteScheme) -> dict[Pair, bool]:
         """Cached labels that meet the standard ``scheme`` requires.
 

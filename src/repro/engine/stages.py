@@ -14,6 +14,8 @@ orchestrator could not offer.
 
 from __future__ import annotations
 
+from itertools import compress
+
 import numpy as np
 
 from ..core.blocker import Blocker
@@ -90,11 +92,6 @@ class BlockStage:
         if len(candidates) == 0:
             state.stop_reason = "empty_candidate_set"
             return None
-        state.working_rows = list(range(len(candidates)))
-        state.max_rounds = (
-            1 if state.mode in ("one_iteration", "blocker_matcher")
-            else ctx.config.max_pipeline_iterations
-        )
         return STAGE_TRAIN_MATCHER
 
 
@@ -151,25 +148,19 @@ class TrainMatcherStage:
         matcher_result = matcher.finish(train_state, working)
         state.matcher_state = None
 
-        for row, pair in enumerate(working.pairs):
-            state.predictions_by_pair[pair] = bool(
-                matcher_result.predictions[row]
-            )
-        candidates = state.candidates
-        combined = frozenset(
-            pair for pair in candidates.pairs
-            if state.predictions_by_pair.get(pair, False)
-        )
         record = IterationRecord(
             index=state.iteration,
             matcher=matcher_result,
             matcher_pairs_labeled=matcher_result.pairs_labeled,
-            predicted_pairs=combined,
+            predicted_pairs=frozenset(),
         )
         state.iterations.append(record)
+        # The ensemble includes this record's predictions.
+        record.predicted_pairs = frozenset(
+            compress(state.candidates.pairs, state.ensemble()))
 
         if state.mode == "blocker_matcher":
-            state.best_predictions = record.predicted_pairs
+            state.best_iteration = len(state.iterations) - 1
             state.stop_reason = "blocker_matcher_mode"
             return None
         return STAGE_ESTIMATE
@@ -183,41 +174,31 @@ class EstimateStage:
 
     def run(self, state: RunState, ctx: RunContext) -> str | None:
         """Estimate accuracy; decide whether the loop should continue."""
-        candidates = state.candidates
         record = state.iterations[-1]
-        combined = np.array([
-            state.predictions_by_pair.get(pair, False)
-            for pair in candidates.pairs
-        ], dtype=bool)
-
         est_before = ctx.tracker.snapshot()
         estimator = AccuracyEstimator(ctx.config, ctx.service,
                                       ctx.rng("estimator"))
         estimate = estimator.estimate(
-            candidates, combined, record.matcher.forest,
-            certified=state.certified,
-        )
-        state.certified.extend(
-            ev for ev in estimate.rule_evaluations if ev.accepted
+            state.candidates, state.ensemble(), record.matcher.forest,
+            certified=state.certified(),
         )
         record.estimate = estimate
         record.estimation_pairs_labeled = (
             ctx.tracker.snapshot().minus(est_before).pairs_labeled
         )
 
-        if estimate.f1 <= state.best_f1:
+        kept = state.kept
+        if kept is not None and estimate.f1 <= kept.estimate.f1:
             state.stop_reason = "no_improvement"
             return None
-        state.best_f1 = estimate.f1
-        state.best_predictions = record.predicted_pairs
-        state.best_estimate = estimate
+        state.best_iteration = len(state.iterations) - 1
         if ctx.telemetry is not None:
             ctx.telemetry.record_best_f1(estimate.f1)
 
         if state.mode == "one_iteration":
             state.stop_reason = "one_iteration_mode"
             return None
-        if state.iteration == state.max_rounds:
+        if state.iteration == ctx.config.max_pipeline_iterations:
             state.stop_reason = "max_iterations"
             return None
         return STAGE_LOCATE
@@ -244,24 +225,22 @@ class LocateDifficultStage:
         if not locator_result.should_continue:
             state.stop_reason = f"locator_{locator_result.stop_reason}"
             return None
-        state.pending_difficult_rows = [
-            state.candidates.index_of(pair)
-            for pair in locator_result.difficult.pairs
-        ]
         return STAGE_REDUCE
 
 
 class ReduceStage:
-    """Shrink the working set to the difficult pairs for the next round."""
+    """Hand the difficult pairs to the next round as its working set."""
 
     name = STAGE_REDUCE
     phase = None
 
     def run(self, state: RunState, ctx: RunContext) -> str | None:
-        """Adopt the pending difficult rows as the new working set."""
-        state.working_rows = list(state.pending_difficult_rows)
-        state.pending_difficult_rows = []
-        state.iterations[-1].difficult_size = len(state.working_rows)
+        """Mark the phase boundary before the next iteration.
+
+        The working set is read off the iteration records, so the
+        difficult rows the locate stage recorded already define the
+        next one; this stage contributes only its events and checkpoint.
+        """
         return STAGE_TRAIN_MATCHER
 
 

@@ -1,11 +1,16 @@
 """The serializable state of one hands-off run.
 
-:class:`RunState` replaces the old ``_RunProgress`` accumulator: it is
-the *only* mutable object the stages operate on, and everything in it
-(beyond the input tables, which are persisted once per run directory)
+:class:`RunState` is the *only* mutable object the stages operate on,
+and everything in it (beyond the input tables, which are persisted once
+per run directory, and the candidate set, persisted once as ``.npz``)
 round-trips through plain JSON via :meth:`RunState.to_dict` /
 :meth:`RunState.from_dict`.  That property is what makes checkpointed
 runs resumable to a bit-identical result.
+
+The state stores each fact once.  The loop of Figure 1 is fully
+described by its iteration records, so the working set, the ensemble
+prediction, the certified reduction rules and the kept result are read
+off them rather than stored a second time.
 """
 
 from __future__ import annotations
@@ -13,11 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+import numpy as np
+
 from ..core.blocker import BlockerResult
-from ..core.estimator import AccuracyEstimate
 from ..core.matcher import MatcherTrainState
 from ..core.results import CorleoneResult, IterationRecord
 from ..data.pairs import CandidateSet, Pair
+from ..exceptions import DataError
 from ..rules.evaluation import RuleEvaluation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -33,10 +40,9 @@ FIRST_STAGE = "block"
 class RunState:
     """Everything a hands-off run has computed so far.
 
-    The candidate set is referenced, not duplicated: ``working_rows``
-    and the serialized forms of locator results store row indices into
-    ``candidates``, and the checkpointer persists the candidate set once
-    (as ``.npz``) rather than on every checkpoint.
+    The candidate set is referenced, not duplicated: locator results
+    store row indices, and the checkpointer persists the candidate set
+    once (as ``.npz``) rather than on every checkpoint.
     """
 
     mode: str
@@ -51,29 +57,12 @@ class RunState:
     iteration: int = 0
     """1-based index of the current matching iteration."""
 
-    max_rounds: int = 0
-    """Iteration cap for this run (set by the blocking stage)."""
-
     blocker: BlockerResult | None = None
     candidates: CandidateSet | None = None
-    working_rows: list[int] = field(default_factory=list)
-    """Rows of ``candidates`` forming the current working set."""
-
-    pending_difficult_rows: list[int] = field(default_factory=list)
-    """Difficult rows handed from the locate stage to the reduce stage."""
-
-    predictions_by_pair: dict[Pair, bool] = field(default_factory=dict)
-    """Ensemble predictions: each pair decided by the matcher of the
-    iteration in which it left the difficult set (Section 7, step 3)."""
-
     iterations: list[IterationRecord] = field(default_factory=list)
-    certified: list[RuleEvaluation] = field(default_factory=list)
-    """Reduction-rule evaluations accepted by earlier estimation rounds;
-    re-applied for free by later rounds."""
+    best_iteration: int | None = None
+    """Index into ``iterations`` of the result the run keeps."""
 
-    best_f1: float = -1.0
-    best_predictions: frozenset[Pair] = frozenset()
-    best_estimate: AccuracyEstimate | None = None
     stop_reason: str = "max_iterations"
     matcher_state: MatcherTrainState | None = None
     """In-progress matcher training (set between mid-stage checkpoints,
@@ -92,12 +81,57 @@ class RunState:
         self.table_b = table_b
         self.library = library
 
+    # ------------------------------------------------------------------
+    # Facts read off the iteration records
+    # ------------------------------------------------------------------
+
+    def _replay(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ensemble over C, rows of C in the current working set).
+
+        Each matcher trained on the working set its predecessor's
+        locator carved out, so replaying the records in order narrows
+        C to the current working set while overlaying every matcher's
+        predictions on the rows it worked on.
+        """
+        rows = np.arange(len(self.candidates))
+        ensemble = np.zeros(len(self.candidates), dtype=bool)
+        for record in self.iterations:
+            ensemble[rows] = record.matcher.predictions
+            if record.locator is not None and record.locator.should_continue:
+                rows = rows[record.locator.difficult_rows]
+        return ensemble, rows
+
     def working_set(self) -> CandidateSet:
         """The current working candidate set C' (a view by rows)."""
-        assert self.candidates is not None
-        if len(self.working_rows) == len(self.candidates):
+        rows = self._replay()[1]
+        if len(rows) == len(self.candidates):
             return self.candidates
-        return self.candidates.subset(self.working_rows)
+        return self.candidates.subset(rows)
+
+    def ensemble(self) -> np.ndarray:
+        """The ensemble prediction over C (Section 7, step 3).
+
+        Each pair keeps the prediction of the matcher of the iteration
+        in which it left the difficult set.
+        """
+        return self._replay()[0]
+
+    def certified(self) -> list[RuleEvaluation]:
+        """Reduction-rule evaluations accepted by earlier estimation
+        rounds; later rounds re-apply them for free."""
+        return [
+            evaluation
+            for record in self.iterations if record.estimate is not None
+            for evaluation in record.estimate.rule_evaluations
+            if evaluation.accepted
+        ]
+
+    @property
+    def kept(self) -> IterationRecord | None:
+        """The iteration whose output the run keeps, if any yet."""
+        if self.best_iteration is None:
+            return None
+        return self.iterations[self.best_iteration]
 
     def to_result(self, tracker: "CostTracker") -> CorleoneResult:
         """Package a *finished* run (``next_stage is None``) as a result.
@@ -107,12 +141,14 @@ class RunState:
         by the pipeline's own fallback path instead.
         """
         assert self.blocker is not None and self.candidates is not None
+        kept = self.kept
         return CorleoneResult(
-            predicted_matches=self.best_predictions,
+            predicted_matches=(frozenset() if kept is None
+                               else kept.predicted_pairs),
             candidates=self.candidates,
             blocker=self.blocker,
             iterations=self.iterations,
-            estimate=self.best_estimate,
+            estimate=None if kept is None else kept.estimate,
             cost=tracker.snapshot(),
             stop_reason=self.stop_reason,
         )
@@ -124,12 +160,11 @@ class RunState:
     def to_dict(self) -> dict[str, Any]:
         """A JSON-compatible snapshot of the run state.
 
-        The candidate set itself is *not* included — only row indices
-        into it; the checkpointer stores the set once as ``.npz``.
+        The candidate set itself is *not* included; the checkpointer
+        stores it once as ``.npz``.
         """
         from .. import persistence as p
 
-        candidates = self.candidates
         return {
             "mode": self.mode,
             "seed_labels": [
@@ -138,31 +173,13 @@ class RunState:
             ],
             "next_stage": self.next_stage,
             "iteration": self.iteration,
-            "max_rounds": self.max_rounds,
             "blocker": (None if self.blocker is None
                         else p.blocker_result_to_dict(self.blocker)),
-            "working_rows": [int(row) for row in self.working_rows],
-            "pending_difficult_rows": [
-                int(row) for row in self.pending_difficult_rows
-            ],
-            "predictions_by_pair": [
-                [pair.a_id, pair.b_id, bool(label)]
-                for pair, label in self.predictions_by_pair.items()
-            ],
             "iterations": [
-                p.iteration_record_to_dict(record, candidates)
+                p.iteration_record_to_dict(record)
                 for record in self.iterations
             ],
-            "certified": [
-                p.rule_evaluation_to_dict(ev) for ev in self.certified
-            ],
-            "best_f1": float(self.best_f1),
-            "best_predictions": [
-                [pair.a_id, pair.b_id]
-                for pair in sorted(self.best_predictions)
-            ],
-            "best_estimate": (None if self.best_estimate is None
-                              else p.estimate_to_dict(self.best_estimate)),
+            "best_iteration": self.best_iteration,
             "stop_reason": self.stop_reason,
             "matcher_state": (
                 None if self.matcher_state is None
@@ -177,49 +194,38 @@ class RunState:
 
         ``candidates`` is the candidate set loaded from the run
         directory's ``.npz`` (None when the run was checkpointed before
-        blocking produced one).
+        blocking produced one).  A document missing a key raises a
+        :class:`~repro.exceptions.DataError` naming it.
         """
         from .. import persistence as p
 
-        state = cls(
-            mode=data["mode"],
-            seed_labels={
-                Pair(str(a), str(b)): bool(label)
-                for a, b, label in data["seed_labels"]
-            },
-            next_stage=data["next_stage"],
-            iteration=data["iteration"],
-            max_rounds=data["max_rounds"],
-            blocker=(None if data["blocker"] is None
-                     else p.blocker_result_from_dict(data["blocker"])),
-            candidates=candidates,
-            working_rows=[int(row) for row in data["working_rows"]],
-            pending_difficult_rows=[
-                int(row) for row in data["pending_difficult_rows"]
-            ],
-            predictions_by_pair={
-                Pair(str(a), str(b)): bool(label)
-                for a, b, label in data["predictions_by_pair"]
-            },
-            iterations=[
-                p.iteration_record_from_dict(record, candidates)
-                for record in data["iterations"]
-            ],
-            certified=[
-                p.rule_evaluation_from_dict(ev) for ev in data["certified"]
-            ],
-            best_f1=float(data["best_f1"]),
-            best_predictions=frozenset(
-                Pair(str(a), str(b)) for a, b in data["best_predictions"]
-            ),
-            best_estimate=(
-                None if data["best_estimate"] is None
-                else p.estimate_from_dict(data["best_estimate"])
-            ),
-            stop_reason=data["stop_reason"],
-            matcher_state=(
-                None if data["matcher_state"] is None
-                else p.matcher_train_state_from_dict(data["matcher_state"])
-            ),
-        )
-        return state
+        try:
+            blocker = data["blocker"]
+            if blocker is not None and candidates is None:
+                raise DataError("malformed run state: no candidate set")
+            return cls(
+                mode=data["mode"],
+                seed_labels={
+                    Pair(str(a), str(b)): bool(label)
+                    for a, b, label in data["seed_labels"]
+                },
+                next_stage=data["next_stage"],
+                iteration=data["iteration"],
+                blocker=(None if blocker is None
+                         else p.blocker_result_from_dict(
+                             blocker, candidates.pairs)),
+                candidates=candidates,
+                iterations=[
+                    p.iteration_record_from_dict(record)
+                    for record in data["iterations"]
+                ],
+                best_iteration=data["best_iteration"],
+                stop_reason=data["stop_reason"],
+                matcher_state=(
+                    None if data["matcher_state"] is None
+                    else p.matcher_train_state_from_dict(
+                        data["matcher_state"])
+                ),
+            )
+        except (KeyError, TypeError) as error:
+            raise DataError(f"malformed run state: {error}") from None

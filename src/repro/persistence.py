@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections.abc import Sequence
 from pathlib import Path
 from typing import Any
 
@@ -441,16 +442,6 @@ def table_from_dict(data: dict[str, Any]) -> Table:
 # Stage results (checkpointing)
 # ----------------------------------------------------------------------
 
-def _pair_rows(pairs: Any) -> list[list[str]]:
-    """Pairs as ``[a_id, b_id]`` rows, preserving order."""
-    return [[pair.a_id, pair.b_id] for pair in pairs]
-
-
-def _pairs_from_rows(rows: Any) -> list[Pair]:
-    """Inverse of :func:`_pair_rows`."""
-    return [Pair(str(a), str(b)) for a, b in rows]
-
-
 def rule_evaluation_to_dict(evaluation: RuleEvaluation) -> dict[str, Any]:
     """A JSON-compatible representation of one rule evaluation."""
     return {
@@ -610,11 +601,12 @@ def blocker_result_to_dict(result: BlockerResult) -> dict[str, Any]:
     The internal ``matcher_result`` (the forest the blocker trained to
     derive rules from) is deliberately dropped: nothing downstream of
     the blocking stage reads it, and it would double checkpoint size.
-    A restored result carries ``matcher_result=None``.
+    A restored result carries ``matcher_result=None``.  The umbrella
+    pairs are dropped too: the vectorized candidate set already holds
+    them, in the same order.
     """
     return {
         "triggered": result.triggered,
-        "candidate_pairs": _pair_rows(result.candidate_pairs),
         "cartesian": result.cartesian,
         "sample_size": result.sample_size,
         "applied_rules": [rule_to_dict(r) for r in result.applied_rules],
@@ -627,12 +619,18 @@ def blocker_result_to_dict(result: BlockerResult) -> dict[str, Any]:
     }
 
 
-def blocker_result_from_dict(data: dict[str, Any]) -> BlockerResult:
-    """Rebuild a blocker result saved with :func:`blocker_result_to_dict`."""
+def blocker_result_from_dict(data: dict[str, Any],
+                             candidate_pairs: Sequence[Pair],
+                             ) -> BlockerResult:
+    """Rebuild a blocker result saved with :func:`blocker_result_to_dict`.
+
+    ``candidate_pairs`` is the umbrella set, in blocking order — the
+    pairs of the candidate set vectorized from it.
+    """
     try:
         return BlockerResult(
             triggered=data["triggered"],
-            candidate_pairs=_pairs_from_rows(data["candidate_pairs"]),
+            candidate_pairs=list(candidate_pairs),
             cartesian=data["cartesian"],
             sample_size=data["sample_size"],
             applied_rules=[rule_from_dict(r) for r in data["applied_rules"]],
@@ -647,21 +645,10 @@ def blocker_result_from_dict(data: dict[str, Any]) -> BlockerResult:
         raise DataError(f"malformed blocker result: {error}") from None
 
 
-def locator_result_to_dict(result: LocatorResult,
-                           candidates: CandidateSet) -> dict[str, Any]:
-    """A JSON-compatible representation of a locator verdict.
-
-    The difficult set is stored as row indices into ``candidates`` (the
-    full candidate set it was carved from), not as a second copy of the
-    feature matrix.
-    """
-    difficult = None
-    if result.difficult is not None:
-        difficult = [
-            candidates.index_of(pair) for pair in result.difficult.pairs
-        ]
+def locator_result_to_dict(result: LocatorResult) -> dict[str, Any]:
+    """A JSON-compatible representation of a locator verdict."""
     return {
-        "difficult_rows": difficult,
+        "difficult_rows": result.difficult_rows,
         "stop_reason": result.stop_reason,
         "accepted_rules": [rule_to_dict(r) for r in result.accepted_rules],
         "evaluations": [
@@ -671,17 +658,13 @@ def locator_result_to_dict(result: LocatorResult,
     }
 
 
-def locator_result_from_dict(data: dict[str, Any],
-                             candidates: CandidateSet) -> LocatorResult:
+def locator_result_from_dict(data: dict[str, Any]) -> LocatorResult:
     """Rebuild a verdict saved with :func:`locator_result_to_dict`."""
     try:
-        difficult = None
-        if data["difficult_rows"] is not None:
-            difficult = candidates.subset(
-                [int(row) for row in data["difficult_rows"]]
-            )
+        rows = data["difficult_rows"]
         return LocatorResult(
-            difficult=difficult,
+            difficult_rows=(None if rows is None
+                            else [int(row) for row in rows]),
             stop_reason=data["stop_reason"],
             accepted_rules=[
                 rule_from_dict(r) for r in data["accepted_rules"]
@@ -695,26 +678,25 @@ def locator_result_from_dict(data: dict[str, Any],
         raise DataError(f"malformed locator result: {error}") from None
 
 
-def iteration_record_to_dict(record: IterationRecord,
-                             candidates: CandidateSet) -> dict[str, Any]:
+def iteration_record_to_dict(record: IterationRecord) -> dict[str, Any]:
     """A JSON-compatible representation of one pipeline iteration."""
     return {
         "index": record.index,
         "matcher": matcher_result_to_dict(record.matcher),
         "matcher_pairs_labeled": record.matcher_pairs_labeled,
-        "predicted_pairs": _pair_rows(sorted(record.predicted_pairs)),
+        "predicted_pairs": [
+            [pair.a_id, pair.b_id] for pair in sorted(record.predicted_pairs)
+        ],
         "estimate": (None if record.estimate is None
                      else estimate_to_dict(record.estimate)),
         "estimation_pairs_labeled": record.estimation_pairs_labeled,
         "locator": (None if record.locator is None
-                    else locator_result_to_dict(record.locator, candidates)),
+                    else locator_result_to_dict(record.locator)),
         "reduction_pairs_labeled": record.reduction_pairs_labeled,
-        "difficult_size": record.difficult_size,
     }
 
 
-def iteration_record_from_dict(data: dict[str, Any],
-                               candidates: CandidateSet) -> IterationRecord:
+def iteration_record_from_dict(data: dict[str, Any]) -> IterationRecord:
     """Rebuild a record saved with :func:`iteration_record_to_dict`."""
     try:
         return IterationRecord(
@@ -722,16 +704,14 @@ def iteration_record_from_dict(data: dict[str, Any],
             matcher=matcher_result_from_dict(data["matcher"]),
             matcher_pairs_labeled=data["matcher_pairs_labeled"],
             predicted_pairs=frozenset(
-                _pairs_from_rows(data["predicted_pairs"])
+                Pair(str(a), str(b)) for a, b in data["predicted_pairs"]
             ),
             estimate=(None if data["estimate"] is None
                       else estimate_from_dict(data["estimate"])),
             estimation_pairs_labeled=data["estimation_pairs_labeled"],
             locator=(None if data["locator"] is None
-                     else locator_result_from_dict(data["locator"],
-                                                   candidates)),
+                     else locator_result_from_dict(data["locator"])),
             reduction_pairs_labeled=data["reduction_pairs_labeled"],
-            difficult_size=data["difficult_size"],
         )
     except (KeyError, TypeError) as error:
         raise DataError(f"malformed iteration record: {error}") from None

@@ -304,6 +304,14 @@ class TestRunDirectory:
             assert key in checkpoint, key
         assert checkpoint["manager"] is not None
         assert set(checkpoint["rng"]) <= set(RNG_STREAMS)
+        # The state stores what cannot be recomputed, each fact once:
+        # the umbrella pairs live in candidates.npz, and the working
+        # set, ensemble and kept result are read off the records.
+        assert set(checkpoint["state"]) == {
+            "mode", "seed_labels", "next_stage", "iteration", "blocker",
+            "iterations", "best_iteration", "stop_reason", "matcher_state",
+        }
+        assert "candidate_pairs" not in checkpoint["state"]["blocker"]
 
     def test_run_state_dict_round_trip(self, checkpointed_run):
         _, _, _, run_dir, _ = checkpointed_run
@@ -329,10 +337,8 @@ class TestRunDirectory:
         _, _, _, run_dir, result = checkpointed_run
         record = result.iterations[0]
         data = json.loads(json.dumps(
-            persistence.iteration_record_to_dict(record,
-                                                 result.candidates)))
-        restored = persistence.iteration_record_from_dict(
-            data, result.candidates)
+            persistence.iteration_record_to_dict(record)))
+        restored = persistence.iteration_record_from_dict(data)
         assert restored.predicted_pairs == record.predicted_pairs
         assert restored.matcher.stop_reason == record.matcher.stop_reason
         assert restored.matcher.labeled_rows == record.matcher.labeled_rows

@@ -8,11 +8,15 @@ from the directory and demands the exact golden result (compared as
 predictions, iteration records and the cost snapshot).  Runs on the
 restaurants and products synthetic datasets — restaurants a second
 time with its crowd under a stateless wrapper, which must not hide the
-crowd's answer stream from the checkpoint; a separate test injects
+crowd's answer stream from the checkpoint — and on a products run that
+iterates twice, so the sweep also kills at the reduce boundary and
+inside the second matcher; a separate test injects
 ``BudgetExhaustedError`` mid-run and resumes past it.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -31,7 +35,9 @@ from repro.core.pipeline import Corleone
 from repro.crowd.simulated import PerfectCrowd, SimulatedCrowd
 from repro.crowd.transcript import TranscriptingPlatform
 from repro.engine import EVENT_CHECKPOINT_WRITTEN, load_checkpoint
-from repro.exceptions import BudgetExhaustedError
+from repro.engine.events import read_trace
+from repro.exceptions import BudgetExhaustedError, DataError
+from repro.storage.writer import ArtifactWriter
 from repro.synth.products import generate_products
 from repro.synth.restaurants import generate_restaurants
 
@@ -58,7 +64,8 @@ def _killer_sink(surviving_checkpoints: int):
     return sink
 
 
-def _engine_config(max_pipeline_iterations: int, t_b: int) -> CorleoneConfig:
+def _engine_config(max_pipeline_iterations: int, t_b: int,
+                   min_difficult_pairs: int = 30) -> CorleoneConfig:
     """A fast full-pipeline configuration for the resume sweeps."""
     return CorleoneConfig(
         forest=ForestConfig(n_trees=5),
@@ -68,7 +75,7 @@ def _engine_config(max_pipeline_iterations: int, t_b: int) -> CorleoneConfig:
                               n_converged=8, n_degrade=6,
                               max_iterations=12),
         estimator=EstimatorConfig(probe_size=25, max_probes=30),
-        locator=LocatorConfig(min_difficult_pairs=30),
+        locator=LocatorConfig(min_difficult_pairs=min_difficult_pairs),
         max_pipeline_iterations=max_pipeline_iterations,
         seed=0,
     )
@@ -85,6 +92,14 @@ _SCENARIOS = {
         lambda: generate_products(n_a=40, n_b=120, n_matches=18, seed=17),
         _engine_config(max_pipeline_iterations=2, t_b=3000),
         0.0,
+    ),
+    # Two iterations, then no_improvement: the kept result is iteration
+    # 1, and the sweep kills at the checkpoint just before ``reduce``.
+    "products-iterating": (
+        lambda: generate_products(n_a=60, n_b=40, n_matches=15, seed=17),
+        _engine_config(max_pipeline_iterations=2, t_b=1500,
+                       min_difficult_pairs=5),
+        0.05,
     ),
 }
 
@@ -137,6 +152,13 @@ class TestResumeSweep:
                 dataset.table_a, dataset.table_b, dataset.seed_labels)
             n_checkpoints = load_checkpoint(probe_dir)["index"] + 1
             assert n_checkpoints >= 5  # at least one per stage
+            if len(golden_report["iterations"]) > 1:
+                next_stages = [
+                    event.payload["stage"]
+                    for event in read_trace(probe_dir / "trace.jsonl")
+                    if event.name == EVENT_CHECKPOINT_WRITTEN
+                ]
+                assert "reduce" in next_stages
 
             for kill_at in range(n_checkpoints):
                 run_dir = tmp_path / f"{label}-kill{kill_at}"
@@ -156,7 +178,6 @@ class TestResumeSweep:
     def test_resumed_trace_appends_to_the_original(self, scenario,
                                                    tmp_path):
         """The trace survives the crash and grows on resume."""
-        from repro.engine.events import read_trace
         _, dataset, config, crowd, _ = scenario
         run_dir = tmp_path / "run"
         pipeline = Corleone(config, crowd(), seed=123, run_dir=run_dir)
@@ -233,3 +254,53 @@ class TestDeduplicatorOnTheEngine:
         assert (run_dir / "trace.jsonl").is_file()
         assert checkpointed.duplicate_pairs == golden.duplicate_pairs
         assert checkpointed.clusters == golden.clusters
+
+
+def _parent_format(document):
+    """Rewrite a checkpoint's state in the older, duplicating layout.
+
+    That layout stored the working set, the ensemble, the certified
+    rules and the kept result beside the iteration records, and had no
+    ``best_iteration``.
+    """
+    state = document["state"]
+    del state["best_iteration"]
+    state.update(max_rounds=2, working_rows=[], pending_difficult_rows=[],
+                 predictions_by_pair=[], certified=[], best_f1=-1.0,
+                 best_predictions=[], best_estimate=None)
+
+
+class TestUnreadableCheckpoint:
+    @pytest.mark.parametrize("edit, key", [
+        (_parent_format, "best_iteration"),
+        (lambda document: document.pop("tracker"), "tracker"),
+    ], ids=["parent-format-state", "no-tracker"])
+    def test_resume_names_the_file_and_the_key(self, tmp_path, edit, key):
+        """A checkpoint that verifies but lacks a key fails typed."""
+        make_dataset, config, error_rate = _SCENARIOS["restaurants"]
+        dataset = make_dataset()
+
+        def crowd():
+            return SimulatedCrowd(dataset.matches, error_rate=error_rate,
+                                  rng=np.random.default_rng(11))
+
+        run_dir = tmp_path / "run"
+        pipeline = Corleone(config, crowd(), seed=123, run_dir=run_dir)
+        pipeline.bus.subscribe(_killer_sink(2))
+        with pytest.raises(_Killed):
+            pipeline.run(dataset.table_a, dataset.table_b,
+                         dataset.seed_labels)
+        # Rewrite every document through the writer, so the manifest
+        # still verifies and no generation fallback can mask the gap.
+        writer = ArtifactWriter(run_dir)
+        documents = [run_dir / "checkpoint.json",
+                     *(run_dir / "generations").glob("*.json")]
+        with writer.batch():
+            for path in documents:
+                document = json.loads(path.read_text())
+                edit(document)
+                writer.atomic_write_text(
+                    path.relative_to(run_dir).as_posix(),
+                    json.dumps(document))
+        with pytest.raises(DataError, match=rf"checkpoint\.json.*'{key}'"):
+            Corleone.resume(run_dir, crowd())

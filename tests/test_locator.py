@@ -61,7 +61,7 @@ class TestLocate:
         result = locator.locate(candidates, forest)
         if not result.should_continue:
             pytest.skip(f"locator stopped: {result.stop_reason}")
-        f0 = result.difficult.features[:, 0]
+        f0 = candidates.features[result.difficult_rows, 0]
         # The noisy band should be over-represented among difficult pairs.
         band_fraction = np.mean((f0 > 0.4) & (f0 < 0.6))
         overall = np.mean(
@@ -91,7 +91,7 @@ class TestLocate:
         result = locator.locate(candidates, forest)
         assert not result.should_continue
         assert result.stop_reason == "too_small"
-        assert result.difficult is None
+        assert result.difficult_rows is None
 
     def test_no_reduction_stops_iteration(self, fitted):
         candidates, matches, _, forest = fitted

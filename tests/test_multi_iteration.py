@@ -20,8 +20,13 @@ from repro.synth.products import generate_products
 
 @pytest.fixture(scope="module")
 def iterating_run():
-    """A products run configured to iterate (hard data, loose locator)."""
-    dataset = generate_products(n_a=80, n_b=400, n_matches=30, seed=17)
+    """A products run configured to iterate (hard data, loose locator).
+
+    Blocking barely shrinks this A x B, iteration 1's estimate certifies
+    a reduction rule, and the locator hands a 10-pair difficult set to
+    iteration 2, whose worse estimate ends the run (no_improvement).
+    """
+    dataset = generate_products(n_a=80, n_b=400, n_matches=30, seed=11)
     config = CorleoneConfig(
         forest=ForestConfig(n_trees=5),
         blocker=BlockerConfig(t_b=6000, top_k_rules=10,
@@ -30,7 +35,7 @@ def iterating_run():
                               n_converged=8, n_degrade=6,
                               max_iterations=20),
         estimator=EstimatorConfig(probe_size=25, max_probes=40),
-        locator=LocatorConfig(min_difficult_pairs=20),
+        locator=LocatorConfig(min_difficult_pairs=5),
         max_pipeline_iterations=3,
     )
     crowd = PerfectCrowd(dataset.matches, rng=np.random.default_rng(8))
@@ -48,6 +53,7 @@ class TestIterationMechanics:
             for record in result.iterations
             if record.difficult_size is not None
         ]
+        assert sizes, "the run never iterated"
         previous = len(result.candidates)
         for size in sizes:
             assert size < previous
@@ -60,19 +66,20 @@ class TestIterationMechanics:
             for record in result.iterations
             if record.estimate is not None
         ]
-        if result.stop_reason == "no_improvement":
-            # The final (worse) estimate was rejected: the kept
-            # prediction corresponds to the best estimate seen.
-            assert result.estimate.f1 == pytest.approx(max(estimates))
+        assert result.stop_reason == "no_improvement"
+        # The final (worse) estimate was rejected: the kept prediction
+        # is the iteration with the best estimate seen.
+        assert result.estimate.f1 == pytest.approx(max(estimates))
+        best = max(result.iterations, key=lambda record: record.estimate.f1)
+        assert result.predicted_matches == best.predicted_pairs
+        assert result.predicted_matches != \
+            result.iterations[-1].predicted_pairs
 
     def test_certified_rules_carry_across_iterations(self, iterating_run):
         _, result = iterating_run
-        if len(result.iterations) < 2:
-            pytest.skip("run converged in one iteration")
         first = result.iterations[0].estimate
         second = result.iterations[1].estimate
-        if first is None or second is None or not first.applied_rules:
-            pytest.skip("no rules to carry over")
+        assert first.applied_rules, "iteration 1 certified no rule"
         # Iteration 2 re-applies iteration 1's certified rules for free,
         # so its applied set includes them.
         assert set(first.applied_rules) <= set(second.applied_rules)
