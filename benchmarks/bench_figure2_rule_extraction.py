@@ -80,7 +80,7 @@ def test_figure2_rule_count_scales_with_leaves(benchmark):
         rounds=3, iterations=1,
     )
     no_leaves = sum(
-        1 for tree in forest.trees for node in tree.nodes
-        if node.is_leaf and not node.label
+        int(np.count_nonzero(tree.is_leaf & ~tree.label))
+        for tree in forest.trees
     )
     assert len(rules) <= no_leaves  # dedup can only shrink

@@ -271,7 +271,11 @@ class Blocker:
         if not rules:
             return []
         target = len(sample) * (self.config.blocker.t_b / cartesian)
-        known = self.service.known_rows(sample.pairs)
+        # Sample rows the crowd has labelled a match: what a negative
+        # rule covering them gets wrong.
+        positive = np.zeros(len(sample), dtype=bool)
+        for row, label in self.service.known_rows(sample.pairs).items():
+            positive[row] = label
 
         remaining = list(rules)
         chosen: list[Rule] = []
@@ -280,15 +284,13 @@ class Blocker:
 
         while remaining and active_rows.size > target:
             scored = []
+            active_positive = positive[active_rows]
             for rule in remaining:
                 mask = rule.applies(features[active_rows])
                 coverage = int(mask.sum())
                 if coverage == 0:
                     continue
-                contrary = sum(
-                    1 for i, row in enumerate(active_rows)
-                    if mask[i] and known.get(int(row)) is True
-                )
+                contrary = np.count_nonzero(mask & active_positive)
                 precision = (coverage - contrary) / coverage
                 scored.append((precision, coverage, -rule.cost, rule, mask))
             if not scored:

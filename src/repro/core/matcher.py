@@ -275,10 +275,10 @@ class ActiveLearningMatcher:
         Section 9.4 ablation.
         """
         cfg = self.config.matcher
-        unlabeled = np.array([
-            row for row in range(len(candidates))
-            if row not in labeled_rows and row not in excluded
-        ], dtype=np.intp)
+        available = np.ones(len(candidates), dtype=bool)
+        available[list(labeled_rows)] = False
+        available[list(excluded)] = False
+        unlabeled = np.flatnonzero(available)
         if unlabeled.size == 0:
             return []
 

@@ -86,7 +86,9 @@ class Checkpointer:
 
     def __init__(self, run_dir: str | Path,
                  keep_generations: int = DEFAULT_KEEP_GENERATIONS) -> None:
-        self.run_dir = Path(run_dir)
+        # Absolute once, here: artifact paths are built as run_dir / NAME
+        # and the writer joins a relative path onto its root again.
+        self.run_dir = Path(run_dir).absolute()
         self.run_dir.mkdir(parents=True, exist_ok=True)
         self.writer = ArtifactWriter(self.run_dir)
         self.keep_generations = max(1, int(keep_generations))

@@ -7,12 +7,11 @@ forest the paper uses (k=10 trees, 60% bagging, m = log2(n)+1 features per
 split).
 """
 
-from .tree import DecisionTree, Node, TreeCondition, TreePath
+from .tree import DecisionTree, TreeCondition, TreePath
 from .forest import RandomForest, train_forest
 
 __all__ = [
     "DecisionTree",
-    "Node",
     "TreeCondition",
     "TreePath",
     "RandomForest",

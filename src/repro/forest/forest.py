@@ -38,9 +38,12 @@ class RandomForest:
     def vote_fractions(self, x: np.ndarray) -> np.ndarray:
         """P+(e): fraction of trees voting positive, per row of ``x``."""
         x = np.asarray(x, dtype=np.float64)
+        # One feature-major copy serves every tree (see
+        # DecisionTree.predict_columns).
+        columns = np.ascontiguousarray(x.T)
         votes = np.zeros(x.shape[0], dtype=np.float64)
         for tree in self.trees:
-            votes += tree.predict(x)
+            votes += tree.predict_columns(columns)
         return votes / len(self.trees)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -97,32 +100,26 @@ class RandomForest:
             raise DataError("forest has no feature count")
         totals = np.zeros(self.n_features_)
         for tree in self.trees:
-            if not tree.nodes:
+            internal = np.flatnonzero(~tree.is_leaf)
+            if internal.size == 0:
                 continue
-            root_total = tree.nodes[0].n_total
-            for node in tree.nodes:
-                if node.is_leaf:
-                    continue
-                left = tree.nodes[node.left]
-                right = tree.nodes[node.right]
-                parent_imp = _node_gini(node)
-                child_imp = (
-                    left.n_total * _node_gini(left)
-                    + right.n_total * _node_gini(right)
-                ) / node.n_total
-                decrease = parent_imp - child_imp
-                totals[node.feature] += decrease * node.n_total / root_total
+            n_total = tree.n_total
+            with np.errstate(divide="ignore", invalid="ignore"):
+                p = np.where(n_total > 0, tree.n_positive / n_total, 0.0)
+            gini = 2.0 * p * (1.0 - p)
+            left = tree.left[internal]
+            right = tree.right[internal]
+            child_imp = (
+                n_total[left] * gini[left] + n_total[right] * gini[right]
+            ) / n_total[internal]
+            decrease = gini[internal] - child_imp
+            # add.at accumulates in node order, repeated features included.
+            np.add.at(totals, tree.feature[internal],
+                      decrease * n_total[internal] / n_total[0])
         total = totals.sum()
         if total <= 0:
             return np.zeros(self.n_features_)
         return totals / total
-
-
-def _node_gini(node) -> float:
-    if node.n_total == 0:
-        return 0.0
-    p = node.n_positive / node.n_total
-    return 2.0 * p * (1.0 - p)
 
 
 def train_forest(x: np.ndarray, y: np.ndarray, config: ForestConfig,

@@ -5,39 +5,25 @@ left on success.  Missing feature values (NaN) are routed to whichever
 child received more training examples, and the direction is recorded on
 the node so that rules extracted from tree paths reproduce the tree's
 behaviour exactly (important for blocking-rule application, Section 4.3).
+
+A fitted tree is eight parallel arrays indexed by node id, in
+depth-first preorder: a node, then its left subtree, then its right
+subtree.  The order is part of the contract, because each split draws
+its random feature subset in it: the same inputs and generator state
+give the same tree, node for node.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from typing import NamedTuple
 
 import numpy as np
 
 from ..exceptions import DataError
 
-
-@dataclass
-class Node:
-    """One tree node, stored flat in :attr:`DecisionTree.nodes`.
-
-    Leaves have ``feature == -1``; their prediction is ``label`` and
-    ``n_positive / n_total`` gives the training-class distribution.
-    """
-
-    feature: int = -1
-    threshold: float = 0.0
-    left: int = -1
-    right: int = -1
-    nan_left: bool = True
-    label: bool = False
-    n_total: int = 0
-    n_positive: int = 0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
+# A split must lower the Gini impurity by more than this to be taken.
+_MIN_GAIN = 1e-12
 
 
 class TreeCondition(NamedTuple):
@@ -70,6 +56,18 @@ class DecisionTree:
     Parameters mirror :class:`repro.config.ForestConfig`.  ``max_features``
     is the number of randomly chosen candidate features per split (the
     random-forest ingredient); pass ``None`` to consider all features.
+
+    The nodes are eight parallel arrays, one entry per node, root first
+    and in depth-first preorder:
+
+    - ``feature`` (intp): the tested feature, -1 at a leaf;
+    - ``threshold`` (float64): rows with ``value <= threshold`` go left;
+    - ``left``, ``right`` (intp): the children's ids, -1 at a leaf;
+    - ``nan_left`` (bool): whether NaN goes left (True at a leaf);
+    - ``label`` (bool): the prediction, the training majority with ties
+      positive;
+    - ``n_total``, ``n_positive`` (intp): the training examples that
+      reached the node, and how many of them were positive.
     """
 
     def __init__(self, max_depth: int = 32, min_samples_split: int = 2,
@@ -81,8 +79,43 @@ class DecisionTree:
         self.min_samples_split = max(2, min_samples_split)
         self.min_samples_leaf = max(1, min_samples_leaf)
         self.max_features = max_features
-        self.nodes: list[Node] = []
         self.n_features_: int | None = None
+        self.set_nodes([], [], [], [], [], [], [], [])
+
+    def set_nodes(self, feature: Sequence[int], threshold: Sequence[float],
+                  left: Sequence[int], right: Sequence[int],
+                  nan_left: Sequence[bool], label: Sequence[bool],
+                  n_total: Sequence[int], n_positive: Sequence[int]) -> None:
+        """Install a node table: eight equal-length sequences in the
+        layout the class docstring gives.
+
+        :meth:`fit` ends here, and
+        :func:`repro.persistence.tree_from_dict` rebuilds a saved tree
+        through it.  Raises :class:`DataError` when the columns differ
+        in length or an internal node's child does not come after it,
+        which also rules out cycles.
+        """
+        arrays = (
+            np.asarray(feature, dtype=np.intp),
+            np.asarray(threshold, dtype=np.float64),
+            np.asarray(left, dtype=np.intp),
+            np.asarray(right, dtype=np.intp),
+            np.asarray(nan_left, dtype=bool),
+            np.asarray(label, dtype=bool),
+            np.asarray(n_total, dtype=np.intp),
+            np.asarray(n_positive, dtype=np.intp),
+        )
+        n_nodes = arrays[0].size
+        if any(array.shape != (n_nodes,) for array in arrays):
+            raise DataError("node columns must be 1-D and equally long")
+        internal = np.flatnonzero(arrays[0] >= 0)
+        for children in (arrays[2][internal], arrays[3][internal]):
+            if np.any(children <= internal) or np.any(children >= n_nodes):
+                raise DataError("a child must follow its parent in the "
+                                "node table")
+        (self.feature, self.threshold, self.left, self.right,
+         self.nan_left, self.label, self.n_total,
+         self.n_positive) = arrays
 
     # ------------------------------------------------------------------
     # Training
@@ -105,57 +138,81 @@ class DecisionTree:
             # thread their own Generator (RandomForest always does).
             rng = np.random.default_rng(0)
         self.n_features_ = x.shape[1]
-        self.nodes = []
-        self._grow(x, y, np.arange(x.shape[0]), depth=0, rng=rng)
+        # Feature-major copy: a node gathers each feature's values from
+        # one contiguous row.
+        columns = np.ascontiguousarray(x.T)
+        labels = y.astype(np.float64)
+
+        feature: list[int] = []
+        threshold: list[float] = []
+        left: list[int] = []
+        right: list[int] = []
+        nan_left: list[bool] = []
+        n_total: list[int] = []
+        n_positive: list[int] = []
+        # (rows, depth, parent id, is the left child).  Pushing the right
+        # child first pops the left one first, so node ids and feature
+        # draws follow depth-first preorder.
+        stack = [(np.arange(x.shape[0]), 0, -1, True)]
+        while stack:
+            rows, depth, parent, is_left = stack.pop()
+            node = len(feature)
+            if parent >= 0:
+                (left if is_left else right)[parent] = node
+            total = rows.size
+            positive = int(np.count_nonzero(y[rows]))
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            nan_left.append(True)
+            n_total.append(total)
+            n_positive.append(positive)
+
+            if (positive in (0, total) or depth >= self.max_depth
+                    or total < self.min_samples_split):
+                continue
+            split = self._best_split(columns, labels, rows, positive, rng)
+            if split is None:
+                continue
+            split_feature, split_threshold = split
+
+            values = columns[split_feature][rows]
+            goes_left = values <= split_threshold  # NaN compares False
+            nan = np.isnan(values)
+            n_left = np.count_nonzero(goes_left)
+            # Route NaNs with the majority of non-NaN examples.
+            routes_nan_left = bool(
+                n_left >= total - n_left - np.count_nonzero(nan))
+            if routes_nan_left:
+                goes_left |= nan
+            left_rows = rows.compress(goes_left)
+            right_rows = rows.compress(~goes_left)
+            if (left_rows.size < self.min_samples_leaf
+                    or right_rows.size < self.min_samples_leaf):
+                continue
+
+            feature[node] = split_feature
+            threshold[node] = split_threshold
+            nan_left[node] = routes_nan_left
+            stack.append((right_rows, depth + 1, node, False))
+            stack.append((left_rows, depth + 1, node, True))
+
+        label = [2 * pos >= tot for pos, tot in zip(n_positive, n_total)]
+        self.set_nodes(feature, threshold, left, right, nan_left, label,
+                       n_total, n_positive)
         return self
 
-    def _grow(self, x: np.ndarray, y: np.ndarray, rows: np.ndarray,
-              depth: int, rng: np.random.Generator) -> int:
-        """Recursively grow a subtree; returns the new node's index."""
-        node_id = len(self.nodes)
-        labels = y[rows]
-        n_total = int(rows.size)
-        n_positive = int(labels.sum())
-        node = Node(n_total=n_total, n_positive=n_positive,
-                    label=n_positive * 2 >= n_total)
-        self.nodes.append(node)
-
-        pure = n_positive in (0, n_total)
-        if (pure or depth >= self.max_depth
-                or n_total < self.min_samples_split):
-            return node_id
-
-        split = self._best_split(x, y, rows, rng)
-        if split is None:
-            return node_id
-        feature, threshold = split
-
-        values = x[rows, feature]
-        nan_mask = np.isnan(values)
-        left_mask = values <= threshold  # NaN compares False
-        # Route NaNs with the majority of non-NaN examples.
-        nan_left = bool(left_mask.sum() >= (~left_mask & ~nan_mask).sum())
-        if nan_left:
-            left_mask = left_mask | nan_mask
-
-        left_rows = rows[left_mask]
-        right_rows = rows[~left_mask]
-        if (left_rows.size < self.min_samples_leaf
-                or right_rows.size < self.min_samples_leaf):
-            return node_id
-
-        node.feature = feature
-        node.threshold = threshold
-        node.nan_left = nan_left
-        node.left = self._grow(x, y, left_rows, depth + 1, rng)
-        node.right = self._grow(x, y, right_rows, depth + 1, rng)
-        return node_id
-
-    def _best_split(self, x: np.ndarray, y: np.ndarray, rows: np.ndarray,
+    def _best_split(self, columns: np.ndarray, labels: np.ndarray,
+                    rows: np.ndarray, n_positive: int,
                     rng: np.random.Generator) -> tuple[int, float] | None:
         """Best (feature, threshold) by Gini gain over a random feature
-        subset, or None if no split improves impurity."""
-        n_features = x.shape[1]
+        subset, or None if no split improves impurity.
+
+        One 2-D pass scores every drawn feature at once: a row of the
+        work arrays per feature, a column per split position.
+        """
+        n_features = columns.shape[0]
         if self.max_features is None or self.max_features >= n_features:
             candidates = np.arange(n_features)
         else:
@@ -163,46 +220,50 @@ class DecisionTree:
                 n_features, size=self.max_features, replace=False
             )
 
-        labels = y[rows].astype(np.float64)
-        best_gain = 1e-12
-        best: tuple[int, float] | None = None
-        parent_impurity = _gini(labels.sum(), labels.size)
+        # The calls below are the method and ufunc forms: on arrays this
+        # small, the np.* wrappers cost as much as the work.
+        n = rows.size
+        values = columns.take(candidates, axis=0).take(rows, axis=1)
+        # NaN sorts last, and a stable sort orders each row's valid
+        # prefix exactly as sorting its valid values alone would.
+        order = values.argsort(axis=1, kind="stable")
+        row_index = np.arange(candidates.size)
+        ordered = values[row_index[:, None], order]
+        pos_prefix = np.add.accumulate(labels[rows][order], axis=1)
+        n_valid = n - np.add.reduce(np.isnan(values), axis=1)
 
-        for feature in candidates:
-            values = x[rows, feature]
-            valid = ~np.isnan(values)
-            if valid.sum() < 2:
-                continue
-            v = values[valid]
-            lv = labels[valid]
-            order = np.argsort(v, kind="stable")
-            v_sorted = v[order]
-            l_sorted = lv[order]
-            # Candidate thresholds: midpoints between distinct consecutive
-            # values.
-            distinct = np.nonzero(np.diff(v_sorted) > 0)[0]
-            if distinct.size == 0:
-                continue
-            pos_prefix = np.cumsum(l_sorted)
-            total_pos = pos_prefix[-1]
-            n = v_sorted.size
-            left_counts = distinct + 1
-            left_pos = pos_prefix[distinct]
-            right_counts = n - left_counts
-            right_pos = total_pos - left_pos
-            left_imp = _gini_vec(left_pos, left_counts)
-            right_imp = _gini_vec(right_pos, right_counts)
-            weighted = (left_counts * left_imp + right_counts * right_imp) / n
-            gains = parent_impurity - weighted
-            best_local = int(np.argmax(gains))
-            if gains[best_local] > best_gain:
-                best_gain = float(gains[best_local])
-                threshold = float(
-                    (v_sorted[distinct[best_local]]
-                     + v_sorted[distinct[best_local] + 1]) / 2.0
-                )
-                best = (int(feature), threshold)
-        return best
+        # Splitting after position i sends ordered[:, :i + 1] left.  The
+        # candidates are the positions whose next value is larger, which
+        # rules out ties and the NaN tail.
+        distinct = ordered[:, 1:] > ordered[:, :-1]
+        left_counts = np.arange(1.0, n)
+        left_pos = pos_prefix[:, :-1]
+        valid_counts = n_valid[:, None]
+        right_counts = valid_counts - left_counts
+        total_pos = pos_prefix[row_index, n_valid - 1]
+        right_pos = total_pos[:, None] - left_pos
+        p = n_positive / n
+        parent_impurity = 2.0 * p * (1.0 - p)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # Positions that are not candidates may divide by zero; the
+            # mask below discards them.
+            p_left = left_pos / left_counts
+            p_right = right_pos / right_counts
+            weighted = (
+                left_counts * (2.0 * p_left * (1.0 - p_left))
+                + right_counts * (2.0 * p_right * (1.0 - p_right))
+            ) / valid_counts
+        gains = parent_impurity - weighted
+        gains[~distinct] = -np.inf
+        # The first maximum in row-major order is the first drawn
+        # feature reaching the best gain, at its first such position.
+        best = int(gains.argmax())
+        row, position = divmod(best, n - 1)
+        if not gains[row, position] > _MIN_GAIN:
+            return None
+        threshold = float(
+            (ordered[row, position] + ordered[row, position + 1]) / 2.0)
+        return int(candidates[row]), threshold
 
     # ------------------------------------------------------------------
     # Prediction
@@ -211,84 +272,99 @@ class DecisionTree:
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Boolean predictions for every row of ``x`` (vectorized)."""
         x = np.asarray(x, dtype=np.float64)
-        if not self.nodes:
-            raise DataError("tree has not been fitted")
-        if x.ndim != 2 or x.shape[1] != self.n_features_:
-            raise DataError("x has wrong shape for this tree")
-        out = np.empty(x.shape[0], dtype=bool)
-        self._predict_into(0, np.arange(x.shape[0]), x, out)
-        return out
+        return self.predict_columns(np.ascontiguousarray(x.T))
 
-    def _predict_into(self, node_id: int, rows: np.ndarray, x: np.ndarray,
-                      out: np.ndarray) -> None:
-        if rows.size == 0:
-            return
-        node = self.nodes[node_id]
-        if node.is_leaf:
-            out[rows] = node.label
-            return
-        values = x[rows, node.feature]
-        left = values <= node.threshold
-        if node.nan_left:
-            left = left | np.isnan(values)
-        self._predict_into(node.left, rows[left], x, out)
-        self._predict_into(node.right, rows[~left], x, out)
+    def predict_columns(self, columns: np.ndarray) -> np.ndarray:
+        """Predictions from ``x``'s transpose, one contiguous row per
+        feature.
+
+        :meth:`RandomForest.vote_fractions
+        <repro.forest.forest.RandomForest.vote_fractions>` makes that
+        copy once and hands it to every tree, so each node gathers its
+        rows' values from one contiguous array.
+        """
+        if self.feature.size == 0:
+            raise DataError("tree has not been fitted")
+        if columns.ndim != 2 or columns.shape[0] != self.n_features_:
+            raise DataError("x has wrong shape for this tree")
+        feature = self.feature.tolist()
+        threshold = self.threshold.tolist()
+        nan_left = self.nan_left.tolist()
+        out = np.empty(columns.shape[1], dtype=bool)
+        stack = [(0, np.arange(columns.shape[1]))]
+        while stack:
+            node, rows = stack.pop()
+            split_feature = feature[node]
+            if split_feature < 0:
+                out[rows] = self.label[node]
+                continue
+            values = columns[split_feature][rows]
+            goes_left = values <= threshold[node]
+            if nan_left[node]:
+                goes_left |= np.isnan(values)
+            # compress, not a boolean index: on a large irregular mask
+            # it is several times faster.
+            for child, child_rows in (
+                    (self.left[node], rows.compress(goes_left)),
+                    (self.right[node], rows.compress(~goes_left))):
+                if child_rows.size:
+                    stack.append((child, child_rows))
+        return out
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
     @property
+    def is_leaf(self) -> np.ndarray:
+        """Per node, whether it is a leaf."""
+        return self.feature < 0
+
+    @property
     def n_leaves(self) -> int:
-        return sum(1 for node in self.nodes if node.is_leaf)
+        """Number of leaves."""
+        return int(np.count_nonzero(self.is_leaf))
 
     @property
     def depth(self) -> int:
         """Maximum root-to-leaf depth (0 for a single-leaf tree)."""
-        def node_depth(node_id: int) -> int:
-            node = self.nodes[node_id]
-            if node.is_leaf:
-                return 0
-            return 1 + max(node_depth(node.left), node_depth(node.right))
-        return node_depth(0) if self.nodes else 0
+        depths = np.zeros(self.feature.size, dtype=np.intp)
+        # Parents precede their children, so one forward pass suffices.
+        for node in np.flatnonzero(~self.is_leaf):
+            depths[self.left[node]] = depths[self.right[node]] = (
+                depths[node] + 1)
+        return int(depths.max()) if depths.size else 0
 
     def paths(self) -> Iterator[TreePath]:
-        """Yield every root-to-leaf path (Figure 2's rule source)."""
-        if not self.nodes:
+        """Yield every root-to-leaf path (Figure 2's rule source), left
+        before right."""
+        if self.feature.size == 0:
             return
+        feature = self.feature.tolist()
+        threshold = self.threshold.tolist()
+        left = self.left.tolist()
+        right = self.right.tolist()
+        nan_left = self.nan_left.tolist()
+        label = self.label.tolist()
+        n_total = self.n_total.tolist()
+        n_positive = self.n_positive.tolist()
         stack: list[tuple[int, tuple[TreeCondition, ...]]] = [(0, ())]
         while stack:
-            node_id, conditions = stack.pop()
-            node = self.nodes[node_id]
-            if node.is_leaf:
-                yield TreePath(conditions, node.label,
-                               node.n_total, node.n_positive)
+            node, conditions = stack.pop()
+            if feature[node] < 0:
+                yield TreePath(conditions, label[node],
+                               n_total[node], n_positive[node])
                 continue
             left_condition = TreeCondition(
-                node.feature, node.threshold, le=True,
-                nan_satisfies=node.nan_left,
+                feature[node], threshold[node], le=True,
+                nan_satisfies=nan_left[node],
             )
             right_condition = TreeCondition(
-                node.feature, node.threshold, le=False,
-                nan_satisfies=not node.nan_left,
+                feature[node], threshold[node], le=False,
+                nan_satisfies=not nan_left[node],
             )
-            stack.append((node.right, conditions + (right_condition,)))
-            stack.append((node.left, conditions + (left_condition,)))
-
-
-def _gini(n_positive: float, n_total: float) -> float:
-    """Gini impurity of a binary class distribution."""
-    if n_total == 0:
-        return 0.0
-    p = n_positive / n_total
-    return 2.0 * p * (1.0 - p)
-
-
-def _gini_vec(n_positive: np.ndarray, n_total: np.ndarray) -> np.ndarray:
-    """Vectorized Gini impurity; zero where ``n_total`` is zero."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.where(n_total > 0, n_positive / n_total, 0.0)
-    return 2.0 * p * (1.0 - p)
+            stack.append((right[node], conditions + (right_condition,)))
+            stack.append((left[node], conditions + (left_condition,)))
 
 
 def condition_satisfied(condition: TreeCondition,

@@ -36,7 +36,7 @@ from .data.pairs import CandidateSet, Pair
 from .data.table import AttrType, Record, Schema, Table
 from .exceptions import DataError
 from .forest.forest import RandomForest
-from .forest.tree import DecisionTree, Node
+from .forest.tree import DecisionTree
 from .obs import timing as _timing
 from .rules.evaluation import RuleEvaluation
 from .rules.predicates import Predicate
@@ -159,9 +159,12 @@ def tree_to_dict(tree: DecisionTree) -> dict[str, Any]:
         "min_samples_leaf": tree.min_samples_leaf,
         "max_features": tree.max_features,
         "nodes": [
-            [node.feature, node.threshold, node.left, node.right,
-             node.nan_left, node.label, node.n_total, node.n_positive]
-            for node in tree.nodes
+            list(node) for node in zip(
+                tree.feature.tolist(), tree.threshold.tolist(),
+                tree.left.tolist(), tree.right.tolist(),
+                tree.nan_left.tolist(), tree.label.tolist(),
+                tree.n_total.tolist(), tree.n_positive.tolist(),
+            )
         ],
     }
 
@@ -176,11 +179,11 @@ def tree_from_dict(data: dict[str, Any]) -> DecisionTree:
             max_features=data["max_features"],
         )
         tree.n_features_ = data["n_features"]
-        tree.nodes = [
-            Node(feature=f, threshold=t, left=l, right=r, nan_left=nl,
-                 label=lab, n_total=nt, n_positive=np_)
-            for f, t, l, r, nl, lab, nt, np_ in data["nodes"]
-        ]
+        nodes = data["nodes"]
+        if any(len(node) != 8 for node in nodes):
+            raise ValueError("a node has 8 fields")
+        columns = list(zip(*nodes)) or [()] * 8
+        tree.set_nodes(*columns)
         return tree
     except (KeyError, TypeError, ValueError) as error:
         raise DataError(f"malformed tree document: {error}") from None

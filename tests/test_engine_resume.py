@@ -37,7 +37,7 @@ from repro.crowd.transcript import TranscriptingPlatform
 from repro.engine import EVENT_CHECKPOINT_WRITTEN, load_checkpoint
 from repro.engine.events import read_trace
 from repro.exceptions import BudgetExhaustedError, DataError
-from repro.storage.writer import ArtifactWriter
+from repro.storage.writer import ArtifactWriter, load_manifest
 from repro.synth.products import generate_products
 from repro.synth.restaurants import generate_restaurants
 
@@ -188,6 +188,34 @@ class TestResumeSweep:
         before = len(read_trace(run_dir / "trace.jsonl"))
         Corleone.resume(run_dir, crowd())
         assert len(read_trace(run_dir / "trace.jsonl")) > before
+
+
+def test_relative_run_dir_resumes(tmp_path, monkeypatch):
+    """A relative ``run_dir`` names one directory under the working
+    directory: no nested copy, manifest keys relative to it, and a
+    resume from it reproduces the uninterrupted run."""
+    make_dataset, config, error_rate = _SCENARIOS["restaurants"]
+    dataset = make_dataset()
+
+    def crowd():
+        return SimulatedCrowd(dataset.matches, error_rate=error_rate,
+                              rng=np.random.default_rng(11))
+
+    golden = Corleone(config, crowd(), seed=123).run(
+        dataset.table_a, dataset.table_b, dataset.seed_labels)
+    monkeypatch.chdir(tmp_path)
+    pipeline = Corleone(config, crowd(), seed=123, run_dir="run")
+    pipeline.bus.subscribe(_killer_sink(3))
+    with pytest.raises(_Killed):
+        pipeline.run(dataset.table_a, dataset.table_b, dataset.seed_labels)
+    resumed = Corleone.resume("run", crowd())
+
+    assert not (tmp_path / "run" / "run").exists()
+    manifest = load_manifest(tmp_path / "run")
+    assert {"candidates.npz", "metrics.json", "spans.jsonl"} <= set(manifest)
+    assert not any(key.startswith("run/") for key in manifest)
+    assert persistence.result_report(resumed) == \
+        persistence.result_report(golden)
 
 
 class TestBudgetExhaustionResume:

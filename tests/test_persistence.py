@@ -113,6 +113,26 @@ class TestForestRoundTrip:
         }
         assert original == restored
 
+    def test_document_round_trips_exactly(self, sample_forest):
+        """Node arrays go back to the same JSON: checkpoints stay
+        byte-identical across a save/load cycle."""
+        forest, _ = sample_forest
+        document = forest_to_dict(forest)
+        clone = forest_from_dict(json.loads(json.dumps(document)))
+        assert json.dumps(forest_to_dict(clone)) == json.dumps(document)
+
+    @pytest.mark.parametrize("corrupt", ["short_row", "backward_child"])
+    def test_malformed_node_table_rejected(self, sample_forest, corrupt):
+        forest, _ = sample_forest
+        document = json.loads(json.dumps(forest_to_dict(forest)))
+        nodes = document["trees"][0]["nodes"]
+        if corrupt == "short_row":
+            nodes[0].pop()
+        else:
+            nodes[0][2] = 0  # the root's left child is the root: a cycle
+        with pytest.raises(DataError):
+            forest_from_dict(document)
+
     def test_feature_names_stored(self, sample_forest):
         forest, _ = sample_forest
         document = forest_to_dict(forest, feature_names=list("abcd"))

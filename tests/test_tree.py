@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.exceptions import DataError
 from repro.forest.tree import (
@@ -12,6 +13,8 @@ from repro.forest.tree import (
     condition_satisfied,
     TreeCondition,
 )
+
+from .forest_oracle import OracleTree
 
 
 def fit_tree(x, y, rng=None, **kwargs) -> DecisionTree:
@@ -48,9 +51,8 @@ class TestFitting:
         x = rng.random((60, 3))
         y = x[:, 0] > 0.5
         tree = fit_tree(x, y, min_samples_leaf=10)
-        for node in tree.nodes:
-            if node.is_leaf:
-                assert node.n_total >= 10 or tree.n_leaves == 1
+        for n_total in tree.n_total[tree.is_leaf]:
+            assert n_total >= 10 or tree.n_leaves == 1
 
     def test_constant_feature_unsplittable(self):
         x = np.ones((10, 1))
@@ -160,3 +162,48 @@ def test_fit_predict_reaches_reasonable_accuracy(seed):
     y = x[:, 1] > 0.6
     tree = fit_tree(x, y, rng=rng)
     assert (tree.predict(x) == y).mean() >= 0.95
+
+
+# A coarse grid, so ties between rows are common, plus missing values.
+_GRID = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, np.nan])
+
+
+@st.composite
+def _oracle_cases(draw):
+    n_rows = draw(st.integers(1, 60))
+    n_features = draw(st.integers(1, 8))
+    x = draw(arrays(np.float64, (n_rows, n_features), elements=_GRID))
+    constant = draw(arrays(bool, n_features))
+    x[:, constant] = x[0, constant]
+    y = draw(arrays(bool, n_rows))
+    probe = draw(arrays(np.float64, (20, n_features), elements=_GRID))
+    params = {
+        "max_features": draw(st.none() | st.integers(1, n_features + 1)),
+        "min_samples_leaf": draw(st.integers(1, 5)),
+        "max_depth": draw(st.integers(1, 8)),
+    }
+    return x, y, probe, params, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_oracle_cases())
+def test_matches_the_recursive_oracle(case):
+    """The array tree is the recursive tree, node for node: the same
+    fields in the same preorder, the same feature draws (so the same
+    generator state after fit) and the same predictions, NaN included."""
+    x, y, probe, params, seed = case
+    oracle_rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
+    oracle = OracleTree(**params).fit(x, y, oracle_rng)
+    tree = DecisionTree(**params).fit(x, y, rng)
+
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    for field in ("feature", "left", "right", "nan_left", "label",
+                  "n_total", "n_positive"):
+        assert getattr(tree, field).tolist() == [
+            getattr(node, field) for node in oracle.nodes
+        ], field
+    assert tree.threshold.tobytes() == np.array(
+        [node.threshold for node in oracle.nodes], dtype=np.float64
+    ).tobytes()
+    np.testing.assert_array_equal(tree.predict(probe), oracle.predict(probe))
