@@ -19,10 +19,10 @@ lint-fast:
 	PYTHONPATH=src $(PYTHON) -m repro.analysis --changed $(LINT_REF)
 
 test: lint
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # The substrate microbenches (similarity kernels, vectorization,
 # forest, rules); refreshes the BENCH_substrates.json baseline and
@@ -91,7 +91,7 @@ results: bench
 # Run every example end-to-end (several minutes of simulated crowdwork).
 examples:
 	for script in examples/*.py; do \
-		echo "== $$script"; $(PYTHON) $$script || exit 1; \
+		echo "== $$script"; PYTHONPATH=src $(PYTHON) $$script || exit 1; \
 	done
 
 clean:

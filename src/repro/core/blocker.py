@@ -221,9 +221,12 @@ class Blocker:
         candidates = extract_negative_rules(
             matcher_result.forest, library.names, library.costs
         )
+        known = np.full(len(sample), -1, dtype=np.int8)
+        known[list(matcher_result.labeled_rows)] = list(
+            matcher_result.labeled_rows.values())
         ranked = select_top_k(
-            candidates, sample.features,
-            matcher_result.labeled_rows, self.config.blocker.top_k_rules,
+            candidates, sample.features, known,
+            self.config.blocker.top_k_rules,
         )
         evaluations = evaluate_rules(
             [r.rule for r in ranked], sample, self.service, self.rng,
@@ -273,9 +276,7 @@ class Blocker:
         target = len(sample) * (self.config.blocker.t_b / cartesian)
         # Sample rows the crowd has labelled a match: what a negative
         # rule covering them gets wrong.
-        positive = np.zeros(len(sample), dtype=bool)
-        for row, label in self.service.known_rows(sample.pairs).items():
-            positive[row] = label
+        positive = self.service.known_rows(sample.pairs) == 1
 
         remaining = list(rules)
         chosen: list[Rule] = []

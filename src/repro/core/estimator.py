@@ -96,85 +96,66 @@ class AccuracyEstimator:
         """
         cfg = self.config.estimator
         predictions = np.asarray(predictions, dtype=bool)
-        n_rows = len(candidates)
         before = self.service.tracker.snapshot()
 
-        active = np.ones(n_rows, dtype=bool)
-        removed = np.zeros(n_rows, dtype=bool)
-        sampled: dict[int, bool] = {}
-        removed_sampled: dict[int, bool] = {}
+        # The rows still in the reduced set; the rest of C is the
+        # removed region.
+        active = np.ones(len(candidates), dtype=bool)
+        # The crowd label of every row in the estimator's uniform
+        # samples, -1 elsewhere: the probes of the active set and the
+        # audit of the removed region (see _audit_removed).
+        sampled = np.full(len(candidates), -1, dtype=np.int8)
         applied: list[Rule] = []
         all_evaluations: list[RuleEvaluation] = []
         rules = self._candidate_rules(candidates, forest)
 
         # Re-apply rules certified by earlier rounds for free.
         for evaluation in certified:
-            if not evaluation.accepted:
-                continue
-            mask = evaluation.rule.applies(candidates.features)
-            removing = mask & active
-            if not removing.any():
-                continue
-            removed |= removing
-            active &= ~mask
-            applied.append(evaluation.rule)
+            if evaluation.accepted and self._remove(
+                    candidates, evaluation.rule, active, sampled):
+                applied.append(evaluation.rule)
         rules = [
             rule for rule in rules
             if rule not in {ev.rule for ev in certified}
         ]
 
-        estimate = self._statistics(
-            candidates, predictions, active, sampled, removed,
-            removed_sampled,
-        )
+        estimate = self._statistics(predictions, active, sampled)
         probes = 0
         while probes < cfg.max_probes:
             # --- Probe: label a fresh uniform batch of the active set.
-            pool = [
-                row for row in np.flatnonzero(active) if row not in sampled
-            ]
+            pool = np.flatnonzero(active & (sampled < 0))
             try:
-                if pool:
-                    take = min(cfg.probe_size, len(pool))
-                    chosen = self.rng.choice(len(pool), size=take,
+                if pool.size:
+                    take = min(cfg.probe_size, pool.size)
+                    chosen = self.rng.choice(pool.size, size=take,
                                              replace=False)
-                    batch_rows = [pool[int(i)] for i in chosen]
-                    labels = self.service.label_all(
-                        [candidates.pairs[row] for row in batch_rows]
-                    )
-                    for row in batch_rows:
-                        sampled[row] = labels[candidates.pairs[row]]
+                    self._label(candidates, pool[chosen], sampled)
                     probes += 1
                 # --- Audit the removed region (see _audit_removed).
-                self._audit_removed(candidates, predictions, removed,
-                                    removed_sampled)
+                self._audit_removed(candidates, predictions, active,
+                                    sampled)
             except BudgetExhaustedError:
                 # Out of money: report the best estimate we have.
                 break
 
-            estimate = self._statistics(
-                candidates, predictions, active, sampled, removed,
-                removed_sampled,
-            )
+            estimate = self._statistics(predictions, active, sampled)
             if (estimate.eps_precision <= cfg.max_error_margin
                     and estimate.eps_recall <= cfg.max_error_margin):
                 estimate.converged = True
                 break
-            if not pool and not rules:
+            if not pool.size and not rules:
                 break  # every active row labelled, nothing left to try
 
             # --- Re-optimize: pick the cheapest option (possibly no rules).
-            option = self._select_option(
-                candidates, active, sampled, estimate, rules
-            )
+            option = self._select_option(candidates, active, estimate,
+                                         rules)
             if not option:
-                if not pool:
+                if not pool.size:
                     break  # nothing left to label and no rule worth it
                 continue  # cheapest plan is to keep sampling
 
             # --- Evaluate the option's rules and apply the precise ones.
-            active_rows = np.flatnonzero(active)
-            active_cs = candidates.subset(active_rows)
+            active_cs = candidates.subset(np.flatnonzero(active))
             evaluations = evaluate_rules(
                 option, active_cs, self.service, self.rng,
                 batch_size=self.config.blocker.eval_batch_size,
@@ -186,20 +167,9 @@ class AccuracyEstimator:
             all_evaluations.extend(evaluations)
             rules = [rule for rule in rules if rule not in set(option)]
             for evaluation in evaluations:
-                if not evaluation.accepted:
-                    continue
-                mask = evaluation.rule.applies(candidates.features)
-                removing = mask & active
-                if not removing.any():
-                    continue
-                removed |= removing
-                active &= ~mask
-                applied.append(evaluation.rule)
-                for row in np.flatnonzero(removing):
-                    # The row left the active population; its label stays
-                    # in the service cache, so if the removed-region
-                    # audit draws it again it costs nothing.
-                    sampled.pop(int(row), None)
+                if evaluation.accepted and self._remove(
+                        candidates, evaluation.rule, active, sampled):
+                    applied.append(evaluation.rule)
 
         estimate.applied_rules = applied
         estimate.rule_evaluations = all_evaluations
@@ -228,9 +198,44 @@ class AccuracyEstimator:
         )
         return [r.rule for r in ranked]
 
+    def _label(self, candidates: CandidateSet, rows: np.ndarray,
+               sampled: np.ndarray) -> None:
+        """Label ``rows`` through the service (cache hits are free) and
+        record the labels in ``sampled``."""
+        pairs = [candidates.pairs[row] for row in rows]
+        labels = self.service.label_all(pairs)
+        sampled[rows] = [labels[pair] for pair in pairs]
+
+    def _remove(self, candidates: CandidateSet, rule: Rule,
+                active: np.ndarray, sampled: np.ndarray) -> bool:
+        """Move the active rows ``rule`` covers to the removed region.
+
+        Returns False when the rule covers no active row.  A moved row
+        keeps its probe label, and any label the cache holds for it
+        joins the removed-region audit for free: rule certification
+        labelled dozens of rows per rule inside the very region the rule
+        then removed, drawn uniformly from its coverage, so they are
+        low-bias audit evidence.  (Active-learning labels also land
+        here and skew toward boundary positives; that *overstates*
+        removed matches, erring on the conservative side for recall,
+        which beats a sparse audit that sees zero positives and reports
+        recall = 1.)  Probes and rule evaluation only ever label active
+        rows, so this one harvest, as a row leaves, sees every cached
+        label the row will have until the audit labels it.
+        """
+        removing = rule.applies(candidates.features) & active
+        if not removing.any():
+            return False
+        active &= ~removing
+        rows = np.flatnonzero(removing & (sampled < 0))
+        sampled[rows] = self.service.known_rows(
+            [candidates.pairs[row] for row in rows]
+        )
+        return True
+
     def _audit_removed(self, candidates: CandidateSet,
-                       predictions: np.ndarray, removed: np.ndarray,
-                       removed_sampled: dict[int, bool]) -> None:
+                       predictions: np.ndarray, active: np.ndarray,
+                       sampled: np.ndarray) -> None:
         """Label small stratified samples of the removed region.
 
         Reduction rules are certified precise, but "precise" is not
@@ -238,77 +243,22 @@ class AccuracyEstimator:
         precision (removed predicted-positives) and recall (removed
         matches leave the denominator).  Rather than assuming anything,
         we *measure* both strata with small uniform samples — removed
-        predicted-positives and removed predicted-negatives — capped at
-        ``removed_audit_cap`` labels each, which is cheap because the
-        label cache serves re-draws for free.
+        predicted-positives and removed predicted-negatives — topped up
+        to ``removed_audit_cap`` labels each, counting the labels
+        harvested by :meth:`_remove`.
         """
-        # First, harvest every label the cache already holds for removed
-        # rows — rule certification labelled dozens per rule inside the
-        # very region the rules then removed, and those samples were
-        # drawn uniformly from the rules' coverages, so they are free,
-        # low-bias audit evidence.  (Active-learning labels also land
-        # here and skew toward boundary positives; the resulting bias
-        # *overstates* removed matches, i.e. errs on the conservative
-        # side for recall, which beats the alternative of a sparse audit
-        # that sees zero positives and reports recall = 1.)
-        cached = self.service.labeled_pairs()
-        removed_rows = np.flatnonzero(removed)
-        for row in removed_rows:
-            row = int(row)
-            if row in removed_sampled:
-                continue
-            pair = candidates.pairs[row]
-            if pair in cached:
-                removed_sampled[row] = cached[pair]
-
         cap = self.config.estimator.removed_audit_cap
-        for stratum_mask in (removed & predictions, removed & ~predictions):
-            rows = np.flatnonzero(stratum_mask)
-            have = sum(1 for row in rows if int(row) in removed_sampled)
-            want = min(cap, rows.size) - have
+        for stratum in (~active & predictions, ~active & ~predictions):
+            have = int(np.count_nonzero(stratum & (sampled >= 0)))
+            want = min(cap, int(np.count_nonzero(stratum))) - have
             if want <= 0:
                 continue
-            fresh = [int(r) for r in rows if int(r) not in removed_sampled]
-            chosen = self.rng.choice(len(fresh), size=want, replace=False)
-            batch = [fresh[int(i)] for i in chosen]
-            labels = self.service.label_all(
-                [candidates.pairs[row] for row in batch]
-            )
-            for row in batch:
-                removed_sampled[row] = labels[candidates.pairs[row]]
+            fresh = np.flatnonzero(stratum & (sampled < 0))
+            chosen = self.rng.choice(fresh.size, size=want, replace=False)
+            self._label(candidates, fresh[chosen], sampled)
 
-    def _removed_corrections(self, predictions: np.ndarray,
-                             removed: np.ndarray,
-                             removed_sampled: dict[int, bool]) -> tuple[float, float, int]:
-        """(tp_removed, ap_removed, pp_removed) estimated from the audit.
-
-        Each stratum's sampled positive rate is extrapolated to the
-        stratum size; removed predicted-positives that are actual
-        positives remain true positives of the matcher (removal only
-        affects estimation bookkeeping, not predictions).
-        """
-        pp_mask = removed & predictions
-        pn_mask = removed & ~predictions
-        pp_rows = np.flatnonzero(pp_mask)
-        pn_rows = np.flatnonzero(pn_mask)
-
-        def stratum_positive_estimate(rows: np.ndarray) -> float:
-            sampled = [
-                removed_sampled[int(r)] for r in rows
-                if int(r) in removed_sampled
-            ]
-            if not sampled:
-                return 0.0
-            return sum(sampled) / len(sampled) * rows.size
-
-        tp_removed = stratum_positive_estimate(pp_rows)
-        fn_removed = stratum_positive_estimate(pn_rows)
-        return tp_removed, tp_removed + fn_removed, int(pp_rows.size)
-
-    def _statistics(self, candidates: CandidateSet, predictions: np.ndarray,
-                    active: np.ndarray, sampled: dict[int, bool],
-                    removed: np.ndarray,
-                    removed_sampled: dict[int, bool]) -> AccuracyEstimate:
+    def _statistics(self, predictions: np.ndarray, active: np.ndarray,
+                    sampled: np.ndarray) -> AccuracyEstimate:
         """P/R and margins over all of C.
 
         The core statistics come from the uniform sample of the active
@@ -317,11 +267,13 @@ class AccuracyEstimator:
         refers to the full candidate set, not just the survivors.
         """
         cfg = self.config.estimator
-        m = int(active.sum())
-        rows = [row for row in sampled if active[row]]
-        n = len(rows)
+        labelled = sampled >= 0
+        positive = sampled == 1
+        probed = active & labelled
+        m = int(np.count_nonzero(active))
+        n = int(np.count_nonzero(probed))
 
-        npp_star = int(predictions[active].sum())  # known exactly
+        npp_star = int(np.count_nonzero(predictions & active))  # exact
         if n == 0 or m == 0:
             return AccuracyEstimate(
                 precision=0.0, recall=0.0, eps_precision=1.0,
@@ -329,9 +281,9 @@ class AccuracyEstimator:
                 converged=False,
             )
 
-        n_pp = sum(1 for row in rows if predictions[row])
-        n_ap = sum(1 for row in rows if sampled[row])
-        n_tp = sum(1 for row in rows if predictions[row] and sampled[row])
+        n_pp = int(np.count_nonzero(probed & predictions))
+        n_ap = int(np.count_nonzero(probed & positive))
+        n_tp = int(np.count_nonzero(probed & predictions & positive))
         density = n_ap / n
         nap_star = max(n_ap, round(density * m))
 
@@ -353,12 +305,23 @@ class AccuracyEstimator:
             # density really is zero, which the margin reflects).
             recall_active, eps_r = 0.0, 1.0
 
-        # Transfer to all of C using the audited removed region.
-        tp_removed, ap_removed, pp_removed = self._removed_corrections(
-            predictions, removed, removed_sampled
-        )
+        # Transfer to all of C using the audited removed region: each
+        # stratum's audited positive rate is extrapolated to the stratum
+        # size.  Removed predicted-positives that are actual positives
+        # remain true positives of the matcher (removal only affects
+        # estimation bookkeeping, not predictions).
+        def stratum_positives(stratum: np.ndarray) -> float:
+            audited = int(np.count_nonzero(stratum & labelled))
+            if audited == 0:
+                return 0.0
+            return (int(np.count_nonzero(stratum & positive)) / audited
+                    * int(np.count_nonzero(stratum)))
+
+        removed_pp = ~active & predictions
+        tp_removed = stratum_positives(removed_pp)
+        ap_removed = tp_removed + stratum_positives(~active & ~predictions)
         tp_total = p_active * npp_star + tp_removed
-        pp_total = npp_star + pp_removed
+        pp_total = npp_star + int(np.count_nonzero(removed_pp))
         precision = min(1.0, tp_total / pp_total) if pp_total else 0.0
         ap_total = nap_star + ap_removed
         recall = (
@@ -373,7 +336,7 @@ class AccuracyEstimator:
         )
 
     def _select_option(self, candidates: CandidateSet, active: np.ndarray,
-                       sampled: dict[int, bool], estimate: AccuracyEstimate,
+                       estimate: AccuracyEstimate,
                        rules: list[Rule]) -> list[Rule]:
         """Pick the cheapest option: a (possibly empty) set of rules.
 
@@ -383,24 +346,24 @@ class AccuracyEstimator:
         coverages are roughly disjoint — and costs O(n log n).
         """
         cfg = self.config.estimator
-        m = int(active.sum())
+        m = int(np.count_nonzero(active))
         if m == 0 or not rules:
             return []
-        features = candidates.features
-        active_idx = np.flatnonzero(active)
+        active_features = candidates.features[active]
         density = max(estimate.density, 1.0 / m)
 
         entries = []
         for rule in rules:
-            coverage = int(rule.applies(features[active_idx]).sum())
+            mask = rule.applies(active_features)
+            coverage = int(np.count_nonzero(mask))
             if coverage == 0:
                 continue
             eval_cost = required_sample_size(
                 self.config.blocker.min_precision, cfg.max_error_margin,
                 coverage, cfg.confidence,
             )
-            entries.append((coverage / max(eval_cost, 1), coverage,
-                            eval_cost, rule))
+            entries.append((coverage / max(eval_cost, 1), eval_cost, rule,
+                            mask))
         entries.sort(key=lambda e: e[0], reverse=True)
 
         nap_needed = required_sample_size(
@@ -408,7 +371,7 @@ class AccuracyEstimator:
             max(1, round(density * m)), cfg.confidence,
         )
 
-        def sampling_cost(m_reduced: int, covered: int) -> float:
+        def sampling_cost(m_reduced: int) -> float:
             """Labels needed to collect nap_needed actual positives."""
             if m_reduced <= 0:
                 return 0.0
@@ -417,18 +380,16 @@ class AccuracyEstimator:
                 return float(m_reduced)
             return min(m_reduced, nap_needed / d_reduced)
 
-        best_cost = sampling_cost(m, 0)
+        best_cost = sampling_cost(m)
         best_option: list[Rule] = []
-        cum_rules: list[Rule] = []
         cum_eval = 0.0
-        cum_mask = np.zeros(active_idx.size, dtype=bool)
-        for _, coverage, eval_cost, rule in entries:
-            cum_rules.append(rule)
+        cum_mask = np.zeros(m, dtype=bool)
+        for prefix, (_, eval_cost, _, mask) in enumerate(entries, 1):
             cum_eval += eval_cost
-            cum_mask |= rule.applies(features[active_idx])
-            covered = int(cum_mask.sum())
-            cost = cum_eval + sampling_cost(m - covered, covered)
+            cum_mask |= mask
+            covered = int(np.count_nonzero(cum_mask))
+            cost = cum_eval + sampling_cost(m - covered)
             if cost < best_cost:
                 best_cost = cost
-                best_option = list(cum_rules)
+                best_option = [entry[2] for entry in entries[:prefix]]
         return best_option

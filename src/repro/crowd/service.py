@@ -19,6 +19,8 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..config import CrowdConfig
 from ..data.pairs import Pair
 from ..exceptions import (
@@ -108,33 +110,28 @@ class LabelingService:
         """All labels obtained so far (a copy)."""
         return {pair: entry.label for pair, entry in self._cache.items()}
 
-    def known_rows(self, pairs: Sequence[Pair]) -> dict[int, bool]:
-        """Row -> cached label for the rows of ``pairs`` the cache knows
-        (any strength), in row order."""
-        return {
-            row: self._cache[pair].label
-            for row, pair in enumerate(pairs)
-            if pair in self._cache
-        }
+    def known_rows(self, pairs: Sequence[Pair],
+                   scheme: VoteScheme | None = None) -> np.ndarray:
+        """One int8 label per row of ``pairs``: 1 is a match, 0 is no
+        match and -1 is not cached.
 
-    def reliable_labels(self, scheme: VoteScheme) -> dict[Pair, bool]:
-        """Cached labels that meet the standard ``scheme`` requires.
-
-        §8's cache rule: a label may be reused only if it was "labeled
-        the way we want".  Statistics that demand strong-majority
-        positives (rule evaluation, estimation) must seed from this view
-        rather than :meth:`labeled_pairs`, or a wrong 2+1 label from
-        active learning can circularly certify the very rule that was
-        overfit to it.
+        With ``scheme``, only labels that meet the standard it requires
+        count.  That is §8's cache rule: a label may be reused only if
+        it was "labeled the way we want".  Statistics that demand
+        strong-majority positives (rule evaluation) must seed from this
+        view, or a wrong 2+1 label from active learning can circularly
+        certify the very rule that was overfit to it.
         """
-        return {
-            pair: entry.label
-            for pair, entry in self._cache.items()
-            if _satisfies(entry, scheme)
-        }
+        labels = np.full(len(pairs), -1, dtype=np.int8)
+        for row, pair in enumerate(pairs):
+            entry = self._cache.get(pair)
+            if entry is not None and (scheme is None
+                                      or _satisfies(entry, scheme)):
+                labels[row] = entry.label
+        return labels
 
     def positive_pairs(self) -> set[Pair]:
-        """Pairs the crowd has labelled positive — the set T of §4.2."""
+        """Pairs the crowd has labelled positive (any strength)."""
         return {p for p, entry in self._cache.items() if entry.label}
 
     def seed(self, labels: dict[Pair, bool], strong: bool = True) -> None:

@@ -37,7 +37,7 @@ class RuleEvaluation:
     n_labeled: int
     reason: str
     """Why evaluation stopped: accepted / bound_below_min / margin_met_low /
-    exhausted / empty_coverage / label_cap."""
+    exhausted / empty_coverage / label_cap / budget_exhausted."""
 
 
 def evaluate_rules(rules: Sequence[Rule], sample: CandidateSet,
@@ -53,25 +53,20 @@ def evaluate_rules(rules: Sequence[Rule], sample: CandidateSet,
     Rule evaluation is label-sensitive, so the asymmetric strong-majority
     scheme is the default (Section 8).
     """
-    features = sample.features
-    coverages = [rule.coverage_indices(features) for rule in rules]
-    coverage_sets = [set(int(i) for i in cov) for cov in coverages]
+    coverages = [rule.applies(sample.features) for rule in rules]
 
-    # Row -> crowd label for every sample row labelled so far.  Seed with
+    # The crowd label of every sample row labelled so far.  Seed with
     # what the cache knows *at the required strength* (§8 item 3: reuse
     # only labels "labeled the way we want") — seeding weak 2+1 positives
     # here would let a mislabeled training example circularly certify the
     # very rule the forest overfit to it.
-    row_labels: dict[int, bool] = {}
-    cached = service.reliable_labels(scheme)
-    for row, pair in enumerate(sample.pairs):
-        if pair in cached:
-            row_labels[row] = cached[pair]
+    labels = service.known_rows(sample.pairs, scheme)
 
-    results: dict[int, RuleEvaluation] = {}
-    undecided = [
-        i for i in range(len(rules)) if not _decide_empty(i, rules, coverage_sets, results)
-    ]
+    results = {
+        i: RuleEvaluation(rules[i], False, 0.0, 0.0, 0, 0, "empty_coverage")
+        for i, coverage in enumerate(coverages) if not coverage.any()
+    }
+    undecided = [i for i in range(len(rules)) if i not in results]
     labels_spent = {i: 0 for i in undecided}
 
     while undecided:
@@ -79,7 +74,7 @@ def evaluate_rules(rules: Sequence[Rule], sample: CandidateSet,
         still: list[int] = []
         for i in undecided:
             verdict = _assess(
-                rules[i], coverage_sets[i], row_labels, labels_spent[i],
+                rules[i], coverages[i], labels, labels_spent[i],
                 min_precision, max_error_margin, confidence,
                 max_labels_per_rule,
             )
@@ -91,78 +86,62 @@ def evaluate_rules(rules: Sequence[Rule], sample: CandidateSet,
         if not undecided:
             break
 
-        pool = sorted(
-            set().union(*(coverage_sets[i] for i in undecided))
-            - row_labels.keys()
+        pool = np.flatnonzero(
+            np.logical_or.reduce([coverages[i] for i in undecided])
+            & (labels < 0)
         )
-        if not pool:
+        if not pool.size:
             # Every coverage row is labelled; force final decisions.
             for i in undecided:
                 results[i] = _final_decision(
-                    rules[i], coverage_sets[i], row_labels,
+                    rules[i], coverages[i], labels,
                     min_precision, confidence, "exhausted",
                 )
             break
 
-        take = min(batch_size, len(pool))
-        chosen = rng.choice(len(pool), size=take, replace=False)
-        batch_rows = [pool[int(c)] for c in chosen]
+        take = min(batch_size, pool.size)
+        batch_rows = pool[rng.choice(pool.size, size=take, replace=False)]
+        batch_pairs = [sample.pairs[row] for row in batch_rows]
         try:
-            labeled = service.label_all(
-                [sample.pairs[row] for row in batch_rows], scheme=scheme
-            )
+            labeled = service.label_all(batch_pairs, scheme=scheme)
         except BudgetExhaustedError:
             # Out of money: decide the remaining rules on current
             # evidence rather than aborting the whole run.
             for i in undecided:
                 results[i] = _final_decision(
-                    rules[i], coverage_sets[i], row_labels,
+                    rules[i], coverages[i], labels,
                     min_precision, confidence, "budget_exhausted",
                 )
             break
-        for row in batch_rows:
-            row_labels[row] = labeled[sample.pairs[row]]
-            for i in undecided:
-                if row in coverage_sets[i]:
-                    labels_spent[i] += 1
+        labels[batch_rows] = [labeled[pair] for pair in batch_pairs]
+        for i in undecided:
+            labels_spent[i] += int(np.count_nonzero(
+                coverages[i][batch_rows]))
 
     return [results[i] for i in range(len(rules))]
 
 
-def _decide_empty(i: int, rules: Sequence[Rule],
-                  coverage_sets: Sequence[set[int]],
-                  results: dict[int, RuleEvaluation]) -> bool:
-    """Immediately reject rules with empty coverage; returns True if decided."""
-    if coverage_sets[i]:
-        return False
-    results[i] = RuleEvaluation(
-        rule=rules[i], accepted=False, precision=0.0, error_margin=0.0,
-        coverage=0, n_labeled=0, reason="empty_coverage",
-    )
-    return True
-
-
-def _rule_precision(rule: Rule, coverage: set[int],
-                    row_labels: dict[int, bool]) -> tuple[float, int]:
+def _rule_precision(rule: Rule, coverage: np.ndarray,
+                    labels: np.ndarray) -> tuple[float, int]:
     """(P, n): estimated precision from the labelled coverage rows."""
-    labelled = [row for row in coverage if row in row_labels]
-    n = len(labelled)
+    labelled = coverage & (labels >= 0)
+    n = int(np.count_nonzero(labelled))
     if n == 0:
         return 0.0, 0
-    consistent = sum(
-        1 for row in labelled if row_labels[row] == rule.predicts_match
-    )
+    consistent = int(np.count_nonzero(
+        labelled & (labels == int(rule.predicts_match))
+    ))
     return consistent / n, n
 
 
-def _assess(rule: Rule, coverage: set[int], row_labels: dict[int, bool],
+def _assess(rule: Rule, coverage: np.ndarray, labels: np.ndarray,
             labels_spent: int, min_precision: float, max_error_margin: float,
             confidence: float, max_labels_per_rule: int) -> RuleEvaluation | None:
     """Apply the paper's keep/drop conditions; None means keep sampling."""
-    p, n = _rule_precision(rule, coverage, row_labels)
+    p, n = _rule_precision(rule, coverage, labels)
     if n == 0:
         return None
-    m = len(coverage)
+    m = int(np.count_nonzero(coverage))
     eps = fpc_error_margin(p, n, m, confidence)
 
     if p >= min_precision and eps <= max_error_margin:
@@ -177,12 +156,12 @@ def _assess(rule: Rule, coverage: set[int], row_labels: dict[int, bool],
     return None
 
 
-def _final_decision(rule: Rule, coverage: set[int],
-                    row_labels: dict[int, bool], min_precision: float,
-                    confidence: float, reason: str) -> RuleEvaluation:
+def _final_decision(rule: Rule, coverage: np.ndarray, labels: np.ndarray,
+                    min_precision: float, confidence: float,
+                    reason: str) -> RuleEvaluation:
     """Decide a rule once no more labels can be drawn from its coverage."""
-    p, n = _rule_precision(rule, coverage, row_labels)
-    m = len(coverage)
+    p, n = _rule_precision(rule, coverage, labels)
+    m = int(np.count_nonzero(coverage))
     eps = fpc_error_margin(p, n, m, confidence) if n else 0.0
     return RuleEvaluation(rule, n > 0 and p >= min_precision, p, eps, m, n,
                           reason)

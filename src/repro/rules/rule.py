@@ -9,7 +9,7 @@ the rows for which every predicate holds.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,26 +68,25 @@ class Rule:
                 break
         return mask
 
-    def coverage_indices(self, features: np.ndarray) -> np.ndarray:
-        """Row indices of cov(R, S)."""
-        return np.flatnonzero(self.applies(features))
-
     def stats(self, features: np.ndarray,
-              contrary_rows: Iterable[int]) -> RuleStats:
+              known_labels: np.ndarray) -> RuleStats:
         """Coverage and the §4.2 precision upper bound.
 
-        ``contrary_rows`` are sample rows whose crowd label contradicts
-        this rule's prediction (for a negative rule: the crowd-positive
-        rows, the set T of the paper).
+        ``known_labels`` holds one crowd label per sample row, as
+        :meth:`~repro.crowd.service.LabelingService.known_rows` returns
+        it (1 match, 0 no match, -1 unknown).  Covered rows whose label
+        contradicts this rule's prediction lower the bound; for a
+        negative rule they are the crowd-positives, the set T of the
+        paper.
         """
         mask = self.applies(features)
-        covered = int(mask.sum())
+        covered = int(np.count_nonzero(mask))
         if covered == 0:
             return RuleStats(coverage=0, precision_upper_bound=0.0)
-        contrary_in_cov = sum(
-            1 for row in contrary_rows if 0 <= row < mask.size and mask[row]
-        )
-        bound = (covered - contrary_in_cov) / covered
+        contrary = int(np.count_nonzero(
+            mask & (known_labels == int(not self.predicts_match))
+        ))
+        bound = (covered - contrary) / covered
         return RuleStats(coverage=covered, precision_upper_bound=bound)
 
     def __eq__(self, other: object) -> bool:

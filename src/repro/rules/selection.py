@@ -27,15 +27,16 @@ class RankedRule:
 
 
 def select_top_k(rules: Sequence[Rule], features: np.ndarray,
-                 known_labels: dict[int, bool], k: int,
+                 known_labels: np.ndarray, k: int,
                  min_coverage: int = 1) -> list[RankedRule]:
     """Pick the k most promising rules over sample feature matrix ``S``.
 
-    ``known_labels`` maps sample row index -> crowd label for the examples
-    labelled during active learning.  For each rule, rows whose known
-    label *contradicts* the rule's prediction lower the precision upper
-    bound:  bound = |cov - contrary| / |cov| (for negative rules the
-    contrary set is T, the crowd-positives, exactly as in the paper).
+    ``known_labels`` holds the crowd label of every sample row labelled
+    so far (1 match, 0 no match, -1 unknown; see
+    :meth:`~repro.crowd.service.LabelingService.known_rows`).  Rows whose
+    known label *contradicts* a rule's prediction lower its precision
+    upper bound:  bound = |cov - contrary| / |cov| (for negative rules
+    the contrary set is T, the crowd-positives, exactly as in the paper).
 
     Rules covering fewer than ``min_coverage`` rows are skipped (a rule
     that never fires on the sample cannot be assessed or useful).
@@ -44,13 +45,7 @@ def select_top_k(rules: Sequence[Rule], features: np.ndarray,
         return []
     ranked: list[RankedRule] = []
     for rule in rules:
-        # A row contradicts a rule when its crowd label differs from the
-        # rule's prediction (for negative rules: the crowd-positives T).
-        contrary_rows = [
-            row for row, label in known_labels.items()
-            if label != rule.predicts_match
-        ]
-        stats = rule.stats(features, contrary_rows)
+        stats = rule.stats(features, known_labels)
         if stats.coverage < min_coverage:
             continue
         ranked.append(RankedRule(

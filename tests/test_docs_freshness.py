@@ -6,11 +6,16 @@ symbols; these tests keep those references alive as the code evolves.
 
 from __future__ import annotations
 
+import functools
 import importlib
+import inspect
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
+
+import repro
 
 ROOT = Path(__file__).parent.parent
 DOC_FILES = [
@@ -68,6 +73,75 @@ def test_referenced_modules_importable(path):
         module = importlib.import_module(".".join(parts[:-1]))
         assert hasattr(module, parts[-1]), (
             f"{path.name} references unknown {dotted}"
+        )
+
+
+@functools.cache
+def repro_classes() -> dict[str, list[type]]:
+    """Every class defined in a ``repro`` module, by name."""
+    classes: dict[str, list[type]] = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith("__main__"):
+            continue
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            if inspect.isclass(value) and value.__module__ == info.name:
+                classes.setdefault(name, []).append(value)
+    return classes
+
+
+def class_has(cls: type, attr: str) -> bool:
+    """Does ``cls`` define ``attr``: a class attribute, an annotated
+    field or an attribute its methods assign to ``self``?"""
+    if hasattr(cls, attr) or any(
+            attr in vars(klass).get("__annotations__", {})
+            for klass in cls.__mro__):
+        return True
+    assignment = rf"\bself\.{attr}\s*(:[^=\n]+)?="
+    return any(re.search(assignment, inspect.getsource(klass))
+               for klass in cls.__mro__
+               if klass.__module__.startswith("repro."))
+
+
+def resolves(owner: object, dotted: str) -> bool:
+    """Does the attribute path ``dotted`` resolve on ``owner``?"""
+    *path, last = dotted.split(".")
+    for part in path:
+        if not hasattr(owner, part):
+            return False
+        owner = getattr(owner, part)
+    if inspect.isclass(owner):
+        return class_has(owner, last)
+    return hasattr(owner, last)
+
+
+@pytest.mark.parametrize("path", DOC_FILES, ids=[p.name for p in DOC_FILES])
+def test_referenced_module_attributes_resolve(path):
+    """Every `repro.module:attr` reference names a real attribute; the
+    attribute may be dotted (`repro.module:Class.method`)."""
+    text = path.read_text()
+    for match in re.finditer(
+            r"`(repro(?:\.[a-z_]+)+):([A-Za-z_][A-Za-z0-9_.]*)`", text):
+        module = importlib.import_module(match.group(1))
+        assert resolves(module, match.group(2)), (
+            f"{path.name} references unknown {match.group(0)}"
+        )
+
+
+@pytest.mark.parametrize("path", DOC_FILES, ids=[p.name for p in DOC_FILES])
+def test_referenced_class_attributes_resolve(path):
+    """Every `Class.attr` reference whose class is defined in `repro`
+    names an attribute of that class, so a deleted method the docs
+    still name fails here."""
+    classes = repro_classes()
+    text = path.read_text()
+    for match in re.finditer(r"`([A-Z][A-Za-z0-9_]*)\.([A-Za-z_]\w*)`",
+                             text):
+        name, attr = match.groups()
+        if name not in classes:
+            continue
+        assert any(class_has(cls, attr) for cls in classes[name]), (
+            f"{path.name} references unknown {name}.{attr}"
         )
 
 

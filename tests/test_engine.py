@@ -203,15 +203,13 @@ class TestServiceCacheRoundTrip:
         restored_ctx = RunContext(fast_config, crowd, seed=5)
         restored_ctx.service.restore_cache(rows)
 
-        assert restored_ctx.service.cache_state() == ctx.service.cache_state()
-        for scheme in (VoteScheme.MAJORITY_2PLUS1, VoteScheme.ASYMMETRIC):
-            assert (restored_ctx.service.reliable_labels(scheme)
-                    == ctx.service.reliable_labels(scheme))
         # Insertion order is part of the resume contract.
-        assert (list(restored_ctx.service.reliable_labels(
-                    VoteScheme.MAJORITY_2PLUS1))
-                == list(ctx.service.reliable_labels(
-                    VoteScheme.MAJORITY_2PLUS1)))
+        assert restored_ctx.service.cache_state() == ctx.service.cache_state()
+        cached = list(ctx.service.labeled_pairs())
+        for scheme in (VoteScheme.MAJORITY_2PLUS1, VoteScheme.ASYMMETRIC):
+            np.testing.assert_array_equal(
+                restored_ctx.service.known_rows(cached, scheme),
+                ctx.service.known_rows(cached, scheme))
 
 
 # ----------------------------------------------------------------------

@@ -73,7 +73,6 @@ class TestRule:
         np.testing.assert_array_equal(
             rule.applies(matrix), [True, False, False]
         )
-        np.testing.assert_array_equal(rule.coverage_indices(matrix), [0])
 
     def test_empty_rule_rejected(self):
         with pytest.raises(RuleError):
@@ -102,14 +101,15 @@ class TestRule:
     def test_stats_precision_upper_bound(self):
         rule = Rule([pred(0, True, 0.5)], predicts_match=False)
         matrix = np.array([[0.1], [0.2], [0.3], [0.9]])
-        # Rows 0-2 covered; row 1 is a known positive (contrary).
-        stats = rule.stats(matrix, contrary_rows=[1, 3])
+        # Rows 0-2 covered; row 1 is a known positive (contrary), row 3
+        # a known positive outside the coverage.
+        stats = rule.stats(matrix, np.array([-1, 1, 0, 1], dtype=np.int8))
         assert stats.coverage == 3
         assert stats.precision_upper_bound == pytest.approx(2 / 3)
 
     def test_stats_empty_coverage(self):
         rule = Rule([pred(0, True, -1.0)], predicts_match=False)
-        stats = rule.stats(np.array([[0.5]]), contrary_rows=[])
+        stats = rule.stats(np.array([[0.5]]), np.array([-1], dtype=np.int8))
         assert stats.coverage == 0
         assert stats.precision_upper_bound == 0.0
 
