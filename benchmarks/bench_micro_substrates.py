@@ -135,65 +135,75 @@ class TestEngineThroughput:
 
 
 class TestStringKernelMicro:
-    """The string kernels over a whole A x B, as one e2e instance meets
-    them (``benchmarks/e2e`` workloads ``restaurants`` and ``citations``).
+    """String and token-set kernels over a whole A x B, as one e2e
+    instance meets them (``benchmarks/e2e`` workloads ``restaurants``
+    and ``citations``).
 
-    Each round starts from fresh table caches, and the Monge-Elkan
-    round also from empty word-level Jaro-Winkler caches, because every
-    e2e instance is a fresh process.
+    Each round starts from fresh copies of the tables, so it builds
+    every prepared array (Monge-Elkan's word table included), because
+    every e2e instance is a fresh process.
     """
 
     @staticmethod
-    def _cross(dataset):
-        records_a = [a for a in dataset.table_a for _ in dataset.table_b]
-        records_b = [b for _ in dataset.table_a for b in dataset.table_b]
-        return records_a, records_b
+    def _fresh_cross(dataset):
+        """Setup for ``benchmark.pedantic``: unwarmed copies of both
+        tables and all of A x B as row arrays."""
+        from repro.data.table import Table
 
-    def test_levenshtein_jaro_winkler_restaurants_axb(self, benchmark):
-        """Every Levenshtein and Jaro-Winkler feature, 180 x 120 pairs."""
-        from repro.features.batch import TableFeatureCache
+        def setup():
+            table_a, table_b = (Table(table.name, table.schema, list(table))
+                                for table in (dataset.table_a,
+                                              dataset.table_b))
+            rows_a, rows_b = np.divmod(
+                np.arange(len(table_a) * len(table_b)), len(table_b))
+            return (table_a, rows_a, table_b, rows_b), {}
+        return setup
+
+    def _restaurants_columns(self, benchmark, measures):
         from repro.features.library import build_feature_library
         from repro.synth.restaurants import generate_restaurants
         dataset = generate_restaurants(180, 120, 40)
         features = [
             feature for feature in build_feature_library(
                 dataset.table_a, dataset.table_b)
-            if feature.measure in ("levenshtein", "jaro_winkler")
+            if feature.measure in measures
         ]
-        records_a, records_b = self._cross(dataset)
 
-        def run():
-            cache_a, cache_b = TableFeatureCache(), TableFeatureCache()
-            return [feature.batch_value(records_a, records_b,
-                                        cache_a, cache_b)
+        def run(table_a, rows_a, table_b, rows_b):
+            return [feature.batch_value(table_a, rows_a, table_b, rows_b)
                     for feature in features]
 
-        columns = benchmark.pedantic(run, rounds=3, iterations=1)
+        columns = benchmark.pedantic(run, setup=self._fresh_cross(dataset),
+                                     rounds=3, iterations=1)
         benchmark.extra_info["features"] = len(features)
-        benchmark.extra_info["pairs"] = len(records_a)
+        benchmark.extra_info["pairs"] = len(dataset.table_a) * len(
+            dataset.table_b)
+        return columns
+
+    def test_levenshtein_jaro_winkler_restaurants_axb(self, benchmark):
+        """Every Levenshtein and Jaro-Winkler feature, 180 x 120 pairs."""
+        columns = self._restaurants_columns(
+            benchmark, ("levenshtein", "jaro_winkler"))
+        assert len(columns) == 10
+
+    def test_jaccard_restaurants_axb(self, benchmark):
+        """Every word and 3-gram Jaccard feature, 180 x 120 pairs."""
+        columns = self._restaurants_columns(
+            benchmark, ("jaccard_word", "jaccard_qgram"))
         assert len(columns) == 10
 
     def test_monge_elkan_citations_title_axb(self, benchmark):
-        """``title_monge_elkan`` over 100 x 1000 pairs, cold word caches."""
-        from repro.features import batch, similarity
+        """``title_monge_elkan`` over 100 x 1000 pairs, cold word table."""
         from repro.features.library import build_feature_library
         from repro.synth.citations import generate_citations
         dataset = generate_citations(100, 1000, 200)
         feature = build_feature_library(
             dataset.table_a, dataset.table_b)["title_monge_elkan"]
-        records_a, records_b = self._cross(dataset)
-
-        def cold_caches():
-            batch._JW_BY_KEY.clear()
-            similarity._jaro_winkler_words.cache_clear()
-
         column = benchmark.pedantic(
-            lambda: feature.batch_value(records_a, records_b,
-                                        batch.TableFeatureCache(),
-                                        batch.TableFeatureCache()),
-            setup=cold_caches, rounds=3, iterations=1,
+            feature.batch_value, setup=self._fresh_cross(dataset),
+            rounds=3, iterations=1,
         )
-        benchmark.extra_info["pairs"] = len(records_a)
+        benchmark.extra_info["pairs"] = column.size
         assert column.shape == (100_000,)
 
 

@@ -28,7 +28,6 @@ from ..data.sampling import (
     weighted_blocker_sample,
 )
 from ..data.table import Table
-from ..features.batch import table_cache
 from ..features.library import FeatureLibrary
 from ..features.vectorize import vectorize_pairs
 from ..rules.evaluation import RuleEvaluation, evaluate_rules
@@ -46,13 +45,12 @@ class ChunkEvaluator:
 
     The full-matrix reference evaluator behind
     :func:`apply_rules_streaming`, and the base class of
-    :class:`repro.plan.PlanExecutor`: it owns the rule set, the
-    needed-feature projection and the per-table prepared-column caches,
-    and turns a chunk of aligned ``(records_a, records_b)`` pairs into a
-    boolean *blocked* mask.  Because each batch kernel is bit-exact
-    regardless of chunk boundaries, any executor that feeds pairs
-    through this class in A x B stream order produces bit-identical
-    survivors.
+    :class:`repro.plan.PlanExecutor`: it owns the rule set and the
+    needed-feature projection, and turns a chunk of pairs, given as two
+    aligned arrays of table row positions, into a boolean *blocked*
+    mask.  Because each batch kernel is bit-exact regardless of chunk
+    boundaries, any executor that feeds pairs through this class in
+    A x B stream order produces bit-identical survivors.
 
     Missing-value semantics (the blocking NaN contract): a missing
     attribute value surfaces as ``np.nan`` in the feature matrix, and a
@@ -76,8 +74,6 @@ class ChunkEvaluator:
         })
         self.needed_features = [library.features[i] for i in self.needed]
         self.width = len(library)
-        self.cache_a = table_cache(table_a)
-        self.cache_b = table_cache(table_b)
         # A rule whose predicates ALL tolerate NaN can legitimately
         # block a fully-missing row; any other rule cannot, and the
         # guard below makes that invariant explicit.
@@ -86,17 +82,19 @@ class ChunkEvaluator:
             for rule in rules
         )
 
-    def blocked_mask(self, records_a: list, records_b: list) -> np.ndarray:
-        """Boolean mask: True where some rule blocks the aligned pair."""
+    def blocked_mask(self, rows_a: np.ndarray,
+                     rows_b: np.ndarray) -> np.ndarray:
+        """Boolean mask: True where some rule blocks the pair of row
+        ``rows_a[i]`` of A and row ``rows_b[i]`` of B."""
         # Fill only the needed columns of a full-width matrix so
         # predicate indices line up; the rest stays NaN and is never
         # read (no predicate references an unfilled column).
-        matrix = np.full((len(records_a), self.width), np.nan)
+        matrix = np.full((rows_a.size, self.width), np.nan)
         for index, feature in zip(self.needed, self.needed_features):
             matrix[:, index] = feature.batch_value(
-                records_a, records_b, self.cache_a, self.cache_b
+                self.table_a, rows_a, self.table_b, rows_b
             )
-        blocked = np.zeros(len(records_a), dtype=bool)
+        blocked = np.zeros(rows_a.size, dtype=bool)
         for rule in self.rules:
             blocked |= rule.applies(matrix)
             if blocked.all():
@@ -116,9 +114,9 @@ class ChunkEvaluator:
         """The subset of ``pairs`` no rule blocks, in input order."""
         if not pairs:
             return []
-        records_a = [self.table_a[pair.a_id] for pair in pairs]
-        records_b = [self.table_b[pair.b_id] for pair in pairs]
-        blocked = self.blocked_mask(records_a, records_b)
+        blocked = self.blocked_mask(
+            self.table_a.positions(pair.a_id for pair in pairs),
+            self.table_b.positions(pair.b_id for pair in pairs))
         return [
             pair for pair, is_blocked in zip(pairs, blocked)
             if not is_blocked

@@ -45,13 +45,15 @@ class CandidateSet:
                 f"{len(feature_names)} feature names but "
                 f"{features.shape[1]} feature columns"
             )
-        self._pairs: tuple[Pair, ...] = tuple(Pair(*p) for p in pairs)
+        # Building a Pair costs more than checking one; most callers
+        # already pass Pairs.
+        self._pairs: tuple[Pair, ...] = tuple(
+            p if type(p) is Pair else Pair(*p) for p in pairs)
         self._features = features
         self._features.setflags(write=False)
         self._feature_names: tuple[str, ...] = tuple(feature_names)
-        self._index: dict[Pair, int] = {
-            pair: i for i, pair in enumerate(self._pairs)
-        }
+        self._index: dict[Pair, int] = dict(
+            zip(self._pairs, range(len(self._pairs))))
         if len(self._index) != len(self._pairs):
             raise DataError("candidate set contains duplicate pairs")
 

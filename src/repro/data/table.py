@@ -12,6 +12,8 @@ import enum
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..exceptions import DataError, SchemaError
 
 Value = str | float | int | None
@@ -190,6 +192,19 @@ class Table:
     def at(self, index: int) -> Record:
         """Return the record at positional ``index``."""
         return self._records[index]
+
+    def positions(self, record_ids: Iterable[str]) -> np.ndarray:
+        """The positional index of each id, as an int64 array.
+
+        Raises :class:`DataError` on an id not in the table.
+        """
+        try:
+            return np.fromiter(map(self._by_id.__getitem__, record_ids),
+                               dtype=np.int64)
+        except KeyError as error:
+            raise DataError(
+                f"no record {error.args[0]!r} in table {self.name!r}"
+            ) from None
 
     @property
     def record_ids(self) -> list[str]:

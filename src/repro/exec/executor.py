@@ -6,20 +6,18 @@ expensive state crosses the process boundary exactly once, for free:
 
 * the parent compiles the rules into one :class:`~repro.plan.
   PlanExecutor` (cheapest rule first, predicates pushed down) and
-  **pre-warms** the per-record prepared-column caches
-  (:mod:`repro.features.batch`) for every feature the rules read —
-  normalized strings, token/q-gram sets, interned word-id arrays,
-  TF/IDF weight vectors, numeric columns;
+  **pre-warms** the whole-table prepared arrays
+  (:mod:`repro.features.batch`) every needed kernel reads — codes,
+  token/q-gram sets, word lists and word tables, TF/IDF weights,
+  numeric columns — by evaluating each needed feature on one pair;
 * workers are *forked*, so tables, rules, the feature library (closures
   included, so corpus-dependent TF/IDF features shard safely) and the
-  warmed caches are all inherited through copy-on-write pages — no
-  pickling, no rebuild, no per-job payload beyond a shard index.
-  CPython's refcounting does touch the shared pages, so residency is
-  not perfectly zero-copy, but nothing is ever serialized or
-  recomputed;
+  prepared arrays are all inherited through copy-on-write pages — no
+  pickling, no rebuild, no per-job payload beyond a shard index;
 * each worker streams its shard (a contiguous slice of A's rows crossed
   with all of B) through the plan, in
-  :data:`~repro.core.blocker._STREAM_CHUNK`-sized chunks.
+  :data:`~repro.core.blocker._STREAM_CHUNK`-sized chunks of row
+  positions.
 
 Determinism: shards partition A's row range in order, every kernel is
 bit-exact regardless of chunk boundaries (the documented
@@ -41,9 +39,11 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
 from ..core.blocker import _STREAM_CHUNK
 from ..data.pairs import Pair
-from ..data.table import AttrType, Table
+from ..data.table import Table
 from ..engine.events import (
     EVENT_BLOCKER_FALLBACK,
     EVENT_SHARD_COMPLETED,
@@ -73,25 +73,6 @@ _SHARED: "dict[str, Any] | None" = None
 pool is created, read by :func:`_run_shard` in the children, cleared
 afterwards.  Never pickled — this only works because workers are forked.
 """
-
-_ACCESSOR_WARMERS: dict[str, tuple[str, ...]] = {
-    "abs_diff": ("numbers",),
-    "rel_diff": ("numbers",),
-    "jaccard_word": ("token_sets",),
-    "overlap": ("token_sets",),
-    "containment": ("token_sets",),
-    "jaccard_qgram": ("qgram_sets",),
-    "levenshtein": ("string_codes",),
-    "jaro_winkler": ("string_codes",),
-    "smith_waterman": ("string_codes",),
-    "prefix": ("norms",),
-    "monge_elkan": ("word_id_arrays",),
-    "soundex": ("soundex_sets",),
-}
-"""Measure -> the PreparedColumn accessors its batch kernel reads.
-Warming these in the parent is what turns the per-record caches into
-*shared* read-only state for the forked workers."""
-
 
 def apply_rules_sharded(table_a: Table, table_b: Table,
                         rules: list[Rule], library: FeatureLibrary,
@@ -128,8 +109,7 @@ def apply_rules_sharded(table_a: Table, table_b: Table,
     if stats is not None:
         stats.needed_width = len(evaluator.needed)
     with profile_section("blocker.shard_prewarm"):
-        _prewarm(table_a, evaluator.cache_a, evaluator.needed_features)
-        _prewarm(table_b, evaluator.cache_b, evaluator.needed_features)
+        _prewarm(table_a, table_b, evaluator.needed_features)
 
     store: ShardStore | None = None
     completed: set[int] = set()
@@ -260,68 +240,33 @@ def _shard_survivors(
     """
     table_a, table_b = evaluator.table_a, evaluator.table_b
     cells_before = evaluator.cells_computed
-    records_b = list(table_b)
+    ids_a, ids_b = table_a.record_ids, table_b.record_ids
     survivors: list[tuple[str, str]] = []
-    scanned = 0
-    chunk_a: list[Any] = []
-    chunk_b: list[Any] = []
-
-    def flush() -> None:
-        nonlocal scanned
-        if not chunk_a:
-            return
+    # Pair k of the shard is row k // |B| of A with row k % |B| of B.
+    first, stop = shard.start * len(ids_b), shard.stop * len(ids_b)
+    for start in range(first, stop, chunk_size):
         with profile_section("blocker.shard_flush"):
-            blocked = evaluator.blocked_mask(chunk_a, chunk_b)
-            survivors.extend(
-                (record_a.record_id, record_b.record_id)
-                for record_a, record_b, is_blocked
-                in zip(chunk_a, chunk_b, blocked)
-                if not is_blocked
-            )
-            scanned += len(chunk_a)
-            chunk_a.clear()
-            chunk_b.clear()
-
-    for row in range(shard.start, shard.stop):
-        record_a = table_a.at(row)
-        for record_b in records_b:
-            chunk_a.append(record_a)
-            chunk_b.append(record_b)
-            if len(chunk_a) >= chunk_size:
-                flush()
-    flush()
-    return survivors, scanned, evaluator.cells_computed - cells_before
+            rows_a, rows_b = np.divmod(
+                np.arange(start, min(start + chunk_size, stop)), len(ids_b))
+            kept = np.flatnonzero(~evaluator.blocked_mask(rows_a, rows_b))
+            survivors.extend(zip([ids_a[i] for i in rows_a[kept].tolist()],
+                                 [ids_b[j] for j in rows_b[kept].tolist()]))
+    return survivors, stop - first, evaluator.cells_computed - cells_before
 
 
-def _prewarm(table: Table, cache: Any, features: list[Any]) -> None:
-    """Materialize every prepared value the needed features will read.
+def _prewarm(table_a: Table, table_b: Table, features: list[Any]) -> None:
+    """Build every prepared array the needed features' kernels read.
 
-    After this, workers only *read* the memo dictionaries — the
-    copy-on-write pages stay shared and no worker re-tokenizes a
-    record.  TF/IDF weights hide their idf mapping inside the kernel
-    closure, so they are warmed through a self-aligned kernel call
-    (cost O(n) dot products) rather than a direct accessor.
+    A kernel reads whole-table arrays, and reads all of them whatever
+    its pairs, so one pair per feature builds them.  After this,
+    workers only *read* the arrays — the copy-on-write pages stay
+    shared and no worker re-tokenizes a record.
     """
-    records = list(table)
-    if not records:
+    if not len(table_a) or not len(table_b):
         return
-    attr_types = {attr.name: attr.attr_type for attr in table.schema}
+    first = np.zeros(1, dtype=np.int64)
     for feature in features:
-        column = cache.column(feature.attribute)
-        column.missing_flags(records)
-        measure = feature.measure
-        if measure == "exact":
-            accessors = (("numbers",)
-                         if attr_types[feature.attribute] is AttrType.NUMERIC
-                         else ("norms",))
-        elif measure == "cosine_tfidf":
-            if feature.batch_compute is not None:
-                feature.batch_compute(column, records, column, records)
-            continue
-        else:
-            accessors = _ACCESSOR_WARMERS.get(measure, ())
-        for accessor in accessors:
-            getattr(column, accessor)(records)
+        feature.batch_value(table_a, first, table_b, first)
 
 
 def _fork_available() -> bool:

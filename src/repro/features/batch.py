@@ -1,29 +1,29 @@
 """Batched feature evaluation: the blocking/vectorization hot-path engine.
 
 Corleone's §4.3 rule-application step streams all of A x B through the
-blocking rules — the paper's only Hadoop-scale component.  Evaluating
-features with a per-pair, per-feature Python loop makes that path (and
-every :func:`repro.features.vectorize.vectorize_pairs` call feeding the
-matcher, estimator and locator) the dominant cost of a run.  This module
-is the batch-first substrate underneath
-:meth:`repro.features.library.Feature.batch_value`:
+blocking rules — the paper's only Hadoop-scale component — and §5.1
+turns every surviving pair into a feature vector.  Both run through this
+module, underneath :meth:`repro.features.library.Feature.batch_value`,
+where a pair column is two int64 arrays of table row positions:
 
-* :class:`PreparedColumn` caches *per-record* derived values — normalized
-  strings and their codes in a process-wide string dictionary,
-  word/q-gram token sets, interned word-id arrays, TF/IDF weight
-  vectors, Soundex code sets — so tokenization happens once per record
-  instead of once per pair;
-* :class:`TableFeatureCache` holds one :class:`PreparedColumn` per
-  attribute of a :class:`~repro.data.table.Table`, shared across chunks
-  and features (obtained via :func:`table_cache`, keyed weakly by table);
-* :func:`kernel_for` maps every library measure to a batch kernel that
-  evaluates whole pair-columns at once — pure numpy for numeric
-  measures; bit-parallel kernels (Myers/Hyyrö edit distance, a
-  bit-vector greedy Jaro matcher) run once per distinct
-  (A string, B string) code pair for Levenshtein and Jaro-Winkler, and a
-  numpy DP for Smith-Waterman; set arithmetic over precomputed token
-  sets for the Jaccard family; and, for Monge-Elkan, a dense word-level
-  Jaro-Winkler table over each block's A and B vocabularies.
+* :class:`PreparedColumn` holds whole-table arrays for one attribute of
+  one table, each built once, on first use, and indexed by row: missing
+  flags, numbers, codes of the normalized strings in a process-wide
+  string dictionary, word codes in token order, sorted distinct word,
+  q-gram and Soundex code sets (CSR: offsets plus flat codes), TF/IDF
+  codes, weights and norms per idf mapping, and the word-level
+  Jaro-Winkler table of each column pair Monge-Elkan meets;
+  :func:`prepared_column` returns the one of a (table, attribute);
+* :func:`kernel_for` maps every library measure to a kernel over row
+  arrays: numeric and exact measures compare gathered numbers and
+  codes; the Jaccard, overlap, containment and Soundex measures count
+  set intersections with one membership matrix over the distinct rows
+  of each block of pairs; Monge-Elkan takes each word's best partner per row from
+  the column pair's word table, and it and TF/IDF cosine add in token
+  order with a sequential ``np.cumsum``; Levenshtein, Jaro-Winkler
+  (bit-parallel: Myers/Hyyrö edit distance, a bit-vector greedy Jaro
+  matcher), Smith-Waterman (a numpy DP) and prefix run once per
+  distinct (A string, B string) code pair.
 
 Every kernel returns exactly the values the scalar ``Feature.value``
 path produces — the scalar loop remains both the fallback (for features
@@ -34,78 +34,92 @@ results against, bit for bit (including NaN positions).
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from collections import Counter
 from collections.abc import Callable, Mapping, Sequence
-from itertools import repeat
+from itertools import chain
+from typing import Any, NamedTuple
 
 import numpy as np
 
-from ..data.table import AttrType, Record, Table
+from ..data.table import AttrType, Table
 from . import extended as ext
 from . import similarity as sim
-from .tokenize import normalize, qgrams, word_tokens
+from .tokenize import normalize, word_tokens
 
 BatchKernel = Callable[
-    ["PreparedColumn", Sequence[Record], "PreparedColumn", Sequence[Record]],
+    ["PreparedColumn", np.ndarray, "PreparedColumn", np.ndarray],
     np.ndarray,
 ]
-"""A measure evaluated column-wise: (prepared_a, records_a, prepared_b,
-records_b) -> float64 array aligned with the record lists.  Kernels do
-not handle missing values — ``Feature.batch_value`` masks them to NaN."""
+"""A measure evaluated column-wise: (column_a, rows_a, column_b, rows_b)
+-> float64 array aligned with the two row arrays.  Kernels do not
+handle missing values — ``Feature.batch_value`` masks them to NaN."""
 
 
 # ----------------------------------------------------------------------
-# Cache-miss accounting
+# Build accounting
 # ----------------------------------------------------------------------
 
-_CACHE_MISSES: "Counter[str]" = Counter()
-"""Prepared-column cache misses by accessor kind, process-lifetime.
+_BUILDS: "Counter[str]" = Counter()
+"""Whole-table array builds by kind, process-lifetime.
 
-``tfidf_table`` counts whole TF/IDF weight-table (re)builds — the
-legacy per-rule waste the plan compiler exists to remove: tables are
-keyed by idf-mapping *identity*, so two kernels built over the same
-column but through different ``kernel_for`` calls silently recompute
-every weight vector.  Like the wall-clock profiler, these counters
-depend on process-lifetime cache warmth (a replayed run hits where the
-first run missed), so they are deliberately NOT part of the
-checkpointed metrics registry — read them via :func:`cache_stats`
-(``make bench-plan`` records them before/after in BENCH_plan.json).
+``tfidf_table`` counts TF/IDF array builds, one per column and idf
+mapping.  Arrays are keyed by the mapping's *identity*, so two libraries
+built over the same tables (equal but distinct idf mappings) weigh
+every record twice — the per-rule waste the plan compiler exists to
+remove.  Like the wall-clock profiler, these counters depend on
+process-lifetime cache warmth (a replayed run finds what the first run
+built), so they are deliberately NOT part of the checkpointed metrics
+registry — read them via :func:`cache_stats`.
 """
 
 
-def _note_misses(kind: str, count: int) -> None:
-    """Record ``count`` cache misses for one accessor kind."""
-    if count > 0:
-        _CACHE_MISSES[kind] += count
+def _note_build(kind: str) -> None:
+    """Record one whole-table array build of ``kind``."""
+    _BUILDS[kind] += 1
 
 
 def cache_stats() -> dict[str, int]:
-    """A snapshot of the process-lifetime cache-miss counters."""
-    return dict(_CACHE_MISSES)
+    """A snapshot of the process-lifetime build counters."""
+    return dict(_BUILDS)
 
 
 def reset_cache_stats() -> None:
-    """Zero the cache-miss counters (benchmark harness hook)."""
-    _CACHE_MISSES.clear()
+    """Zero the build counters (benchmark harness hook)."""
+    _BUILDS.clear()
 
 
 # ----------------------------------------------------------------------
-# The string dictionary (shared by the string kernels and Monge-Elkan)
+# Bounds on kernel temporaries
+# ----------------------------------------------------------------------
+
+_KERNEL_ROWS = 1 << 15
+"""Rows (pairs, or distinct strings) a kernel advances together; bounds
+its temporaries for any input size."""
+
+_MONGE_BLOCK_ELEMENTS = 1 << 22
+"""Cap on the elements of a kernel block's largest temporary (a
+membership or weight matrix, a padded token matrix, a best-partner
+table) and of a column pair's word table, bounding each to ~32 MB
+whatever the pair count."""
+
+
+# ----------------------------------------------------------------------
+# The string dictionary (shared by every code-based kernel)
 # ----------------------------------------------------------------------
 
 
 class _StringDictionary:
     """Process-wide interner: one int code per distinct string.
 
-    Records' normalized values and their words share one code space, so
-    equal codes mean equal strings across tables and attributes.  Each
-    string's length and code-point row are built once, when it is first
-    interned, into flat arrays the kernels gather from.  Forked workers
-    inherit the dictionary; strings a worker interns after the fork may
-    get different codes in different workers, which is harmless because
-    no kernel value depends on a code.
+    Records' normalized values, their words and Soundex codes share one
+    code space, so equal codes mean equal strings across
+    tables and attributes.  Each string's length and code-point row are
+    stored once, when it is first interned, in flat arrays the kernels
+    gather from.  Every string is interned while a prepared array is
+    built, so forked workers inherit a dictionary they only read.
     """
 
     def __init__(self) -> None:
@@ -116,31 +130,47 @@ class _StringDictionary:
         self._points = np.zeros(1 << 14, dtype=np.int32)
         self._used = 0
 
-    def intern(self, text: str) -> int:
-        """The code of ``text``, assigned on first sight."""
-        code = self._codes.get(text)
-        if code is not None:
-            return code
-        code = len(self.strings)
-        points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
-                               dtype="<u4")
-        if code == self._lengths.size:
-            self._starts = _grown(self._starts, code + 1)
-            self._lengths = _grown(self._lengths, code + 1)
-        end = self._used + points.size
-        if end > self._points.size:
-            self._points = _grown(self._points, end)
-        self._points[self._used:end] = points
-        self._starts[code] = self._used
-        self._lengths[code] = points.size
-        self._used = end
-        self._codes[text] = code
-        self.strings.append(text)
-        return code
+    def encode(self, texts: Sequence[str]) -> np.ndarray:
+        """The code of each of ``texts``; new strings get the next codes,
+        in order of first sight."""
+        codes = self._codes
+        fresh = [text for text in dict.fromkeys(texts) if text not in codes]
+        if fresh:
+            self._add(fresh)
+        return np.fromiter(map(codes.__getitem__, texts), dtype=np.int64,
+                           count=len(texts))
+
+    def _add(self, fresh: list[str]) -> None:
+        first = len(self.strings)
+        lengths = np.fromiter(map(len, fresh), dtype=np.int64,
+                              count=len(fresh))
+        points = np.frombuffer(
+            "".join(fresh).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        end = first + len(fresh)
+        if end > self._lengths.size:
+            self._starts = _grown(self._starts, end)
+            self._lengths = _grown(self._lengths, end)
+        used = self._used + points.size
+        if used > self._points.size:
+            self._points = _grown(self._points, used)
+        self._points[self._used:used] = points
+        self._starts[first:end] = self._used + np.cumsum(lengths) - lengths
+        self._lengths[first:end] = lengths
+        self._used = used
+        self._codes.update(zip(fresh, range(first, end)))
+        self.strings.extend(fresh)
 
     def lengths(self, codes: np.ndarray) -> np.ndarray:
         """Length in code points of each coded string."""
         return self._lengths[codes]
+
+    def point_at(self, codes: np.ndarray, index: np.ndarray,
+                 pad: int) -> np.ndarray:
+        """Code point ``index[i]`` of string ``codes[i]``; ``pad`` where
+        the index lies outside the string."""
+        inside = (index >= 0) & (index < self._lengths[codes])
+        at = np.where(inside, self._starts[codes] + index, 0)
+        return np.where(inside, self._points[at], pad)
 
     def points(self, codes: np.ndarray, pad: int, width: int) -> np.ndarray:
         """``(len(codes), width)`` int32 code points, cut or ``pad``-padded."""
@@ -161,337 +191,363 @@ def _grown(array: np.ndarray, needed: int) -> np.ndarray:
 
 _DICTIONARY = _StringDictionary()
 
-_JW_BY_KEY: dict[int, float] = {}
-"""(code_a << 32 | code_b) -> word-level Jaro-Winkler.  Bounded by the
-square of the co-occurring vocabulary, which real tables keep modest."""
-
 
 # ----------------------------------------------------------------------
-# Per-record prepared values
+# Whole-table prepared arrays
 # ----------------------------------------------------------------------
+
+
+class CodeLists(NamedTuple):
+    """One list of dictionary codes per table row, stored as CSR: row
+    ``r`` holds ``codes[offsets[r]:offsets[r + 1]]``."""
+
+    offsets: np.ndarray
+    codes: np.ndarray
+
+    def sizes(self, rows: np.ndarray) -> np.ndarray:
+        """Length of each row's list."""
+        return self.offsets[rows + 1] - self.offsets[rows]
+
+
+class TfidfArrays(NamedTuple):
+    """TF/IDF weights of every row under one idf mapping."""
+
+    terms: CodeLists
+    """Each row's distinct word codes in order of first occurrence."""
+    weights: np.ndarray
+    """count * idf of each term, aligned with ``terms.codes``."""
+    norms: np.ndarray
+    """Euclidean norm of each row's weights, added left to right."""
+
+
+class WordTable(NamedTuple):
+    """Word-level Jaro-Winkler of one column pair over its vocabularies."""
+
+    values: np.ndarray
+    """``values[i, j]``: Jaro-Winkler of A-vocabulary word i and
+    B-vocabulary word j."""
+    local_a: np.ndarray
+    """Each token of column A's word lists as its row of ``values``."""
+    local_b: np.ndarray
+    """Each token of column B's word lists as its column of ``values``."""
+
+
+def _offsets(sizes: np.ndarray) -> np.ndarray:
+    """CSR offsets of lists of ``sizes``."""
+    offsets = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    return offsets
+
+
+def _ranks(sizes: np.ndarray) -> np.ndarray:
+    """``0, 1, ..., size - 1`` for each of ``sizes``, concatenated."""
+    return np.arange(int(sizes.sum())) - np.repeat(
+        np.cumsum(sizes) - sizes, sizes)
+
+
+def _code_lists(lists: Sequence[Sequence[str]]) -> CodeLists:
+    """CSR of the dictionary codes of per-row string lists."""
+    sizes = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+    return CodeLists(_offsets(sizes),
+                     _DICTIONARY.encode(list(chain.from_iterable(lists))))
+
+
+def _distinct(lists: CodeLists) -> CodeLists:
+    """Each row's codes sorted, duplicates dropped."""
+    n = lists.offsets.size - 1
+    owner = np.repeat(np.arange(n), np.diff(lists.offsets))
+    order = np.lexsort((lists.codes, owner))
+    owner, codes = owner[order], lists.codes[order]
+    keep = np.ones(codes.size, dtype=bool)
+    keep[1:] = (owner[1:] != owner[:-1]) | (codes[1:] != codes[:-1])
+    return CodeLists(np.searchsorted(owner[keep], np.arange(n + 1)),
+                     codes[keep])
+
+
+def _qgram_lists(codes: np.ndarray) -> CodeLists:
+    """The 3-grams of each coded string, padded with "##" on both sides
+    as :func:`repro.features.tokenize.qgrams` pads them (none for the
+    empty string).  A 3-gram's code packs its code points, 21 bits
+    each, so equal codes mean equal 3-grams without a dictionary."""
+    lengths = _DICTIONARY.lengths(codes)
+    sizes = np.where(lengths > 0, lengths + 2, 0)
+    owner = np.repeat(codes, sizes)
+    position = _ranks(sizes)
+    grams = np.zeros(owner.size, dtype=np.int64)
+    for shift in (-2, -1, 0):
+        grams <<= 21
+        grams |= _DICTIONARY.point_at(owner, position + shift, ord("#"))
+    return CodeLists(_offsets(sizes), grams)
 
 
 class PreparedColumn:
-    """Record-level derived values for one attribute of one table.
+    """Whole-table prepared arrays for one attribute of one table.
 
-    Every accessor takes the (pair-aligned) record list and returns an
-    aligned list/array of prepared values, memoized per ``record_id`` —
-    lazily, so records added to a table after the cache was created are
-    still picked up.  Missing values map to neutral empties ("" / empty
-    set); callers mask them to NaN afterwards.
+    Each accessor returns an array indexed by table row (or a
+    :class:`CodeLists` with one list per row), built on first use from
+    the attribute values captured at construction.  Missing values map
+    to neutral empties (the empty string's code, empty lists); callers
+    mask them to NaN afterwards.  :func:`prepared_column` replaces a
+    column once its table has grown, so rows added by ``Table.add`` are
+    always covered.
     """
 
-    def __init__(self, attribute: str) -> None:
-        self.attribute = attribute
-        self._missing: dict[str, bool] = {}
-        self._numbers: dict[str, float] = {}
-        self._norms: dict[str, str] = {}
-        self._codes: dict[str, int] = {}
-        self._tokens: dict[str, tuple[str, ...]] = {}
-        self._token_sets: dict[str, frozenset[str]] = {}
-        self._qgram_sets: dict[str, frozenset[str]] = {}
-        self._word_ids: dict[str, np.ndarray] = {}
-        self._soundex: dict[str, frozenset[str]] = {}
-        # id(idf) -> (idf, default_idf, record_id -> (weights, norm)).
-        self._tfidf: dict[int, tuple] = {}
+    def __init__(self, values: list[Any]) -> None:
+        self._values = values
+        self.size = len(values)
+        self._arrays: dict[str, Any] = {}
+        # id(idf) -> (idf, arrays): holding the mapping keeps its id
+        # from being recycled by another mapping while the entry lives.
+        self._tfidf: dict[int, tuple[Mapping[str, float], TfidfArrays]] = {}
+        # Weakly keyed, so a column of a table that is gone (say, last
+        # month's B) does not live on in this one's word tables.
+        self._word_tables: weakref.WeakKeyDictionary[
+            PreparedColumn, WordTable | None] = weakref.WeakKeyDictionary()
 
-    def missing_flags(self, records: Sequence[Record]) -> list[bool]:
-        """Whether each record's attribute value is None, memoized."""
-        memo = self._missing
-        try:
-            return [memo[record.record_id] for record in records]
-        except KeyError:
-            pass
-        before = len(memo)
-        attribute = self.attribute
-        out = []
-        for record in records:
-            value = memo.get(record.record_id)
-            if value is None:
-                value = record.get(attribute) is None
-                memo[record.record_id] = value
-            out.append(value)
-        _note_misses("missing_flags", len(memo) - before)
-        return out
+    def _built(self, kind: str, build: Callable[[], Any]) -> Any:
+        array = self._arrays.get(kind)
+        if array is None:
+            array = self._arrays[kind] = build()
+            _note_build(kind)
+        return array
 
-    def missing_mask(self, records_a: Sequence[Record],
-                     records_b: Sequence[Record],
-                     other: "PreparedColumn") -> np.ndarray:
-        """Pair-aligned bool mask: True where either side is missing."""
-        return (np.array(self.missing_flags(records_a), dtype=bool)
-                | np.array(other.missing_flags(records_b), dtype=bool))
+    def _texts(self) -> list[str | None]:
+        return [None if value is None else str(value)
+                for value in self._values]
 
-    def numbers(self, records: Sequence[Record]) -> np.ndarray:
-        """Float values per record (NaN where missing), memoized."""
-        memo = self._numbers
-        try:
-            return np.array([memo[record.record_id] for record in records],
-                            dtype=np.float64)
-        except KeyError:
-            pass
-        before = len(memo)
-        attribute = self.attribute
-        out = []
-        for record in records:
-            value = memo.get(record.record_id)
-            if value is None:
-                raw = record.get(attribute)
-                value = math.nan if raw is None else float(raw)
-                memo[record.record_id] = value
-            out.append(value)
-        _note_misses("numbers", len(memo) - before)
-        return np.array(out, dtype=np.float64)
+    def missing(self) -> np.ndarray:
+        """Whether each row's value is None."""
+        return self._built("missing", lambda: np.array(
+            [value is None for value in self._values], dtype=bool))
 
-    def raw(self, records: Sequence[Record]) -> list:
-        """The raw attribute value per record (None where missing)."""
-        attribute = self.attribute
-        return [record.get(attribute) for record in records]
+    def numbers(self) -> np.ndarray:
+        """Float value of each row (NaN where missing)."""
+        return self._built("numbers", lambda: np.array(
+            [math.nan if value is None else float(value)
+             for value in self._values], dtype=np.float64))
 
-    def norms(self, records: Sequence[Record]) -> list[str]:
-        """Normalized string per record ("" where missing), memoized."""
-        memo, attribute = self._norms, self.attribute
-        try:
-            return [memo[record.record_id] for record in records]
-        except KeyError:
-            pass
-        before = len(memo)
-        out = []
-        for record in records:
-            value = memo.get(record.record_id)
-            if value is None:
-                raw = record.get(attribute)
-                value = "" if raw is None else normalize(str(raw))
-                memo[record.record_id] = value
-            out.append(value)
-        _note_misses("norms", len(memo) - before)
-        return out
+    def codes(self) -> np.ndarray:
+        """Dictionary code of each row's normalized string ("" where
+        missing); equal codes mean equal strings, on either table."""
+        return self._built("codes", lambda: _DICTIONARY.encode([
+            "" if text is None else normalize(text)
+            for text in self._texts()]))
 
-    def string_codes(self, records: Sequence[Record]) -> np.ndarray:
-        """Dictionary code of each record's normalized string, memoized.
+    def words(self) -> CodeLists:
+        """Codes of each row's word tokens, in token order."""
+        return self._built("words", lambda: _code_lists([
+            () if text is None else word_tokens(text)
+            for text in self._texts()]))
 
-        Equal codes mean equal normalized strings, on either table.
-        """
-        memo = self._codes
-        try:
-            return np.array([memo[record.record_id] for record in records],
-                            dtype=np.int64)
-        except KeyError:
-            pass
-        before = len(memo)
-        norms = self.norms(records)
-        intern = _DICTIONARY.intern
-        out = []
-        for record, norm in zip(records, norms):
-            code = memo.get(record.record_id)
-            if code is None:
-                code = intern(norm)
-                memo[record.record_id] = code
-            out.append(code)
-        _note_misses("string_codes", len(memo) - before)
-        return np.array(out, dtype=np.int64)
+    def word_sets(self) -> CodeLists:
+        """Each row's distinct word codes, sorted."""
+        return self._built("word_sets", lambda: _distinct(self.words()))
 
-    def tokens(self, records: Sequence[Record]) -> list[tuple[str, ...]]:
-        """Word-token tuple per record (empty where missing), memoized."""
-        memo, attribute = self._tokens, self.attribute
-        try:
-            return [memo[record.record_id] for record in records]
-        except KeyError:
-            pass
-        before = len(memo)
-        out = []
-        for record in records:
-            value = memo.get(record.record_id)
-            if value is None:
-                raw = record.get(attribute)
-                value = (() if raw is None
-                         else tuple(word_tokens(str(raw))))
-                memo[record.record_id] = value
-            out.append(value)
-        _note_misses("tokens", len(memo) - before)
-        return out
+    def qgram_sets(self) -> CodeLists:
+        """Each row's distinct 3-gram codes (see :func:`_qgram_lists`),
+        sorted."""
+        return self._built("qgram_sets", lambda: _distinct(
+            _qgram_lists(self.codes())))
 
-    def token_sets(self, records: Sequence[Record]) -> list[frozenset[str]]:
-        """Word-token frozenset per record, memoized."""
-        memo = self._token_sets
-        try:
-            return [memo[record.record_id] for record in records]
-        except KeyError:
-            pass
-        before = len(memo)
-        tokens = self.tokens(records)
-        out = []
-        for record, toks in zip(records, tokens):
-            value = memo.get(record.record_id)
-            if value is None:
-                value = frozenset(toks)
-                memo[record.record_id] = value
-            out.append(value)
-        _note_misses("token_sets", len(memo) - before)
-        return out
+    def soundex_sets(self) -> CodeLists:
+        """Each row's distinct Soundex codes of its words, sorted."""
+        def build() -> CodeLists:
+            words = self.words()
+            vocabulary, index = np.unique(words.codes, return_inverse=True)
+            strings = _DICTIONARY.strings
+            sounds = _DICTIONARY.encode([ext.soundex(strings[code])
+                                         for code in vocabulary.tolist()])
+            return _distinct(
+                CodeLists(words.offsets, sounds[index.reshape(-1)]))
+        return self._built("soundex_sets", build)
 
-    def qgram_sets(self, records: Sequence[Record]) -> list[frozenset[str]]:
-        """3-gram frozenset per record, memoized."""
-        memo, attribute = self._qgram_sets, self.attribute
-        try:
-            return [memo[record.record_id] for record in records]
-        except KeyError:
-            pass
-        before = len(memo)
-        out = []
-        for record in records:
-            value = memo.get(record.record_id)
-            if value is None:
-                raw = record.get(attribute)
-                value = (frozenset() if raw is None
-                         else frozenset(qgrams(str(raw), 3)))
-                memo[record.record_id] = value
-            out.append(value)
-        _note_misses("qgram_sets", len(memo) - before)
-        return out
+    def tfidf(self, idf: Mapping[str, float]) -> TfidfArrays:
+        """Each row's TF/IDF weights under ``idf``, built once per mapping.
 
-    def word_id_arrays(self, records: Sequence[Record]) -> list[np.ndarray]:
-        """Interned word-id int64 array per record, memoized."""
-        memo = self._word_ids
-        try:
-            return [memo[record.record_id] for record in records]
-        except KeyError:
-            pass
-        before = len(memo)
-        tokens = self.tokens(records)
-        out = []
-        for record, toks in zip(records, tokens):
-            value = memo.get(record.record_id)
-            if value is None:
-                value = np.fromiter(
-                    map(_DICTIONARY.intern, toks),
-                    dtype=np.int64, count=len(toks),
-                )
-                memo[record.record_id] = value
-            out.append(value)
-        _note_misses("word_id_arrays", len(memo) - before)
-        return out
-
-    def soundex_sets(self, records: Sequence[Record]) -> list[frozenset[str]]:
-        """Soundex-code frozenset per record's words, memoized."""
-        memo = self._soundex
-        try:
-            return [memo[record.record_id] for record in records]
-        except KeyError:
-            pass
-        before = len(memo)
-        tokens = self.tokens(records)
-        out = []
-        for record, toks in zip(records, tokens):
-            value = memo.get(record.record_id)
-            if value is None:
-                value = frozenset(ext.soundex(word) for word in toks)
-                memo[record.record_id] = value
-            out.append(value)
-        _note_misses("soundex_sets", len(memo) - before)
-        return out
-
-    def tfidf_weights(self, records: Sequence[Record],
-                      idf: Mapping[str, float]) -> list[tuple[dict, float]]:
-        """Per-record (token -> tf*idf weights, norm), memoized per idf.
-
-        Weight dicts are built exactly as the scalar
-        :func:`repro.features.similarity.cosine_tfidf` builds them, so
-        the per-pair dot product reproduces its result bit for bit.
+        Weights and norms are computed exactly as the scalar
+        :func:`repro.features.similarity.cosine_tfidf` computes them.
         """
         entry = self._tfidf.get(id(idf))
         if entry is None:
-            # A fresh idf mapping (even one equal to an already-cached
-            # mapping) starts an empty weight table: every record's
-            # weights will be recomputed.  This is the per-rule rebuild
-            # the cache-miss counters make visible.
-            _note_misses("tfidf_table", 1)
-            default_idf = (max(idf.values()) + 1.0) if idf else 1.0
-            entry = (idf, default_idf, {})
-            self._tfidf[id(idf)] = entry
-        _, default_idf, memo = entry
-        try:
-            return [memo[record.record_id] for record in records]
-        except KeyError:
-            pass
-        before = len(memo)
-        tokens = self.tokens(records)
-        out = []
-        for record, toks in zip(records, tokens):
-            value = memo.get(record.record_id)
-            if value is None:
-                counts = Counter(toks)
-                weights = {
-                    token: count * idf.get(token, default_idf)
-                    for token, count in counts.items()
-                }
-                norm = math.sqrt(sum(v * v for v in weights.values()))
-                value = (weights, norm)
-                memo[record.record_id] = value
-            out.append(value)
-        _note_misses("tfidf_weights", len(memo) - before)
-        return out
+            entry = self._tfidf[id(idf)] = (idf, _tfidf_arrays(
+                self.words(), idf))
+            _note_build("tfidf_table")
+        return entry[1]
+
+    def word_table(self, other: PreparedColumn) -> WordTable | None:
+        """The Jaro-Winkler table of this column's words by ``other``'s.
+
+        Built once per column pair, and kept only while
+        |vocabulary| x |other vocabulary| fits
+        :data:`_MONGE_BLOCK_ELEMENTS`; past it, None, and Monge-Elkan
+        builds one table per block instead.
+        """
+        if other not in self._word_tables:
+            self._word_tables[other] = _word_table(self.words(),
+                                                   other.words())
+        return self._word_tables[other]
 
 
-class TableFeatureCache:
-    """One :class:`PreparedColumn` per attribute, for one table's records.
+def _tfidf_arrays(words: CodeLists, idf: Mapping[str, float]) -> TfidfArrays:
+    default_idf = (max(idf.values()) + 1.0) if idf else 1.0
+    strings = _DICTIONARY.strings
+    flat = words.codes.tolist()
+    bounds = words.offsets.tolist()
+    terms: list[int] = []
+    sizes: list[int] = []
+    weights: list[float] = []
+    norms: list[float] = []
+    for start, stop in zip(bounds, bounds[1:]):
+        counts = Counter(flat[start:stop])
+        row = [count * idf.get(strings[code], default_idf)
+               for code, count in counts.items()]
+        terms.extend(counts)
+        weights.extend(row)
+        sizes.append(len(row))
+        norms.append(sim.tfidf_norm(row))
+    return TfidfArrays(
+        CodeLists(_offsets(np.array(sizes, dtype=np.int64)),
+                  np.array(terms, dtype=np.int64)),
+        np.array(weights, dtype=np.float64),
+        np.array(norms, dtype=np.float64))
 
-    Caches are keyed by ``record_id``, so a cache must only ever be used
-    with records of the table it was created for — obtain instances via
-    :func:`table_cache`, which enforces that by construction.
-    """
 
-    def __init__(self) -> None:
-        self._columns: dict[str, PreparedColumn] = {}
-
-    def column(self, attribute: str) -> PreparedColumn:
-        """The (lazily created) prepared column for ``attribute``."""
-        column = self._columns.get(attribute)
-        if column is None:
-            column = PreparedColumn(attribute)
-            self._columns[attribute] = column
-        return column
+def _word_table(words_a: CodeLists, words_b: CodeLists) -> WordTable | None:
+    vocabulary_a, local_a = np.unique(words_a.codes, return_inverse=True)
+    vocabulary_b, local_b = np.unique(words_b.codes, return_inverse=True)
+    if vocabulary_a.size * vocabulary_b.size > _MONGE_BLOCK_ELEMENTS:
+        return None
+    _note_build("word_table")
+    return WordTable(_jaro_winkler_table(vocabulary_a, vocabulary_b),
+                     local_a.reshape(-1), local_b.reshape(-1))
 
 
-_TABLE_CACHES: "weakref.WeakKeyDictionary[Table, TableFeatureCache]" = (
+_COLUMNS: "weakref.WeakKeyDictionary[Table, dict[str, PreparedColumn]]" = (
     weakref.WeakKeyDictionary()
 )
 
 
-def table_cache(table: Table) -> TableFeatureCache:
-    """The shared feature cache of ``table`` (created on first use)."""
-    cache = _TABLE_CACHES.get(table)
-    if cache is None:
-        cache = TableFeatureCache()
-        _TABLE_CACHES[table] = cache
-    return cache
+def prepared_column(table: Table, attribute: str) -> PreparedColumn:
+    """The shared prepared column of ``table``'s ``attribute``.
+
+    Created on first use, and created afresh once the table has grown.
+    """
+    columns = _COLUMNS.get(table)
+    if columns is None:
+        columns = _COLUMNS[table] = {}
+    column = columns.get(attribute)
+    if column is None or column.size != len(table):
+        column = columns[attribute] = PreparedColumn(
+            [record.get(attribute) for record in table])
+    return column
 
 
 # ----------------------------------------------------------------------
-# Batch kernels
+# Row-array helpers
 # ----------------------------------------------------------------------
 
 
-def _exact_numeric(col_a, records_a, col_b, records_b):
-    return (col_a.numbers(records_a)
-            == col_b.numbers(records_b)).astype(np.float64)
+def _owners(rows: np.ndarray, lists: CodeLists) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``rows``, ascending, and each entry's index
+    into them."""
+    seen = np.zeros(lists.offsets.size - 1, dtype=bool)
+    seen[rows] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[rows]
 
 
-def _exact_string(col_a, records_a, col_b, records_b):
-    norms_a = col_a.norms(records_a)
-    norms_b = col_b.norms(records_b)
-    return np.fromiter(
-        (1.0 if a == b else 0.0 for a, b in zip(norms_a, norms_b)),
-        dtype=np.float64, count=len(norms_a),
-    )
+def _padded(offsets: np.ndarray, values: np.ndarray, rows: np.ndarray,
+            pad: Any) -> np.ndarray:
+    """The CSR lists of ``rows`` (``values[offsets[r]:offsets[r + 1]]``)
+    as a matrix, one row each, padded with ``pad`` after their ends (at
+    least one column, so a matrix of empty lists is all ``pad``)."""
+    starts = offsets[rows]
+    sizes = offsets[rows + 1] - starts
+    columns = np.arange(max(1, int(sizes.max(initial=0))))
+    inside = columns < sizes[:, None]
+    out = np.full(inside.shape, pad, dtype=values.dtype)
+    out[inside] = values[(starts[:, None] + columns)[inside]]
+    return out
 
 
-def _abs_diff(col_a, records_a, col_b, records_b):
-    return np.abs(col_a.numbers(records_a) - col_b.numbers(records_b))
+def _blockwise(evaluate: Callable[[int, int], np.ndarray | None], n: int,
+               step: int = 0, dtype: Any = np.float64) -> np.ndarray:
+    """``evaluate(lo, hi)`` over consecutive pair blocks of ``step``
+    (default :data:`_KERNEL_ROWS`).
+
+    ``evaluate`` returns the values of pairs ``lo:hi``, or None when the
+    block's temporaries would pass :data:`_MONGE_BLOCK_ELEMENTS` (never
+    for a single pair); such a block is evaluated again in two halves.
+    """
+    step = step or _KERNEL_ROWS
+    out = np.empty(n, dtype=dtype)
+    pending = [(lo, min(lo + step, n)) for lo in range(0, n, step)][::-1]
+    while pending:
+        lo, hi = pending.pop()
+        values = evaluate(lo, hi)
+        if values is None:
+            middle = (lo + hi) // 2
+            pending += [(middle, hi), (lo, middle)]
+        else:
+            out[lo:hi] = values
+    return out
 
 
-def _rel_diff(col_a, records_a, col_b, records_b):
-    a = col_a.numbers(records_a)
-    b = col_b.numbers(records_b)
+def _pick(lists_a: CodeLists, rows_a: np.ndarray, lists_b: CodeLists,
+          rows_b: np.ndarray, fill_b: np.ndarray | None = None):
+    """B's entry for every code of every pair's A list.
+
+    One matrix over the distinct B rows and the codes of the distinct A
+    rows holds ``fill_b[k]`` (True when None) where B's code ``k`` is
+    that code, and zero elsewhere.  Each pair picks its B row's entries
+    for its A row's codes, in A's list order, into one row of an
+    ``(len(rows_a), longest A list)`` matrix; code -1 pads the shorter
+    A lists and picks zero.  Returns that matrix, the distinct A rows
+    and each pair's index into them — or None when a temporary would
+    pass :data:`_MONGE_BLOCK_ELEMENTS` and there is more than one pair.
+    """
+    owners_a, index_a = _owners(rows_a, lists_a)
+    owners_b, index_b = _owners(rows_b, lists_b)
+    codes_a = _padded(lists_a.offsets, lists_a.codes, owners_a, -1)
+    vocabulary, local = np.unique(codes_a, return_inverse=True)
+    if rows_a.size > 1 and max(owners_b.size * vocabulary.size,
+                               rows_a.size * codes_a.shape[1]
+                               ) > _MONGE_BLOCK_ELEMENTS:
+        return None
+    sizes_b = lists_b.sizes(owners_b)
+    spans_b = np.repeat(lists_b.offsets[owners_b], sizes_b) + _ranks(sizes_b)
+    codes_b = lists_b.codes[spans_b]
+    at = np.searchsorted(vocabulary, codes_b).clip(max=vocabulary.size - 1)
+    found = vocabulary[at] == codes_b
+    entries = np.zeros((owners_b.size, vocabulary.size),
+                       dtype=bool if fill_b is None else fill_b.dtype)
+    entries[np.repeat(np.arange(owners_b.size), sizes_b)[found],
+            at[found]] = True if fill_b is None else fill_b[spans_b][found]
+    cells = (local.reshape(codes_a.shape)[index_a]
+             + (index_b * vocabulary.size)[:, None])
+    return entries.ravel().take(cells), owners_a, index_a
+
+
+# ----------------------------------------------------------------------
+# Numeric and exact kernels
+# ----------------------------------------------------------------------
+
+
+def _exact_numeric(col_a, rows_a, col_b, rows_b):
+    return (col_a.numbers()[rows_a]
+            == col_b.numbers()[rows_b]).astype(np.float64)
+
+
+def _exact_string(col_a, rows_a, col_b, rows_b):
+    return (col_a.codes()[rows_a] == col_b.codes()[rows_b]).astype(np.float64)
+
+
+def _abs_diff(col_a, rows_a, col_b, rows_b):
+    return np.abs(col_a.numbers()[rows_a] - col_b.numbers()[rows_b])
+
+
+def _rel_diff(col_a, rows_a, col_b, rows_b):
+    a = col_a.numbers()[rows_a]
+    b = col_b.numbers()[rows_b]
     denominator = np.maximum(np.abs(a), np.abs(b))
     with np.errstate(invalid="ignore", divide="ignore"):
         # corlint: disable-next-line=CL004 — exact-zero division guard
@@ -499,65 +555,131 @@ def _rel_diff(col_a, records_a, col_b, records_b):
                         np.abs(a - b) / denominator)
 
 
-def _jaccard_over(sets_of):
-    def kernel(col_a, records_a, col_b, records_b):
-        sets_a = sets_of(col_a, records_a)
-        sets_b = sets_of(col_b, records_b)
-        out = np.empty(len(sets_a), dtype=np.float64)
-        for i, (sa, sb) in enumerate(zip(sets_a, sets_b)):
-            if not sa and not sb:
-                out[i] = 1.0
-            else:
-                intersection = len(sa & sb)
-                out[i] = intersection / (len(sa) + len(sb) - intersection)
-        return out
+# ----------------------------------------------------------------------
+# Set measures
+# ----------------------------------------------------------------------
+
+
+def _intersections(sets_a: CodeLists, rows_a: np.ndarray,
+                   sets_b: CodeLists, rows_b: np.ndarray) -> np.ndarray:
+    """|set_a & set_b| of every pair: how many of its A set's codes its
+    B set holds, read from one membership matrix per block."""
+    def block(lo: int, hi: int) -> np.ndarray | None:
+        picked = _pick(sets_a, rows_a[lo:hi], sets_b, rows_b[lo:hi])
+        return None if picked is None else np.count_nonzero(picked[0],
+                                                            axis=1)
+    return _blockwise(block, rows_a.size, dtype=np.int64)
+
+
+def _set_measure(sets_of: Callable[[PreparedColumn], CodeLists],
+                 formula: Callable[..., np.ndarray]) -> BatchKernel:
+    """A kernel computing ``formula(shared, size_a, size_b)`` from
+    intersection and set sizes; 1.0 where both sets are empty."""
+    def kernel(col_a, rows_a, col_b, rows_b):
+        sets_a, sets_b = sets_of(col_a), sets_of(col_b)
+        size_a, size_b = sets_a.sizes(rows_a), sets_b.sizes(rows_b)
+        shared = _intersections(sets_a, rows_a, sets_b, rows_b)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            values = formula(shared, size_a, size_b)
+        values[(size_a == 0) & (size_b == 0)] = 1.0
+        return values
     return kernel
 
 
-_jaccard_word = _jaccard_over(lambda col, recs: col.token_sets(recs))
-_jaccard_qgram = _jaccard_over(lambda col, recs: col.qgram_sets(recs))
+def _jaccard_of(shared, size_a, size_b):
+    return shared / (size_a + size_b - shared)
 
 
-def _overlap(col_a, records_a, col_b, records_b):
-    sets_a = col_a.token_sets(records_a)
-    sets_b = col_b.token_sets(records_b)
-    out = np.empty(len(sets_a), dtype=np.float64)
-    for i, (sa, sb) in enumerate(zip(sets_a, sets_b)):
-        if not sa and not sb:
-            out[i] = 1.0
-        else:
-            smaller = min(len(sa), len(sb))
-            out[i] = len(sa & sb) / smaller if smaller else 0.0
-    return out
+def _overlap_of(shared, size_a, size_b):
+    smaller = np.minimum(size_a, size_b)
+    return np.where(smaller == 0, 0.0, shared / smaller)
 
 
-def _containment(col_a, records_a, col_b, records_b):
-    sets_a = col_a.token_sets(records_a)
-    sets_b = col_b.token_sets(records_b)
-    out = np.empty(len(sets_a), dtype=np.float64)
-    for i, (sa, sb) in enumerate(zip(sets_a, sets_b)):
-        if not sa and not sb:
-            out[i] = 1.0
-        elif not sa or not sb:
-            out[i] = 0.0
-        else:
-            intersection = len(sa & sb)
-            out[i] = max(intersection / len(sa), intersection / len(sb))
-    return out
+def _containment_of(shared, size_a, size_b):
+    return np.where((size_a == 0) | (size_b == 0), 0.0,
+                    np.maximum(shared / size_a, shared / size_b))
 
 
-def _levenshtein(col_a, records_a, col_b, records_b):
-    codes_a, codes_b, rows = _coded_pairs(col_a, records_a, col_b, records_b)
-    return _levenshtein_codes(codes_a, codes_b)[rows]
+_jaccard_word = _set_measure(PreparedColumn.word_sets, _jaccard_of)
+_jaccard_qgram = _set_measure(PreparedColumn.qgram_sets, _jaccard_of)
+_overlap = _set_measure(PreparedColumn.word_sets, _overlap_of)
+_containment = _set_measure(PreparedColumn.word_sets, _containment_of)
+# A row has Soundex codes iff it has words (a word without letters has
+# the code ""), so the measure is the overlap of the code sets.
+_soundex = _set_measure(PreparedColumn.soundex_sets, _overlap_of)
 
 
-def _jaro_winkler(col_a, records_a, col_b, records_b):
-    codes_a, codes_b, rows = _coded_pairs(col_a, records_a, col_b, records_b)
-    return _jaro_winkler_codes(codes_a, codes_b)[rows]
+# ----------------------------------------------------------------------
+# TF/IDF cosine
+# ----------------------------------------------------------------------
 
 
-def _smith_waterman(col_a, records_a, col_b, records_b):
-    codes_a, codes_b, rows = _coded_pairs(col_a, records_a, col_b, records_b)
+def _make_cosine_tfidf(idf: Mapping[str, float]) -> BatchKernel:
+    def kernel(col_a, rows_a, col_b, rows_b):
+        tfidf_a, tfidf_b = col_a.tfidf(idf), col_b.tfidf(idf)
+        size_a = tfidf_a.terms.sizes(rows_a)
+        size_b = tfidf_b.terms.sizes(rows_b)
+        norm_a, norm_b = tfidf_a.norms[rows_a], tfidf_b.norms[rows_b]
+        dot = _blockwise(functools.partial(
+            _dot_block, tfidf_a, rows_a, tfidf_b, rows_b), rows_a.size)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            values = dot / (norm_a * norm_b)
+        # corlint: disable-next-line=CL004 — exact-zero guard
+        zero = (size_a == 0) | (size_b == 0) | (norm_a == 0.0) | (norm_b == 0.0)
+        values[zero] = 0.0
+        values[(size_a == 0) & (size_b == 0)] = 1.0
+        return values
+    return kernel
+
+
+def _dot_block(tfidf_a: TfidfArrays, rows_a: np.ndarray,
+               tfidf_b: TfidfArrays, rows_b: np.ndarray,
+               lo: int, hi: int) -> np.ndarray | None:
+    """Dot products of pairs ``lo:hi``, added in A's term order; a term
+    B lacks adds 0.0, which leaves the sum unchanged."""
+    picked = _pick(tfidf_a.terms, rows_a[lo:hi], tfidf_b.terms,
+                   rows_b[lo:hi], tfidf_b.weights)
+    if picked is None:
+        return None
+    weights_b, owners_a, index_a = picked
+    weights_a = _padded(tfidf_a.terms.offsets, tfidf_a.weights, owners_a,
+                        0.0)[index_a]
+    # np.cumsum adds left to right, like the scalar loop.
+    return np.cumsum(weights_a * weights_b, axis=1)[:, -1]
+
+
+# ----------------------------------------------------------------------
+# String kernels over distinct code pairs
+# ----------------------------------------------------------------------
+
+
+def _coded_pairs(col_a, rows_a, col_b, rows_b):
+    """Distinct (A code, B code) pairs of a pair column, plus each row's
+    index into them.
+
+    Cartesian chunks repeat values heavily (every record of A meets every
+    record of B, and low-cardinality columns repeat across records), so
+    every string kernel computes each distinct pair once.
+    """
+    codes_a = col_a.codes()[rows_a]
+    codes_b = col_b.codes()[rows_b]
+    width = max(int(codes_a.max(initial=0)), int(codes_b.max(initial=0))) + 1
+    keys, index = np.unique(codes_a * width + codes_b, return_inverse=True)
+    return keys // width, keys % width, index.reshape(-1)
+
+
+def _levenshtein(col_a, rows_a, col_b, rows_b):
+    codes_a, codes_b, index = _coded_pairs(col_a, rows_a, col_b, rows_b)
+    return _levenshtein_codes(codes_a, codes_b)[index]
+
+
+def _jaro_winkler(col_a, rows_a, col_b, rows_b):
+    codes_a, codes_b, index = _coded_pairs(col_a, rows_a, col_b, rows_b)
+    return _jaro_winkler_codes(codes_a, codes_b)[index]
+
+
+def _smith_waterman(col_a, rows_a, col_b, rows_b):
+    codes_a, codes_b, index = _coded_pairs(col_a, rows_a, col_b, rows_b)
     len_a = _DICTIONARY.lengths(codes_a)
     len_b = _DICTIONARY.lengths(codes_b)
     values = ((len_a == 0) & (len_b == 0)).astype(np.float64)
@@ -570,71 +692,29 @@ def _smith_waterman(col_a, records_a, col_b, records_b):
             _DICTIONARY.points(codes_b[hard], -1, int(len_b.max())),
             len_a, len_b,
         )
-    return values[rows]
+    return values[index]
 
 
-def _prefix(col_a, records_a, col_b, records_b):
-    norms_a = col_a.norms(records_a)
-    norms_b = col_b.norms(records_b)
-    prefix = ext.prefix_similarity
-    return np.fromiter(
-        (prefix(a, b) for a, b in zip(norms_a, norms_b)),
-        dtype=np.float64, count=len(norms_a),
-    )
-
-
-def _soundex(col_a, records_a, col_b, records_b):
-    tokens_a = col_a.tokens(records_a)
-    tokens_b = col_b.tokens(records_b)
-    codes_a = col_a.soundex_sets(records_a)
-    codes_b = col_b.soundex_sets(records_b)
-    out = np.empty(len(tokens_a), dtype=np.float64)
-    for i, (ta, tb, ca, cb) in enumerate(
-            zip(tokens_a, tokens_b, codes_a, codes_b)):
-        if not ta and not tb:
-            out[i] = 1.0
-        elif not ta or not tb:
-            out[i] = 0.0
-        else:
-            shorter, other = (ca, cb) if len(ca) <= len(cb) else (cb, ca)
-            hits = sum(1 for code in shorter if code in other)
-            out[i] = hits / len(shorter)
-    return out
-
-
-def _make_cosine_tfidf(idf: Mapping[str, float]) -> BatchKernel:
-    def kernel(col_a, records_a, col_b, records_b):
-        pairs_a = col_a.tfidf_weights(records_a, idf)
-        pairs_b = col_b.tfidf_weights(records_b, idf)
-        out = np.empty(len(pairs_a), dtype=np.float64)
-        for i, ((wa, norm_a), (wb, norm_b)) in enumerate(
-                zip(pairs_a, pairs_b)):
-            if not wa and not wb:
-                out[i] = 1.0
-            elif not wa or not wb:
-                out[i] = 0.0
-            # corlint: disable-next-line=CL004 — exact-zero guard
-            elif norm_a == 0.0 or norm_b == 0.0:
-                out[i] = 0.0
-            else:
-                dot = sum(wa[token] * wb[token]
-                          for token in wa if token in wb)
-                out[i] = dot / (norm_a * norm_b)
-        return out
-    return kernel
+def _prefix(col_a, rows_a, col_b, rows_b):
+    """``prefix_similarity``: agreeing characters among the first
+    ``min(4, longer length)``; distinct pads never agree."""
+    codes_a, codes_b, index = _coded_pairs(col_a, rows_a, col_b, rows_b)
+    window = np.minimum(np.maximum(_DICTIONARY.lengths(codes_a),
+                                   _DICTIONARY.lengths(codes_b)), 4)
+    agree = (_DICTIONARY.points(codes_a, -2, 4)
+             == _DICTIONARY.points(codes_b, -1, 4)).sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        values = np.where(window == 0, 1.0, agree / window)
+    return values[index]
 
 
 # ----------------------------------------------------------------------
-# Bit-parallel string kernels over dictionary codes
+# Bit-parallel Levenshtein and Jaro-Winkler
 # ----------------------------------------------------------------------
 
 _BITS = 64
 """Characters one ``uint64`` bit vector holds.  A row whose bit-side
 string is longer goes to the scalar oracle."""
-
-_KERNEL_ROWS = 1 << 15
-"""Rows a bit-parallel kernel advances together; bounds its
-temporaries (a few arrays of this many words) for any input size."""
 
 _ONE = np.uint64(1)
 _BELOW = np.array([(1 << k) - 1 for k in range(_BITS + 1)], dtype=np.uint64)
@@ -648,21 +728,6 @@ def _popcount(words: np.ndarray) -> np.ndarray:
     """Set bits of each uint64."""
     return _POPCOUNT[np.ascontiguousarray(words).view(np.uint8)
                      ].reshape(-1, 8).sum(axis=1)
-
-
-def _coded_pairs(col_a, records_a, col_b, records_b):
-    """Distinct (A code, B code) pairs of a pair column, plus each row's
-    index into them.
-
-    Cartesian chunks repeat values heavily (every record of A meets every
-    record of B, and low-cardinality columns repeat across records), so
-    every string kernel computes each distinct pair once.
-    """
-    codes_a = col_a.string_codes(records_a)
-    codes_b = col_b.string_codes(records_b)
-    width = max(int(codes_a.max(initial=0)), int(codes_b.max(initial=0))) + 1
-    keys, rows = np.unique(codes_a * width + codes_b, return_inverse=True)
-    return keys // width, keys % width, rows.reshape(-1)
 
 
 def _bit_tables(bit_codes: np.ndarray, scan_codes: np.ndarray):
@@ -856,89 +921,107 @@ def _jaro_winkler_bits(codes_s: np.ndarray, codes_t: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Monge-Elkan over block-local word vocabularies
+# Monge-Elkan over word-level Jaro-Winkler tables
 # ----------------------------------------------------------------------
 
-_MONGE_BLOCK_ELEMENTS = 1 << 22
-"""Cap on elements of a block's (rows, words_a, words_b) value tensor
-and of its |vocabulary_a| x |vocabulary_b| table, bounding peak memory
-to ~32 MB each regardless of chunk size."""
+
+def _jaro_winkler_table(vocabulary_a: np.ndarray,
+                        vocabulary_b: np.ndarray) -> np.ndarray:
+    """Jaro-Winkler of every (A word, B word) pair of two vocabularies."""
+    return _jaro_winkler_codes(
+        np.repeat(vocabulary_a, vocabulary_b.size),
+        np.tile(vocabulary_b, vocabulary_a.size),
+    ).reshape(vocabulary_a.size, vocabulary_b.size)
 
 
-def _padded_ids(ids: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Word-id arrays stacked into an (n, width) matrix padded with -1,
-    plus each row's word count."""
-    sizes = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))
-    width = int(sizes.max(initial=0))
-    matrix = np.full((len(ids), width), -1, dtype=np.int64)
-    if width:
-        # Boolean-mask assignment fills row-major, in concatenation order.
-        matrix[np.arange(width) < sizes[:, None]] = np.concatenate(ids)
-    return matrix, sizes
-
-
-def _monge_elkan(col_a, records_a, col_b, records_b):
-    ids_a, size_a = _padded_ids(col_a.word_id_arrays(records_a))
-    ids_b, size_b = _padded_ids(col_b.word_id_arrays(records_b))
+def _monge_elkan(col_a, rows_a, col_b, rows_b):
+    words_a, words_b = col_a.words(), col_b.words()
+    table = col_a.word_table(col_b)
+    size_a, size_b = words_a.sizes(rows_a), words_b.sizes(rows_b)
     out = ((size_a == 0) & (size_b == 0)).astype(np.float64)
     hard = np.flatnonzero((size_a > 0) & (size_b > 0))
     if hard.size:
-        per_row = int(size_a[hard].max()) * int(size_b[hard].max())
-        step = max(1, _MONGE_BLOCK_ELEMENTS // per_row)
-        for start in range(0, hard.size, step):
-            _monge_elkan_block(ids_a, size_a, ids_b, size_b,
-                               hard[start:start + step], out)
+        per_pair = int(size_a[hard].max()) * int(size_b[hard].max())
+        out[hard] = _blockwise(
+            functools.partial(_monge_elkan_block, words_a, rows_a[hard],
+                              words_b, rows_b[hard], table),
+            hard.size, max(1, min(_KERNEL_ROWS,
+                                  _MONGE_BLOCK_ELEMENTS // per_pair)))
     return out
 
 
-def _monge_elkan_block(ids_a, size_a, ids_b, size_b, rows, out) -> None:
-    sizes_a, sizes_b = size_a[rows], size_b[rows]
-    block_a = ids_a[rows, :int(sizes_a.max())]
-    block_b = ids_b[rows, :int(sizes_b.max())]
-    vocab_a, local_a = np.unique(block_a, return_inverse=True)
-    vocab_b, local_b = np.unique(block_b, return_inverse=True)
-    if vocab_a.size * vocab_b.size > _MONGE_BLOCK_ELEMENTS and rows.size > 1:
-        half = rows.size // 2
-        _monge_elkan_block(ids_a, size_a, ids_b, size_b, rows[:half], out)
-        _monge_elkan_block(ids_a, size_a, ids_b, size_b, rows[half:], out)
-        return
+def _monge_elkan_block(words_a: CodeLists, rows_a: np.ndarray,
+                       words_b: CodeLists, rows_b: np.ndarray,
+                       table: WordTable | None,
+                       lo: int, hi: int) -> np.ndarray | None:
+    """Monge-Elkan of pairs ``lo:hi``, whose word lists are non-empty.
 
-    table = _word_table(vocab_a, vocab_b)
-    local = (local_a.reshape(block_a.shape)[:, :, None] * vocab_b.size
-             + local_b.reshape(block_b.shape)[:, None, :])
-    values = table.take(local)  # -inf wherever either word is padding
-    best_ab = values.max(axis=2)  # (n, width_a): best partner per a-word
-    best_ba = values.max(axis=1)  # (n, width_b): best partner per b-word
-
-    # np.cumsum adds sequentially in token order, exactly like the
-    # scalar directed() loop, so the means keep bit parity.
-    n = np.arange(rows.size)
-    total_ab = np.cumsum(best_ab, axis=1)[n, sizes_a - 1]
-    total_ba = np.cumsum(best_ba, axis=1)[n, sizes_b - 1]
-    out[rows] = (total_ab / sizes_a + total_ba / sizes_b) / 2.0
-
-
-def _word_table(vocab_a: np.ndarray, vocab_b: np.ndarray) -> np.ndarray:
-    """Dense word-level Jaro-Winkler over two sorted vocabularies.
-
-    A leading -1 (the padding id) gets a row or column of -inf.  Word
-    pairs missing from :data:`_JW_BY_KEY` are computed in one kernel
-    call and cached.
+    Word ids index the column pair's word table, or, past its cap, a
+    table over the block's own vocabularies; id -1 pads the shorter
+    word lists.
     """
-    table = np.full((vocab_a.size, vocab_b.size), -np.inf)
-    skip_a, skip_b = int(vocab_a[0] < 0), int(vocab_b[0] < 0)
-    keys = ((vocab_a[skip_a:, None] << 32) | vocab_b[None, skip_b:]).ravel()
-    values = np.fromiter(
-        map(_JW_BY_KEY.get, keys.tolist(), repeat(math.nan)),
-        dtype=np.float64, count=keys.size)
-    missing = np.isnan(values)
-    if missing.any():
-        fresh_keys = keys[missing]
-        fresh = _jaro_winkler_codes(fresh_keys >> 32, fresh_keys & 0xFFFFFFFF)
-        values[missing] = fresh
-        _JW_BY_KEY.update(zip(fresh_keys.tolist(), fresh.tolist()))
-    table[skip_a:, skip_b:] = values.reshape(vocab_a.size - skip_a, -1)
-    return table
+    owners_a, index_a = _owners(rows_a[lo:hi], words_a)
+    owners_b, index_b = _owners(rows_b[lo:hi], words_b)
+    if table is not None:
+        values = table.values
+        ids_a = _padded(words_a.offsets, table.local_a, owners_a, -1)
+        ids_b = _padded(words_b.offsets, table.local_b, owners_b, -1)
+    else:
+        codes_a = _padded(words_a.offsets, words_a.codes, owners_a, -1)
+        codes_b = _padded(words_b.offsets, words_b.codes, owners_b, -1)
+        vocabulary_a = np.unique(codes_a[codes_a >= 0])
+        vocabulary_b = np.unique(codes_b[codes_b >= 0])
+        if (vocabulary_a.size * vocabulary_b.size > _MONGE_BLOCK_ELEMENTS
+                and hi - lo > 1):
+            return None
+        values = _jaro_winkler_table(vocabulary_a, vocabulary_b)
+        ids_a = np.where(codes_a < 0, -1,
+                         np.searchsorted(vocabulary_a, codes_a))
+        ids_b = np.where(codes_b < 0, -1,
+                         np.searchsorted(vocabulary_b, codes_b))
+    capped = hi - lo > 1
+    total_ab = _best_partner_sums(values.T, ids_a, index_a, ids_b, index_b,
+                                  capped)
+    total_ba = (None if total_ab is None else _best_partner_sums(
+        values, ids_b, index_b, ids_a, index_a, capped))
+    if total_ba is None:
+        return None
+    sizes_a = words_a.sizes(owners_a)[index_a]
+    sizes_b = words_b.sizes(owners_b)[index_b]
+    return (total_ab / sizes_a + total_ba / sizes_b) / 2.0
+
+
+def _best_partner_sums(values: np.ndarray, ids_s: np.ndarray,
+                       index_s: np.ndarray, ids_t: np.ndarray,
+                       index_t: np.ndarray, capped: bool) -> np.ndarray | None:
+    """Each pair's sum, in token order, of its s words' best partners.
+
+    ``values[v, w]`` is the Jaro-Winkler of t word ``v`` and s word
+    ``w``; ``ids_s``/``ids_t`` hold the word ids of the block's distinct
+    s and t rows, padded with -1, and pair ``i`` is s-row
+    ``index_s[i]`` with t-row ``index_t[i]``.  ``best[r, j]``, the
+    largest ``values[v, vocabulary[j]]`` over the words ``v`` of t-row
+    ``r``, is found once for every t-row and s word of the block, one
+    token position of all t-rows at a time; each pair then adds the
+    best of its s words left to right, as the scalar ``directed()``
+    loop does.  None when ``capped`` and ``best`` would pass the cap.
+    """
+    vocabulary, word = np.unique(ids_s, return_inverse=True)
+    if capped and ids_t.shape[0] * vocabulary.size > _MONGE_BLOCK_ELEMENTS:
+        return None
+    # Row -1 (-inf) stands in for the padding past a t-row's end.
+    partners = np.full((values.shape[0] + 1, vocabulary.size), -np.inf)
+    partners[:-1] = values[:, vocabulary]
+    best = partners[ids_t[:, 0]]
+    for position in ids_t.T[1:]:
+        np.maximum(best, partners[position], out=best)
+    if vocabulary[0] < 0:
+        best[:, 0] = 0.0  # s padding adds nothing
+    cells = (word.reshape(ids_s.shape)[index_s]
+             + (index_t * vocabulary.size)[:, None])
+    # np.cumsum adds left to right, like the scalar loop; the padding
+    # after a row's last word adds 0.0 and leaves its sum unchanged.
+    return np.cumsum(best.ravel().take(cells), axis=1)[:, -1]
 
 
 # ----------------------------------------------------------------------

@@ -54,42 +54,60 @@ class Feature:
             return math.nan
         return float(self.compute(a, b))
 
-    def batch_value(self, records_a: Sequence[Record],
-                    records_b: Sequence[Record],
-                    cache_a: batch_engine.TableFeatureCache | None = None,
-                    cache_b: batch_engine.TableFeatureCache | None = None,
-                    ) -> np.ndarray:
-        """Evaluate this feature over aligned record columns at once.
+    def batch_value(self, table_a: Table, rows_a: np.ndarray,
+                    table_b: Table, rows_b: np.ndarray) -> np.ndarray:
+        """Evaluate this feature over a pair column at once.
 
-        Returns exactly ``[self.value(a, b) for a, b in zip(records_a,
-        records_b)]`` as a float64 array — the scalar path is the parity
-        oracle — with NaN wherever either side's attribute is missing.
-        ``cache_a``/``cache_b`` are the per-table prepared-value caches
-        (see :func:`repro.features.batch.table_cache`); each record list
-        must come from a single table per side.  When omitted, private
-        caches still deduplicate work within this call.
+        Pair ``i`` is row ``rows_a[i]`` of ``table_a`` with row
+        ``rows_b[i]`` of ``table_b`` (positions, as in
+        :meth:`Table.at`).  Returns exactly ``[self.value(table_a.at(i),
+        table_b.at(j)) for i, j in zip(rows_a, rows_b)]`` as a float64
+        array — the scalar path is the parity oracle — with NaN wherever
+        either side's attribute is missing.  Kernels read the tables'
+        shared prepared columns
+        (:func:`repro.features.batch.prepared_column`).
+
+        Raises :class:`FeatureError` unless both row arrays are 1-D
+        integer arrays of equal length whose rows lie inside their
+        tables.
         """
-        if len(records_a) != len(records_b):
+        _check_rows(rows_a, table_a)
+        _check_rows(rows_b, table_b)
+        if rows_a.size != rows_b.size:
             raise FeatureError(
-                f"batch_value got {len(records_a)} A records but "
-                f"{len(records_b)} B records"
+                f"batch_value got {rows_a.size} A rows but "
+                f"{rows_b.size} B rows"
             )
         if self.batch_compute is None:
             return np.fromiter(
-                (self.value(a, b) for a, b in zip(records_a, records_b)),
-                dtype=np.float64, count=len(records_a),
+                (self.value(table_a.at(i), table_b.at(j))
+                 for i, j in zip(rows_a.tolist(), rows_b.tolist())),
+                dtype=np.float64, count=rows_a.size,
             )
-        if cache_a is None:
-            cache_a = batch_engine.TableFeatureCache()
-        if cache_b is None:
-            cache_b = batch_engine.TableFeatureCache()
-        column_a = cache_a.column(self.attribute)
-        column_b = cache_b.column(self.attribute)
-        values = self.batch_compute(column_a, records_a, column_b, records_b)
-        missing = column_a.missing_mask(records_a, records_b, column_b)
+        column_a = batch_engine.prepared_column(table_a, self.attribute)
+        column_b = batch_engine.prepared_column(table_b, self.attribute)
+        values = self.batch_compute(column_a, rows_a, column_b, rows_b)
+        missing = column_a.missing()[rows_a] | column_b.missing()[rows_b]
         if missing.any():
             values[missing] = math.nan
         return values
+
+
+def _check_rows(rows: np.ndarray, table: Table) -> None:
+    """Raise :class:`FeatureError` unless ``rows`` is a 1-D integer
+    array of positions in ``table``."""
+    if not (isinstance(rows, np.ndarray) and rows.ndim == 1
+            and rows.dtype.kind in "iu"):
+        raise FeatureError(
+            f"rows of table {table.name!r} must be a 1-D integer array, "
+            f"got {type(rows).__name__} "
+            f"{getattr(rows, 'dtype', '')} {getattr(rows, 'shape', '')}"
+        )
+    if rows.size and (rows.min() < 0 or rows.max() >= len(table)):
+        raise FeatureError(
+            f"rows of table {table.name!r} must lie in [0, {len(table)}), "
+            f"got [{rows.min()}, {rows.max()}]"
+        )
 
 
 class FeatureLibrary:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
 
 from .tokenize import normalize, word_tokens
@@ -188,13 +188,27 @@ def cosine_tfidf(tokens_a: Sequence[str], tokens_b: Sequence[str],
         }
 
     wa, wb = weights(tokens_a), weights(tokens_b)
-    dot = sum(wa[token] * wb[token] for token in wa if token in wb)
-    norm_a = math.sqrt(sum(v * v for v in wa.values()))
-    norm_b = math.sqrt(sum(v * v for v in wb.values()))
+    # Explicit left-to-right loops, like monge_elkan's directed(): the
+    # builtin sum compensates rounding since Python 3.12, and the
+    # batched kernel adds in this order.
+    dot = 0.0
+    for token, weight in wa.items():
+        if token in wb:
+            dot += weight * wb[token]
+    norm_a = tfidf_norm(wa.values())
+    norm_b = tfidf_norm(wb.values())
     # corlint: disable-next-line=CL004 — exact-zero division guard
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
     return dot / (norm_a * norm_b)
+
+
+def tfidf_norm(weights: Iterable[float]) -> float:
+    """Euclidean norm of TF/IDF weights, squares added left to right."""
+    total = 0.0
+    for weight in weights:
+        total += weight * weight
+    return math.sqrt(total)
 
 
 def exact_match(a: object, b: object) -> float:

@@ -5,9 +5,8 @@ The memoized variants (:func:`cached_word_tokens`,
 scalar feature path: every measure closure in
 :mod:`repro.features.library` reads them, so one attribute tokenized
 for a cheap measure is never re-tokenized for an expensive one.  (The
-batch engine has its own per-record memoization in
-:class:`repro.features.batch.PreparedColumn`, keyed by record rather
-than by text.)
+batch engine tokenizes each table column once, into the whole-table
+arrays of :class:`repro.features.batch.PreparedColumn`.)
 """
 
 from __future__ import annotations

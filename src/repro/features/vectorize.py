@@ -3,10 +3,10 @@
 Every surviving pair after blocking is converted immediately into a
 feature vector; all downstream modules then work on the numeric matrix.
 The matrix is filled column-wise through the batched feature engine
-(:mod:`repro.features.batch`): records are materialized once per side,
-per-record tokenization comes from the shared per-table caches, and each
-feature evaluates the whole pair column in one call.  The tests hold it
-bit-identical to a per-pair ``Feature.value`` loop.
+(:mod:`repro.features.batch`): pair ids become table row positions once
+per side, tokenization comes from the tables' shared prepared columns,
+and each feature evaluates the whole pair column in one call.  The
+tests hold it bit-identical to a per-pair ``Feature.value`` loop.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from ..data.pairs import CandidateSet, Pair
 from ..data.table import Table
 from ..exceptions import DataError
 from ..obs.profiling import profile_section
-from .batch import table_cache
 from .library import FeatureLibrary
 
 
@@ -28,8 +27,8 @@ def vectorize_pairs(table_a: Table, table_b: Table, pairs: Sequence[Pair],
                     out: np.ndarray | None = None) -> CandidateSet:
     """Build a :class:`CandidateSet` for ``pairs`` using ``library``.
 
-    Records are looked up by id in their respective tables; unknown ids
-    raise :class:`repro.exceptions.DataError` via the table lookup.
+    Ids are looked up in their respective tables; unknown ids raise
+    :class:`repro.exceptions.DataError` via :meth:`Table.positions`.
     Missing attribute values produce NaN feature entries.  Each feature
     is evaluated column-wise over all pairs at once.
 
@@ -53,12 +52,10 @@ def vectorize_pairs(table_a: Table, table_b: Table, pairs: Sequence[Pair],
         return CandidateSet(list(pairs), matrix, library.names)
 
     with profile_section("features.vectorize_pairs"):
-        records_a = [table_a[pair.a_id] for pair in pairs]
-        records_b = [table_b[pair.b_id] for pair in pairs]
-        cache_a = table_cache(table_a)
-        cache_b = table_cache(table_b)
+        ids_a, ids_b = zip(*pairs)
+        rows_a = table_a.positions(ids_a)
+        rows_b = table_b.positions(ids_b)
         for col, feature in enumerate(library):
-            matrix[:, col] = feature.batch_value(
-                records_a, records_b, cache_a, cache_b
-            )
+            matrix[:, col] = feature.batch_value(table_a, rows_a,
+                                                 table_b, rows_b)
     return CandidateSet(list(pairs), matrix, library.names)

@@ -4,7 +4,7 @@
 (:func:`repro.exec.apply_rules_sharded`) runs in every shard.  It
 subclasses the full-matrix reference evaluator,
 :class:`~repro.core.blocker.ChunkEvaluator`, so the fork prewarm reads
-the same needed-feature projection and caches.  Instead of
+the same needed-feature projection.  Instead of
 materializing every needed feature for every pair of a chunk, it walks
 the compiled :class:`~repro.plan.compiler.BlockingPlan` node by node,
 keeping an *active row set* per node and computing each feature column
@@ -47,9 +47,10 @@ class PlanStats:
 
     Feature-*cell* counts (one cell = one feature value for one pair)
     are a pure function of tables, rules and plan order, so they are
-    safe to fold into the checkpointed metrics registry — unlike cache
-    hit/miss counts, which depend on process-lifetime cache warmth and
-    stay out of it (see :func:`repro.features.batch.cache_stats`).
+    safe to fold into the checkpointed metrics registry — unlike the
+    prepared-array build counts, which depend on process-lifetime cache
+    warmth and stay out of it (see
+    :func:`repro.features.batch.cache_stats`).
     """
 
     pairs: int = 0
@@ -88,9 +89,9 @@ class PlanExecutor(ChunkEvaluator):
     """A ChunkEvaluator that runs a compiled plan over each chunk.
 
     Construction compiles the plan from the rule set and cost model;
-    the inherited surface (``needed``/``needed_features``/``cache_a``/
-    ``cache_b``/``survivors``) is unchanged, so the sharded executor's
-    fork prewarm and shard streaming work against it untouched.
+    the inherited surface (``needed``/``needed_features``/
+    ``survivors``) is unchanged, so the sharded executor's fork prewarm
+    and shard streaming work against it untouched.
     """
 
     def __init__(self, table_a: Table, table_b: Table,
@@ -104,7 +105,8 @@ class PlanExecutor(ChunkEvaluator):
         self.cells_computed = 0
         """Feature cells this executor's kernels have evaluated."""
 
-    def blocked_mask(self, records_a: list, records_b: list) -> np.ndarray:
+    def blocked_mask(self, rows_a: np.ndarray,
+                     rows_b: np.ndarray) -> np.ndarray:
         """Plan-ordered, row-pruned equivalent of the chunk evaluator.
 
         The explicit all-missing guard of the base class is skipped:
@@ -112,8 +114,7 @@ class PlanExecutor(ChunkEvaluator):
         docstring), and when some rule *can* block on NaN the guard
         never applied in the base class either.
         """
-        n = len(records_a)
-        blocked = np.zeros(n, dtype=bool)
+        blocked = np.zeros(rows_a.size, dtype=bool)
         columns: dict[int, np.ndarray] = {}
         have: dict[int, np.ndarray] = {}
         for node in self.plan.nodes:
@@ -130,15 +131,15 @@ class PlanExecutor(ChunkEvaluator):
                         break
                     column = self._column(
                         step.predicate.feature_index, rows,
-                        records_a, records_b, columns, have,
+                        rows_a, rows_b, columns, have,
                     )
                     rows = rows[step.predicate.evaluate_column(column[rows])]
             if rows.size:
                 blocked[rows] = True
         return blocked
 
-    def _column(self, index: int, rows: np.ndarray, records_a: list,
-                records_b: list, columns: dict[int, np.ndarray],
+    def _column(self, index: int, rows: np.ndarray, rows_a: np.ndarray,
+                rows_b: np.ndarray, columns: dict[int, np.ndarray],
                 have: dict[int, np.ndarray]) -> np.ndarray:
         """The feature column for ``index``, filled at least at ``rows``.
 
@@ -149,16 +150,15 @@ class PlanExecutor(ChunkEvaluator):
         """
         column = columns.get(index)
         if column is None:
-            column = np.full(len(records_a), np.nan)
+            column = np.full(rows_a.size, np.nan)
             columns[index] = column
-            have[index] = np.zeros(len(records_a), dtype=bool)
+            have[index] = np.zeros(rows_a.size, dtype=bool)
         pending = rows[~have[index][rows]]
         if pending.size:
             feature = self._features_by_index[index]
             column[pending] = feature.batch_value(
-                [records_a[i] for i in pending],
-                [records_b[i] for i in pending],
-                self.cache_a, self.cache_b,
+                self.table_a, rows_a[pending],
+                self.table_b, rows_b[pending],
             )
             have[index][pending] = True
             self.cells_computed += int(pending.size)
