@@ -260,3 +260,38 @@ class TestRuleMicro:
         )
         mask = benchmark(rule.applies, matrix)
         assert mask.shape == (100_000,)
+
+    def test_select_top_k_restaurants_axb(self, benchmark):
+        """Rank a trained forest's negative rules over the restaurants
+        180 x 120 candidate set, as the estimator and locator do."""
+        from repro.data.sampling import iter_cartesian
+        from repro.features.library import build_feature_library
+        from repro.features.vectorize import vectorize_pairs
+        from repro.rules.extraction import extract_negative_rules
+        from repro.rules.selection import select_top_k
+        from repro.synth.restaurants import generate_restaurants
+        dataset = generate_restaurants(180, 120, 40)
+        library = build_feature_library(dataset.table_a, dataset.table_b)
+        candidates = vectorize_pairs(
+            dataset.table_a, dataset.table_b,
+            list(iter_cartesian(dataset.table_a, dataset.table_b)), library)
+        # Each predicate reads one contiguous column only while the
+        # matrix is feature-major.
+        assert candidates.features.flags.f_contiguous
+        truth = np.array([pair in dataset.matches
+                          for pair in candidates.pairs])
+        rng = np.random.default_rng(4)
+        train = np.union1d(np.flatnonzero(truth),
+                           rng.choice(len(candidates), 400, replace=False))
+        forest = train_forest(candidates.features[train], truth[train],
+                              ForestConfig(), rng)
+        rules = extract_negative_rules(forest, library.names)
+        known = np.full(len(candidates), -1, dtype=np.int8)
+        known[train] = truth[train]
+        ranked = benchmark.pedantic(
+            lambda: select_top_k(rules, candidates.features, known, 20),
+            rounds=5, iterations=1,
+        )
+        benchmark.extra_info["rules"] = len(rules)
+        benchmark.extra_info["pairs"] = len(candidates)
+        assert len(ranked) == min(20, len(rules))

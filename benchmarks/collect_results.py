@@ -78,7 +78,8 @@ full fsync discipline (file + directory fsync around every atomic
 replace) versus the same checkpointed run with fsync disabled
 (acceptance bar < 5%), plus a crash-and-resume fault sweep — a
 deterministic storage fault armed against one write site per run,
-asserting the resumed result is bit-identical to the clean run —
+asserting the resumed result is bit-identical to the clean run and
+every MANIFEST entry verifies —
 recorded as ``BENCH_storage.json`` plus a ``storage_durability``
 result table:
 
@@ -816,8 +817,9 @@ def collect_storage(output: Path | None = None, repeats: int = 3) -> dict:
     fsync-free run).  The crash sweep: one run per write-site × fault
     combo with a deterministic storage fault armed against that site,
     asserting the crash fired, ``Corleone.resume`` completes, the
-    resumed result is bit-identical to the clean run and every
-    delivered answer was charged.  A bit-rot pass (flip one bit of
+    resumed result is bit-identical to the clean run, every delivered
+    answer was charged and every entry of the final ``MANIFEST.json``
+    verifies against its file.  A bit-rot pass (flip one bit of
     ``checkpoint.json`` at rest, resume through the quarantine +
     generation-fallback path) rides along.  Writes
     ``BENCH_storage.json`` and a ``storage_durability`` result table,
@@ -845,7 +847,9 @@ def collect_storage(output: Path | None = None, repeats: int = 3) -> dict:
     from repro.storage import (
         SimulatedCrashError,
         StorageFaultInjector,
+        load_manifest,
         set_fsync,
+        verify_artifact,
     )
     from repro.synth.restaurants import generate_restaurants
 
@@ -924,13 +928,19 @@ def collect_storage(output: Path | None = None, repeats: int = 3) -> dict:
                 dataset.matches, error_rate=0.05,
                 rng=np.random.default_rng(11))
             resumed = Corleone.resume(run_dir, resume_crowd)
+            manifest = load_manifest(run_dir) or {}
             return {
                 "site": site,
                 "kind": kind if bitflip is None else "bitflip",
+                "skip": skip,
                 "crash_fired": crashed,
                 "resumed": True,
                 "bit_identical": (
                     persistence.result_report(resumed) == golden_report
+                ),
+                "manifest_verified": bool(manifest) and all(
+                    verify_artifact(run_dir, run_dir / key, manifest)[0]
+                    for key in manifest
                 ),
             }
 
@@ -940,6 +950,10 @@ def collect_storage(output: Path | None = None, repeats: int = 3) -> dict:
         crash_and_resume(CHECKPOINT_FILE, "crash_after", skip=1),
         crash_and_resume(CANDIDATES_FILE, "torn_write", skip=0),
         crash_and_resume("MANIFEST.json", "crash_after", skip=2),
+        # MANIFEST write 9 (the run's, five shard manifests, then one
+        # per checkpoint) is the fourth checkpoint's flush, the first
+        # that drops a pruned generation.
+        crash_and_resume("MANIFEST.json", "crash_before", skip=9),
         crash_and_resume(CHECKPOINT_FILE, "crash_after", skip=2,
                          bitflip=CHECKPOINT_FILE),
     ]
@@ -964,6 +978,7 @@ def collect_storage(output: Path | None = None, repeats: int = 3) -> dict:
         "fault_sweep": sweep,
         "all_recovered": all(
             entry["crash_fired"] and entry["bit_identical"]
+            and entry["manifest_verified"]
             for entry in sweep
         ),
     }
@@ -989,15 +1004,19 @@ def collect_storage(output: Path | None = None, repeats: int = 3) -> dict:
         f"fsync cost per checkpoint   "
         f"{run['fsync_ms_per_checkpoint']:.2f} ms",
         "",
-        "crash site       fault         fired  resumed  bit-identical",
-        "---------------  ------------  -----  -------  -------------",
+        "crash site       fault         skip  fired  resumed  "
+        "bit-identical  manifest verifies",
+        "---------------  ------------  ----  -----  -------  "
+        "-------------  -----------------",
     ]
     for entry in sweep:
         lines.append(
             f"{entry['site']:<15}  {entry['kind']:<12}  "
+            f"{entry['skip']:<4}  "
             f"{'yes' if entry['crash_fired'] else 'NO':<5}  "
             f"{'yes' if entry['resumed'] else 'NO':<7}  "
-            f"{'yes' if entry['bit_identical'] else 'NO'}"
+            f"{'yes' if entry['bit_identical'] else 'NO':<13}  "
+            f"{'yes' if entry['manifest_verified'] else 'NO'}"
         )
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "storage_durability.txt").write_text(

@@ -267,7 +267,9 @@ class Blocker:
         precision upper bound (desc), coverage (desc) and tuple cost
         (asc); the best is applied to the sample and the rest re-ranked,
         until the sample has shrunk to |S| * t_B / |A x B| or rules run
-        out.
+        out.  A rule covers a row or not whatever else is active, so each
+        rule's coverage of the whole sample is computed once and sliced
+        to the active rows every round.
         """
         if not rules:
             return []
@@ -275,17 +277,17 @@ class Blocker:
         # Sample rows the crowd has labelled a match: what a negative
         # rule covering them gets wrong.
         positive = self.service.known_rows(sample.pairs) == 1
+        coverages = {rule: rule.applies(sample.features) for rule in rules}
 
         remaining = list(rules)
         chosen: list[Rule] = []
         active_rows = np.arange(len(sample))
-        features = sample.features
 
         while remaining and active_rows.size > target:
             scored = []
             active_positive = positive[active_rows]
             for rule in remaining:
-                mask = rule.applies(features[active_rows])
+                mask = coverages[rule][active_rows]
                 coverage = int(mask.sum())
                 if coverage == 0:
                     continue

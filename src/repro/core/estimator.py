@@ -147,15 +147,18 @@ class AccuracyEstimator:
                 break  # every active row labelled, nothing left to try
 
             # --- Re-optimize: pick the cheapest option (possibly no rules).
-            option = self._select_option(candidates, active, estimate,
-                                         rules)
+            # One feature-major gather of the active rows serves both
+            # the option search and the evaluation of its rules.
+            option: list[Rule] = []
+            if rules:
+                active_cs = candidates.subset(np.flatnonzero(active))
+                option = self._select_option(active_cs, estimate, rules)
             if not option:
                 if not pool.size:
                     break  # nothing left to label and no rule worth it
                 continue  # cheapest plan is to keep sampling
 
             # --- Evaluate the option's rules and apply the precise ones.
-            active_cs = candidates.subset(np.flatnonzero(active))
             evaluations = evaluate_rules(
                 option, active_cs, self.service, self.rng,
                 batch_size=self.config.blocker.eval_batch_size,
@@ -228,8 +231,9 @@ class AccuracyEstimator:
             return False
         active &= ~removing
         rows = np.flatnonzero(removing & (sampled < 0))
+        pairs = candidates.pairs
         sampled[rows] = self.service.known_rows(
-            [candidates.pairs[row] for row in rows]
+            [pairs[row] for row in rows.tolist()]
         )
         return True
 
@@ -335,26 +339,26 @@ class AccuracyEstimator:
             n_labeled=0, n_probes=0, density=density, converged=False,
         )
 
-    def _select_option(self, candidates: CandidateSet, active: np.ndarray,
+    def _select_option(self, active: CandidateSet,
                        estimate: AccuracyEstimate,
                        rules: list[Rule]) -> list[Rule]:
         """Pick the cheapest option: a (possibly empty) set of rules.
 
-        The paper enumerates all 2^n subsets conceptually; we score the
+        ``active`` is the reduced set (the active rows of C).  The paper
+        enumerates all 2^n subsets conceptually; we score the
         cost-effective prefix chain (rules ordered by coverage per unit
         evaluation cost), which contains the optimum whenever rule
         coverages are roughly disjoint — and costs O(n log n).
         """
         cfg = self.config.estimator
-        m = int(np.count_nonzero(active))
+        m = len(active)
         if m == 0 or not rules:
             return []
-        active_features = candidates.features[active]
         density = max(estimate.density, 1.0 / m)
 
         entries = []
         for rule in rules:
-            mask = rule.applies(active_features)
+            mask = rule.applies(active.features)
             coverage = int(np.count_nonzero(mask))
             if coverage == 0:
                 continue

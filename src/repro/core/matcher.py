@@ -21,7 +21,7 @@ from ..crowd.aggregation import VoteScheme
 from ..crowd.service import LabelingService
 from ..data.pairs import CandidateSet, Pair
 from ..exceptions import BudgetExhaustedError, DataError
-from ..forest.forest import RandomForest, train_forest
+from ..forest.forest import RandomForest, train_forest, vote_entropy
 from ..obs.profiling import record_entropy_pool
 from .stopping import ConfidenceMonitor, StopDecision
 
@@ -168,13 +168,12 @@ class ActiveLearningMatcher:
                            extra_vectors, extra_labels)
         state.forests.append(forest)
 
-        if state.monitor_rows:
-            monitor_x = candidates.features[
-                np.asarray(state.monitor_rows, dtype=np.intp)
-            ]
-        else:
-            monitor_x = candidates.features
-        confidence = forest.mean_confidence(monitor_x)
+        # One scoring pass over all of C: conf(V) and the pool's Eq. 1
+        # entropies are both read off these vote fractions.
+        votes = forest.vote_fractions(candidates.features)
+        monitor_votes = (votes[state.monitor_rows] if state.monitor_rows
+                         else votes)
+        confidence = float((1.0 - vote_entropy(monitor_votes)).mean())
         monitor = ConfidenceMonitor.from_history(self.config.matcher,
                                                  state.confidences)
         decision: StopDecision | None = monitor.add(confidence)
@@ -185,7 +184,7 @@ class ActiveLearningMatcher:
             return
 
         batch_rows = self._select_batch(
-            forest, candidates, state.labeled_rows, set(state.monitor_rows)
+            votes, state.labeled_rows, set(state.monitor_rows)
         )
         if not batch_rows:
             state.stop_reason = "pool_exhausted"
@@ -265,17 +264,18 @@ class ActiveLearningMatcher:
             raise DataError("no labelled examples available to train on")
         return train_forest(x, y, self.config.forest, self.rng)
 
-    def _select_batch(self, forest: RandomForest, candidates: CandidateSet,
+    def _select_batch(self, votes: np.ndarray,
                       labeled_rows: dict[int, bool],
                       excluded: set[int]) -> list[int]:
         """Pick the next q examples per the configured strategy (§5.2).
 
-        The paper's default is entropy top-p pooling followed by
+        ``votes`` holds the current forest's vote fraction of every row
+        of C.  The paper's default is entropy top-p pooling followed by
         entropy-weighted sampling; the alternatives exist for the
         Section 9.4 ablation.
         """
         cfg = self.config.matcher
-        available = np.ones(len(candidates), dtype=bool)
+        available = np.ones(votes.size, dtype=bool)
         available[list(labeled_rows)] = False
         available[list(excluded)] = False
         unlabeled = np.flatnonzero(available)
@@ -288,7 +288,7 @@ class ActiveLearningMatcher:
                                      replace=False)
             return [int(unlabeled[i]) for i in chosen]
 
-        entropy = forest.entropy(candidates.features[unlabeled])
+        entropy = vote_entropy(votes[unlabeled])
         if cfg.selection_strategy == "top_entropy":
             order = np.argsort(entropy)[::-1][:take]
             return [int(unlabeled[i]) for i in order]

@@ -29,11 +29,19 @@ class CandidateSet:
     Rows of ``features`` correspond one-to-one with ``pairs``.  Feature
     values are floats; missing feature values are encoded as ``numpy.nan``
     and handled by the decision-tree learner.
+
+    The matrix is stored feature-major (Fortran order): ``features[:, j]``
+    is one contiguous column, which is what a rule predicate reads, and
+    ``features.T`` is the C-contiguous per-feature layout the forest
+    scores without a copy.  A Fortran-ordered input is kept as it is, so
+    a spilled memory map stays mapped; any other layout is copied once.
+    Every derived set (:meth:`subset`, :meth:`concat`, :meth:`empty`)
+    is built feature-major directly.
     """
 
     def __init__(self, pairs: Sequence[Pair], features: np.ndarray,
                  feature_names: Sequence[str]) -> None:
-        features = np.asarray(features, dtype=np.float64)
+        features = np.asfortranarray(features, dtype=np.float64)
         if features.ndim != 2:
             raise DataError("feature matrix must be 2-dimensional")
         if features.shape[0] != len(pairs):
@@ -47,20 +55,31 @@ class CandidateSet:
             )
         # Building a Pair costs more than checking one; most callers
         # already pass Pairs.
-        self._pairs: tuple[Pair, ...] = tuple(
-            p if type(p) is Pair else Pair(*p) for p in pairs)
+        self._assign(tuple(p if type(p) is Pair else Pair(*p) for p in pairs),
+                     features, feature_names)
+        if len(self._lookup()) != len(self._pairs):
+            raise DataError("candidate set contains duplicate pairs")
+
+    def _assign(self, pairs: tuple[Pair, ...], features: np.ndarray,
+                feature_names: Sequence[str]) -> None:
+        self._pairs = pairs
         self._features = features
         self._features.setflags(write=False)
         self._feature_names: tuple[str, ...] = tuple(feature_names)
-        self._index: dict[Pair, int] = dict(
-            zip(self._pairs, range(len(self._pairs))))
-        if len(self._index) != len(self._pairs):
-            raise DataError("candidate set contains duplicate pairs")
+        self._index: dict[Pair, int] | None = None
+
+    def _lookup(self) -> dict[Pair, int]:
+        """Pair -> row, built on first use: the estimator's per-round
+        subsets never look a pair up."""
+        if self._index is None:
+            self._index = dict(zip(self._pairs, range(len(self._pairs))))
+        return self._index
 
     @classmethod
     def empty(cls, feature_names: Sequence[str]) -> "CandidateSet":
         """An empty candidate set with the given feature space."""
-        return cls((), np.empty((0, len(feature_names))), feature_names)
+        return cls((), np.empty((0, len(feature_names)), order="F"),
+                   feature_names)
 
     @property
     def pairs(self) -> tuple[Pair, ...]:
@@ -68,7 +87,7 @@ class CandidateSet:
 
     @property
     def features(self) -> np.ndarray:
-        """The (read-only) n_pairs x n_features matrix."""
+        """The (read-only) n_pairs x n_features matrix, Fortran-ordered."""
         return self._features
 
     @property
@@ -82,12 +101,12 @@ class CandidateSet:
         return iter(self._pairs)
 
     def __contains__(self, pair: Pair) -> bool:
-        return pair in self._index
+        return pair in self._lookup()
 
     def index_of(self, pair: Pair) -> int:
         """Row index of ``pair``; raises :class:`DataError` if absent."""
         try:
-            return self._index[pair]
+            return self._lookup()[pair]
         except KeyError:
             raise DataError(f"pair {pair} not in candidate set") from None
 
@@ -103,13 +122,23 @@ class CandidateSet:
         return self._features[self.index_of(pair)]
 
     def subset(self, indices: Sequence[int]) -> "CandidateSet":
-        """A new candidate set with the rows at ``indices`` (in order)."""
+        """A new candidate set with the rows at ``indices`` (in order).
+
+        The rows are gathered along the pair axis of the feature-major
+        transpose, so the new matrix is Fortran-ordered without a
+        row-major intermediate.  Distinct rows of this set hold distinct
+        Pairs, so only the indices need the duplicate check.
+        """
         idx = np.asarray(indices, dtype=np.intp)
-        return CandidateSet(
-            [self._pairs[i] for i in idx],
-            self._features[idx],
-            self._feature_names,
-        )
+        features = self._features.T.take(idx, axis=1).T
+        taken = np.zeros(len(self), dtype=bool)
+        taken[idx] = True
+        if np.count_nonzero(taken) != idx.size:
+            raise DataError("candidate set contains duplicate pairs")
+        subset = CandidateSet.__new__(CandidateSet)
+        subset._assign(tuple(self._pairs[i] for i in idx.tolist()),
+                       features, self._feature_names)
+        return subset
 
     def subset_pairs(self, pairs: Iterable[Pair]) -> "CandidateSet":
         """A new candidate set restricted to the given pairs (in order)."""
@@ -135,7 +164,8 @@ class CandidateSet:
             raise DataError("cannot concat candidate sets with different features")
         return CandidateSet(
             self._pairs + other._pairs,
-            np.vstack([self._features, other._features]),
+            np.concatenate((self._features.T, other._features.T),
+                           axis=1).T,
             self._feature_names,
         )
 

@@ -156,20 +156,29 @@ class Checkpointer:
         """Run-relative path of checkpoint ``index``'s generation copy."""
         return f"{GENERATIONS_DIR}/checkpoint-{index:06d}.json"
 
-    def _prune_generations(self, index: int) -> None:
-        """Drop generation copies older than the retention window."""
+    def _prune_generations(self, index: int) -> list[Path]:
+        """Stage the manifest removal of generation copies older than
+        the retention window; return their paths.
+
+        The caller unlinks them only after the batch's manifest flush.
+        A crash in between leaves an unmanifested old copy, which the
+        next checkpoint prunes; the reverse order could leave a
+        manifest entry for a deleted file that nothing ever removes.
+        """
         gen_dir = self.run_dir / GENERATIONS_DIR
         if not gen_dir.is_dir():
-            return
+            return []
         floor = index - self.keep_generations + 1
+        pruned = []
         for path in sorted(gen_dir.glob("checkpoint-*.json")):
             try:
                 gen_index = int(path.stem.split("-")[-1])
             except ValueError:
                 continue
             if gen_index < floor:
-                path.unlink()
                 self.writer.forget(self._generation_name(gen_index))
+                pruned.append(path)
+        return pruned
 
     def write(self, state: "RunState", ctx: "RunContext") -> int:
         """Durably persist one checkpoint; return its index.
@@ -178,7 +187,9 @@ class Checkpointer:
         first cycle that has a candidate set), the generation copy,
         ``checkpoint.json`` itself, the telemetry exports, and finally
         one batched ``MANIFEST.json`` flush — data always lands before
-        the metadata that describes it.  The mid-run telemetry exports
+        the metadata that describes it.  The flush also drops the
+        entries of generations past the retention window, whose files
+        are unlinked only after it.  The mid-run telemetry exports
         are volatile snapshots (atomic replace, no fsync, unmanifested
         — regenerable from the checkpoint's ``telemetry`` state); the
         pipeline's run-end export rewrites them durably and records
@@ -236,7 +247,7 @@ class Checkpointer:
             self.writer.atomic_write_text(CHECKPOINT_FILE, payload)
             written.append((CHECKPOINT_FILE,
                             self.writer.entry(CHECKPOINT_FILE)["sha256"]))
-            self._prune_generations(index)
+            pruned = self._prune_generations(index)
             self._next_index += 1
             self.checkpoints_written += 1
             if ctx.telemetry is not None:
@@ -247,6 +258,8 @@ class Checkpointer:
                 # artifacts — the run-end export records the final
                 # checksums.
                 ctx.telemetry.export(self.run_dir)
+        for path in pruned:
+            path.unlink()
         for artifact, sha in written:
             ctx.bus.emit(EVENT_ARTIFACT_WRITTEN, artifact=artifact,
                          sha256=sha, index=index)

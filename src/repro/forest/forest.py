@@ -38,8 +38,9 @@ class RandomForest:
     def vote_fractions(self, x: np.ndarray) -> np.ndarray:
         """P+(e): fraction of trees voting positive, per row of ``x``."""
         x = np.asarray(x, dtype=np.float64)
-        # One feature-major copy serves every tree (see
-        # DecisionTree.predict_columns).
+        # One feature-major view serves every tree (see
+        # DecisionTree.predict_columns); a candidate set's matrix is
+        # Fortran-ordered, so this copies nothing.
         columns = np.ascontiguousarray(x.T)
         votes = np.zeros(x.shape[0], dtype=np.float64)
         for tree in self.trees:
@@ -51,17 +52,8 @@ class RandomForest:
         return self.vote_fractions(x) >= 0.5
 
     def entropy(self, x: np.ndarray) -> np.ndarray:
-        """Disagreement entropy of Eq. 1, in nats, per row of ``x``.
-
-        entropy(e) = -[P+ ln P+ + P- ln P-], with 0 ln 0 taken as 0.
-        Ranges from 0 (unanimous) to ln 2 (an even split).
-        """
-        p_pos = self.vote_fractions(x)
-        p_neg = 1.0 - p_pos
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(p_pos > 0, p_pos * np.log(p_pos), 0.0)
-            terms += np.where(p_neg > 0, p_neg * np.log(p_neg), 0.0)
-        return -terms
+        """Disagreement entropy of Eq. 1, in nats, per row of ``x``."""
+        return vote_entropy(self.vote_fractions(x))
 
     def confidence(self, x: np.ndarray) -> np.ndarray:
         """conf(e) = 1 - entropy(e) (Section 5.3)."""
@@ -120,6 +112,22 @@ class RandomForest:
         if total <= 0:
             return np.zeros(self.n_features_)
         return totals / total
+
+
+def vote_entropy(p_pos: np.ndarray) -> np.ndarray:
+    """Disagreement entropy of Eq. 1, in nats, from vote fractions P+.
+
+    entropy(e) = -[P+ ln P+ + P- ln P-], with 0 ln 0 taken as 0.
+    Ranges from 0 (unanimous) to ln 2 (an even split).  The one home of
+    the arithmetic: :meth:`RandomForest.entropy` and the matcher, which
+    reads several row sets off one :meth:`RandomForest.vote_fractions`
+    pass, both call it, so their bytes cannot drift apart.
+    """
+    p_neg = 1.0 - p_pos
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p_pos > 0, p_pos * np.log(p_pos), 0.0)
+        terms += np.where(p_neg > 0, p_neg * np.log(p_neg), 0.0)
+    return -terms
 
 
 def train_forest(x: np.ndarray, y: np.ndarray, config: ForestConfig,

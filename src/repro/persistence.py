@@ -234,7 +234,12 @@ def save_candidates(candidates: CandidateSet, path: str | Path,
 
     Vectorization dominates experiment start-up time; saving the matrix
     lets repeated experiments on the same umbrella set skip it.  The
-    write is durable (:func:`repro.storage.writer.atomic_write_npz`:
+    matrix is written as the candidate set stores it, feature-major, so
+    its ``.npy`` header reads ``fortran_order: True`` and
+    :func:`load_candidates` hands it to :class:`CandidateSet` without a
+    copy (a row-major file from an older run still loads: numpy reads
+    the header and the constructor copies it once).  The write is
+    durable (:func:`repro.storage.writer.atomic_write_npz`:
     tmp, fsync, atomic replace, directory fsync) and returns the
     file's sha256.  Pass the run's
     :class:`~repro.storage.writer.ArtifactWriter` as ``writer`` to

@@ -36,6 +36,11 @@ class SpillManager:
     bytes becomes a writable ``np.lib.format.open_memmap`` under
     ``directory``, tracked so :meth:`flush` / :meth:`close` can make
     the bytes durable before a checkpoint references the file.
+
+    Every allocation is Fortran-ordered, the feature-major layout of
+    :class:`~repro.data.pairs.CandidateSet`: a spill file's header reads
+    ``fortran_order: True``, so a resumed run maps the matrix as it was
+    written and never copies it into RAM to change its layout.
     """
 
     def __init__(self, directory: Path | str,
@@ -55,14 +60,16 @@ class SpillManager:
 
     def allocate(self, name: str, shape: tuple[int, ...],
                  dtype=np.float64) -> np.ndarray:
-        """A writable array of ``shape``: heap below threshold, else disk."""
+        """A writable Fortran-ordered array of ``shape``: heap below
+        threshold, else disk."""
         nbytes = self.matrix_bytes(shape, dtype)
         if self.threshold_bytes <= 0 or nbytes < self.threshold_bytes:
-            return np.empty(shape, dtype=dtype)
+            return np.empty(shape, dtype=dtype, order="F")
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self.directory / f"{name}.npy"
         array = np.lib.format.open_memmap(
-            path, mode="w+", dtype=np.dtype(dtype), shape=shape
+            path, mode="w+", dtype=np.dtype(dtype), shape=shape,
+            fortran_order=True,
         )
         self._spilled[name] = array
         return array
@@ -103,10 +110,10 @@ class SpillManager:
 def spill_path(array: np.ndarray) -> Path | None:
     """The backing ``.npy`` file of an array, chasing the view chain.
 
-    ``CandidateSet`` wraps matrices in ``np.asarray`` views, so the
-    memmap (which carries ``filename``) may sit one or more ``.base``
-    hops below the array a caller holds.  Returns None for pure heap
-    arrays.
+    ``CandidateSet`` wraps matrices in ``np.asfortranarray`` views, so
+    the memmap (which carries ``filename``) may sit one or more
+    ``.base`` hops below the array a caller holds.  Returns None for
+    pure heap arrays.
     """
     node = array
     while node is not None:

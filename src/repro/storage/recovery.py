@@ -88,8 +88,9 @@ def verify_artifact(root: str | Path, path: str | Path,
 
     Returns ``(verdict, actual_sha, expected_sha)`` where ``verdict``
     is True (entry matches), False (entry mismatches — the file is
-    corrupt or the manifest is stale) or None (no entry — verification
-    unavailable, the caller falls back to content-level checks).
+    corrupt, missing (``actual_sha`` is then empty) or the manifest is
+    stale) or None (no entry — verification unavailable, the caller
+    falls back to content-level checks).
     ``manifest`` lets callers checking many artifacts load the ledger
     once.
     """
@@ -107,6 +108,8 @@ def verify_artifact(root: str | Path, path: str | Path,
     if not isinstance(entry, dict) or "sha256" not in entry:
         return None, "", None
     expected = str(entry["sha256"])
+    if not path.is_file():
+        return False, "", expected
     actual = file_sha256(path)
     return actual == expected, actual, expected
 

@@ -255,7 +255,8 @@ class ArtifactWriter:
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        self._dirty: dict[str, dict[str, Any]] = {}
+        self._dirty: dict[str, dict[str, Any] | None] = {}
+        """Staged manifest entries by key; None stages a removal."""
         self._batch_depth = 0
 
     # -- path bookkeeping ----------------------------------------------
@@ -321,10 +322,10 @@ class ArtifactWriter:
 
     def _record(self, key: str, digest: str, nbytes: int) -> None:
         """Stage one manifest entry; flush unless inside a batch."""
-        previous = self._dirty.get(key)
-        if previous is None:
-            ledger = load_manifest(self.root) or {}
-            previous = ledger.get(key)
+        if key in self._dirty:
+            previous = self._dirty[key]
+        else:
+            previous = (load_manifest(self.root) or {}).get(key)
         generation = (int(previous.get("generation", 0)) + 1
                       if isinstance(previous, dict) else 1)
         self._dirty[key] = {
@@ -339,27 +340,38 @@ class ArtifactWriter:
         """The staged-or-persisted manifest entry for one artifact."""
         _, key = self._resolve(relpath)
         if key in self._dirty:
-            return dict(self._dirty[key])
-        ledger = load_manifest(self.root) or {}
-        value = ledger.get(key)
+            value = self._dirty[key]
+        else:
+            value = (load_manifest(self.root) or {}).get(key)
         return dict(value) if isinstance(value, dict) else None
 
     def forget(self, relpath: str | Path) -> None:
-        """Drop an artifact's manifest entry (pruned generations)."""
+        """Drop an artifact's manifest entry (pruned generations).
+
+        Staged like a write: inside a :meth:`batch` the removal lands
+        with the batch's one manifest flush, so a caller deleting the
+        file afterwards never leaves an entry for a missing file.
+        """
         _, key = self._resolve(relpath)
-        self._dirty.pop(key, None)
-        ledger = load_manifest(self.root)
-        if ledger is not None and key in ledger:
-            del ledger[key]
-            self._write_ledger(ledger)
+        self._dirty[key] = None
+        if self._batch_depth == 0:
+            self.flush_manifest()
 
     def flush_manifest(self) -> None:
-        """Merge staged entries into the on-disk ledger, durably."""
+        """Merge staged entries and removals into the on-disk ledger,
+        durably; a flush that changes nothing writes nothing."""
         if not self._dirty:
             return
         ledger = load_manifest(self.root) or {}
-        ledger.update(self._dirty)
-        self._write_ledger(ledger)
+        changed = False
+        for key, value in self._dirty.items():
+            if value is not None:
+                ledger[key] = value
+                changed = True
+            elif ledger.pop(key, None) is not None:
+                changed = True
+        if changed:
+            self._write_ledger(ledger)
         self._dirty.clear()
 
     def _write_ledger(self, ledger: dict[str, Any]) -> None:

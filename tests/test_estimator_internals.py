@@ -48,9 +48,7 @@ class TestSelectOption:
         estimator = make_estimator()
         candidates = simple_candidates()
         option = estimator._select_option(
-            candidates, np.ones(len(candidates), bool),
-            blank_estimate(), [],
-        )
+            candidates, blank_estimate(), [])
         assert option == []
 
     def test_big_cheap_rule_selected_on_skewed_data(self):
@@ -60,27 +58,21 @@ class TestSelectOption:
         candidates = simple_candidates(n=2000)
         rule = neg_rule(0.9)  # covers 90% of rows
         option = estimator._select_option(
-            candidates, np.ones(len(candidates), bool),
-            blank_estimate(density=0.005), [rule],
-        )
+            candidates, blank_estimate(density=0.005), [rule])
         assert option == [rule]
 
     def test_zero_coverage_rules_never_selected(self):
         estimator = make_estimator()
         candidates = simple_candidates()
         option = estimator._select_option(
-            candidates, np.ones(len(candidates), bool),
-            blank_estimate(density=0.005), [neg_rule(-1.0)],
-        )
+            candidates, blank_estimate(density=0.005), [neg_rule(-1.0)])
         assert option == []
 
     def test_empty_active_set(self):
         estimator = make_estimator()
         candidates = simple_candidates()
         option = estimator._select_option(
-            candidates, np.zeros(len(candidates), bool),
-            blank_estimate(), [neg_rule(0.5)],
-        )
+            candidates.subset([]), blank_estimate(), [neg_rule(0.5)])
         assert option == []
 
     def test_small_rule_not_worth_evaluating_at_high_density(self):
@@ -89,9 +81,7 @@ class TestSelectOption:
         estimator = make_estimator()
         candidates = simple_candidates(n=300)
         option = estimator._select_option(
-            candidates, np.ones(len(candidates), bool),
-            blank_estimate(density=0.5), [neg_rule(0.1)],
-        )
+            candidates, blank_estimate(density=0.5), [neg_rule(0.1)])
         assert option == []
 
 

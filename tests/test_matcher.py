@@ -7,10 +7,13 @@ import pytest
 
 from repro.config import CorleoneConfig, ForestConfig, MatcherConfig
 from repro.core.matcher import ActiveLearningMatcher
+from repro.core.stopping import ConfidenceMonitor
+from repro.crowd.aggregation import VoteScheme
 from repro.crowd.service import LabelingService
 from repro.crowd.simulated import PerfectCrowd
 from repro.data.pairs import CandidateSet, Pair
 from repro.exceptions import DataError
+from repro.forest.forest import RandomForest
 
 
 def synthetic_candidates(n: int = 400, seed: int = 0):
@@ -227,3 +230,93 @@ class TestSelectionStrategies:
             CorleoneConfig(
                 matcher=MatcherConfig(selection_strategy="psychic")
             )
+
+
+class TwoPassMatcher(ActiveLearningMatcher):
+    """Reference step: score the monitor rows and the pool separately,
+    each from its own row-gathered submatrix."""
+
+    def step(self, state, candidates, extra_vectors=None,
+             extra_labels=None):
+        forest = self._fit(candidates, state.labeled_rows,
+                           extra_vectors, extra_labels)
+        state.forests.append(forest)
+        monitor_x = (candidates.features[state.monitor_rows]
+                     if state.monitor_rows else candidates.features)
+        confidence = forest.mean_confidence(monitor_x)
+        monitor = ConfidenceMonitor.from_history(self.config.matcher,
+                                                 state.confidences)
+        decision = monitor.add(confidence)
+        state.confidences.append(float(confidence))
+        if decision is not None:
+            state.stop_reason = decision.reason
+            state.rollback_index = decision.rollback_index
+            return
+        cfg = self.config.matcher
+        available = np.ones(len(candidates), dtype=bool)
+        available[list(state.labeled_rows)] = False
+        available[state.monitor_rows] = False
+        unlabeled = np.flatnonzero(available)
+        entropy = forest.entropy(candidates.features[unlabeled])
+        pool_order = np.argsort(entropy)[::-1][:cfg.pool_size]
+        weights = entropy[pool_order] + 1e-9
+        weights = weights / weights.sum()
+        chosen = self.rng.choice(
+            pool_order.size, size=min(cfg.batch_size, pool_order.size),
+            replace=False, p=weights)
+        batch = [candidates.pairs[unlabeled[pool_order[i]]]
+                 for i in chosen]
+        labels = self.service.label_batch(
+            batch, scheme=VoteScheme.MAJORITY_2PLUS1)
+        for pair in batch:
+            state.labeled_rows[candidates.index_of(pair)] = labels[pair]
+
+
+class TestOneScoringPassPerStep:
+    def _train(self, matcher_class, monkeypatch):
+        candidates, matches, _ = synthetic_candidates(seed=9)
+        config = CorleoneConfig(
+            forest=ForestConfig(n_trees=5),
+            matcher=MatcherConfig(batch_size=10, pool_size=40,
+                                  n_converged=8, n_degrade=6,
+                                  max_iterations=12),
+        )
+        crowd = PerfectCrowd(matches, rng=np.random.default_rng(1))
+        service = LabelingService(crowd, config.crowd)
+        batches = []
+        label_batch = service.label_batch
+
+        def recording(pairs, **kwargs):
+            batches.append(list(pairs))
+            return label_batch(pairs, **kwargs)
+
+        monkeypatch.setattr(service, "label_batch", recording)
+        matcher = matcher_class(config, service, np.random.default_rng(2))
+        seeds = dict.fromkeys(sorted(matches)[:2], True)
+        seeds.update(dict.fromkeys(
+            [p for p in candidates.pairs if p not in matches][:2], False))
+        state = matcher.start(candidates, seeds)
+        calls = []
+        vote_fractions = RandomForest.vote_fractions
+
+        def counting(forest, x):
+            calls[-1] += 1
+            return vote_fractions(forest, x)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(RandomForest, "vote_fractions", counting)
+            while not matcher.train_finished(state):
+                calls.append(0)
+                matcher.step(state, candidates)
+        return state, batches, calls
+
+    def test_equals_separate_monitor_and_pool_scoring(self, monkeypatch):
+        state, batches, calls = self._train(ActiveLearningMatcher,
+                                            monkeypatch)
+        reference, reference_batches, _ = self._train(TwoPassMatcher,
+                                                      monkeypatch)
+        assert len(batches) >= 5
+        assert calls == [1] * len(calls)
+        assert state.confidences == reference.confidences
+        assert batches == reference_batches
+        assert state.labeled_rows == reference.labeled_rows

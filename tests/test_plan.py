@@ -252,10 +252,18 @@ class TestPlanParity:
 
     def test_vectorize_out_buffer_is_filled_in_place(self, parity_setup):
         dataset, library, _, golden = parity_setup
-        out = np.empty((len(golden), len(library)), dtype=np.float64)
+        out = np.empty((len(golden), len(library)), dtype=np.float64,
+                       order="F")
         result = vectorize_pairs(dataset.table_a, dataset.table_b,
                                  golden, library, out=out)
         assert result.features.base is out or result.features is out
+
+    def test_vectorize_row_major_out_rejected(self, parity_setup):
+        dataset, library, _, golden = parity_setup
+        row_major = np.empty((len(golden), len(library)), dtype=np.float64)
+        with pytest.raises(DataError, match="Fortran"):
+            vectorize_pairs(dataset.table_a, dataset.table_b, golden,
+                            library, out=row_major)
 
     def test_vectorize_out_shape_mismatch_rejected(self, parity_setup):
         dataset, library, _, golden = parity_setup

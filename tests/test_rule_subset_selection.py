@@ -5,13 +5,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import BlockerConfig, CorleoneConfig
+from repro.config import BlockerConfig, CorleoneConfig, ForestConfig
 from repro.core.blocker import Blocker
 from repro.crowd.service import LabelingService
 from repro.crowd.simulated import PerfectCrowd
 from repro.data.pairs import CandidateSet, Pair
+from repro.data.sampling import blocker_sample
+from repro.features.library import build_feature_library
+from repro.features.vectorize import vectorize_pairs
+from repro.forest.forest import train_forest
+from repro.rules.extraction import extract_negative_rules
 from repro.rules.predicates import Predicate
 from repro.rules.rule import Rule
+from repro.synth.citations import generate_citations
+from repro.synth.products import generate_products
 
 
 def neg_rule(index: int, threshold: float, cost: float = 1.0) -> Rule:
@@ -103,3 +110,63 @@ class TestGreedySelection:
                                             10**9)
         assert useless not in chosen
         assert useful in chosen
+
+
+def reapplying_subset(blocker, rules, sample, cartesian):
+    """Reference greedy selection: re-apply every remaining rule to the
+    row-gathered active sample in every round."""
+    target = len(sample) * (blocker.config.blocker.t_b / cartesian)
+    positive = blocker.service.known_rows(sample.pairs) == 1
+    remaining = list(rules)
+    chosen = []
+    active_rows = np.arange(len(sample))
+    while remaining and active_rows.size > target:
+        scored = []
+        for rule in remaining:
+            mask = rule.applies(sample.features[active_rows])
+            coverage = int(mask.sum())
+            if coverage == 0:
+                continue
+            contrary = np.count_nonzero(mask & positive[active_rows])
+            scored.append(((coverage - contrary) / coverage, coverage,
+                           -rule.cost, rule, mask))
+        if not scored:
+            break
+        scored.sort(key=lambda item: item[:3], reverse=True)
+        chosen.append(scored[0][3])
+        remaining.remove(scored[0][3])
+        active_rows = active_rows[~scored[0][4]]
+    return chosen
+
+
+@pytest.mark.parametrize("dataset_name", ["citations", "products"])
+def test_matches_per_round_reapplication(dataset_name):
+    """Coverage computed once and sliced per round picks the same
+    rules, in the same order, as re-applying them every round."""
+    generate = {"citations": generate_citations,
+                "products": generate_products}[dataset_name]
+    dataset = generate(n_a=60, n_b=200, n_matches=30, seed=4)
+    library = build_feature_library(dataset.table_a, dataset.table_b)
+    rng = np.random.default_rng(8)
+    pairs = blocker_sample(dataset.table_a, dataset.table_b, 3000, rng,
+                           seed_pairs=dataset.seed_labels)
+    sample = vectorize_pairs(dataset.table_a, dataset.table_b, pairs,
+                             library)
+    # A few flipped labels grow deeper trees, so no single rule covers
+    # the sample and the greedy loop runs many rounds.
+    truth = np.array([pair in dataset.matches for pair in sample.pairs])
+    truth |= rng.random(len(sample)) < 0.03
+    forest = train_forest(sample.features, truth,
+                          ForestConfig(n_trees=10), rng)
+    rules = extract_negative_rules(forest, library.names, library.costs)
+    assert len(rules) > 100
+
+    blocker = make_blocker(t_b=200)
+    known = rng.choice(len(sample), size=len(sample) // 4, replace=False)
+    blocker.service.seed({sample.pairs[row]: bool(truth[row])
+                          for row in known})
+    cartesian = len(dataset.table_a) * len(dataset.table_b)
+    chosen = blocker.select_rule_subset(rules, sample, cartesian)
+    reference = reapplying_subset(blocker, rules, sample, cartesian)
+    assert len(chosen) == len(reference) >= 10
+    assert all(mine is theirs for mine, theirs in zip(chosen, reference))

@@ -71,6 +71,7 @@ from repro.storage import (
     StorageFaultInjector,
     file_sha256,
     load_manifest,
+    verify_artifact,
 )
 from repro.synth.products import generate_products
 from repro.synth.restaurants import generate_restaurants
@@ -170,6 +171,11 @@ def _resume_and_check(scenario, run_dir) -> list:
     resumed = Corleone.resume(run_dir, gateway)
     assert persistence.result_report(resumed) == golden_report
     assert resumed.cost.answers == faulty.answers_delivered
+    manifest = load_manifest(run_dir)
+    unverified = [key for key in sorted(manifest)
+                  if not verify_artifact(run_dir, run_dir / key,
+                                         manifest)[0]]
+    assert unverified == []
     return read_trace(run_dir / TRACE_FILE)
 
 
@@ -186,6 +192,10 @@ _SWEEP = [
     ("spans.jsonl", "crash_after", 1),
     (CANDIDATES_FILE, "torn_write", 0),     # written exactly once
     ("MANIFEST.json", "crash_after", 2),
+    # The first flush after a generation was pruned (the fourth
+    # checkpoint's): a crash there must not strand a manifest entry
+    # for the pruned file.
+    ("MANIFEST.json", "crash_before", 9),
 ]
 
 
