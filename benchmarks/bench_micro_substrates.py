@@ -5,9 +5,15 @@ honest multi-round pytest-benchmark measurements of the operations that
 dominate wall-clock: similarity features, pair vectorization, forest
 training/prediction, and rule application.  Useful for catching
 performance regressions when the substrates change.
+``TestKernelMemoryMicro`` also asserts the transient memory of the
+batched feature kernels, so even an untimed ``--benchmark-disable``
+pass fails when a kernel's temporaries grow back.
 """
 
 from __future__ import annotations
+
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +211,119 @@ class TestStringKernelMicro:
         )
         benchmark.extra_info["pairs"] = column.size
         assert column.shape == (100_000,)
+
+
+def _transient_peak_mb(call) -> float:
+    """The tracemalloc peak of one ``call()`` above the memory traced
+    when it starts, in MB (10**6 bytes)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - start) / 1e6
+
+
+def _fresh_tables(dataset):
+    """Unwarmed copies of a dataset's tables: no prepared column yet."""
+    from repro.data.table import Table
+    return tuple(Table(table.name, table.schema, list(table))
+                 for table in (dataset.table_a, dataset.table_b))
+
+
+@pytest.fixture(scope="module")
+def kernel_datasets():
+    from repro.synth.citations import generate_citations
+    from repro.synth.restaurants import generate_restaurants
+    return {"restaurants": generate_restaurants(180, 120, 40),
+            "citations": generate_citations(100, 1000, 200)}
+
+
+class TestKernelMemoryMicro:
+    """Transient memory of one batched kernel call over a whole A x B
+    (restaurants 180 x 120, citations 100 x 1000), and of building a
+    1000 x 1000 Monge-Elkan word table.
+
+    Each call starts from fresh table copies, as in a fresh e2e
+    instance, after one untraced call has interned the strings.  The
+    tracemalloc peak is recorded as ``extra_info["peak_mb"]`` and must
+    stay within ``bound_mb``: the kernels size their temporaries from
+    one element budget (``repro.features.batch._BLOCK_ELEMENTS``), so
+    the peaks do not grow with the pair count, the string lengths or
+    the vocabularies.  The timed rounds run untraced.
+    """
+
+    @pytest.mark.parametrize("dataset, feature, bound_mb", [
+        pytest.param(dataset, feature, bound_mb, id=f"{dataset}-{feature}")
+        for dataset, feature, bound_mb in [
+            ("restaurants", "addr_jaro_winkler", 8.0),
+            ("restaurants", "addr_levenshtein", 8.0),
+            ("restaurants", "name_jaccard_qgram", 8.0),
+            ("citations", "title_cosine_tfidf", 10.0),
+            ("citations", "title_monge_elkan", 12.0),
+            ("citations", "venue_jaccard_qgram", 8.0),
+        ]
+    ])
+    def test_kernel_axb(self, benchmark, kernel_datasets, dataset, feature,
+                        bound_mb):
+        from repro.features.library import build_feature_library
+        data = kernel_datasets[dataset]
+        kernel = build_feature_library(data.table_a, data.table_b)[feature]
+
+        def setup():
+            table_a, table_b = _fresh_tables(data)
+            rows_a, rows_b = np.divmod(
+                np.arange(len(table_a) * len(table_b)), len(table_b))
+            return (table_a, rows_a, table_b, rows_b), {}
+
+        args, _ = setup()
+        kernel.batch_value(*args)
+        args, _ = setup()
+        peak_mb = _transient_peak_mb(lambda: kernel.batch_value(*args))
+        column = benchmark.pedantic(kernel.batch_value, setup=setup,
+                                    rounds=5, iterations=1)
+        benchmark.extra_info.update(pairs=column.size, bound_mb=bound_mb,
+                                    peak_mb=round(peak_mb, 2))
+        assert peak_mb <= bound_mb, (feature, peak_mb)
+
+    def test_word_table_1000x1000(self, benchmark):
+        """Build the Jaro-Winkler table of two 1000-word vocabularies:
+        1M word pairs, an 8 MB table."""
+        from repro.data.table import AttrType, Record, Schema, Table
+        from repro.features import batch
+
+        letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
+        rng = np.random.default_rng(11)
+        words = set()
+        while len(words) < 2000:
+            words.add("".join(rng.choice(letters, rng.integers(3, 13))))
+        words = sorted(words)
+        schema = Schema.from_pairs([("word", AttrType.TEXT)])
+
+        def setup():
+            table_a, table_b = (
+                Table(name, schema, [Record(f"{name}{i}", {"word": word})
+                                     for i, word in enumerate(chunk)])
+                for name, chunk in (("a", words[::2]), ("b", words[1::2])))
+            column_a = batch.prepared_column(table_a, "word")
+            column_b = batch.prepared_column(table_b, "word")
+            column_a.words(), column_b.words()
+            return (column_a, column_b), {}
+
+        def build(column_a, column_b):
+            return column_a.word_table(column_b)
+
+        args, _ = setup()
+        peak_mb = _transient_peak_mb(lambda: build(*args))
+        table = benchmark.pedantic(build, setup=setup, rounds=3,
+                                   iterations=1)
+        benchmark.extra_info.update(word_pairs=table.values.size,
+                                    bound_mb=50.0, peak_mb=round(peak_mb, 2))
+        assert table.values.shape == (1000, 1000)
+        assert peak_mb <= 50.0, peak_mb
 
 
 class TestForestMicro:

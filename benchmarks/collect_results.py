@@ -220,6 +220,19 @@ def distill_substrates(benchmark_json: Path,
             f"scalar   {scalar_rate:>7.0f}  1.0x\n"
             f"batched  {batched_rate:>7.0f}  {derived['speedup']:.1f}x\n"
         )
+        peaks = {name: entry["extra_info"] for name, entry in entries.items()
+                 if "peak_mb" in entry.get("extra_info", {})}
+        if peaks:
+            table += (
+                "\nKernel transient memory: tracemalloc peak of one call "
+                "(MB = 10^6 bytes)\n"
+                "\n"
+                f"{'bench':<58}  {'peak':>5}  {'bound':>5}\n"
+                f"{'-' * 58}  -----  -----\n"
+            )
+            for name, info in sorted(peaks.items()):
+                table += (f"{name:<58}  {info['peak_mb']:>5.1f}  "
+                          f"{info['bound_mb']:>5.1f}\n")
         (RESULTS_DIR / "micro_substrates.txt").write_text(table)
     return baseline
 

@@ -148,10 +148,12 @@ class AccuracyEstimator:
 
             # --- Re-optimize: pick the cheapest option (possibly no rules).
             # One feature-major gather of the active rows serves both
-            # the option search and the evaluation of its rules.
+            # the option search and the evaluation of its rules; while
+            # every row is active, C itself does, uncopied.
             option: list[Rule] = []
             if rules:
-                active_cs = candidates.subset(np.flatnonzero(active))
+                active_cs = (candidates if active.all()
+                             else candidates.subset(np.flatnonzero(active)))
                 option = self._select_option(active_cs, estimate, rules)
             if not option:
                 if not pool.size:

@@ -65,7 +65,10 @@ class MatcherTrainState:
     Everything :meth:`ActiveLearningMatcher.step` reads and writes lives
     here, and every field is serializable (forests via
     ``repro.persistence``), so the engine can checkpoint training after
-    any iteration and resume it bit-identically.
+    any iteration and resume it bit-identically.  The one exception, the
+    last step's vote vector, stays on the matcher: it only spares
+    :meth:`ActiveLearningMatcher.finish` a scoring pass, and a resumed
+    run scores again instead.
     """
 
     labeled_rows: dict[int, bool]
@@ -104,6 +107,11 @@ class ActiveLearningMatcher:
         self.config = config
         self.service = service
         self.rng = rng
+        # The last step's forest, candidate set and vote fractions, so
+        # finish() need not score that matrix again.  In memory only: a
+        # resumed run has none and scores again.
+        self._last_votes: tuple[RandomForest, CandidateSet,
+                                np.ndarray] | None = None
 
     def train(self, candidates: CandidateSet,
               initial_labels: dict[Pair, bool],
@@ -171,6 +179,7 @@ class ActiveLearningMatcher:
         # One scoring pass over all of C: conf(V) and the pool's Eq. 1
         # entropies are both read off these vote fractions.
         votes = forest.vote_fractions(candidates.features)
+        self._last_votes = (forest, candidates, votes)
         monitor_votes = (votes[state.monitor_rows] if state.monitor_rows
                          else votes)
         confidence = float((1.0 - vote_entropy(monitor_votes)).mean())
@@ -217,7 +226,13 @@ class ActiveLearningMatcher:
         # Predictions come from the forest for every pair, including the
         # crowd-labelled ones: individual crowd labels are noisy (2+1
         # voting tolerates errors) and the ensemble smooths them out.
-        predictions = chosen.predict(candidates.features)
+        # The last step already scored C with the last forest; a
+        # rollback or a resume scores the chosen forest again.
+        last, self._last_votes = self._last_votes, None
+        if last is not None and last[0] is chosen and last[1] is candidates:
+            predictions = last[2] >= 0.5
+        else:
+            predictions = chosen.predict(candidates.features)
 
         return MatcherResult(
             forest=chosen,

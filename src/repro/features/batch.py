@@ -45,6 +45,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from ..data.table import AttrType, Table
+from ..exceptions import FeatureError
 from . import extended as ext
 from . import similarity as sim
 from .tokenize import normalize, word_tokens
@@ -96,14 +97,27 @@ def reset_cache_stats() -> None:
 # ----------------------------------------------------------------------
 
 _KERNEL_ROWS = 1 << 15
-"""Rows (pairs, or distinct strings) a kernel advances together; bounds
-its temporaries for any input size."""
+"""Distinct string pairs a bit-parallel kernel advances together.  Each
+scan step allocates a few arrays of at most this many words, whatever
+the string lengths (~256 KB each)."""
 
-_MONGE_BLOCK_ELEMENTS = 1 << 22
-"""Cap on the elements of a kernel block's largest temporary (a
-membership or weight matrix, a padded token matrix, a best-partner
-table) and of a column pair's word table, bounding each to ~32 MB
-whatever the pair count."""
+_BLOCK_ELEMENTS = 1 << 17
+"""The element budget of one kernel block or word-table band (1 MB of
+float64).  Blocks are sized from it before any work starts: a set,
+TF/IDF or Monge-Elkan block holds ``_BLOCK_ELEMENTS // width`` pairs,
+where ``width`` is the longest A list (the longer word list for
+Monge-Elkan), so each of its (pairs x width) temporaries fits; a
+word-table band holds at most this many word pairs.  A temporary whose
+size depends on a block's vocabulary (a membership matrix, a word or
+best-partner table) is checked against the same memory, counted in
+bytes, once the vocabulary is known, and the block is halved when it
+would not fit.  Every cell index into such a temporary is therefore far
+below the int32 range of the cell matrices."""
+
+_WORD_TABLE_ELEMENTS = 1 << 22
+"""Largest word table (|V_A| x |V_B| entries, ~32 MB of float64) a
+column pair keeps for Monge-Elkan; past it, each block builds a table
+over its own vocabularies."""
 
 
 # ----------------------------------------------------------------------
@@ -379,7 +393,7 @@ class PreparedColumn:
 
         Built once per column pair, and kept only while
         |vocabulary| x |other vocabulary| fits
-        :data:`_MONGE_BLOCK_ELEMENTS`; past it, None, and Monge-Elkan
+        :data:`_WORD_TABLE_ELEMENTS`; past it, None, and Monge-Elkan
         builds one table per block instead.
         """
         if other not in self._word_tables:
@@ -415,7 +429,7 @@ def _tfidf_arrays(words: CodeLists, idf: Mapping[str, float]) -> TfidfArrays:
 def _word_table(words_a: CodeLists, words_b: CodeLists) -> WordTable | None:
     vocabulary_a, local_a = np.unique(words_a.codes, return_inverse=True)
     vocabulary_b, local_b = np.unique(words_b.codes, return_inverse=True)
-    if vocabulary_a.size * vocabulary_b.size > _MONGE_BLOCK_ELEMENTS:
+    if vocabulary_a.size * vocabulary_b.size > _WORD_TABLE_ELEMENTS:
         return None
     _note_build("word_table")
     return WordTable(_jaro_winkler_table(vocabulary_a, vocabulary_b),
@@ -469,27 +483,77 @@ def _padded(offsets: np.ndarray, values: np.ndarray, rows: np.ndarray,
     return out
 
 
-def _blockwise(evaluate: Callable[[int, int], np.ndarray | None], n: int,
-               step: int = 0, dtype: Any = np.float64) -> np.ndarray:
-    """``evaluate(lo, hi)`` over consecutive pair blocks of ``step``
-    (default :data:`_KERNEL_ROWS`).
+def _blockwise(evaluate: Callable[[np.ndarray, np.ndarray],
+                                  np.ndarray | None],
+               rows_a: np.ndarray, rows_b: np.ndarray, width: int,
+               dtype: Any = np.float64) -> np.ndarray:
+    """``evaluate(rows_a, rows_b)`` over consecutive blocks of pairs.
 
-    ``evaluate`` returns the values of pairs ``lo:hi``, or None when the
-    block's temporaries would pass :data:`_MONGE_BLOCK_ELEMENTS` (never
-    for a single pair); such a block is evaluated again in two halves.
+    A block holds ``_BLOCK_ELEMENTS // width`` pairs, so its (pairs x
+    ``width``) temporaries fit :data:`_BLOCK_ELEMENTS` before any work
+    starts.  ``evaluate`` returns the values of the block's pairs, or
+    None when a temporary sized by the block's vocabulary would not fit
+    (never for a single pair); the block is then halved, and the blocks
+    after it keep the smaller size.
+
+    Pairs that do not come in A-row order (the order of A x B and of
+    candidate sets) are grouped by B row first: a block then meets few
+    B rows, so its matrices over B rows stay small, and each B list is
+    read by one block only.  Each pair's value is computed on its own,
+    so the order in which pairs are visited moves no value.
     """
-    step = step or _KERNEL_ROWS
+    order = None
+    if np.any(rows_a[1:] < rows_a[:-1]):
+        order = np.argsort(rows_b)
+        rows_a, rows_b = rows_a[order], rows_b[order]
+    n = rows_a.size
+    step = max(1, _BLOCK_ELEMENTS // max(1, width))
     out = np.empty(n, dtype=dtype)
-    pending = [(lo, min(lo + step, n)) for lo in range(0, n, step)][::-1]
-    while pending:
-        lo, hi = pending.pop()
-        values = evaluate(lo, hi)
+    lo = 0
+    while lo < n:
+        hi = min(lo + step, n)
+        values = evaluate(rows_a[lo:hi], rows_b[lo:hi])
         if values is None:
-            middle = (lo + hi) // 2
-            pending += [(middle, hi), (lo, middle)]
+            step = (hi - lo) // 2
         else:
             out[lo:hi] = values
-    return out
+            lo = hi
+    if order is None:
+        return out
+    unsorted = np.empty_like(out)
+    unsorted[order] = out
+    return unsorted
+
+
+_INT32_CELLS = int(np.iinfo(np.int32).max)
+
+
+def _fits(elements: int, dtype: Any, capped: bool) -> bool:
+    """Whether a block may build a temporary of ``elements`` items of
+    ``dtype`` whose size depends on its vocabulary: False past the bytes
+    of :data:`_BLOCK_ELEMENTS` float64 elements when ``capped`` (more
+    than one pair; the caller halves the block).
+
+    Cell matrices index such a temporary in int32, so one whose last
+    cell is past that range raises :class:`FeatureError` instead of
+    wrapping; under the budget this cannot happen.
+    """
+    if capped and elements * np.dtype(dtype).itemsize > _BLOCK_ELEMENTS * 8:
+        return False
+    if elements > _INT32_CELLS:
+        raise FeatureError(
+            f"a kernel block of {elements} cells passes the int32 range")
+    return True
+
+
+def _cells(local: np.ndarray, index_s: np.ndarray, index_t: np.ndarray,
+           stride: int) -> np.ndarray:
+    """Flat int32 indices into a (t rows x ``stride``) matrix: pair
+    ``i`` reads row ``index_t[i]`` at the columns ``local[index_s[i]]``
+    (one row of ``local`` per distinct s row)."""
+    cells = local.astype(np.int32).take(index_s, axis=0)
+    cells += (index_t * stride).astype(np.int32)[:, None]
+    return cells
 
 
 def _pick(lists_a: CodeLists, rows_a: np.ndarray, lists_b: CodeLists,
@@ -502,28 +566,27 @@ def _pick(lists_a: CodeLists, rows_a: np.ndarray, lists_b: CodeLists,
     for its A row's codes, in A's list order, into one row of an
     ``(len(rows_a), longest A list)`` matrix; code -1 pads the shorter
     A lists and picks zero.  Returns that matrix, the distinct A rows
-    and each pair's index into them — or None when a temporary would
-    pass :data:`_MONGE_BLOCK_ELEMENTS` and there is more than one pair.
+    and each pair's index into them — or None when the matrix over B
+    rows and codes would not fit :data:`_BLOCK_ELEMENTS` and there is
+    more than one pair.
     """
     owners_a, index_a = _owners(rows_a, lists_a)
     owners_b, index_b = _owners(rows_b, lists_b)
     codes_a = _padded(lists_a.offsets, lists_a.codes, owners_a, -1)
     vocabulary, local = np.unique(codes_a, return_inverse=True)
-    if rows_a.size > 1 and max(owners_b.size * vocabulary.size,
-                               rows_a.size * codes_a.shape[1]
-                               ) > _MONGE_BLOCK_ELEMENTS:
+    dtype = bool if fill_b is None else fill_b.dtype
+    if not _fits(owners_b.size * vocabulary.size, dtype, rows_a.size > 1):
         return None
     sizes_b = lists_b.sizes(owners_b)
     spans_b = np.repeat(lists_b.offsets[owners_b], sizes_b) + _ranks(sizes_b)
     codes_b = lists_b.codes[spans_b]
     at = np.searchsorted(vocabulary, codes_b).clip(max=vocabulary.size - 1)
     found = vocabulary[at] == codes_b
-    entries = np.zeros((owners_b.size, vocabulary.size),
-                       dtype=bool if fill_b is None else fill_b.dtype)
+    entries = np.zeros((owners_b.size, vocabulary.size), dtype=dtype)
     entries[np.repeat(np.arange(owners_b.size), sizes_b)[found],
             at[found]] = True if fill_b is None else fill_b[spans_b][found]
-    cells = (local.reshape(codes_a.shape)[index_a]
-             + (index_b * vocabulary.size)[:, None])
+    cells = _cells(local.reshape(codes_a.shape), index_a, index_b,
+                   vocabulary.size)
     return entries.ravel().take(cells), owners_a, index_a
 
 
@@ -561,14 +624,16 @@ def _rel_diff(col_a, rows_a, col_b, rows_b):
 
 
 def _intersections(sets_a: CodeLists, rows_a: np.ndarray,
-                   sets_b: CodeLists, rows_b: np.ndarray) -> np.ndarray:
+                   sets_b: CodeLists, rows_b: np.ndarray,
+                   width: int) -> np.ndarray:
     """|set_a & set_b| of every pair: how many of its A set's codes its
-    B set holds, read from one membership matrix per block."""
-    def block(lo: int, hi: int) -> np.ndarray | None:
-        picked = _pick(sets_a, rows_a[lo:hi], sets_b, rows_b[lo:hi])
+    B set holds, read from one membership matrix per block; ``width``
+    is the largest A set."""
+    def block(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray | None:
+        picked = _pick(sets_a, rows_a, sets_b, rows_b)
         return None if picked is None else np.count_nonzero(picked[0],
                                                             axis=1)
-    return _blockwise(block, rows_a.size, dtype=np.int64)
+    return _blockwise(block, rows_a, rows_b, width, dtype=np.int64)
 
 
 def _set_measure(sets_of: Callable[[PreparedColumn], CodeLists],
@@ -578,7 +643,8 @@ def _set_measure(sets_of: Callable[[PreparedColumn], CodeLists],
     def kernel(col_a, rows_a, col_b, rows_b):
         sets_a, sets_b = sets_of(col_a), sets_of(col_b)
         size_a, size_b = sets_a.sizes(rows_a), sets_b.sizes(rows_b)
-        shared = _intersections(sets_a, rows_a, sets_b, rows_b)
+        shared = _intersections(sets_a, rows_a, sets_b, rows_b,
+                                int(size_a.max(initial=0)))
         with np.errstate(invalid="ignore", divide="ignore"):
             values = formula(shared, size_a, size_b)
         values[(size_a == 0) & (size_b == 0)] = 1.0
@@ -618,10 +684,10 @@ def _make_cosine_tfidf(idf: Mapping[str, float]) -> BatchKernel:
     def kernel(col_a, rows_a, col_b, rows_b):
         tfidf_a, tfidf_b = col_a.tfidf(idf), col_b.tfidf(idf)
         size_a = tfidf_a.terms.sizes(rows_a)
+        dot = _blockwise(functools.partial(_dot_block, tfidf_a, tfidf_b),
+                         rows_a, rows_b, int(size_a.max(initial=0)))
         size_b = tfidf_b.terms.sizes(rows_b)
         norm_a, norm_b = tfidf_a.norms[rows_a], tfidf_b.norms[rows_b]
-        dot = _blockwise(functools.partial(
-            _dot_block, tfidf_a, rows_a, tfidf_b, rows_b), rows_a.size)
         with np.errstate(invalid="ignore", divide="ignore"):
             values = dot / (norm_a * norm_b)
         # corlint: disable-next-line=CL004 — exact-zero guard
@@ -632,20 +698,19 @@ def _make_cosine_tfidf(idf: Mapping[str, float]) -> BatchKernel:
     return kernel
 
 
-def _dot_block(tfidf_a: TfidfArrays, rows_a: np.ndarray,
-               tfidf_b: TfidfArrays, rows_b: np.ndarray,
-               lo: int, hi: int) -> np.ndarray | None:
-    """Dot products of pairs ``lo:hi``, added in A's term order; a term
+def _dot_block(tfidf_a: TfidfArrays, tfidf_b: TfidfArrays,
+               rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray | None:
+    """Dot products of a block of pairs, added in A's term order; a term
     B lacks adds 0.0, which leaves the sum unchanged."""
-    picked = _pick(tfidf_a.terms, rows_a[lo:hi], tfidf_b.terms,
-                   rows_b[lo:hi], tfidf_b.weights)
+    picked = _pick(tfidf_a.terms, rows_a, tfidf_b.terms, rows_b,
+                   tfidf_b.weights)
     if picked is None:
         return None
-    weights_b, owners_a, index_a = picked
-    weights_a = _padded(tfidf_a.terms.offsets, tfidf_a.weights, owners_a,
+    products, owners_a, index_a = picked
+    products *= _padded(tfidf_a.terms.offsets, tfidf_a.weights, owners_a,
                         0.0)[index_a]
     # np.cumsum adds left to right, like the scalar loop.
-    return np.cumsum(weights_a * weights_b, axis=1)[:, -1]
+    return np.cumsum(products, axis=1, out=products)[:, -1]
 
 
 # ----------------------------------------------------------------------
@@ -735,9 +800,10 @@ def _bit_tables(bit_codes: np.ndarray, scan_codes: np.ndarray):
 
     Returns ``(peq, letters)``: ``peq[r, c]`` has bit ``k`` set iff
     character ``k`` of bit-side string ``r`` is letter ``c``, and
-    ``letters[r, i]`` is the letter of character ``i`` of scan-side
-    string ``r``.  Letters index the characters of this call only, so
-    the table stays small whatever the code points.
+    ``letters[i, r]`` (int32, one row per character position) is the
+    letter of character ``i`` of scan-side string ``r``.  Letters index
+    the characters of this call only, so the table stays small whatever
+    the code points.
     """
     bits = _DICTIONARY.points(
         bit_codes, -1, int(_DICTIONARY.lengths(bit_codes).max()))
@@ -751,7 +817,9 @@ def _bit_tables(bit_codes: np.ndarray, scan_codes: np.ndarray):
     rows, cols = np.nonzero(bits >= 0)
     np.bitwise_or.at(peq, (rows, bit_letters[rows, cols]),
                      _BELOW[cols + 1] ^ _BELOW[cols])
-    return peq, index[bits.size:].reshape(scan.shape)
+    letters = np.ascontiguousarray(index[bits.size:].reshape(scan.shape).T,
+                                   dtype=np.int32)
+    return peq, letters
 
 
 def _scan_chunks(scan_lengths: np.ndarray):
@@ -774,7 +842,9 @@ def _edit_distances(pattern: np.ndarray, text: np.ndarray) -> np.ndarray:
 
     Myers/Hyyrö bit-vector edit distance: one uint64 per row holds the
     vertical deltas of the DP column over the pattern (1 to 64
-    characters); each numpy step consumes one text character.
+    characters); each numpy step consumes one text character, reading
+    its letters from one row of the letter table, so a step's
+    temporaries are a few arrays of the chunk's rows.
     """
     patterns, pattern_rows = np.unique(pattern, return_inverse=True)
     texts, text_rows = np.unique(text, return_inverse=True)
@@ -785,14 +855,13 @@ def _edit_distances(pattern: np.ndarray, text: np.ndarray) -> np.ndarray:
     n = _DICTIONARY.lengths(texts)[text_rows]
     distance = np.empty(pattern.size, dtype=np.int64)
     for rows, live in _scan_chunks(n):
-        # Column j of `index` holds each row's peq position for text[j].
-        index = np.ascontiguousarray(
-            (letters[text_rows[rows], :live.size]
-             + (pattern_rows[rows] * peq.shape[1])[:, None]).T)
+        strings = text_rows[rows]
+        base = pattern_rows[rows] * peq.shape[1]
         pv = np.full(rows.size, _BELOW[_BITS], dtype=np.uint64)
         mv = np.zeros(rows.size, dtype=np.uint64)
         for j, k in enumerate(live.tolist()):
-            eq = peq_flat.take(index[j, :k])
+            # Each live row's peq position for its text[j].
+            eq = peq_flat.take(letters[j].take(strings[:k]) + base[:k])
             pv_k, mv_k = pv[:k], mv[:k]
             xv = eq | mv_k
             xh = (((eq & pv_k) + pv_k) ^ pv_k) | eq
@@ -835,16 +904,18 @@ def _levenshtein_codes(codes_a: np.ndarray, codes_b: np.ndarray) -> np.ndarray:
     return 1.0 - distance / np.maximum(longest, 1)
 
 
-def _jaro_counts(peq_flat, base, letters, window, live):
+def _jaro_counts(peq_flat, base, letters, strings, window, live):
     """Jaro's match and transposition counts for one row chunk.
 
-    The first pass is the scalar loop's greedy first fit: for each
-    character ``s[i]``, ``cand`` holds the free matching positions of
-    ``t`` inside the window, and ``cand & (~cand + 1)`` is the lowest.
-    The second pass walks t's matched bits in order against s's matched
-    positions.
+    Row ``r`` scans string ``strings[r]`` of the letter table against
+    the bit side at ``base[r]`` in ``peq_flat``.  The first pass is the
+    scalar loop's greedy first fit: for each character ``s[i]``,
+    ``cand`` holds the free matching positions of ``t`` inside the
+    window, and ``cand & (~cand + 1)`` is the lowest.  The second pass
+    walks t's matched bits in order against s's matched positions.
+    Both read each step's peq positions from one row of the letter
+    table.
     """
-    index = np.ascontiguousarray((letters + base[:, None]).T)
     high = window + 1
     low = -window
     flagged = np.zeros(base.size, dtype=np.uint64)
@@ -852,7 +923,7 @@ def _jaro_counts(peq_flat, base, letters, window, live):
     for i, k in enumerate(live.tolist()):
         cand = _BELOW.take(high[:k] + i, mode="clip")
         cand &= ~_BELOW.take(low[:k] + i, mode="clip")
-        cand &= peq_flat.take(index[i, :k])
+        cand &= peq_flat.take(letters[i].take(strings[:k]) + base[:k])
         cand &= ~flagged[:k]
         first = ~cand
         first += _ONE
@@ -868,7 +939,8 @@ def _jaro_counts(peq_flat, base, letters, window, live):
         first &= rest
         first *= hit
         rest ^= first
-        transposed[:k] += hit & ((first & peq_flat.take(index[i, :k])) == 0)
+        first &= peq_flat.take(letters[i].take(strings[:k]) + base[:k])
+        transposed[:k] += hit & (first == 0)
     return hits.sum(axis=0), transposed // 2
 
 
@@ -878,46 +950,54 @@ def _jaro_winkler_codes(codes_s: np.ndarray, codes_t: np.ndarray) -> np.ndarray:
     Bit-parallel over ``t``; a pair whose ``t`` exceeds :data:`_BITS`
     goes to the scalar ``jaro_winkler``.  Match and transposition counts
     are integers, and the float formulas after them are the scalar's, so
-    values are bit-identical.
+    values are bit-identical.  Pairs are taken :data:`_KERNEL_ROWS` at
+    a time, so the per-pair masks and copies do not grow with the call.
     """
-    len_s = _DICTIONARY.lengths(codes_s)
-    len_t = _DICTIONARY.lengths(codes_t)
-    equal = codes_s == codes_t
-    values = equal.astype(np.float64)  # 1.0; 0.0 when a side is empty
-    work = ~equal & (len_s > 0) & (len_t > 0)
-    fast = work & (len_t <= _BITS)
-    if fast.any():
-        values[fast] = _jaro_winkler_bits(codes_s[fast], codes_t[fast])
+    values = np.empty(codes_s.size)
     strings = _DICTIONARY.strings
-    for row in np.flatnonzero(work & ~fast).tolist():
-        values[row] = sim.jaro_winkler(strings[codes_s[row]],
-                                       strings[codes_t[row]])
+    for lo in range(0, codes_s.size, _KERNEL_ROWS):
+        s = codes_s[lo:lo + _KERNEL_ROWS]
+        t = codes_t[lo:lo + _KERNEL_ROWS]
+        out = values[lo:lo + _KERNEL_ROWS]
+        len_s, len_t = _DICTIONARY.lengths(s), _DICTIONARY.lengths(t)
+        equal = s == t
+        out[:] = equal  # 1.0; 0.0 when a side is empty
+        work = ~equal & (len_s > 0) & (len_t > 0)
+        fast = work & (len_t <= _BITS)
+        if fast.any():
+            out[fast] = _jaro_winkler_bits(s[fast], t[fast])
+        for row in np.flatnonzero(work & ~fast).tolist():
+            out[row] = sim.jaro_winkler(strings[s[row]], strings[t[row]])
     return values
 
 
 def _jaro_winkler_bits(codes_s: np.ndarray, codes_t: np.ndarray) -> np.ndarray:
-    """Jaro-Winkler of distinct, non-empty pairs with ``len(t) <= 64``."""
+    """Jaro-Winkler of distinct, non-empty pairs with ``len(t) <= 64``,
+    one chunk of rows at a time."""
     targets, t_rows = np.unique(codes_t, return_inverse=True)
     sources, s_rows = np.unique(codes_s, return_inverse=True)
     t_rows, s_rows = t_rows.reshape(-1), s_rows.reshape(-1)
     peq, letters = _bit_tables(targets, sources)
-    len_s = _DICTIONARY.lengths(sources)[s_rows]
-    len_t = _DICTIONARY.lengths(targets)[t_rows]
-    window = np.maximum(np.maximum(len_s, len_t) // 2 - 1, 0)
-    m = np.empty(codes_s.size, dtype=np.int64)
-    transposed = np.empty(codes_s.size, dtype=np.int64)
-    for rows, live in _scan_chunks(len_s):
-        m[rows], transposed[rows] = _jaro_counts(
-            peq.ravel(), t_rows[rows] * peq.shape[1],
-            letters[s_rows[rows], :live.size], window[rows], live)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        jaro = (m / len_s + m / len_t + (m - transposed) / m) / 3.0
-    jaro[m == 0] = 0.0
-    # Winkler boost: the common prefix over the first four characters.
-    heads = (_DICTIONARY.points(sources, -1, 4)[s_rows]
-             == _DICTIONARY.points(targets, -2, 4)[t_rows])
-    prefix = np.cumprod(heads, axis=1).sum(axis=1)
-    return jaro + prefix * 0.1 * (1.0 - jaro)
+    lengths_s = _DICTIONARY.lengths(sources)
+    lengths_t = _DICTIONARY.lengths(targets)
+    # The first four characters of each string, for the Winkler boost.
+    heads_s = _DICTIONARY.points(sources, -1, 4)
+    heads_t = _DICTIONARY.points(targets, -2, 4)
+    values = np.empty(codes_s.size)
+    for rows, live in _scan_chunks(lengths_s[s_rows]):
+        source, target = s_rows[rows], t_rows[rows]
+        len_s, len_t = lengths_s[source], lengths_t[target]
+        m, transposed = _jaro_counts(
+            peq.ravel(), target * peq.shape[1], letters, source,
+            np.maximum(np.maximum(len_s, len_t) // 2 - 1, 0), live)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            jaro = (m / len_s + m / len_t + (m - transposed) / m) / 3.0
+        jaro[m == 0] = 0.0
+        # Winkler boost: the common prefix over the first four characters.
+        prefix = np.cumprod(heads_s[source] == heads_t[target],
+                            axis=1).sum(axis=1)
+        values[rows] = jaro + prefix * 0.1 * (1.0 - jaro)
+    return values
 
 
 # ----------------------------------------------------------------------
@@ -925,103 +1005,117 @@ def _jaro_winkler_bits(codes_s: np.ndarray, codes_t: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _jaro_winkler_table(vocabulary_a: np.ndarray,
-                        vocabulary_b: np.ndarray) -> np.ndarray:
-    """Jaro-Winkler of every (A word, B word) pair of two vocabularies."""
-    return _jaro_winkler_codes(
-        np.repeat(vocabulary_a, vocabulary_b.size),
-        np.tile(vocabulary_b, vocabulary_a.size),
-    ).reshape(vocabulary_a.size, vocabulary_b.size)
+def _jaro_winkler_table(vocabulary_a: np.ndarray, vocabulary_b: np.ndarray,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """Jaro-Winkler of every (A word, B word) pair of two vocabularies.
+
+    The table (``out`` when given) is filled in bands of A words, each
+    holding at most :data:`_BLOCK_ELEMENTS` word pairs (a band of one A
+    word is cut across B's vocabulary too), so the kernel's per-pair
+    temporaries stay within one band whatever the vocabulary sizes.
+    """
+    if out is None:
+        out = np.empty((vocabulary_a.size, vocabulary_b.size))
+    columns = max(1, min(vocabulary_b.size, _BLOCK_ELEMENTS))
+    band = max(1, _BLOCK_ELEMENTS // columns)
+    for lo in range(0, vocabulary_a.size, band):
+        words_a = vocabulary_a[lo:lo + band]
+        for left in range(0, vocabulary_b.size, columns):
+            words_b = vocabulary_b[left:left + columns]
+            out[lo:lo + band, left:left + columns] = _jaro_winkler_codes(
+                np.repeat(words_a, words_b.size),
+                np.tile(words_b, words_a.size),
+            ).reshape(words_a.size, words_b.size)
+    return out
 
 
 def _monge_elkan(col_a, rows_a, col_b, rows_b):
     words_a, words_b = col_a.words(), col_b.words()
     table = col_a.word_table(col_b)
     size_a, size_b = words_a.sizes(rows_a), words_b.sizes(rows_b)
-    out = ((size_a == 0) & (size_b == 0)).astype(np.float64)
-    hard = np.flatnonzero((size_a > 0) & (size_b > 0))
-    if hard.size:
-        per_pair = int(size_a[hard].max()) * int(size_b[hard].max())
-        out[hard] = _blockwise(
-            functools.partial(_monge_elkan_block, words_a, rows_a[hard],
-                              words_b, rows_b[hard], table),
-            hard.size, max(1, min(_KERNEL_ROWS,
-                                  _MONGE_BLOCK_ELEMENTS // per_pair)))
-    return out
+    hard = (size_a > 0) & (size_b > 0)
+    if not hard.all():
+        # 1.0 when both word lists are empty, 0.0 when one is.
+        out = ((size_a == 0) & (size_b == 0)).astype(np.float64)
+        out[hard] = _monge_elkan(col_a, rows_a[hard], col_b, rows_b[hard])
+        return out
+    # A block's temporaries have one row of its longer word list per pair.
+    return _blockwise(
+        functools.partial(_monge_elkan_block, words_a, words_b, table),
+        rows_a, rows_b, max(int(size_a.max(initial=0)),
+                            int(size_b.max(initial=0))))
 
 
-def _monge_elkan_block(words_a: CodeLists, rows_a: np.ndarray,
-                       words_b: CodeLists, rows_b: np.ndarray,
-                       table: WordTable | None,
-                       lo: int, hi: int) -> np.ndarray | None:
-    """Monge-Elkan of pairs ``lo:hi``, whose word lists are non-empty.
+def _monge_elkan_block(words_a: CodeLists, words_b: CodeLists,
+                       table: WordTable | None, rows_a: np.ndarray,
+                       rows_b: np.ndarray) -> np.ndarray | None:
+    """Monge-Elkan of a block of pairs whose word lists are non-empty.
 
-    Word ids index the column pair's word table, or, past its cap, a
-    table over the block's own vocabularies; id -1 pads the shorter
-    word lists.
+    The block's distinct A and B words index ``values``, a table over
+    the block's own vocabularies: cut from the column pair's word table,
+    or, past its cap, computed.  The padding after the shorter word
+    lists is word 0 of its side, with a -inf row or column.
     """
-    owners_a, index_a = _owners(rows_a[lo:hi], words_a)
-    owners_b, index_b = _owners(rows_b[lo:hi], words_b)
-    if table is not None:
-        values = table.values
-        ids_a = _padded(words_a.offsets, table.local_a, owners_a, -1)
-        ids_b = _padded(words_b.offsets, table.local_b, owners_b, -1)
-    else:
-        codes_a = _padded(words_a.offsets, words_a.codes, owners_a, -1)
-        codes_b = _padded(words_b.offsets, words_b.codes, owners_b, -1)
-        vocabulary_a = np.unique(codes_a[codes_a >= 0])
-        vocabulary_b = np.unique(codes_b[codes_b >= 0])
-        if (vocabulary_a.size * vocabulary_b.size > _MONGE_BLOCK_ELEMENTS
-                and hi - lo > 1):
-            return None
-        values = _jaro_winkler_table(vocabulary_a, vocabulary_b)
-        ids_a = np.where(codes_a < 0, -1,
-                         np.searchsorted(vocabulary_a, codes_a))
-        ids_b = np.where(codes_b < 0, -1,
-                         np.searchsorted(vocabulary_b, codes_b))
-    capped = hi - lo > 1
-    total_ab = _best_partner_sums(values.T, ids_a, index_a, ids_b, index_b,
-                                  capped)
-    total_ba = (None if total_ab is None else _best_partner_sums(
-        values, ids_b, index_b, ids_a, index_a, capped))
-    if total_ba is None:
+    owners_a, index_a = _owners(rows_a, words_a)
+    owners_b, index_b = _owners(rows_b, words_b)
+    ids_a = _padded(words_a.offsets,
+                    words_a.codes if table is None else table.local_a,
+                    owners_a, -1)
+    ids_b = _padded(words_b.offsets,
+                    words_b.codes if table is None else table.local_b,
+                    owners_b, -1)
+    vocabulary_a, word_a = np.unique(ids_a, return_inverse=True)
+    vocabulary_b, word_b = np.unique(ids_b, return_inverse=True)
+    capped = rows_a.size > 1
+    if not (_fits(vocabulary_a.size * vocabulary_b.size, np.float64, capped)
+            and _fits(owners_b.size * vocabulary_a.size, np.float64, capped)
+            and _fits(owners_a.size * vocabulary_b.size, np.float64,
+                      capped)):
         return None
+    pad_a, pad_b = int(vocabulary_a[0] < 0), int(vocabulary_b[0] < 0)
+    values = np.full((vocabulary_a.size, vocabulary_b.size), -np.inf)
+    if table is None:
+        _jaro_winkler_table(vocabulary_a[pad_a:], vocabulary_b[pad_b:],
+                            values[pad_a:, pad_b:])
+    else:
+        values[pad_a:, pad_b:] = table.values[np.ix_(vocabulary_a[pad_a:],
+                                                     vocabulary_b[pad_b:])]
+    word_a, word_b = word_a.reshape(ids_a.shape), word_b.reshape(ids_b.shape)
+    total_ab = _best_partner_sums(np.ascontiguousarray(values.T), word_a,
+                                  index_a, word_b, index_b, pad_a)
+    total_ba = _best_partner_sums(values, word_b, index_b, word_a, index_a,
+                                  pad_b)
     sizes_a = words_a.sizes(owners_a)[index_a]
     sizes_b = words_b.sizes(owners_b)[index_b]
     return (total_ab / sizes_a + total_ba / sizes_b) / 2.0
 
 
-def _best_partner_sums(values: np.ndarray, ids_s: np.ndarray,
-                       index_s: np.ndarray, ids_t: np.ndarray,
-                       index_t: np.ndarray, capped: bool) -> np.ndarray | None:
+def _best_partner_sums(values: np.ndarray, word_s: np.ndarray,
+                       index_s: np.ndarray, word_t: np.ndarray,
+                       index_t: np.ndarray, padded: int) -> np.ndarray:
     """Each pair's sum, in token order, of its s words' best partners.
 
-    ``values[v, w]`` is the Jaro-Winkler of t word ``v`` and s word
-    ``w``; ``ids_s``/``ids_t`` hold the word ids of the block's distinct
-    s and t rows, padded with -1, and pair ``i`` is s-row
-    ``index_s[i]`` with t-row ``index_t[i]``.  ``best[r, j]``, the
-    largest ``values[v, vocabulary[j]]`` over the words ``v`` of t-row
-    ``r``, is found once for every t-row and s word of the block, one
-    token position of all t-rows at a time; each pair then adds the
-    best of its s words left to right, as the scalar ``directed()``
-    loop does.  None when ``capped`` and ``best`` would pass the cap.
+    ``values[v, w]`` is the Jaro-Winkler of the block's t word ``v`` and
+    s word ``w``; ``word_s``/``word_t`` hold the word ids of the block's
+    distinct s and t rows, and pair ``i`` is s-row ``index_s[i]`` with
+    t-row ``index_t[i]``.  s word 0 is the padding after the shorter s
+    lists when ``padded``, and adds nothing; t padding has a -inf row
+    and never wins.  ``best[r, w]``, the largest ``values[v, w]``
+    over the words ``v`` of t-row ``r``, is found once for every t-row
+    and s word of the block, one token position of all t-rows at a
+    time; each pair then adds the best of its s words left to right, as
+    the scalar ``directed()`` loop does.
     """
-    vocabulary, word = np.unique(ids_s, return_inverse=True)
-    if capped and ids_t.shape[0] * vocabulary.size > _MONGE_BLOCK_ELEMENTS:
-        return None
-    # Row -1 (-inf) stands in for the padding past a t-row's end.
-    partners = np.full((values.shape[0] + 1, vocabulary.size), -np.inf)
-    partners[:-1] = values[:, vocabulary]
-    best = partners[ids_t[:, 0]]
-    for position in ids_t.T[1:]:
-        np.maximum(best, partners[position], out=best)
-    if vocabulary[0] < 0:
+    best = values[word_t[:, 0]]
+    for position in word_t.T[1:]:
+        np.maximum(best, values[position], out=best)
+    if padded:
         best[:, 0] = 0.0  # s padding adds nothing
-    cells = (word.reshape(ids_s.shape)[index_s]
-             + (index_t * vocabulary.size)[:, None])
+    picked = best.ravel().take(_cells(word_s, index_s, index_t,
+                                      values.shape[1]))
     # np.cumsum adds left to right, like the scalar loop; the padding
     # after a row's last word adds 0.0 and leaves its sum unchanged.
-    return np.cumsum(best.ravel().take(cells), axis=1)[:, -1]
+    return np.cumsum(picked, axis=1, out=picked)[:, -1]
 
 
 # ----------------------------------------------------------------------

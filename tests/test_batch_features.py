@@ -28,7 +28,7 @@ from repro.exec.executor import _prewarm
 from repro.features import batch
 from repro.features.batch import cache_stats, reset_cache_stats
 from repro.features.library import Feature, build_feature_library
-from repro.features.similarity import monge_elkan
+from repro.features.similarity import jaro_winkler, monge_elkan
 from repro.features.vectorize import vectorize_pairs
 from repro.synth.citations import generate_citations
 from repro.synth.products import generate_products
@@ -333,21 +333,57 @@ def test_cosine_tfidf_adds_like_the_scalar_loop(monkeypatch):
 def test_block_splits_keep_parity(monkeypatch, name, text):
     """Kernels stay bit-identical when every bound forces a split.
 
-    With the caps at a few dozen, the set, TF/IDF and Monge-Elkan
-    kernels halve their blocks down to single pairs, Monge-Elkan builds
-    a word table per block instead of one per column pair, and the
-    bit-parallel kernels advance a few rows at a time.
+    With the block budget, the word-table retention cap and the scan
+    chunk at a few dozen, the set, TF/IDF and Monge-Elkan kernels size
+    their blocks to a few pairs and halve them down to single pairs,
+    Monge-Elkan builds a banded word table per block instead of one per
+    column pair, and the bit-parallel kernels advance a few rows at a
+    time, on shuffled pairs (grouped by B row) and on pairs in A-row
+    order alike.  A column pair's kept word table, built in bands of one
+    A word cut across B's vocabulary, equals the scalar Jaro-Winkler of
+    every word pair.
     """
-    monkeypatch.setattr(batch, "_MONGE_BLOCK_ELEMENTS", 48)
+    monkeypatch.setattr(batch, "_BLOCK_ELEMENTS", 48)
+    monkeypatch.setattr(batch, "_WORD_TABLE_ELEMENTS", 48)
     monkeypatch.setattr(batch, "_KERNEL_ROWS", 24)
     dataset = _GENERATORS[name](n_a=30, n_b=40, n_matches=10, seed=4)
     library = build_feature_library(dataset.table_a, dataset.table_b,
                                     extended=True)
     pairs = _random_pairs(dataset.table_a, dataset.table_b, 300, seed=2)
     _assert_parity(dataset.table_a, dataset.table_b, pairs, library)
+    a_order = dataset.table_a.record_ids
+    _assert_parity(dataset.table_a, dataset.table_b,
+                   sorted(pairs, key=lambda pair: a_order.index(pair.a_id)),
+                   library)
+    column_a = batch.prepared_column(dataset.table_a, text)
     column_b = batch.prepared_column(dataset.table_b, text)
-    assert batch.prepared_column(dataset.table_a, text).word_table(
-        column_b) is None
+    assert column_a.word_table(column_b) is None
+
+    monkeypatch.setattr(batch, "_WORD_TABLE_ELEMENTS", 1 << 22)
+    kept = batch._word_table(column_a.words(), column_b.words())
+    vocabulary_a = np.unique(column_a.words().codes)
+    vocabulary_b = np.unique(column_b.words().codes)
+    assert vocabulary_b.size > 48  # bands cut across B's vocabulary
+    strings = batch._DICTIONARY.strings
+    scalar = [[jaro_winkler(strings[a], strings[b])
+               for b in vocabulary_b.tolist()] for a in vocabulary_a.tolist()]
+    assert np.array_equal(kept.values, scalar)
+
+
+def test_cell_indices_past_int32_raise(monkeypatch):
+    """A block whose membership matrix has more cells than int32 can
+    index raises instead of wrapping.  Under the block budget no block
+    gets there, so the budget is lifted here; the check runs before the
+    matrix (2**31 cells) is allocated."""
+    monkeypatch.setattr(batch, "_BLOCK_ELEMENTS", 1 << 40)
+    # 32 A rows of 1024 distinct codes each, 65,536 B rows of one code.
+    lists_a = batch.CodeLists(np.arange(33, dtype=np.int64) * 1024,
+                              np.arange(32 * 1024, dtype=np.int64))
+    lists_b = batch.CodeLists(np.arange(65_537, dtype=np.int64),
+                              np.zeros(65_536, dtype=np.int64))
+    rows_b = np.arange(65_536)
+    with pytest.raises(FeatureError, match="int32"):
+        batch._pick(lists_a, rows_b % 32, lists_b, rows_b)
 
 
 def test_word_tables_do_not_keep_a_gone_table_alive():

@@ -230,3 +230,51 @@ class TestAuditHarvest:
         assert not estimator._remove(candidates, neg_rule(-1.0), active,
                                      sampled)
         assert active.all() and (sampled == -1).all()
+
+
+class TestActiveRowsUncopied:
+    def test_round_with_every_row_active_makes_no_subset(self,
+                                                         monkeypatch):
+        """While no rule has removed a row, the option search and the
+        evaluation of its rules read the candidate set itself; no round
+        gathers a copy of every row."""
+        import importlib.util
+        from pathlib import Path
+
+        from repro import scaled_config
+
+        example = (Path(__file__).parent.parent / "examples"
+                   / "accuracy_estimation.py")
+        spec = importlib.util.spec_from_file_location("accuracy_estimation",
+                                                      example)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        candidates, matches, _, forest = module.build_world()
+        config = scaled_config()
+        service = LabelingService(
+            PerfectCrowd(matches, rng=np.random.default_rng(7)),
+            config.crowd)
+        estimator = AccuracyEstimator(config, service,
+                                      np.random.default_rng(7))
+        subsets = []
+        subset = CandidateSet.subset
+
+        def recording_subset(self, indices):
+            subsets.append(len(indices))
+            return subset(self, indices)
+
+        searched = []
+        select_option = estimator._select_option
+
+        def recording_select(active, estimate, rules):
+            searched.append(active)
+            return select_option(active, estimate, rules)
+
+        monkeypatch.setattr(CandidateSet, "subset", recording_subset)
+        estimator._select_option = recording_select
+        result = estimator.estimate(candidates,
+                                    forest.predict(candidates.features),
+                                    forest)
+        assert searched and searched[0] is candidates
+        assert result.applied_rules  # later rounds ran on a reduced set
+        assert len(candidates) not in subsets

@@ -320,3 +320,96 @@ class TestOneScoringPassPerStep:
         assert state.confidences == reference.confidences
         assert batches == reference_batches
         assert state.labeled_rows == reference.labeled_rows
+
+
+class RescoringMatcher(ActiveLearningMatcher):
+    """Reference finish: always score the chosen forest again."""
+
+    def finish(self, state, candidates):
+        self._last_votes = None
+        return super().finish(state, candidates)
+
+
+class TestFinishReusesTheLastVotes:
+    """``finish`` thresholds the last step's vote vector when the chosen
+    forest is the last one, and scores again after a rollback or a
+    resume; the predictions equal a reference that always scores
+    again."""
+
+    def _trained(self, matcher_class, max_iterations=12):
+        candidates, matches, _ = synthetic_candidates(seed=5)
+        config = CorleoneConfig(
+            forest=ForestConfig(n_trees=5),
+            matcher=MatcherConfig(batch_size=10, pool_size=40,
+                                  n_converged=50, n_degrade=50,
+                                  max_iterations=max_iterations),
+        )
+        crowd = PerfectCrowd(matches, rng=np.random.default_rng(1))
+        service = LabelingService(crowd, config.crowd)
+        matcher = matcher_class(config, service, np.random.default_rng(3))
+        seeds = dict.fromkeys(sorted(matches)[:2], True)
+        seeds.update(dict.fromkeys(
+            [p for p in candidates.pairs if p not in matches][:2], False))
+        state = matcher.start(candidates, seeds)
+        while not matcher.train_finished(state):
+            matcher.step(state, candidates)
+        return matcher, state, candidates, config, service
+
+    @staticmethod
+    def _finish_counting(matcher, state, candidates, monkeypatch):
+        calls = []
+        vote_fractions = RandomForest.vote_fractions
+
+        def counting(forest, x):
+            calls.append(forest)
+            return vote_fractions(forest, x)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(RandomForest, "vote_fractions", counting)
+            result = matcher.finish(state, candidates)
+        return result, calls
+
+    def test_last_forest_is_not_scored_again(self, monkeypatch):
+        matcher, state, candidates, _, _ = self._trained(
+            ActiveLearningMatcher)
+        reference, reference_state, _, _, _ = self._trained(RescoringMatcher)
+        result, calls = self._finish_counting(matcher, state, candidates,
+                                              monkeypatch)
+        expected, reference_calls = self._finish_counting(
+            reference, reference_state, candidates, monkeypatch)
+        assert state.rollback_index is None
+        assert (calls, len(reference_calls)) == ([], 1)
+        np.testing.assert_array_equal(result.predictions,
+                                      expected.predictions)
+        np.testing.assert_array_equal(
+            result.predictions,
+            result.forest.predict(candidates.features))
+
+    def test_rollback_scores_the_chosen_forest(self, monkeypatch):
+        matcher, state, candidates, _, _ = self._trained(
+            ActiveLearningMatcher)
+        state.rollback_index = 0
+        result, calls = self._finish_counting(matcher, state, candidates,
+                                              monkeypatch)
+        assert calls == [state.forests[0]]
+        np.testing.assert_array_equal(
+            result.predictions,
+            state.forests[0].predict(candidates.features))
+
+    def test_resume_before_finish_scores_again(self, monkeypatch):
+        from repro.persistence import (
+            matcher_train_state_from_dict,
+            matcher_train_state_to_dict,
+        )
+        matcher, state, candidates, config, service = self._trained(
+            ActiveLearningMatcher)
+        restored = matcher_train_state_from_dict(
+            matcher_train_state_to_dict(state))
+        resumed = ActiveLearningMatcher(config, service,
+                                        np.random.default_rng(3))
+        result, calls = self._finish_counting(resumed, restored,
+                                              candidates, monkeypatch)
+        expected = matcher.finish(state, candidates)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(result.predictions,
+                                      expected.predictions)
