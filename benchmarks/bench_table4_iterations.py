@@ -51,7 +51,7 @@ def test_table4_report(runs, benchmark):
                                         abs(estimate.f1 - truth.f1)))
             rows.append([
                 name, record.index,
-                record.matcher_pairs_labeled,
+                record.matcher.pairs_labeled,
                 pct(truth.precision), pct(truth.recall), pct(truth.f1),
                 *est_cols,
                 record.reduction_pairs_labeled,

@@ -332,8 +332,9 @@ def collect_engine(output: Path | None = None, repeats: int = 3) -> dict:
     Runs the same seeded hands-off run ``repeats`` times plain and
     ``repeats`` times with a run directory, then derives the checkpoint
     wall-clock overhead (the engine's acceptance bar is < 10%), the
-    per-checkpoint write cost, the checkpoint read cost and the event
-    throughput.  Writes ``BENCH_engine.json`` and an
+    per-checkpoint write cost, the checkpoint read cost, the event
+    throughput and the size of the checkpointed run's ``trace.jsonl``
+    (lines and bytes).  Writes ``BENCH_engine.json`` and an
     ``engine_overhead`` result table, and returns the payload.
     """
     import tempfile
@@ -354,6 +355,7 @@ def collect_engine(output: Path | None = None, repeats: int = 3) -> dict:
     from repro.core.pipeline import Corleone
     from repro.crowd.simulated import SimulatedCrowd
     from repro.engine import load_checkpoint
+    from repro.engine.checkpoint import TRACE_FILE
     from repro.synth.restaurants import generate_restaurants
 
     dataset = generate_restaurants(n_a=120, n_b=90, n_matches=35, seed=7)
@@ -383,7 +385,7 @@ def collect_engine(output: Path | None = None, repeats: int = 3) -> dict:
 
     checkpointed_times: list[float] = []
     read_times: list[float] = []
-    events = checkpoints = 0
+    events = checkpoints = trace_lines = trace_bytes = 0
     for _ in range(repeats):
         with tempfile.TemporaryDirectory() as tmp:
             run_dir = Path(tmp) / "run"
@@ -393,6 +395,8 @@ def collect_engine(output: Path | None = None, repeats: int = 3) -> dict:
             checkpoint = load_checkpoint(run_dir)
             read_times.append(time.perf_counter() - started)
             checkpoints = checkpoint["index"] + 1
+            trace = (run_dir / TRACE_FILE).read_bytes()
+            trace_lines, trace_bytes = trace.count(b"\n"), len(trace)
 
     plain = min(plain_times)
     checkpointed = min(checkpointed_times)
@@ -406,6 +410,8 @@ def collect_engine(output: Path | None = None, repeats: int = 3) -> dict:
             "checkpoint_overhead_fraction": round(overhead / plain, 4),
             "checkpoints_written": checkpoints,
             "events_emitted": events,
+            "trace_lines": trace_lines,
+            "trace_bytes": trace_bytes,
             "peak_rss_kb": _peak_rss_kb(),
         },
         "checkpoint": {
@@ -440,6 +446,8 @@ def collect_engine(output: Path | None = None, repeats: int = 3) -> dict:
         f"checkpoint read             "
         f"{payload['checkpoint']['read_seconds'] * 1e3:.2f} ms\n"
         f"events emitted              {run['events_emitted']}\n"
+        f"trace.jsonl                 {run['trace_lines']} lines, "
+        f"{run['trace_bytes']} bytes\n"
         f"events per second           {payload['events_per_second']:.0f}\n"
     )
     RESULTS_DIR.mkdir(exist_ok=True)

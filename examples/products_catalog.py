@@ -52,7 +52,7 @@ def main() -> None:
     for record in result.iterations:
         conf = record.matcher.confidence_history
         print(f"iteration {record.index}: "
-              f"{record.matcher_pairs_labeled} pairs for training, "
+              f"{record.matcher.pairs_labeled} pairs for training, "
               f"stopped by '{record.matcher.stop_reason}' after "
               f"{record.matcher.n_iterations} rounds "
               f"(conf {conf[0]:.2f} -> {conf[-1]:.2f})")

@@ -90,9 +90,10 @@ def main():
         print(f"    identical to the uninterrupted run: {same}")
 
         events = read_trace(run_dir / "trace.jsonl")
-        labels = sum(1 for e in events if e.name == "labels_purchased")
+        calls = [e for e in events if e.name == "labels_purchased"]
+        labels = sum(e.payload["labels"] for e in calls)
         print(f"=== trace: {len(events)} events, "
-              f"{labels} label purchases recorded")
+              f"{labels} labels bought in {len(calls)} paid calls")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ pre-degradation forest.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,9 +45,6 @@ class MatcherResult:
     n_iterations: int
     pairs_labeled: int
     """Distinct pairs the crowd labelled during this training run."""
-
-    extra_labels: dict[Pair, bool] = field(default_factory=dict)
-    """Training labels for pairs outside the candidate set (seeds)."""
 
     def predicted_pairs(self, candidates: CandidateSet) -> set[Pair]:
         """The pairs of ``candidates`` this matcher predicts as matches."""
@@ -116,28 +112,19 @@ class ActiveLearningMatcher:
     def train(self, candidates: CandidateSet,
               initial_labels: dict[Pair, bool],
               extra_vectors: np.ndarray | None = None,
-              extra_labels: np.ndarray | None = None,
-              state: MatcherTrainState | None = None,
-              on_iteration: Callable[[MatcherTrainState], None] | None = None,
-              ) -> MatcherResult:
+              extra_labels: np.ndarray | None = None) -> MatcherResult:
         """Run the full active-learning loop over ``candidates``.
 
         ``initial_labels`` hold trusted labels (the user's seed examples
         and anything already cached); pairs not present in the candidate
         set are ignored here — pass their vectors via ``extra_vectors`` /
-        ``extra_labels`` to still use them for training.
-
-        ``state`` resumes a checkpointed training run (``initial_labels``
-        is then ignored — the state already carries the labels), and
-        ``on_iteration`` is called after every completed iteration with
-        the current state (the engine's mid-stage checkpoint hook).
+        ``extra_labels`` to still use them for training.  The engine
+        drives :meth:`start` / :meth:`step` / :meth:`finish` itself, to
+        checkpoint between iterations.
         """
-        if state is None:
-            state = self.start(candidates, initial_labels)
+        state = self.start(candidates, initial_labels)
         while not self.train_finished(state):
             self.step(state, candidates, extra_vectors, extra_labels)
-            if on_iteration is not None:
-                on_iteration(state)
         return self.finish(state, candidates)
 
     def start(self, candidates: CandidateSet,

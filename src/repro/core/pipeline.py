@@ -250,8 +250,14 @@ class Corleone:
             # The live-monitor heartbeat: an atomic progress.json kept
             # fresh at checkpoint/shard/stage boundaries for `python -m
             # repro.obs serve|watch|report` (docs/observability.md).
-            heartbeat = ProgressHeartbeat(checkpointer.run_dir,
-                                          budget=ctx.tracker.budget)
+            # Seeded from the ledger, checkpoint count and state as
+            # they stand: zeros for a fresh run, restored on resume.
+            heartbeat = ProgressHeartbeat(
+                checkpointer.run_dir, budget=ctx.tracker.budget,
+                spent=ctx.tracker.snapshot(),
+                checkpoints=checkpointer.next_index,
+                iteration=state.iteration,
+                finished=state.next_stage is None)
             ctx.bus.subscribe(heartbeat)
         if recovery is not None:
             # Recovery findings (torn trace tail, quarantined

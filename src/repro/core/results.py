@@ -24,7 +24,6 @@ class IterationRecord:
 
     index: int
     matcher: MatcherResult
-    matcher_pairs_labeled: int
     predicted_pairs: frozenset[Pair]
     """Combined (ensemble) predicted matches over C after this iteration."""
     estimate: AccuracyEstimate | None = None

@@ -2,14 +2,15 @@
 
 Tracks every unit the paper reports: dollars spent (answers times
 per-question price), distinct pairs labelled (the "# Pairs" columns of
-Tables 2-4), total single-worker answers, and HITs posted.  Supports
-named checkpoints so the pipeline can attribute cost to each step
-(blocking vs matching vs estimation vs reduction).
+Tables 2-4), total single-worker answers, and HITs posted.  The
+tracker is a plain ledger with no observers: callers take
+:meth:`CostTracker.snapshot` deltas to attribute cost to each step
+(blocking vs matching vs estimation vs reduction), and the labelling
+service reports each call's delta itself.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
@@ -46,13 +47,6 @@ class CostTracker:
         self._answers = 0
         self._pairs_labeled = 0
         self._hits = 0
-        self.on_spend: Callable[[int, float], None] | None = None
-        """Optional observer called as ``on_spend(answers, dollars)``
-        after every paid batch of answers (the engine's ``budget_spent``
-        event hook)."""
-        self.on_hits: Callable[[int], None] | None = None
-        """Optional observer called as ``on_hits(n_hits)`` after HITs
-        are metered (the telemetry layer's HITs-posted counter)."""
 
     @property
     def dollars(self) -> float:
@@ -85,8 +79,6 @@ class CostTracker:
         """Record ``n_answers`` paid single-worker answers."""
         self._answers += n_answers
         self._dollars += n_answers * self.price_per_question
-        if self.on_spend is not None and n_answers:
-            self.on_spend(n_answers, n_answers * self.price_per_question)
 
     def record_pair(self) -> None:
         """Record that one new distinct pair obtained a crowd label."""
@@ -95,8 +87,6 @@ class CostTracker:
     def record_hits(self, n_hits: int) -> None:
         """Record that ``n_hits`` HITs were posted to the platform."""
         self._hits += n_hits
-        if self.on_hits is not None and n_hits:
-            self.on_hits(n_hits)
 
     def snapshot(self) -> CostSnapshot:
         """Capture the current totals (for per-step cost attribution)."""

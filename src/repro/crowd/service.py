@@ -16,7 +16,8 @@ Every Corleone module labels pairs through one shared
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ from ..exceptions import (
 )
 from .aggregation import VoteScheme, aggregate
 from .base import CrowdPlatform
-from .cost import CostTracker
+from .cost import CostSnapshot, CostTracker
 
 
 class _CountingPlatform(CrowdPlatform):
@@ -87,11 +88,17 @@ class LabelingService:
             price_per_question=config.price_per_question
         )
         self._cache: dict[Pair, CachedLabel] = {}
-        self.on_label: Callable[[Pair, bool, bool], None] | None = None
-        """Optional observer called as ``on_label(pair, label, strong)``
-        after every freshly purchased label (the engine's
-        ``labels_purchased`` event hook).  Cache hits and injected seeds
-        do not fire it — only labels the crowd was actually paid for."""
+        self.on_purchase: Callable[
+            [int, int, CostSnapshot, CostSnapshot], None] | None = None
+        """Optional observer called as ``on_purchase(labels, strong,
+        spent, totals)`` once at the end of every :meth:`label_batch` /
+        :meth:`label_all` call that paid for anything (the engine's
+        ``labels_purchased`` event hook): ``labels`` fresh labels were
+        bought, ``strong`` of them to the strong-majority standard,
+        ``spent`` is the call's ledger delta (HITs a gateway reposted
+        during the call included) and ``totals`` the ledger after it.
+        An aborted call still reports what it paid; a call served
+        entirely from the cache reports nothing."""
 
     # ------------------------------------------------------------------
     # Cache access
@@ -193,19 +200,10 @@ class LabelingService:
             to_label = uncached
             n_full = 1
         if to_label:
-            # HITs are metered *after* their questions are consumed, so
-            # a padded HIT that expires mid-flight and is reposted by the
-            # gateway is not double-charged here: the repost fee is the
-            # gateway's, and this charge always equals the questions the
-            # platform actually served (ceil over HIT size).
-            served = 0
-            try:
+            with self._paid_call() as bought:
                 for pair in to_label:
                     result[pair] = self._label_one(pair, scheme)
-                    served += 1
-            finally:
-                if served:
-                    self.tracker.record_hits(-(-served // per_hit))
+                    bought.append(self._cache[pair].strong)
         return result
 
     def label_all(self, pairs: Iterable[Pair],
@@ -217,22 +215,43 @@ class LabelingService:
         """
         pairs = [Pair(*p) for p in pairs]
         result: dict[Pair, bool] = {}
-        fresh = 0
-        try:
+        with self._paid_call() as bought:
             for pair in pairs:
                 entry = self._cache.get(pair)
                 if entry is not None and _satisfies(entry, scheme):
                     result[pair] = entry.label
                 else:
                     result[pair] = self._label_one(pair, scheme)
-                    fresh += 1
-        finally:
-            # Metered after consumption (like label_batch) so an aborted
-            # batch is charged only for questions actually served.
-            if fresh:
-                per_hit = self.config.questions_per_hit
-                self.tracker.record_hits(-(-fresh // per_hit))
+                    bought.append(self._cache[pair].strong)
         return result
+
+    @contextmanager
+    def _paid_call(self) -> Iterator[list[bool]]:
+        """Meter and report one labelling call.
+
+        The body appends the strength of every label it buys to the
+        yielded list.  On exit, also when the body raises, the call's
+        HITs are metered *after* their questions were consumed: a padded
+        HIT that expires mid-flight and is reposted by the gateway is
+        not double-charged here (the gateway meters the repost), and
+        the charge always equals the questions the platform actually
+        served (ceil over HIT size).  Then :attr:`on_purchase` receives
+        the call's ledger delta, if the call paid for anything.
+        """
+        before = self.tracker.snapshot()
+        bought: list[bool] = []
+        try:
+            yield bought
+        finally:
+            if bought:
+                per_hit = self.config.questions_per_hit
+                self.tracker.record_hits(-(-len(bought) // per_hit))
+            if self.on_purchase is not None:
+                totals = self.tracker.snapshot()
+                spent = totals.minus(before)
+                if spent.answers or spent.hits:
+                    self.on_purchase(len(bought), sum(bought), spent,
+                                     totals)
 
     def _label_one(self, pair: Pair, scheme: VoteScheme) -> bool:
         """Aggregate fresh answers for one pair, meter cost, cache it.
@@ -274,8 +293,5 @@ class LabelingService:
         self.tracker.record_answers(counter.asked - consumed_before)
         if pair not in self._cache:
             self.tracker.record_pair()
-        entry = _entry_for(label, scheme)
-        self._cache[pair] = entry
-        if self.on_label is not None:
-            self.on_label(pair, entry.label, entry.strong)
+        self._cache[pair] = _entry_for(label, scheme)
         return label

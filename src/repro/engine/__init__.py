@@ -35,7 +35,6 @@ from .events import (
     EVENT_ARTIFACT_CORRUPT,
     EVENT_ARTIFACT_QUARANTINED,
     EVENT_ARTIFACT_WRITTEN,
-    EVENT_BUDGET_SPENT,
     EVENT_CHECKPOINT_FALLBACK,
     EVENT_CHECKPOINT_WRITTEN,
     EVENT_CIRCUIT_OPENED,
@@ -69,7 +68,6 @@ __all__ = [
     "EVENT_ARTIFACT_CORRUPT",
     "EVENT_ARTIFACT_QUARANTINED",
     "EVENT_ARTIFACT_WRITTEN",
-    "EVENT_BUDGET_SPENT",
     "EVENT_CHECKPOINT_FALLBACK",
     "EVENT_CHECKPOINT_WRITTEN",
     "EVENT_CIRCUIT_OPENED",

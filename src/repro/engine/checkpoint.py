@@ -99,6 +99,12 @@ class Checkpointer:
                             if existing is not None else 0)
         self._have_candidates = (self.run_dir / CANDIDATES_FILE).exists()
 
+    @property
+    def next_index(self) -> int:
+        """The index the next checkpoint gets: the run's checkpoint
+        count so far, resumed ones included."""
+        return self._next_index
+
     def write_inputs(self, state: "RunState", ctx: "RunContext",
                      budget_plan: BudgetPlan | None = None) -> None:
         """Persist the run's immutable inputs (no-op if already there)."""

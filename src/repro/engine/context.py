@@ -10,8 +10,8 @@ the stages share:
   so an extra draw in one stage can no longer silently perturb every
   later stage (the coupling the old shared ``self.rng`` had);
 * the :class:`~repro.crowd.service.LabelingService` and its
-  :class:`~repro.crowd.cost.CostTracker`, wired to emit
-  ``labels_purchased`` / ``budget_spent`` events on the bus;
+  :class:`~repro.crowd.cost.CostTracker`, wired to emit one
+  ``labels_purchased`` event per paid labelling call on the bus;
 * the optional :class:`~repro.core.budgeting.PhaseBudgetManager`;
 * the :class:`~repro.engine.events.EventBus` and, when checkpointing is
   enabled, the engine's checkpoint callback;
@@ -32,13 +32,12 @@ import numpy as np
 
 from ..config import CorleoneConfig
 from ..crowd.base import CrowdPlatform, layers
-from ..crowd.cost import CostTracker
+from ..crowd.cost import CostSnapshot, CostTracker
 from ..crowd.faults import FaultyCrowd
 from ..crowd.gateway import ResilientCrowd, find_clock
 from ..crowd.service import LabelingService
 from ..core.budgeting import BudgetPlan, PhaseBudgetManager
 from .events import (
-    EVENT_BUDGET_SPENT,
     EVENT_CIRCUIT_OPENED,
     EVENT_FAULT_INJECTED,
     EVENT_HIT_REPOSTED,
@@ -116,10 +115,8 @@ class RunContext:
             self.telemetry = RunTelemetry(clock=find_clock(platform))
             self.bus.subscribe(self.telemetry.on_event)
             self.telemetry.record_budget(config.budget)
-            self.tracker.on_hits = self.telemetry.record_hits
 
-        self.service.on_label = self._emit_label
-        self.tracker.on_spend = self._emit_spend
+        self.service.on_purchase = self._emit_purchase
         self._wire_platform(platform)
 
     # ------------------------------------------------------------------
@@ -186,23 +183,20 @@ class RunContext:
     # Event wiring
     # ------------------------------------------------------------------
 
-    def _emit_label(self, pair, label: bool, strong: bool) -> None:
-        """Forward one label purchase from the service to the bus."""
+    def _emit_purchase(self, labels: int, strong: int,
+                       spent: CostSnapshot, totals: CostSnapshot) -> None:
+        """Forward one paid labelling call from the service to the bus:
+        the call's counts, then the ledger's running totals."""
         self.bus.emit(
             EVENT_LABELS_PURCHASED,
-            pair=[pair.a_id, pair.b_id],
-            label=bool(label),
-            strong=bool(strong),
-            pairs_labeled=self.tracker.pairs_labeled,
-        )
-
-    def _emit_spend(self, answers: int, dollars: float) -> None:
-        """Forward one spend increment from the tracker to the bus."""
-        self.bus.emit(
-            EVENT_BUDGET_SPENT,
-            answers=int(answers),
-            dollars=round(float(dollars), 10),
-            total_dollars=round(self.tracker.dollars, 10),
+            labels=labels,
+            strong=strong,
+            answers=spent.answers,
+            dollars=round(spent.dollars, 10),
+            hits=spent.hits,
+            pairs_labeled=totals.pairs_labeled,
+            total_answers=totals.answers,
+            total_dollars=round(totals.dollars, 10),
         )
 
     def _wire_platform(self, platform: CrowdPlatform) -> None:
@@ -210,7 +204,8 @@ class RunContext:
 
         Walks every layer of the platform stack: a
         :class:`~repro.crowd.gateway.ResilientCrowd` is bound to the
-        run's cost tracker (reposted HITs are metered) and its
+        run's cost tracker (reposted HITs are metered there, so they
+        reach telemetry in the labelling call's ``hits``) and its
         retry/repost/circuit hooks emit ``retry_scheduled`` /
         ``hit_reposted`` / ``circuit_opened`` events; a
         :class:`~repro.crowd.faults.FaultyCrowd` emits

@@ -1,7 +1,9 @@
 """The engine's structured event bus and its standard sinks.
 
 Every observable milestone of a run flows through one
-:class:`EventBus`: stage boundaries, label purchases, budget spend and
+:class:`EventBus`: stage boundaries, label purchases (one
+``labels_purchased`` event per paid labelling call, carrying the call's
+labels, answers, dollars and HITs and the ledger's running totals) and
 checkpoint writes.  Sinks subscribe to the bus; the engine ships two —
 a JSONL trace writer (the machine-readable run log) and a human
 progress reporter.  Events carry a monotonically increasing sequence
@@ -25,7 +27,6 @@ __all__ = [
     "EVENT_ARTIFACT_QUARANTINED",
     "EVENT_ARTIFACT_WRITTEN",
     "EVENT_BLOCKER_FALLBACK",
-    "EVENT_BUDGET_SPENT",
     "EVENT_CHECKPOINT_FALLBACK",
     "EVENT_CHECKPOINT_WRITTEN",
     "EVENT_CIRCUIT_OPENED",
@@ -49,7 +50,6 @@ __all__ = [
 EVENT_STAGE_STARTED = "stage_started"
 EVENT_STAGE_FINISHED = "stage_finished"
 EVENT_LABELS_PURCHASED = "labels_purchased"
-EVENT_BUDGET_SPENT = "budget_spent"
 EVENT_CHECKPOINT_WRITTEN = "checkpoint_written"
 EVENT_FAULT_INJECTED = "fault_injected"
 EVENT_RETRY_SCHEDULED = "retry_scheduled"
@@ -68,7 +68,6 @@ EVENT_NAMES = (
     EVENT_STAGE_STARTED,
     EVENT_STAGE_FINISHED,
     EVENT_LABELS_PURCHASED,
-    EVENT_BUDGET_SPENT,
     EVENT_CHECKPOINT_WRITTEN,
     EVENT_FAULT_INJECTED,
     EVENT_RETRY_SCHEDULED,
@@ -210,9 +209,9 @@ class ProgressReporter:
     """Human-readable one-liner per coarse event.
 
     ``write`` defaults to ``print``; tests pass a list-appender.  Label
-    purchases are aggregated into the following stage_finished line
-    rather than reported one-by-one, keeping the output proportional to
-    stages, not labels.
+    purchases are summed into the following stage_finished line rather
+    than reported call by call, keeping the output proportional to
+    stages, not labelling calls.
     """
 
     def __init__(self, write: Callable[[str], None] = print) -> None:
@@ -222,7 +221,7 @@ class ProgressReporter:
     def __call__(self, event: Event) -> None:
         """Format and forward one event."""
         if event.name == EVENT_LABELS_PURCHASED:
-            self._labels_since_stage += 1
+            self._labels_since_stage += event.payload.get("labels", 0)
             return
         if event.name == EVENT_STAGE_STARTED:
             self._labels_since_stage = 0
@@ -274,10 +273,9 @@ class ProgressReporter:
                 f"[{event.sequence}] trace had a torn tail: "
                 f"{event.payload.get('bytes_truncated')} bytes truncated"
             )
-        elif event.name in (EVENT_BUDGET_SPENT, EVENT_FAULT_INJECTED,
-                            EVENT_RETRY_SCHEDULED, EVENT_HIT_REPOSTED,
-                            EVENT_SHARD_STARTED, EVENT_SHARD_COMPLETED,
-                            EVENT_ARTIFACT_WRITTEN):
+        elif event.name in (EVENT_FAULT_INJECTED, EVENT_RETRY_SCHEDULED,
+                            EVENT_HIT_REPOSTED, EVENT_SHARD_STARTED,
+                            EVENT_SHARD_COMPLETED, EVENT_ARTIFACT_WRITTEN):
             pass  # per-answer/per-shard/per-artifact noise, too fine
             # for progress output
         else:

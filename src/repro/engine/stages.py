@@ -151,7 +151,6 @@ class TrainMatcherStage:
         record = IterationRecord(
             index=state.iteration,
             matcher=matcher_result,
-            matcher_pairs_labeled=matcher_result.pairs_labeled,
             predicted_pairs=frozenset(),
         )
         state.iterations.append(record)

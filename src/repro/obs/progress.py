@@ -3,23 +3,25 @@
 :class:`ProgressHeartbeat` is an :class:`~repro.engine.events.EventBus`
 sink that maintains a compact picture of an in-flight run — current
 stage and iteration, shards started/completed, checkpoints written,
-labels purchased, budget burn — and atomically rewrites
+distinct pairs labelled, answers, budget burn — and atomically rewrites
 ``progress.json`` in the run directory at checkpoint and shard
 boundaries.  ``python -m repro.obs serve`` exposes it at ``/progress``
 and ``python -m repro.obs report`` uses it to mark an incomplete run as
 in-flight.
 
-The file is a **live advisory**, not a deterministic artifact: it is
-rewritten mid-run at points a resumed run may legitimately skip, so it
-sits outside the byte-identity contract that governs ``metrics.json``
-and ``spans.jsonl`` (after a kill/resume the label and answer tallies
-restart from the resume point; the authoritative totals live in the
-metrics snapshot).  Writes go through the same
-:mod:`repro.storage.writer` discipline as everything else (tmp file,
-fsync, atomic replace) so a reader never observes a torn document, but
-— like ``profile.json`` — the file is never recorded in the run
-manifest: a checksum over a heartbeat would flag every legitimate
-rewrite as corruption.
+The spend figures are the cost ledger's running totals, carried by
+every ``labels_purchased`` event; a resumed run seeds them, the
+checkpoint count, the iteration and the finished flag from its restored
+state, so its final document reports what the uninterrupted run's
+does.  The file is still a **live advisory**, not a deterministic
+artifact: it is rewritten mid-run at points a resumed run may
+legitimately skip, so it sits outside the byte-identity contract that
+governs ``metrics.json`` and ``spans.jsonl``.  Writes go through
+:mod:`repro.storage.writer` (tmp file, atomic replace; no fsync, see
+:meth:`ProgressHeartbeat.flush`) so a reader never observes a torn
+document, but — like ``profile.json`` — the file is never recorded in
+the run manifest: a checksum over a heartbeat would flag every
+legitimate rewrite as corruption.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ import json
 from pathlib import Path
 from typing import Any
 
+from ..crowd.cost import CostSnapshot
 from ..engine.events import (
-    EVENT_BUDGET_SPENT,
     EVENT_CHECKPOINT_WRITTEN,
     EVENT_LABELS_PURCHASED,
     EVENT_SHARD_COMPLETED,
@@ -42,23 +44,31 @@ from ..storage.writer import atomic_write_json
 
 PROGRESS_FILE = "progress.json"
 PROGRESS_FORMAT = "corleone-progress"
-PROGRESS_VERSION = 1
+PROGRESS_VERSION = 2
 
 
 class ProgressHeartbeat:
     """Bus sink keeping ``progress.json`` fresh while a run executes."""
 
     def __init__(self, run_dir: str | Path,
-                 budget: float | None = None) -> None:
+                 budget: float | None = None,
+                 spent: CostSnapshot | None = None,
+                 checkpoints: int = 0,
+                 iteration: int = 0,
+                 finished: bool = False) -> None:
+        """``spent``, ``checkpoints``, ``iteration`` and ``finished``
+        seed a resumed run's heartbeat from its restored ledger and
+        checkpoint."""
+        spent = spent if spent is not None else CostSnapshot()
         self.path = Path(run_dir) / PROGRESS_FILE
         self.budget = budget
         self.stage: str | None = None
-        self.iteration = 0
-        self.checkpoints = 0
-        self.labels_purchased = 0
-        self.answers = 0
-        self.dollars_spent = 0.0
-        self.finished = False
+        self.iteration = iteration
+        self.checkpoints = checkpoints
+        self.pairs_labeled = spent.pairs_labeled
+        self.answers = spent.answers
+        self.dollars_spent = spent.dollars
+        self.finished = finished
         self.sequence = -1
         # Sets, not counters: a resumed run re-emits shard events for
         # loaded shards, and the heartbeat must not double-count them.
@@ -75,9 +85,7 @@ class ProgressHeartbeat:
             self.iteration = int(payload.get("iteration", 0))
             flush = True
         elif event.name == EVENT_STAGE_FINISHED:
-            # ``dollars`` here is the cost tracker's authoritative
-            # running total, which survives kill/resume (unlike the
-            # per-event tallies this sink accumulates itself).
+            # ``dollars`` here is the ledger's running total too.
             self.dollars_spent = float(payload.get(
                 "dollars", self.dollars_spent))
             if payload.get("next_stage") is None:
@@ -94,10 +102,9 @@ class ProgressHeartbeat:
             self._shards_completed.add(int(payload.get("shard", -1)))
             flush = True
         elif event.name == EVENT_LABELS_PURCHASED:
-            self.labels_purchased += 1
-        elif event.name == EVENT_BUDGET_SPENT:
-            self.answers += int(payload.get("answers", 0))
-            self.dollars_spent += float(payload.get("dollars", 0.0))
+            self.pairs_labeled = int(payload["pairs_labeled"])
+            self.answers = int(payload["total_answers"])
+            self.dollars_spent = float(payload["total_dollars"])
         if flush:
             self.flush()
 
@@ -116,7 +123,7 @@ class ProgressHeartbeat:
                 "started": len(self._shards_started),
                 "completed": len(self._shards_completed),
             },
-            "labels_purchased": self.labels_purchased,
+            "pairs_labeled": self.pairs_labeled,
             "answers": self.answers,
             "dollars_spent": round(self.dollars_spent, 10),
             "budget": self.budget,

@@ -121,8 +121,7 @@ def _stage_rollup(trace: list[dict[str, Any]]) -> tuple[
             current = None
         elif current is not None:
             if name == "labels_purchased":
-                stats[current]["labels"] += 1
-            elif name == "budget_spent":
+                stats[current]["labels"] += event["labels"]
                 stats[current]["dollars"] += event["dollars"]
             elif name == "fault_injected":
                 stats[current]["faults"] += 1
@@ -199,7 +198,7 @@ def render_report(run_dir: str | Path) -> str:
     lines.append(
         f"  spent ${spent:.2f}{burn}"
         f" | answers {int(_value(metrics, 'corleone_answers_total'))}"
-        f" | pairs labelled {int(labels_total)}"
+        f" | labels bought {int(labels_total)}"
         f" | HITs {int(_value(metrics, 'corleone_hits_posted_total'))}"
         f" ({int(_value(metrics, 'corleone_hits_reposted_total'))}"
         " reposted)"
@@ -334,7 +333,7 @@ def render_watch(progress: dict[str, Any] | None,
         )
         lines.append(
             f"spent ${spent:.2f}{burn}"
-            f" | labels {progress.get('labels_purchased', 0)}"
+            f" | pairs {progress.get('pairs_labeled', 0)}"
             f" | answers {progress.get('answers', 0)}"
         )
     lines.append(f"events seen: {len(events)}")

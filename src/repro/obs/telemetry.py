@@ -14,17 +14,18 @@ RunContext` and aggregates three instruments:
   plus the two hot-path metrics it feeds into this registry.
 
 Metrics are fed three ways: the telemetry subscribes to the engine's
-:class:`~repro.engine.events.EventBus` (labels, spend, faults, retries,
-reposts, circuit trips), takes direct calls for figures that never
-cross the bus or that resume would double-count off the bus (HITs
-posted, stage runs, blocking-rule coverage), and receives trees
-trained and entropy-pool sizes from the hot paths through its
-activated profiler.  ``checkpoint_written`` events are
-deliberately *ignored*: the checkpoint counter must increment before
-the checkpoint document is serialized (see
-:meth:`RunTelemetry.record_checkpoint`), or a run killed at a
-checkpoint would resume with one count fewer than the uninterrupted
-run and break the byte-identity contract.
+:class:`~repro.engine.events.EventBus` (faults, retries, reposts,
+circuit trips, and spend: one ``labels_purchased`` event per paid
+labelling call carries its labels, answers, dollars and HITs, gateway
+reposts included), takes direct calls for figures that never cross the
+bus or that resume would double-count off the bus (stage runs,
+blocking-rule coverage), and receives trees trained and entropy-pool
+sizes from the hot paths through its activated profiler.
+``checkpoint_written`` events are deliberately *ignored*: the
+checkpoint counter must increment before the checkpoint document is
+serialized (see :meth:`RunTelemetry.record_checkpoint`), or a run
+killed at a checkpoint would resume with one count fewer than the
+uninterrupted run and break the byte-identity contract.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from ..engine.events import (
     EVENT_ARTIFACT_CORRUPT,
     EVENT_ARTIFACT_QUARANTINED,
     EVENT_BLOCKER_FALLBACK,
-    EVENT_BUDGET_SPENT,
     EVENT_CHECKPOINT_FALLBACK,
     EVENT_CIRCUIT_OPENED,
     EVENT_FAULT_INJECTED,
@@ -71,7 +71,8 @@ def build_catalog(registry: MetricsRegistry) -> None:
     """
     registry.counter(
         "corleone_labels_purchased_total",
-        "Distinct pairs labelled by the crowd, by vote strength.",
+        "Labels bought from the crowd, by vote strength (a pair "
+        "relabelled to a stronger standard counts again).",
         label_names=("strong",))
     registry.counter(
         "corleone_answers_total",
@@ -205,11 +206,21 @@ class RunTelemetry:
         reg = self.registry
         payload = event.payload
         if event.name == EVENT_LABELS_PURCHASED:
-            strong = "true" if payload.get("strong") else "false"
-            reg.get("corleone_labels_purchased_total").inc(strong=strong)
-        elif event.name == EVENT_BUDGET_SPENT:
-            reg.get("corleone_answers_total").inc(payload["answers"])
-            reg.get("corleone_dollars_spent_total").inc(payload["dollars"])
+            # A count of zero touches no series, so a series exists only
+            # once something was bought into it.
+            labels = reg.get("corleone_labels_purchased_total")
+            strong = payload["strong"]
+            weak = payload["labels"] - strong
+            if strong:
+                labels.inc(strong, strong="true")
+            if weak:
+                labels.inc(weak, strong="false")
+            if payload["answers"]:
+                reg.get("corleone_answers_total").inc(payload["answers"])
+                reg.get("corleone_dollars_spent_total").inc(
+                    payload["dollars"])
+            if payload["hits"]:
+                reg.get("corleone_hits_posted_total").inc(payload["hits"])
         elif event.name == EVENT_FAULT_INJECTED:
             reg.get("corleone_faults_injected_total").inc(
                 kind=str(payload["kind"]))
@@ -277,11 +288,6 @@ class RunTelemetry:
         # after the checkpointed state has been restored.
 
     # -- direct instrumentation ----------------------------------------
-
-    def record_hits(self, n_hits: int) -> None:
-        """Count HITs the cost tracker just metered."""
-        if n_hits > 0:
-            self.registry.get("corleone_hits_posted_total").inc(n_hits)
 
     def record_checkpoint(self) -> None:
         """Count a checkpoint *before* its document is written.

@@ -538,10 +538,6 @@ def matcher_result_to_dict(result: MatcherResult) -> dict[str, Any]:
         "stop_reason": result.stop_reason,
         "n_iterations": result.n_iterations,
         "pairs_labeled": result.pairs_labeled,
-        "extra_labels": [
-            [pair.a_id, pair.b_id, bool(label)]
-            for pair, label in result.extra_labels.items()
-        ],
     }
 
 
@@ -560,10 +556,6 @@ def matcher_result_from_dict(data: dict[str, Any]) -> MatcherResult:
             stop_reason=data["stop_reason"],
             n_iterations=data["n_iterations"],
             pairs_labeled=data["pairs_labeled"],
-            extra_labels={
-                Pair(str(a), str(b)): bool(label)
-                for a, b, label in data["extra_labels"]
-            },
         )
     except (KeyError, TypeError) as error:
         raise DataError(f"malformed matcher result: {error}") from None
@@ -691,7 +683,6 @@ def iteration_record_to_dict(record: IterationRecord) -> dict[str, Any]:
     return {
         "index": record.index,
         "matcher": matcher_result_to_dict(record.matcher),
-        "matcher_pairs_labeled": record.matcher_pairs_labeled,
         "predicted_pairs": [
             [pair.a_id, pair.b_id] for pair in sorted(record.predicted_pairs)
         ],
@@ -710,7 +701,6 @@ def iteration_record_from_dict(data: dict[str, Any]) -> IterationRecord:
         return IterationRecord(
             index=data["index"],
             matcher=matcher_result_from_dict(data["matcher"]),
-            matcher_pairs_labeled=data["matcher_pairs_labeled"],
             predicted_pairs=frozenset(
                 Pair(str(a), str(b)) for a, b in data["predicted_pairs"]
             ),
@@ -766,7 +756,7 @@ def result_report(result: CorleoneResult,
         "iterations": [
             {
                 "index": record.index,
-                "matcher_pairs_labeled": record.matcher_pairs_labeled,
+                "matcher_pairs_labeled": record.matcher.pairs_labeled,
                 "matcher_stop_reason": record.matcher.stop_reason,
                 "matcher_al_iterations": record.matcher.n_iterations,
                 "confidence_history": record.matcher.confidence_history,

@@ -72,7 +72,7 @@ class TestAccountingContract:
     def test_phase_attribution_consistent(self, recorded_run):
         _, result, _, _ = recorded_run
         attributed = result.blocker.pairs_labeled + sum(
-            record.matcher_pairs_labeled
+            record.matcher.pairs_labeled
             + record.estimation_pairs_labeled
             + record.reduction_pairs_labeled
             for record in result.iterations

@@ -91,15 +91,16 @@ class TestTraceSink:
         bus = EventBus()
         sink = bus.subscribe(JsonlTraceSink(path))
         bus.emit("stage_started", stage="block", iteration=0)
-        bus.emit("labels_purchased", pair=["a0", "b0"], label=True,
-                 strong=True, pairs_labeled=1)
+        bus.emit("labels_purchased", labels=10, strong=2, answers=24,
+                 dollars=0.24, hits=1, pairs_labeled=10,
+                 total_answers=24, total_dollars=0.24)
         sink.close()
         events = read_trace(path)
         assert [event.name for event in events] == [
             "stage_started", "labels_purchased",
         ]
         assert events[0].payload == {"stage": "block", "iteration": 0}
-        assert events[1].payload["pair"] == ["a0", "b0"]
+        assert events[1].payload["labels"] == 10
         assert [event.sequence for event in events] == [0, 1]
 
 
@@ -109,17 +110,19 @@ class TestProgressReporter:
         bus = EventBus()
         bus.subscribe(ProgressReporter(write=lines.append))
         bus.emit(EVENT_STAGE_STARTED, stage="train_matcher", iteration=1)
-        bus.emit(EVENT_LABELS_PURCHASED, pair=["a", "b"], label=True,
-                 strong=True, pairs_labeled=1)
-        bus.emit(EVENT_LABELS_PURCHASED, pair=["a", "c"], label=False,
-                 strong=True, pairs_labeled=2)
+        bus.emit(EVENT_LABELS_PURCHASED, labels=10, strong=1, answers=22,
+                 dollars=0.22, hits=1, pairs_labeled=10,
+                 total_answers=22, total_dollars=0.22)
+        bus.emit(EVENT_LABELS_PURCHASED, labels=2, strong=2, answers=8,
+                 dollars=0.08, hits=1, pairs_labeled=12,
+                 total_answers=30, total_dollars=0.3)
         bus.emit(EVENT_STAGE_FINISHED, stage="train_matcher", iteration=1,
-                 next_stage="estimate", dollars=0.4)
+                 next_stage="estimate", dollars=0.3)
         bus.emit(EVENT_CHECKPOINT_WRITTEN, index=3, stage="estimate",
                  iteration=1)
         assert len(lines) == 3
         assert "train_matcher" in lines[0]
-        assert "2 labels purchased" in lines[1]
+        assert "12 labels purchased" in lines[1]
         assert "#3" in lines[2]
 
 
@@ -327,9 +330,32 @@ class TestRunDirectory:
         assert sequences == sorted(sequences)
         names = {event.name for event in events}
         assert {"stage_started", "stage_finished", "labels_purchased",
-                "budget_spent", "checkpoint_written"} <= names
+                "checkpoint_written"} <= names
+        assert "budget_spent" not in names
         started = [e for e in events if e.name == "stage_started"]
         assert started[0].payload["stage"] == "block"
+
+    def test_purchase_events_add_up_to_the_ledger(self, checkpointed_run):
+        _, _, _, run_dir, result = checkpointed_run
+        events = read_trace(run_dir / "trace.jsonl")
+        calls = [event.payload for event in events
+                 if event.name == "labels_purchased"]
+        assert calls
+        for call in calls:
+            assert set(call) == {
+                "labels", "strong", "answers", "dollars", "hits",
+                "pairs_labeled", "total_answers", "total_dollars"}
+            assert call["answers"] > 0
+            assert 0 <= call["strong"] <= call["labels"]
+        assert sum(call["answers"] for call in calls) == result.cost.answers
+        assert sum(call["hits"] for call in calls) == result.cost.hits
+        assert [call["total_answers"] for call in calls] == list(
+            np.cumsum([call["answers"] for call in calls]))
+        last = calls[-1]
+        assert (last["pairs_labeled"], last["total_answers"],
+                last["total_dollars"]) == (
+            result.cost.pairs_labeled, result.cost.answers,
+            round(result.cost.dollars, 10))
 
     def test_iteration_record_round_trip(self, checkpointed_run):
         _, _, _, run_dir, result = checkpointed_run

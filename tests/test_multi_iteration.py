@@ -88,7 +88,7 @@ class TestIterationMechanics:
         _, result = iterating_run
         assert result.cost.dollars > 0
         total_attributed = result.blocker.pairs_labeled + sum(
-            record.matcher_pairs_labeled
+            record.matcher.pairs_labeled
             + record.estimation_pairs_labeled
             + record.reduction_pairs_labeled
             for record in result.iterations

@@ -24,13 +24,15 @@ from repro.config import (
     CorleoneConfig,
     EstimatorConfig,
     ForestConfig,
+    GatewayConfig,
     LocatorConfig,
     MatcherConfig,
 )
 from repro.core.pipeline import Corleone
+from repro.crowd import FaultSpec, FaultyCrowd, ResilientCrowd
+from repro.crowd.service import LabelingService
 from repro.crowd.simulated import SimulatedCrowd
 from repro.engine.events import (
-    EVENT_BUDGET_SPENT,
     EVENT_CHECKPOINT_WRITTEN,
     EVENT_LABELS_PURCHASED,
     EVENT_SHARD_COMPLETED,
@@ -300,17 +302,20 @@ def _write_fixture_run(run_dir: Path) -> None:
     trace = [
         {"event": "stage_started", "sequence": 0, "stage": "block",
          "iteration": 0},
-        {"event": "labels_purchased", "sequence": 1, "pair": ["a", "b"],
-         "strong": True},
-        {"event": "budget_spent", "sequence": 2, "dollars": 0.4,
-         "answers": 4},
-        {"event": "fault_injected", "sequence": 3, "kind": "timeout"},
-        {"event": "stage_finished", "sequence": 4, "stage": "block",
+        {"event": "labels_purchased", "sequence": 1, "labels": 1,
+         "strong": 0, "answers": 4, "dollars": 0.4, "hits": 1,
+         "pairs_labeled": 1, "total_answers": 4, "total_dollars": 0.4},
+        {"event": "fault_injected", "sequence": 2, "kind": "timeout"},
+        {"event": "stage_finished", "sequence": 3, "stage": "block",
          "next_stage": "train_matcher", "dollars": 0.4},
-        {"event": "stage_started", "sequence": 5, "stage": "train_matcher",
+        {"event": "stage_started", "sequence": 4, "stage": "train_matcher",
          "iteration": 0},
-        {"event": "budget_spent", "sequence": 6, "dollars": 2.0,
-         "answers": 20},
+        {"event": "labels_purchased", "sequence": 5, "labels": 4,
+         "strong": 4, "answers": 12, "dollars": 1.2, "hits": 4,
+         "pairs_labeled": 5, "total_answers": 16, "total_dollars": 1.6},
+        {"event": "labels_purchased", "sequence": 6, "labels": 3,
+         "strong": 3, "answers": 8, "dollars": 0.8, "hits": 4,
+         "pairs_labeled": 8, "total_answers": 24, "total_dollars": 2.4},
         {"event": "stage_finished", "sequence": 7, "stage": "train_matcher",
          "next_stage": None, "dollars": 2.4},
     ]
@@ -356,10 +361,10 @@ stages
 stage          runs  labels  dollars  faults  sim_s
 -------------  ----  ------  -------  ------  -----
 block             1       1     0.40       1   12.5
-train_matcher     1       0     2.00       0   20.0
+train_matcher     1       7     2.00       0   20.0
 
 budget burn
-  spent $2.40 of $10.00 (24.0%) | answers 24 | pairs labelled 8 \
+  spent $2.40 of $10.00 (24.0%) | answers 24 | labels bought 8 \
 | HITs 9 (1 reposted)
 
 faults and retries
@@ -483,6 +488,27 @@ def identity_scenario(tmp_path_factory):
     return dataset, config, crowd, golden_dir
 
 
+@pytest.fixture(scope="module")
+def kill_resume_sweep(identity_scenario, tmp_path_factory):
+    """Run directories of the identity scenario killed at each of the
+    golden run's checkpoints in turn, each then resumed to the end."""
+    dataset, config, crowd, golden_dir = identity_scenario
+    n_checkpoints = json.loads(
+        (golden_dir / "checkpoint.json").read_text())["index"] + 1
+    root = tmp_path_factory.mktemp("obs_kills")
+    run_dirs = []
+    for kill_at in range(n_checkpoints):
+        run_dir = root / f"kill{kill_at}"
+        pipeline = Corleone(config, crowd(), seed=123, run_dir=run_dir)
+        pipeline.bus.subscribe(_killer_sink(kill_at))
+        with pytest.raises(_Killed):
+            pipeline.run(dataset.table_a, dataset.table_b,
+                         dataset.seed_labels)
+        Corleone.resume(run_dir, crowd())
+        run_dirs.append(run_dir)
+    return run_dirs
+
+
 class TestTelemetryByteIdentity:
     def test_run_dir_has_all_telemetry_artifacts(self, identity_scenario):
         _, _, _, golden_dir = identity_scenario
@@ -521,23 +547,26 @@ class TestTelemetryByteIdentity:
         assert _telemetry_bytes(replay_dir) == _telemetry_bytes(golden_dir)
 
     def test_kill_resume_is_byte_identical_at_every_checkpoint(
-            self, identity_scenario, tmp_path):
-        dataset, config, crowd, golden_dir = identity_scenario
-        golden = _telemetry_bytes(golden_dir)
-        n_checkpoints = json.loads(
-            (golden_dir / "checkpoint.json").read_text())["index"] + 1
-        assert n_checkpoints >= 5
-
-        for kill_at in range(n_checkpoints):
-            run_dir = tmp_path / f"kill{kill_at}"
-            pipeline = Corleone(config, crowd(), seed=123, run_dir=run_dir)
-            pipeline.bus.subscribe(_killer_sink(kill_at))
-            with pytest.raises(_Killed):
-                pipeline.run(dataset.table_a, dataset.table_b,
-                             dataset.seed_labels)
-            Corleone.resume(run_dir, crowd())
+            self, identity_scenario, kill_resume_sweep):
+        golden = _telemetry_bytes(identity_scenario[3])
+        assert len(kill_resume_sweep) >= 5
+        for kill_at, run_dir in enumerate(kill_resume_sweep):
             assert _telemetry_bytes(run_dir) == golden, (
                 f"telemetry diverged after a kill at checkpoint {kill_at}"
+            )
+
+    def test_resumed_progress_reports_the_whole_run(
+            self, identity_scenario, kill_resume_sweep):
+        keys = ("finished", "checkpoints", "iteration", "pairs_labeled",
+                "answers", "dollars_spent")
+        golden = read_progress(identity_scenario[3])
+        assert golden["finished"] is True
+        for kill_at, run_dir in enumerate(kill_resume_sweep):
+            resumed = read_progress(run_dir)
+            assert ({key: resumed[key] for key in keys}
+                    == {key: golden[key] for key in keys}), (
+                f"progress.json diverged after a kill at checkpoint "
+                f"{kill_at}"
             )
 
     def test_report_smoke_on_a_real_run_dir(self, identity_scenario,
@@ -567,6 +596,45 @@ class TestTelemetryByteIdentity:
 # ----------------------------------------------------------------------
 # Telemetry object plumbing
 # ----------------------------------------------------------------------
+
+
+class TestSpendCountersMatchTheLedger:
+    def test_counters_equal_the_ledger_when_hits_are_reposted(
+            self, monkeypatch):
+        dataset = generate_restaurants(n_a=60, n_b=40, n_matches=15,
+                                       seed=7)
+        crowd = SimulatedCrowd(dataset.matches, error_rate=0.05,
+                               rng=np.random.default_rng(11))
+        faulty = FaultyCrowd(crowd, FaultSpec(expiry_rate=0.1), seed=77)
+        gateway = ResilientCrowd(
+            faulty, GatewayConfig(max_attempts=7, failure_threshold=20))
+        bought = [0]
+        label_one = LabelingService._label_one
+
+        def counting_label_one(self, pair, scheme):
+            label = label_one(self, pair, scheme)
+            bought[0] += 1
+            return label
+
+        monkeypatch.setattr(LabelingService, "_label_one",
+                            counting_label_one)
+        pipeline = Corleone(_identity_config(), gateway, seed=123)
+        pipeline.run(dataset.table_a, dataset.table_b, dataset.seed_labels)
+
+        tracker = pipeline.tracker
+        metrics = pipeline.context.telemetry.registry.snapshot()
+
+        def value(name):
+            return sum(series["value"]
+                       for series in metrics[name]["series"])
+
+        assert faulty.counts["expiry"] > 0
+        assert value("corleone_hits_reposted_total") > 0
+        assert value("corleone_answers_total") == tracker.answers
+        assert value("corleone_hits_posted_total") == tracker.hits
+        assert abs(value("corleone_dollars_spent_total")
+                   - tracker.dollars) <= 1e-9
+        assert value("corleone_labels_purchased_total") == bought[0]
 
 
 class TestRunTelemetry:
@@ -875,6 +943,14 @@ def _feed(heartbeat: ProgressHeartbeat,
         heartbeat(Event(name=name, sequence=sequence, payload=payload))
 
 
+def _first_purchase(answers: int, dollars: float) -> dict:
+    """The ``labels_purchased`` payload of a run's first paid call,
+    which bought one label."""
+    return {"labels": 1, "strong": 1, "answers": answers,
+            "dollars": dollars, "hits": 1, "pairs_labeled": 1,
+            "total_answers": answers, "total_dollars": dollars}
+
+
 class TestProgressHeartbeat:
     def test_event_folding_and_round_trip(self, tmp_path):
         heartbeat = ProgressHeartbeat(tmp_path, budget=10.0)
@@ -884,8 +960,8 @@ class TestProgressHeartbeat:
             (EVENT_SHARD_STARTED, {"shard": 1}),
             (EVENT_SHARD_COMPLETED, {"shard": 0}),
             (EVENT_SHARD_COMPLETED, {"shard": 1}),
-            (EVENT_LABELS_PURCHASED, {"pair": ["a", "b"], "strong": True}),
-            (EVENT_BUDGET_SPENT, {"dollars": 0.4, "answers": 4}),
+            (EVENT_LABELS_PURCHASED, _first_purchase(answers=4,
+                                                     dollars=0.4)),
             (EVENT_CHECKPOINT_WRITTEN, {"index": 0, "stage": "block"}),
         ])
         document = read_progress(tmp_path)
@@ -894,11 +970,11 @@ class TestProgressHeartbeat:
         assert document["finished"] is False
         assert document["checkpoints"] == 1
         assert document["shards"] == {"started": 2, "completed": 2}
-        assert document["labels_purchased"] == 1
+        assert document["pairs_labeled"] == 1
         assert document["answers"] == 4
         assert document["dollars_spent"] == pytest.approx(0.4)
         assert document["budget_remaining"] == pytest.approx(9.6)
-        assert document["sequence"] == 7
+        assert document["sequence"] == 6
 
     def test_resumed_shard_events_do_not_double_count(self, tmp_path):
         heartbeat = ProgressHeartbeat(tmp_path)
@@ -911,7 +987,8 @@ class TestProgressHeartbeat:
     def test_stage_finished_dollars_are_authoritative(self, tmp_path):
         heartbeat = ProgressHeartbeat(tmp_path, budget=10.0)
         _feed(heartbeat, [
-            (EVENT_BUDGET_SPENT, {"dollars": 0.4, "answers": 4}),
+            (EVENT_LABELS_PURCHASED, _first_purchase(answers=4,
+                                                     dollars=0.4)),
             (EVENT_STAGE_FINISHED, {"stage": "block", "dollars": 2.4,
                                     "next_stage": None}),
         ])

@@ -56,7 +56,7 @@ class TestFullRun:
         iterations = full_run.result.iterations
         assert 1 <= len(iterations) <= 2
         first = iterations[0]
-        assert first.matcher_pairs_labeled > 0
+        assert first.matcher.pairs_labeled > 0
         assert first.estimate is not None
         assert first.predicted_pairs
 
