@@ -13,7 +13,9 @@ pass fails when a kernel's temporaries grow back.
 from __future__ import annotations
 
 import gc
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,10 @@ from repro.features.similarity import (
     monge_elkan,
 )
 from repro.forest.forest import train_forest
+
+# The scalar arm's per-pair oracle lives in the test suite.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.feature_oracle import ScalarLibrary  # noqa: E402
 
 
 class TestSimilarityMicro:
@@ -78,8 +84,9 @@ class TestEngineThroughput:
     """Scalar vs batched vectorization on products at 10k pairs.
 
     The pair of timings (same pairs, same library) is the headline
-    number for the batched feature-evaluation engine: ``scalar`` is a
-    per-pair ``Feature.value`` loop, ``batched`` is ``vectorize_pairs``.
+    number for the batched feature-evaluation engine: ``scalar`` is the
+    per-pair oracle of ``tests/feature_oracle.py``, ``batched`` is
+    ``vectorize_pairs``.
     ``collect_results.py --substrates`` distills their ratio into the
     ``BENCH_substrates.json`` baseline.
     """
@@ -105,22 +112,15 @@ class TestEngineThroughput:
         ]
         return dataset, library, pairs
 
-    @staticmethod
-    def _scalar(dataset, library, pairs) -> np.ndarray:
-        matrix = np.empty((len(pairs), len(library)), dtype=np.float64)
-        for row, pair in enumerate(pairs):
-            record_a = dataset.table_a[pair.a_id]
-            record_b = dataset.table_b[pair.b_id]
-            for col, feature in enumerate(library):
-                matrix[row, col] = feature.value(record_a, record_b)
-        return matrix
-
     def _run(self, benchmark, products_world, engine, rounds):
         from repro.features.vectorize import vectorize_pairs
         dataset, library, pairs = products_world
         if engine == "scalar":
+            scalar = ScalarLibrary(dataset.table_a, dataset.table_b)
+
             def run():
-                return self._scalar(dataset, library, pairs)
+                return scalar.matrix(dataset.table_a, dataset.table_b,
+                                     pairs)
         else:
             def run():
                 return vectorize_pairs(dataset.table_a, dataset.table_b,

@@ -1052,8 +1052,8 @@ def collect_shard(output: Path | None = None, repeats: int = 2,
     """Measure the sharded blocking executor's worker scaling curve.
 
     Applies two blocking rules over a citations-shaped A x B workload
-    once through :func:`repro.core.blocker.apply_rules_streaming` (the
-    full-matrix oracle) and once per worker count through
+    once through the full-matrix oracle (``apply_rules_streaming`` in
+    ``tests/blocking_oracle.py``) and once per worker count through
     :func:`repro.exec.apply_rules_sharded`, recording wall-clock best-of
     ``repeats``, the speedup over streaming and — the contract that
     makes the speedup meaningful — whether each worker count's survivor
@@ -1073,14 +1073,16 @@ def collect_shard(output: Path | None = None, repeats: int = 2,
     import os
     import time
 
-    if str(ROOT / "src") not in sys.path:
-        sys.path.insert(0, str(ROOT / "src"))
-    from repro.core.blocker import apply_rules_streaming
+    # The repo root too: the oracle lives in tests/.
+    for path in (ROOT / "src", ROOT):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
     from repro.exec import apply_rules_sharded
     from repro.features.library import build_feature_library
     from repro.rules.predicates import Predicate
     from repro.rules.rule import Rule
     from repro.synth.citations import generate_citations
+    from tests.blocking_oracle import apply_rules_streaming
 
     dataset = generate_citations(n_a=n_a, n_b=n_b,
                                  n_matches=max(4, n_a // 10), seed=7)
@@ -1219,7 +1221,6 @@ _PLAN_CHILD = """
 import hashlib, json, sys, tempfile, time
 from pathlib import Path
 
-from repro.core.blocker import apply_rules_streaming
 from repro.exec import apply_rules_sharded
 from repro.features.library import build_feature_library
 from repro.features.vectorize import vectorize_pairs
@@ -1227,6 +1228,7 @@ from repro.plan import PlanStats, SpillManager
 from repro.rules.predicates import Predicate
 from repro.rules.rule import Rule
 from repro.synth.citations import generate_citations
+from tests.blocking_oracle import apply_rules_streaming
 
 
 def peak_rss_kb():
@@ -1264,7 +1266,7 @@ if variant in ("blocking_streaming", "blocking_plan"):
         "\\n".join(f"{p.a_id}|{p.b_id}" for p in survivors)
         .encode()).hexdigest()
 else:  # vectorize_ram / vectorize_spill
-    pairs = apply_rules_streaming(
+    pairs = apply_rules_sharded(
         dataset.table_a, dataset.table_b, rules, library)
     spill_dir = tempfile.mkdtemp()
     started = time.perf_counter()
@@ -1314,8 +1316,9 @@ def collect_plan(output: Path | None = None,
     import sys as _sys
 
     env = dict(os.environ)
-    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get(
-        "PYTHONPATH", "")
+    # The repo root too: the oracle lives in tests/.
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT), env.get("PYTHONPATH", "")])
 
     def run_variant(variant: str) -> dict:
         proc = subprocess.run(

@@ -102,8 +102,8 @@ class KernelParityRule(ProjectRule):
                 ctx.report(self, library, key_node,
                            f"measure {measure!r} has no batched kernel in "
                            f"{_BATCH_SUFFIX} (_KERNELS entry or kernel_for "
-                           "special case); the blocking hot path would "
-                           "fall back to the scalar loop")
+                           "special case); build_feature_library would "
+                           "raise FeatureError")
         for kernel, key_node in sorted(kernel_keys.items()):
             if kernel not in measure_keys:
                 ctx.report(self, batch, key_node,

@@ -13,7 +13,6 @@ set.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,89 +37,6 @@ from .matcher import ActiveLearningMatcher, MatcherResult
 
 _STREAM_CHUNK = 8192
 """Pairs per chunk when applying rules over A x B."""
-
-
-class ChunkEvaluator:
-    """Evaluates blocking rules over aligned chunks of record pairs.
-
-    The full-matrix reference evaluator behind
-    :func:`apply_rules_streaming`, and the base class of
-    :class:`repro.plan.PlanExecutor`: it owns the rule set and the
-    needed-feature projection, and turns a chunk of pairs, given as two
-    aligned arrays of table row positions, into a boolean *blocked*
-    mask.  Because each batch kernel is bit-exact regardless of chunk
-    boundaries, any executor that feeds pairs through this class in
-    A x B stream order produces bit-identical survivors.
-
-    Missing-value semantics (the blocking NaN contract): a missing
-    attribute value surfaces as ``np.nan`` in the feature matrix, and a
-    predicate comparison against NaN evaluates **falsy** unless the
-    predicate was extracted with ``nan_satisfies`` — so *NaN never
-    blocks*: a pair with missing evidence survives to the matcher
-    rather than being silently discarded, matching the scalar
-    ``Feature.compute`` path.  ``blocked_mask`` enforces this with an
-    explicit guard instead of leaving it to the predicate kernels.
-    """
-
-    def __init__(self, table_a: Table, table_b: Table,
-                 rules: list[Rule], library: FeatureLibrary) -> None:
-        self.table_a = table_a
-        self.table_b = table_b
-        self.rules = rules
-        # Only the features the rules reference are computed — the
-        # per-pair cost the greedy selector optimized for.
-        self.needed = sorted({
-            index for rule in rules for index in rule.feature_indices
-        })
-        self.needed_features = [library.features[i] for i in self.needed]
-        self.width = len(library)
-        # A rule whose predicates ALL tolerate NaN can legitimately
-        # block a fully-missing row; any other rule cannot, and the
-        # guard below makes that invariant explicit.
-        self.nan_can_block = any(
-            all(p.nan_satisfies for p in rule.predicates)
-            for rule in rules
-        )
-
-    def blocked_mask(self, rows_a: np.ndarray,
-                     rows_b: np.ndarray) -> np.ndarray:
-        """Boolean mask: True where some rule blocks the pair of row
-        ``rows_a[i]`` of A and row ``rows_b[i]`` of B."""
-        # Fill only the needed columns of a full-width matrix so
-        # predicate indices line up; the rest stays NaN and is never
-        # read (no predicate references an unfilled column).
-        matrix = np.full((rows_a.size, self.width), np.nan)
-        for index, feature in zip(self.needed, self.needed_features):
-            matrix[:, index] = feature.batch_value(
-                self.table_a, rows_a, self.table_b, rows_b
-            )
-        blocked = np.zeros(rows_a.size, dtype=bool)
-        for rule in self.rules:
-            blocked |= rule.applies(matrix)
-            if blocked.all():
-                break
-        if not self.nan_can_block and self.needed and blocked.any():
-            # NaN-never-blocks guard: a pair whose needed features are
-            # all missing carries no blocking evidence, so it must
-            # survive.  Predicate.evaluate already returns False on NaN
-            # (absent nan_satisfies), making this a provable no-op —
-            # kept explicit so the missing-value contract is enforced
-            # here rather than implied by kernel internals.
-            all_missing = np.isnan(matrix[:, self.needed]).all(axis=1)
-            blocked &= ~all_missing
-        return blocked
-
-    def survivors(self, pairs: list[Pair]) -> list[Pair]:
-        """The subset of ``pairs`` no rule blocks, in input order."""
-        if not pairs:
-            return []
-        blocked = self.blocked_mask(
-            self.table_a.positions(pair.a_id for pair in pairs),
-            self.table_b.positions(pair.b_id for pair in pairs))
-        return [
-            pair for pair, is_blocked in zip(pairs, blocked)
-            if not is_blocked
-        ]
 
 
 @dataclass
@@ -311,8 +227,8 @@ class Blocker:
         Returns the survivors and the plan's cell accounting.
         ``blocker.n_workers`` sizes the pool (1 runs every shard
         in-process) and ``shard_dir``, when the run is durable, makes
-        completed shards survive a kill.  The survivor list is
-        bit-identical to :func:`apply_rules_streaming` either way.
+        completed shards survive a kill.  The survivor list is the
+        same either way (``tests/blocking_oracle.py`` pins it).
         """
         # Imported here: repro.exec and repro.plan import this module.
         from ..exec import apply_rules_sharded
@@ -333,19 +249,13 @@ class Blocker:
 def apply_rules_streaming(table_a: Table, table_b: Table,
                           rules: list[Rule], library: FeatureLibrary,
                           chunk_size: int = _STREAM_CHUNK) -> list[Pair]:
-    """Apply blocking rules over A x B in chunks; return the survivors.
+    """:func:`repro.exec.apply_rules_sharded` with one worker.
 
-    The reference oracle: every needed feature of every pair through
-    the full-matrix :class:`ChunkEvaluator` (which also defines the
-    missing-value semantics: NaN never blocks), in ``iter_cartesian``
-    order.  The pipeline never calls it; it runs
-    :func:`repro.exec.apply_rules_sharded`, which the parity tests and
-    ``benchmarks/collect_results.py --shard/--plan`` hold bit-identical
-    to this function.
+    Kept under this name because ``benchmarks/e2e/tracing.py`` wraps it
+    by name and the benchmark's self-test fails on a missing target.
+    The parity tests' full-matrix oracle is ``tests/blocking_oracle.py``.
     """
-    evaluator = ChunkEvaluator(table_a, table_b, rules, library)
-    pairs = iter_cartesian(table_a, table_b)
-    survivors: list[Pair] = []
-    while chunk := list(itertools.islice(pairs, chunk_size)):
-        survivors.extend(evaluator.survivors(chunk))
-    return survivors
+    from ..exec import apply_rules_sharded  # repro.exec imports this module
+
+    return apply_rules_sharded(table_a, table_b, rules, library,
+                               chunk_size=chunk_size)

@@ -250,14 +250,17 @@ class Corleone:
             # The live-monitor heartbeat: an atomic progress.json kept
             # fresh at checkpoint/shard/stage boundaries for `python -m
             # repro.obs serve|watch|report` (docs/observability.md).
-            # Seeded from the ledger, checkpoint count and state as
-            # they stand: zeros for a fresh run, restored on resume.
+            # Seeded from the ledger, checkpoint count, state and shard
+            # counters as they stand: zeros for a fresh run, restored
+            # on resume.
             heartbeat = ProgressHeartbeat(
                 checkpointer.run_dir, budget=ctx.tracker.budget,
                 spent=ctx.tracker.snapshot(),
                 checkpoints=checkpointer.next_index,
                 iteration=state.iteration,
-                finished=state.next_stage is None)
+                finished=state.next_stage is None,
+                shards=(ctx.telemetry.shard_counts()
+                        if ctx.telemetry is not None else (0, 0)))
             ctx.bus.subscribe(heartbeat)
         if recovery is not None:
             # Recovery findings (torn trace tail, quarantined

@@ -14,7 +14,7 @@ A run directory has a fixed layout:
   strengths, the cost ledger, the phase-budget ledger, the platform's
   answer-stream state and every RNG stream's bit-generator state;
 * ``generations/checkpoint-NNNNNN.json`` — a copy of each of the last
-  ``keep_generations`` checkpoints.  ``checkpoint.json`` is the fast
+  :data:`KEEP_GENERATIONS` checkpoints.  ``checkpoint.json`` is the fast
   path; the generations are the fallback chain when it fails its
   checksum on load (bit rot, or a stale manifest after a mid-batch
   crash);
@@ -77,21 +77,19 @@ TRACE_FILE = "trace.jsonl"
 GENERATIONS_DIR = "generations"
 """Run-dir subdirectory holding the last-N checkpoint copies."""
 
-DEFAULT_KEEP_GENERATIONS = 3
+KEEP_GENERATIONS = 3
 """Checkpoint generations retained for checksum-failure fallback."""
 
 
 class Checkpointer:
     """Writes a run's durable artifacts into one directory."""
 
-    def __init__(self, run_dir: str | Path,
-                 keep_generations: int = DEFAULT_KEEP_GENERATIONS) -> None:
+    def __init__(self, run_dir: str | Path) -> None:
         # Absolute once, here: artifact paths are built as run_dir / NAME
         # and the writer joins a relative path onto its root again.
         self.run_dir = Path(run_dir).absolute()
         self.run_dir.mkdir(parents=True, exist_ok=True)
         self.writer = ArtifactWriter(self.run_dir)
-        self.keep_generations = max(1, int(keep_generations))
         self.checkpoints_written = 0
         """Checkpoints written by *this* instance (benchmarking)."""
         existing = load_checkpoint(self.run_dir)
@@ -174,7 +172,7 @@ class Checkpointer:
         gen_dir = self.run_dir / GENERATIONS_DIR
         if not gen_dir.is_dir():
             return []
-        floor = index - self.keep_generations + 1
+        floor = index - KEEP_GENERATIONS + 1
         pruned = []
         for path in sorted(gen_dir.glob("checkpoint-*.json")):
             try:

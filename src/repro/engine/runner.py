@@ -12,7 +12,6 @@ resume tests use) leaves a complete checkpoint on disk.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from .context import RunContext
@@ -33,12 +32,10 @@ class StagedEngine:
     """Executes stages against one run state until none remains."""
 
     def __init__(self, ctx: RunContext,
-                 stages: Sequence[Stage] | None = None,
                  checkpointer: "Checkpointer | None" = None) -> None:
         self.ctx = ctx
-        stage_list = list(stages) if stages is not None else build_stages()
         self.stages: dict[str, Stage] = {
-            stage.name: stage for stage in stage_list
+            stage.name: stage for stage in build_stages()
         }
         self.checkpointer = checkpointer
         if checkpointer is not None:

@@ -9,9 +9,9 @@ shard's slice of A x B through the compiled blocking plan in worker
 processes that read the parent's prepared-column caches through fork
 copy-on-write memory (no per-job pickling of tables or features), and
 merges the per-shard survivor lists in shard order — bit-identical to
-the full-matrix streaming oracle.  With a shard directory, completed
-shards persist as ``shard-*.npz`` files and a killed run resumes by
-loading them instead of recomputing.
+the full-matrix oracle in ``tests/blocking_oracle.py``.  With a shard
+directory, completed shards persist as ``shard-*.npz`` files and a
+killed run resumes by loading them instead of recomputing.
 """
 
 from __future__ import annotations

@@ -22,12 +22,12 @@ expensive state crosses the process boundary exactly once, for free:
 Determinism: shards partition A's row range in order, every kernel is
 bit-exact regardless of chunk boundaries (the documented
 ``repro.features.batch`` contract), and survivors are merged in shard
-order — so the merged list is bit-identical to the reference oracle
-:func:`~repro.core.blocker.apply_rules_streaming`, worker count and
-shard size notwithstanding.  With a ``shard_dir``, completed shards
-persist (:class:`~repro.exec.sharding.ShardStore`) and a killed run
-resumes by loading them — still bit-identical, because loaded and
-recomputed shards carry the same bytes and the merge order is fixed.
+order — so the merged list is bit-identical to the full-matrix oracle
+in ``tests/blocking_oracle.py``, worker count and shard size
+notwithstanding.  With a ``shard_dir``, completed shards persist
+(:class:`~repro.exec.sharding.ShardStore`) and a killed run resumes by
+loading them — still bit-identical, because loaded and recomputed
+shards carry the same bytes and the merge order is fixed.
 
 With ``n_workers <= 1`` (or on platforms without ``fork``) the same
 shard loop runs in-process; the fork-unavailable case additionally
@@ -37,6 +37,7 @@ visible in ``python -m repro.obs report``.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from typing import Any
 
 import numpy as np
@@ -49,7 +50,7 @@ from ..engine.events import (
     EVENT_SHARD_COMPLETED,
     EVENT_SHARD_STARTED,
 )
-from ..features.library import FeatureLibrary
+from ..features.library import Feature, FeatureLibrary
 from ..obs.profiling import profile_section
 from ..obs.workers import (
     capture_worker_sections,
@@ -87,10 +88,12 @@ def apply_rules_sharded(table_a: Table, table_b: Table,
     auto_shard_size` (about four shards per worker).  ``shard_dir``
     enables per-shard durability and resume.  ``bus`` (an
     :class:`~repro.engine.events.EventBus` or compatible) receives
-    ``shard_started`` / ``shard_completed`` events per shard, in shard
-    order, and a ``blocker_parallel_fallback`` event when requested
-    parallelism could not be used; event order is deterministic, so
-    traces stay byte-identical across replays.
+    ``shard_started`` / ``shard_completed`` events per shard and a
+    ``blocker_parallel_fallback`` event when requested parallelism
+    could not be used.  The order is deterministic: loaded shards first
+    (``cached=True``), then each in-process shard's pair of events, or a
+    pool's ``shard_started`` events followed by its completions in shard
+    order.
 
     Every shard's slice runs through the compiled plan
     (:class:`repro.plan.PlanExecutor`) against the fork-shared caches.
@@ -98,18 +101,18 @@ def apply_rules_sharded(table_a: Table, table_b: Table,
     accounting; loaded shards re-contribute their persisted cell counts
     so resumed metrics converge to the uninterrupted run's.
 
-    The returned survivor list is bit-identical to
-    :func:`~repro.core.blocker.apply_rules_streaming` on the same
-    inputs, for every worker count, shard size and kill/resume history.
+    The returned survivor list is bit-identical to the full-matrix
+    oracle's on the same inputs, for every worker count, shard size and
+    kill/resume history.
     """
     if shard_size <= 0:
         shard_size = auto_shard_size(len(table_a), n_workers)
     shards = plan_shards(len(table_a), shard_size)
     evaluator = PlanExecutor(table_a, table_b, rules, library)
     if stats is not None:
-        stats.needed_width = len(evaluator.needed)
+        stats.needed_width = len(evaluator.needed_features)
     with profile_section("blocker.shard_prewarm"):
-        _prewarm(table_a, table_b, evaluator.needed_features)
+        _prewarm(table_a, table_b, evaluator.needed_features.values())
 
     store: ShardStore | None = None
     completed: set[int] = set()
@@ -128,30 +131,33 @@ def apply_rules_sharded(table_a: Table, table_b: Table,
                      "blocking running in-process")
 
     results: dict[int, _ShardResult] = {}
-    for index in sorted(completed):
-        results[index] = store.load(index)
-        shard = shards[index]
-        _emit_shard_span(bus, shard, results[index], n_workers, cached=True)
 
+    def complete(shard: Shard, result: _ShardResult, cached: bool) -> None:
+        """Record a loaded, in-process or pooled shard alike.  A loaded
+        one re-emits a computed one's event, logical ``worker`` slot
+        included, so resumed shard counters and spans converge."""
+        results[shard.index] = result
+        survivors, scanned, cells, sections = result
+        if store is not None and not cached:
+            store.write(shard.index, survivors, scanned, cells,
+                        sections=sections)
+        _emit(bus, EVENT_SHARD_COMPLETED, shard=shard.index,
+              survivors=len(survivors), pairs_scanned=scanned,
+              worker=worker_slot(shard.index, n_workers), cached=cached)
+
+    for index in sorted(completed):
+        _emit_started(bus, shards[index], n_workers, cached=True)
+        complete(shards[index], store.load(index), cached=True)
     if use_pool:
-        _run_pool(evaluator, shards, pending, chunk_size,
-                  n_workers, store, results, bus)
+        for shard in pending:
+            _emit_started(bus, shard, n_workers, cached=False)
+        _run_pool(evaluator, shards, pending, chunk_size, n_workers,
+                  complete)
     else:
         for shard in pending:
-            slot = worker_slot(shard.index, n_workers)
-            _emit(bus, EVENT_SHARD_STARTED, shard=shard.index,
-                  start=shard.start, stop=shard.stop, worker=slot,
-                  cached=False)
-            with capture_worker_sections() as sections:
-                survivors, scanned, cells = _shard_survivors(
-                    evaluator, shard, chunk_size)
-            results[shard.index] = (survivors, scanned, cells, sections)
-            if store is not None:
-                store.write(shard.index, survivors, scanned, cells,
-                            sections=sections)
-            _emit(bus, EVENT_SHARD_COMPLETED, shard=shard.index,
-                  survivors=len(survivors), pairs_scanned=scanned,
-                  worker=slot, cached=False)
+            _emit_started(bus, shard, n_workers, cached=False)
+            complete(shard, _evaluate_shard(evaluator, shard, chunk_size),
+                     cached=False)
 
     # Deterministic merge: shards partition A's row range, so survivors
     # concatenated in shard order equal the sequential A-major stream.
@@ -170,23 +176,16 @@ def apply_rules_sharded(table_a: Table, table_b: Table,
 
 def _run_pool(evaluator: PlanExecutor, shards: list[Shard],
               pending: list[Shard], chunk_size: int, n_workers: int,
-              store: ShardStore | None,
-              results: dict[int, _ShardResult],
-              bus: Any) -> None:
+              complete: Callable[[Shard, _ShardResult, bool], None]) -> None:
     """Fan pending shards out to a forked worker pool.
 
-    ``imap`` yields results in submission (= shard) order, so shard
-    files land on disk and events hit the bus in the same deterministic
-    order the in-process path produces — out-of-order completions just
-    buffer inside the pool.
+    ``imap`` yields results in submission (= shard) order, so
+    ``complete`` writes shard files and emits events in a deterministic
+    order; out-of-order completions just buffer inside the pool.
     """
     import multiprocessing
 
     global _SHARED
-    for shard in pending:
-        _emit(bus, EVENT_SHARD_STARTED, shard=shard.index,
-              start=shard.start, stop=shard.stop,
-              worker=worker_slot(shard.index, n_workers), cached=False)
     context = multiprocessing.get_context("fork")
     _SHARED = {"evaluator": evaluator,
                "shards": {shard.index: shard for shard in shards},
@@ -194,36 +193,37 @@ def _run_pool(evaluator: PlanExecutor, shards: list[Shard],
     try:
         with context.Pool(processes=min(n_workers, len(pending))) as pool:
             indices = [shard.index for shard in pending]
-            for index, survivors, scanned, cells, sections in pool.imap(
-                    _run_shard, indices, chunksize=1):
-                results[index] = (survivors, scanned, cells, sections)
-                if store is not None:
-                    store.write(index, survivors, scanned, cells,
-                                sections=sections)
-                _emit(bus, EVENT_SHARD_COMPLETED, shard=index,
-                      survivors=len(survivors), pairs_scanned=scanned,
-                      worker=worker_slot(index, n_workers), cached=False)
+            for index, result in pool.imap(_run_shard, indices,
+                                           chunksize=1):
+                complete(shards[index], result, cached=False)
     finally:
         _SHARED = None
 
 
-def _run_shard(index: int) -> tuple[int, list[tuple[str, str]], int, int,
-                                    dict[str, dict[str, float]]]:
+def _run_shard(index: int) -> tuple[int, _ShardResult]:
     """Worker body: evaluate one shard against fork-inherited state.
 
     Module-level by necessity (pool callables must pickle; corlint
     CL005) — but its *state* arrives through :data:`_SHARED`, not
-    through the job payload.  The forked child inherits the parent's
-    profiler activation stack, so it captures its ``profile_section``
-    calls on a fresh local profiler and ships the sections back in the
-    result tuple instead of recording into a doomed copy.
+    through the job payload.
     """
     job = _SHARED
-    shard = job["shards"][index]
+    return index, _evaluate_shard(job["evaluator"], job["shards"][index],
+                                  job["chunk_size"])
+
+
+def _evaluate_shard(evaluator: PlanExecutor, shard: Shard,
+                    chunk_size: int) -> _ShardResult:
+    """One shard's result, with the wall-clock sections it took.
+
+    A forked child inherits the parent's profiler activation stack, so
+    each shard captures its ``profile_section`` calls on a fresh local
+    profiler and returns them instead of recording into a doomed copy.
+    """
     with capture_worker_sections() as sections:
         survivors, scanned, cells = _shard_survivors(
-            job["evaluator"], shard, job["chunk_size"])
-    return index, survivors, scanned, cells, sections
+            evaluator, shard, chunk_size)
+    return survivors, scanned, cells, sections
 
 
 def _shard_survivors(
@@ -254,7 +254,8 @@ def _shard_survivors(
     return survivors, stop - first, evaluator.cells_computed - cells_before
 
 
-def _prewarm(table_a: Table, table_b: Table, features: list[Any]) -> None:
+def _prewarm(table_a: Table, table_b: Table,
+             features: Iterable[Feature]) -> None:
     """Build every prepared array the needed features' kernels read.
 
     A kernel reads whole-table arrays, and reads all of them whatever
@@ -282,21 +283,9 @@ def _emit(bus: Any, name: str, **payload: Any) -> None:
         bus.emit(name, **payload)
 
 
-def _emit_shard_span(bus: Any, shard: Shard, result: _ShardResult,
-                     n_workers: int, cached: bool) -> None:
-    """Emit the started/completed pair for a shard loaded from disk.
-
-    Cached shards emit the same two events as freshly computed ones —
-    including the same logical ``worker`` slot, which depends only on
-    the configured worker count — so a resumed run's shard counters and
-    shard spans converge to exactly the uninterrupted run's values: the
-    byte-identity contract for ``metrics.json``/``spans.jsonl`` extends
-    to sharded blocking.
-    """
-    survivors, scanned, _cells, _sections = result
-    slot = worker_slot(shard.index, n_workers)
+def _emit_started(bus: Any, shard: Shard, n_workers: int,
+                  cached: bool) -> None:
+    """Announce a shard: its row range and logical worker slot."""
     _emit(bus, EVENT_SHARD_STARTED, shard=shard.index, start=shard.start,
-          stop=shard.stop, worker=slot, cached=cached)
-    _emit(bus, EVENT_SHARD_COMPLETED, shard=shard.index,
-          survivors=len(survivors), pairs_scanned=scanned, worker=slot,
+          stop=shard.stop, worker=worker_slot(shard.index, n_workers),
           cached=cached)

@@ -25,11 +25,12 @@ where a pair column is two int64 arrays of table row positions:
   matcher), Smith-Waterman (a numpy DP) and prefix run once per
   distinct (A string, B string) code pair.
 
-Every kernel returns exactly the values the scalar ``Feature.value``
-path produces — the scalar loop remains both the fallback (for features
-without a kernel, and for strings longer than one 64-bit word in the
-bit-parallel kernels) and the parity oracle the test suite checks batch
-results against, bit for bit (including NaN positions).
+Every kernel returns exactly the values of the per-pair scalar
+functions in :mod:`repro.features.similarity` and
+:mod:`repro.features.extended`, bit for bit (NaN positions included);
+``tests/feature_oracle.py`` evaluates them pair by pair as the parity
+oracle.  The bit-parallel kernels still call the scalar functions for
+strings longer than one 64-bit word.
 """
 
 from __future__ import annotations
@@ -779,7 +780,7 @@ def _prefix(col_a, rows_a, col_b, rows_b):
 
 _BITS = 64
 """Characters one ``uint64`` bit vector holds.  A row whose bit-side
-string is longer goes to the scalar oracle."""
+string is longer goes to the scalar function."""
 
 _ONE = np.uint64(1)
 _BELOW = np.array([(1 << k) - 1 for k in range(_BITS + 1)], dtype=np.uint64)
@@ -1139,15 +1140,18 @@ _KERNELS: dict[str, BatchKernel] = {
 
 
 def kernel_for(measure: str, attr_type: AttrType,
-               idf: Mapping[str, float] | None = None) -> BatchKernel | None:
+               idf: Mapping[str, float] | None = None) -> BatchKernel:
     """The batch kernel for ``measure`` on an ``attr_type`` column.
 
-    Returns None for measures without a batched implementation; those
-    features fall back to the scalar ``value()`` loop.
+    Raises :class:`FeatureError` for a measure without one.
     """
     if measure == "exact":
         return (_exact_numeric if attr_type is AttrType.NUMERIC
                 else _exact_string)
     if measure == "cosine_tfidf":
         return _make_cosine_tfidf(idf if idf is not None else {})
-    return _KERNELS.get(measure)
+    try:
+        return _KERNELS[measure]
+    except KeyError:
+        raise FeatureError(
+            f"measure {measure!r} has no batch kernel") from None

@@ -11,17 +11,15 @@ uses as the "tuple pair cost" (Section 4.3).
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..data.table import AttrType, Record, Table
+from ..data.table import AttrType, Table
 from ..exceptions import FeatureError
 from . import batch as batch_engine
 from . import similarity as sim
-from .tokenize import cached_qgrams3 as _qgrams3
-from .tokenize import cached_word_tokens as _tokens
 from .tokenize import word_tokens
 
 
@@ -29,30 +27,19 @@ from .tokenize import word_tokens
 class Feature:
     """A named similarity feature over one attribute of a tuple pair.
 
-    ``compute`` maps the two attribute values to a float; missing values
-    on either side yield NaN so the forest can route them explicitly.
-    ``cost`` is a relative compute-cost estimate in arbitrary units used
-    to rank blocking rules by cheapness.  ``batch_compute`` is the
-    optional column-wise kernel behind :meth:`batch_value`; features
-    without one fall back to the scalar loop.
+    ``kernel`` evaluates the measure over a pair column, with the
+    :data:`repro.features.batch.BatchKernel` signature: the built-in
+    measures take theirs from :func:`repro.features.batch.kernel_for`,
+    and a custom measure supplies its own.  ``cost`` is a relative
+    compute-cost estimate in arbitrary units used to rank blocking
+    rules by cheapness.
     """
 
     name: str
     attribute: str
     measure: str
     cost: float
-    compute: Callable[[object, object], float] = field(compare=False)
-    batch_compute: batch_engine.BatchKernel | None = field(
-        default=None, compare=False, repr=False
-    )
-
-    def value(self, record_a: Record, record_b: Record) -> float:
-        """Evaluate this feature on a pair of records."""
-        a = record_a.get(self.attribute)
-        b = record_b.get(self.attribute)
-        if a is None or b is None:
-            return math.nan
-        return float(self.compute(a, b))
+    kernel: batch_engine.BatchKernel = field(compare=False, repr=False)
 
     def batch_value(self, table_a: Table, rows_a: np.ndarray,
                     table_b: Table, rows_b: np.ndarray) -> np.ndarray:
@@ -60,11 +47,10 @@ class Feature:
 
         Pair ``i`` is row ``rows_a[i]`` of ``table_a`` with row
         ``rows_b[i]`` of ``table_b`` (positions, as in
-        :meth:`Table.at`).  Returns exactly ``[self.value(table_a.at(i),
-        table_b.at(j)) for i, j in zip(rows_a, rows_b)]`` as a float64
-        array — the scalar path is the parity oracle — with NaN wherever
-        either side's attribute is missing.  Kernels read the tables'
-        shared prepared columns
+        :meth:`Table.at`).  Returns the measure's value per pair as a
+        float64 array, NaN wherever either side's attribute is missing
+        so the forest can route it explicitly.  Kernels read the
+        tables' shared prepared columns
         (:func:`repro.features.batch.prepared_column`).
 
         Raises :class:`FeatureError` unless both row arrays are 1-D
@@ -78,15 +64,9 @@ class Feature:
                 f"batch_value got {rows_a.size} A rows but "
                 f"{rows_b.size} B rows"
             )
-        if self.batch_compute is None:
-            return np.fromiter(
-                (self.value(table_a.at(i), table_b.at(j))
-                 for i, j in zip(rows_a.tolist(), rows_b.tolist())),
-                dtype=np.float64, count=rows_a.size,
-            )
         column_a = batch_engine.prepared_column(table_a, self.attribute)
         column_b = batch_engine.prepared_column(table_b, self.attribute)
-        values = self.batch_compute(column_a, rows_a, column_b, rows_b)
+        values = self.kernel(column_a, rows_a, column_b, rows_b)
         missing = column_a.missing()[rows_a] | column_b.missing()[rows_b]
         if missing.any():
             values[missing] = math.nan
@@ -170,34 +150,20 @@ _MEASURE_COSTS: Mapping[str, float] = {
 }
 
 
-def _string_measures(idf: Mapping[str, float]) -> dict[str, Callable[[object, object], float]]:
-    return {
-        "exact": sim.exact_match,
-        "levenshtein": lambda a, b: sim.levenshtein_similarity(str(a), str(b)),
-        "jaro_winkler": lambda a, b: sim.jaro_winkler(str(a), str(b)),
-        "jaccard_qgram": lambda a, b: sim.jaccard(_qgrams3(str(a)), _qgrams3(str(b))),
-    }
-
-
-def _text_measures(idf: Mapping[str, float]) -> dict[str, Callable[[object, object], float]]:
-    return {
-        "jaccard_word": lambda a, b: sim.jaccard(_tokens(str(a)), _tokens(str(b))),
-        "overlap": lambda a, b: sim.overlap_coefficient(
-            _tokens(str(a)), _tokens(str(b))
-        ),
-        "cosine_tfidf": lambda a, b: sim.cosine_tfidf(
-            _tokens(str(a)), _tokens(str(b)), idf
-        ),
-        "monge_elkan": lambda a, b: sim.monge_elkan(str(a), str(b)),
-    }
-
-
-def _numeric_measures() -> dict[str, Callable[[object, object], float]]:
-    return {
-        "exact": sim.exact_match,
-        "abs_diff": lambda a, b: sim.abs_diff(float(a), float(b)),
-        "rel_diff": lambda a, b: sim.rel_diff(float(a), float(b)),
-    }
+# The measures of each attribute type, in feature-column order; multi-
+# word short strings (e.g. names) also get a token-level view.
+_MEASURES: Mapping[AttrType, tuple[str, ...]] = {
+    AttrType.NUMERIC: ("exact", "abs_diff", "rel_diff"),
+    AttrType.STRING: ("exact", "levenshtein", "jaro_winkler",
+                      "jaccard_qgram", "jaccard_word"),
+    AttrType.TEXT: ("jaccard_word", "overlap", "cosine_tfidf",
+                    "monge_elkan"),
+}
+_EXTENDED_MEASURES: Mapping[AttrType, tuple[str, ...]] = {
+    AttrType.NUMERIC: (),
+    AttrType.STRING: ("prefix", "smith_waterman"),
+    AttrType.TEXT: ("containment", "soundex"),
+}
 
 
 def build_feature_library(table_a: Table, table_b: Table,
@@ -211,61 +177,37 @@ def build_feature_library(table_a: Table, table_b: Table,
     Smith-Waterman) — useful on code-heavy or phonetically noisy data at
     extra vectorization cost.
 
-    Raises :class:`FeatureError` if the two schemas differ.
+    Raises :class:`FeatureError` if the two schemas differ, or if a
+    measure has no batch kernel (:func:`repro.features.batch.
+    kernel_for`).  The per-pair scalar functions every kernel must
+    reproduce bit for bit are the parity oracle in
+    ``tests/feature_oracle.py``.
     """
     if table_a.schema != table_b.schema:
         raise FeatureError(
             "tables must share a schema "
             f"({table_a.schema!r} != {table_b.schema!r})"
         )
-    from . import extended as ext
-
     features: list[Feature] = []
     for attr in table_a.schema:
+        measures = _MEASURES[attr.attr_type]
+        if extended:
+            measures += _EXTENDED_MEASURES[attr.attr_type]
         idf: dict[str, float] | None = None
-        if attr.attr_type is AttrType.NUMERIC:
-            measures = _numeric_measures()
-        else:
-            documents = [
+        if attr.attr_type is AttrType.TEXT:
+            idf = sim.build_idf([
                 word_tokens(str(value))
                 for table in (table_a, table_b)
                 for record in table
                 if (value := record.get(attr.name)) is not None
-            ]
-            idf = sim.build_idf(documents)
-            if attr.attr_type is AttrType.TEXT:
-                measures = _text_measures(idf)
-                if extended:
-                    measures["containment"] = (
-                        lambda a, b: ext.containment(_tokens(str(a)),
-                                                     _tokens(str(b)))
-                    )
-                    measures["soundex"] = (
-                        lambda a, b: ext.soundex_similarity(str(a), str(b))
-                    )
-            else:
-                measures = _string_measures(idf)
-                # Multi-word short strings (e.g. names) also benefit from a
-                # token-level view.
-                measures["jaccard_word"] = (
-                    lambda a, b: sim.jaccard(_tokens(str(a)), _tokens(str(b)))
-                )
-                if extended:
-                    measures["prefix"] = (
-                        lambda a, b: ext.prefix_similarity(str(a), str(b))
-                    )
-                    measures["smith_waterman"] = (
-                        lambda a, b: ext.smith_waterman(str(a), str(b))
-                    )
-        for measure, fn in measures.items():
+            ])
+        for measure in measures:
             features.append(Feature(
                 name=f"{attr.name}_{measure}",
                 attribute=attr.name,
                 measure=measure,
                 cost=_MEASURE_COSTS[measure],
-                compute=fn,
-                batch_compute=batch_engine.kernel_for(
-                    measure, attr.attr_type, idf=idf
-                ),
+                kernel=batch_engine.kernel_for(measure, attr.attr_type,
+                                               idf=idf),
             ))
     return FeatureLibrary(features)

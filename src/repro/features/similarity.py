@@ -6,11 +6,12 @@ differences round out the library.  All similarity functions return values
 in [0, 1] where 1 means identical, except the raw distance/difference
 helpers which are documented individually.
 
-These scalar functions are the parity oracle of the batched kernels in
-:mod:`repro.features.batch`, which must reproduce them bit for bit, and
-they still compute the rows those kernels route back here: a string
-longer than one 64-bit word on the side the bit-parallel Levenshtein or
-Jaro-Winkler kernel keeps in bits.
+The batched kernels in :mod:`repro.features.batch` must reproduce these
+scalar functions bit for bit (``tests/feature_oracle.py`` evaluates them
+pair by pair as the parity oracle), and they still compute the rows
+those kernels route back here: a string longer than one 64-bit word on
+the side the bit-parallel Levenshtein or Jaro-Winkler kernel keeps in
+bits.
 """
 
 from __future__ import annotations

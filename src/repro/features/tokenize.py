@@ -1,18 +1,13 @@
 """String normalization and tokenization used by the similarity measures.
 
-The memoized variants (:func:`cached_word_tokens`,
-:func:`cached_qgrams3`) are the shared tokenized intermediates of the
-scalar feature path: every measure closure in
-:mod:`repro.features.library` reads them, so one attribute tokenized
-for a cheap measure is never re-tokenized for an expensive one.  (The
-batch engine tokenizes each table column once, into the whole-table
-arrays of :class:`repro.features.batch.PreparedColumn`.)
+The batch engine tokenizes each table column once, into the whole-table
+arrays of :class:`repro.features.batch.PreparedColumn`, so nothing here
+is memoized.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
@@ -46,14 +41,3 @@ def qgrams(text: str, q: int = 3) -> list[str]:
     padded = "#" * (q - 1) + text + "#" * (q - 1)
     return [padded[i:i + q] for i in range(len(padded) - q + 1)]
 
-
-@lru_cache(maxsize=1 << 16)
-def cached_word_tokens(text: str) -> tuple[str, ...]:
-    """Memoized :func:`word_tokens` (tuple-valued, hashable input)."""
-    return tuple(word_tokens(text))
-
-
-@lru_cache(maxsize=1 << 16)
-def cached_qgrams3(text: str) -> tuple[str, ...]:
-    """Memoized 3-gram :func:`qgrams` (tuple-valued, hashable input)."""
-    return tuple(qgrams(text, 3))

@@ -7,7 +7,8 @@ feature through the batched feature engine
 (:mod:`repro.features.batch`): pair ids become table row positions once
 per side, tokenization comes from the tables' shared prepared columns,
 and each feature evaluates the whole pair column in one call.  The
-tests hold it bit-identical to a per-pair ``Feature.value`` loop.
+tests hold it bit-identical to the per-pair scalar oracle in
+``tests/feature_oracle.py``.
 """
 
 from __future__ import annotations

@@ -11,12 +11,13 @@ in-flight.
 
 The spend figures are the cost ledger's running totals, carried by
 every ``labels_purchased`` event; a resumed run seeds them, the
-checkpoint count, the iteration and the finished flag from its restored
-state, so its final document reports what the uninterrupted run's
-does.  The file is still a **live advisory**, not a deterministic
-artifact: it is rewritten mid-run at points a resumed run may
-legitimately skip, so it sits outside the byte-identity contract that
-governs ``metrics.json`` and ``spans.jsonl``.  Writes go through
+checkpoint count, the iteration, the finished flag and the shard counts
+from its restored state and telemetry, so its final document reports
+what the uninterrupted run's does.  The file is still a **live
+advisory**, not a deterministic artifact: it is rewritten mid-run at
+points a resumed run may legitimately skip, so it sits outside the
+byte-identity contract that governs ``metrics.json`` and
+``spans.jsonl``.  Writes go through
 :mod:`repro.storage.writer` (tmp file, atomic replace; no fsync, see
 :meth:`ProgressHeartbeat.flush`) so a reader never observes a torn
 document, but — like ``profile.json`` — the file is never recorded in
@@ -55,10 +56,11 @@ class ProgressHeartbeat:
                  spent: CostSnapshot | None = None,
                  checkpoints: int = 0,
                  iteration: int = 0,
-                 finished: bool = False) -> None:
-        """``spent``, ``checkpoints``, ``iteration`` and ``finished``
-        seed a resumed run's heartbeat from its restored ledger and
-        checkpoint."""
+                 finished: bool = False,
+                 shards: tuple[int, int] = (0, 0)) -> None:
+        """``spent``, ``checkpoints``, ``iteration``, ``finished`` and
+        ``shards`` (started, completed) seed a resumed run's heartbeat
+        from its restored ledger, checkpoint and telemetry."""
         spent = spent if spent is not None else CostSnapshot()
         self.path = Path(run_dir) / PROGRESS_FILE
         self.budget = budget
@@ -72,8 +74,11 @@ class ProgressHeartbeat:
         self.sequence = -1
         # Sets, not counters: a resumed run re-emits shard events for
         # loaded shards, and the heartbeat must not double-count them.
-        self._shards_started: set[int] = set()
-        self._shards_completed: set[int] = set()
+        # Checkpoints land only between stages, after every shard of a
+        # blocking pass, so a restored count n stands for shards 0..n-1.
+        started, completed = shards
+        self._shards_started: set[int] = set(range(started))
+        self._shards_completed: set[int] = set(range(completed))
 
     def __call__(self, event: Event) -> None:
         """Fold one engine event in; flush at heartbeat boundaries."""

@@ -298,6 +298,14 @@ class RunTelemetry:
         """
         self.registry.get("corleone_checkpoints_total").inc()
 
+    def shard_counts(self) -> tuple[int, int]:
+        """Blocking shards (started, completed) counted so far; a
+        resumed run's progress heartbeat starts from them."""
+        return (
+            int(self.registry.get("corleone_shards_started_total").total()),
+            int(self.registry.get("corleone_shards_completed_total").total()),
+        )
+
     def record_artifact_write(self, kind: str) -> None:
         """Count one checkpoint-cycle artifact write, pre-serialize.
 

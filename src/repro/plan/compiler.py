@@ -2,10 +2,10 @@
 
 The blocker's output is a disjunction of conjunction-of-predicate
 rules, and the feature library carries a per-measure cost model
-(``features/library.py``).  The reference evaluator evaluates them
-naively: every needed feature for every pair, then every rule over the
-full matrix.  This module compiles the same inputs into an ordered
-execution plan instead:
+(``features/library.py``).  A naive evaluation computes every needed
+feature for every pair, then every rule over the full matrix.  This
+module compiles the same inputs into an ordered execution plan
+instead:
 
 * **cheapest-rule-first** — rules are ordered greedily by marginal
   feature cost (features an earlier rule already materialized are

@@ -1,14 +1,11 @@
 """Fused evaluate-then-filter execution of compiled blocking plans.
 
 :class:`PlanExecutor` is the evaluator the sharded executor
-(:func:`repro.exec.apply_rules_sharded`) runs in every shard.  It
-subclasses the full-matrix reference evaluator,
-:class:`~repro.core.blocker.ChunkEvaluator`, so the fork prewarm reads
-the same needed-feature projection.  Instead of
-materializing every needed feature for every pair of a chunk, it walks
-the compiled :class:`~repro.plan.compiler.BlockingPlan` node by node,
-keeping an *active row set* per node and computing each feature column
-lazily, only at rows that are still undecided:
+(:func:`repro.exec.apply_rules_sharded`) runs in every shard.  Instead
+of materializing every needed feature for every pair of a chunk, it
+walks the compiled :class:`~repro.plan.compiler.BlockingPlan` node by
+node, keeping an *active row set* per node and computing each feature
+column lazily, only at rows that are still undecided:
 
 * a pair blocked by an earlier (cheaper) rule never reaches a later
   rule's kernels at all;
@@ -17,13 +14,16 @@ lazily, only at rows that are still undecided:
 * a column computed once — for any subset of rows — is remembered, so
   overlapping rules share it instead of recomputing.
 
-Bit-exactness: all batch kernels are element-wise per pair, blocking
-is a monotone OR of AND-rules, and the NaN-never-blocks guard of the
-chunk evaluator is a provable no-op (``Predicate.evaluate_column``
-returns False on NaN absent ``nan_satisfies``, so no rule outside the
-``nan_can_block`` case can block an all-missing row) — therefore the
-survivor set is bit-identical to :func:`apply_rules_streaming` for any
-rule order and any chunk geometry.
+Bit-exactness: all batch kernels are element-wise per pair and blocking
+is a monotone OR of AND-rules, so the survivor set equals the
+full-matrix evaluation's (every needed feature of every pair, every
+rule over the whole matrix) for any rule order and any chunk geometry.
+Missing values never block: ``Predicate.evaluate_column`` returns False
+on NaN unless the predicate was extracted with ``nan_satisfies``, so a
+pair whose needed features are all missing survives unless every
+predicate of some rule tolerates NaN.  ``tests/blocking_oracle.py``
+keeps the full-matrix evaluator, with an explicit guard for that
+contract, as the parity tests' reference.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.blocker import _STREAM_CHUNK, ChunkEvaluator
+from ..core.blocker import _STREAM_CHUNK
 from ..data.pairs import Pair
 from ..data.table import Table
-from ..features.library import FeatureLibrary
+from ..features.library import Feature, FeatureLibrary
 from ..obs.profiling import profile_section
 from ..rules.rule import Rule
 from .compiler import BlockingPlan, compile_blocking_plan
@@ -62,7 +62,7 @@ class PlanStats:
 
     @property
     def cells_budget(self) -> int:
-        """Cells the full-matrix chunk evaluator would have computed."""
+        """Cells a full-matrix evaluation would have computed."""
         return self.pairs * self.needed_width
 
     @property
@@ -85,35 +85,33 @@ class PlanStats:
         }
 
 
-class PlanExecutor(ChunkEvaluator):
-    """A ChunkEvaluator that runs a compiled plan over each chunk.
+class PlanExecutor:
+    """Runs a compiled blocking plan over chunks of pairs.
 
-    Construction compiles the plan from the rule set and cost model;
-    the inherited surface (``needed``/``needed_features``/
-    ``survivors``) is unchanged, so the sharded executor's fork prewarm
-    and shard streaming work against it untouched.
+    Construction compiles the plan from the rule set and cost model and
+    projects the library onto the features the plan reads:
+    ``needed_features`` maps each needed column index to its feature,
+    and the sharded executor's fork prewarm builds their prepared
+    arrays before any shard runs.
     """
 
     def __init__(self, table_a: Table, table_b: Table,
                  rules: list[Rule], library: FeatureLibrary) -> None:
-        super().__init__(table_a, table_b, rules, library)
+        self.table_a = table_a
+        self.table_b = table_b
         self.plan: BlockingPlan = compile_blocking_plan(rules, library)
-        self._features_by_index = {
-            index: feature
-            for index, feature in zip(self.needed, self.needed_features)
+        # Only the features the rules reference are computed — the
+        # per-pair cost the greedy selector optimized for.
+        self.needed_features: dict[int, Feature] = {
+            index: library.features[index] for index in self.plan.needed
         }
         self.cells_computed = 0
         """Feature cells this executor's kernels have evaluated."""
 
     def blocked_mask(self, rows_a: np.ndarray,
                      rows_b: np.ndarray) -> np.ndarray:
-        """Plan-ordered, row-pruned equivalent of the chunk evaluator.
-
-        The explicit all-missing guard of the base class is skipped:
-        with ``nan_can_block`` False it is a provable no-op (see module
-        docstring), and when some rule *can* block on NaN the guard
-        never applied in the base class either.
-        """
+        """Boolean mask: True where some rule blocks the pair of row
+        ``rows_a[i]`` of A and row ``rows_b[i]`` of B."""
         blocked = np.zeros(rows_a.size, dtype=bool)
         columns: dict[int, np.ndarray] = {}
         have: dict[int, np.ndarray] = {}
@@ -155,7 +153,7 @@ class PlanExecutor(ChunkEvaluator):
             have[index] = np.zeros(rows_a.size, dtype=bool)
         pending = rows[~have[index][rows]]
         if pending.size:
-            feature = self._features_by_index[index]
+            feature = self.needed_features[index]
             column[pending] = feature.batch_value(
                 self.table_a, rows_a[pending],
                 self.table_b, rows_b[pending],

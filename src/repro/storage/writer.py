@@ -247,10 +247,13 @@ class ArtifactWriter:
     mid-batch leaves the manifest stale, which the recovery reader
     treats as "fall back to the newest artifact that verifies".
 
-    Several writers may share one root (the engine's checkpointer and
-    the sharded blocking executor do): every manifest flush re-reads
-    the ledger from disk and merges its own dirty entries, so writers
-    never clobber each other's records.
+    Each durable component keeps its own root and ledger: the engine's
+    checkpointer writes ``<run_dir>/MANIFEST.json``, and the sharded
+    blocking executor's :class:`~repro.exec.sharding.ShardStore` keeps
+    its own under ``<run_dir>/shards``.  Every manifest flush still
+    re-reads the ledger from disk and merges only its own dirty
+    entries, so a second writer on the same root (a resumed process,
+    say) never clobbers records it did not stage.
     """
 
     def __init__(self, root: str | Path) -> None:

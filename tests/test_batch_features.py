@@ -1,8 +1,8 @@
 """Scalar-vs-batched feature parity: the batch engine's core contract.
 
-``Feature.batch_value`` must reproduce the per-pair ``Feature.value``
-loop bit for bit — including NaN positions for missing values — on every
-measure and every dataset family.  The scalar path is the parity oracle.
+``Feature.batch_value`` must reproduce the per-pair scalar oracle of
+``tests/feature_oracle.py`` bit for bit — including NaN positions for
+missing values — on every measure and every dataset family.
 """
 
 from __future__ import annotations
@@ -27,13 +27,15 @@ from repro.exceptions import FeatureError
 from repro.exec.executor import _prewarm
 from repro.features import batch
 from repro.features.batch import cache_stats, reset_cache_stats
-from repro.features.library import Feature, build_feature_library
+from repro.features.library import build_feature_library
 from repro.features.similarity import jaro_winkler, monge_elkan
 from repro.features.vectorize import vectorize_pairs
 from repro.synth.citations import generate_citations
 from repro.synth.products import generate_products
 from repro.synth.restaurants import generate_restaurants
 from repro.synth.songs import generate_songs
+
+from .feature_oracle import ScalarLibrary
 
 _GENERATORS = {
     "restaurants": generate_restaurants,
@@ -57,20 +59,16 @@ def _random_pairs(table_a: Table, table_b: Table, count: int,
     ]
 
 
-def _scalar_matrix(table_a: Table, table_b: Table, pairs,
-                   library) -> np.ndarray:
-    """The parity oracle: one ``Feature.value`` call per pair and column."""
-    matrix = np.empty((len(pairs), len(library)), dtype=np.float64)
-    for row, pair in enumerate(pairs):
-        record_a = table_a[pair.a_id]
-        record_b = table_b[pair.b_id]
-        for col, feature in enumerate(library):
-            matrix[row, col] = feature.value(record_a, record_b)
-    return matrix
+def _libraries(table_a: Table, table_b: Table, extended: bool = False):
+    """The feature library and its scalar oracle over the same tables."""
+    return (build_feature_library(table_a, table_b, extended=extended),
+            ScalarLibrary(table_a, table_b, extended=extended))
 
 
-def _assert_parity(table_a: Table, table_b: Table, pairs, library) -> None:
-    scalar = _scalar_matrix(table_a, table_b, pairs, library)
+def _assert_parity(table_a: Table, table_b: Table, pairs, library,
+                   oracle: ScalarLibrary) -> None:
+    assert oracle.names == library.names
+    scalar = oracle.matrix(table_a, table_b, pairs)
     batched = vectorize_pairs(table_a, table_b, pairs, library).features
     assert np.array_equal(scalar, batched, equal_nan=True)
 
@@ -107,10 +105,11 @@ class TestDatasetParity:
     @pytest.mark.parametrize("name", sorted(_GENERATORS))
     def test_batched_equals_scalar(self, name, extended):
         dataset = _GENERATORS[name](n_a=40, n_b=30, n_matches=10, seed=3)
-        library = build_feature_library(dataset.table_a, dataset.table_b,
-                                        extended=extended)
+        library, oracle = _libraries(dataset.table_a, dataset.table_b,
+                                     extended)
         pairs = _random_pairs(dataset.table_a, dataset.table_b, 400, seed=5)
-        _assert_parity(dataset.table_a, dataset.table_b, pairs, library)
+        _assert_parity(dataset.table_a, dataset.table_b, pairs, library,
+                       oracle)
 
     def test_repeat_call_uses_warm_cache(self):
         """A second batched run (warm per-table caches) stays identical."""
@@ -129,7 +128,7 @@ class TestMissingValues:
         """Missing values NaN out in exactly the scalar positions —
         including for records added after the table cache was warmed."""
         table_a, table_b = book_tables
-        library = build_feature_library(table_a, table_b)
+        library, oracle = _libraries(table_a, table_b)
         pairs = [
             Pair(a.record_id, b.record_id) for a in table_a for b in table_b
         ]
@@ -138,28 +137,22 @@ class TestMissingValues:
         table_a.add(Record("a9", {"title": None, "author": "late arrival",
                                   "pages": None}))
         pairs += [Pair("a9", b.record_id) for b in table_b]
-        _assert_parity(table_a, table_b, pairs, library)
+        _assert_parity(table_a, table_b, pairs, library, oracle)
         out = vectorize_pairs(table_a, table_b, pairs, library)
         title_col = out.feature_index("title_levenshtein")
         assert math.isnan(out.features[-1, title_col])
 
 
 class TestFallbackAndErrors:
-    def test_feature_without_kernel_falls_back_to_scalar(self, book_tables):
-        table_a, table_b = book_tables
-        feature = Feature(
-            name="title_length_parity", attribute="title",
-            measure="length_parity", cost=1.0,
-            compute=lambda a, b: float(len(str(a)) == len(str(b))),
-        )
-        assert feature.batch_compute is None
-        rows_a = np.array([0, 1, 2, 2])
-        rows_b = np.array([0, 1, 2, 0])
-        expected = [feature.value(table_a.at(i), table_b.at(j))
-                    for i, j in zip(rows_a, rows_b)]
-        np.testing.assert_array_equal(
-            feature.batch_value(table_a, rows_a, table_b, rows_b), expected
-        )
+    def test_measure_without_kernel_rejected(self, book_tables,
+                                             monkeypatch):
+        """A feature is its kernel: ``kernel_for``, and so the library
+        build, raise for a measure that has none."""
+        with pytest.raises(FeatureError, match="length_parity"):
+            batch.kernel_for("length_parity", AttrType.STRING)
+        monkeypatch.delitem(batch._KERNELS, "levenshtein")
+        with pytest.raises(FeatureError, match="levenshtein"):
+            build_feature_library(*book_tables)
 
     def test_mismatched_lengths_rejected(self, book_tables):
         table_a, table_b = book_tables
@@ -176,19 +169,11 @@ class TestFallbackAndErrors:
         np.array([[0, 1]]),             # not 1-D
         [0, 1],                         # not an array
     ], ids=["negative", "past_end", "float", "2d", "list"])
-    @pytest.mark.parametrize("measure", ["levenshtein", "length_parity"])
+    @pytest.mark.parametrize("measure", ["levenshtein"])
     def test_rows_outside_the_table_rejected(self, book_tables, bad,
                                              measure):
         table_a, table_b = book_tables
-        if measure == "length_parity":
-            feature = Feature(
-                name="title_length_parity", attribute="title",
-                measure=measure, cost=1.0,
-                compute=lambda a, b: float(len(str(a)) == len(str(b))),
-            )
-        else:
-            feature = build_feature_library(
-                table_a, table_b)[f"title_{measure}"]
+        feature = build_feature_library(table_a, table_b)[f"title_{measure}"]
         good = np.array([0, 1])
         with pytest.raises(FeatureError):
             feature.batch_value(table_a, bad, table_b, good)
@@ -229,11 +214,11 @@ class TestPropertyParity:
 
         table_a = build("a", rows_a)
         table_b = build("b", rows_b)
-        library = build_feature_library(table_a, table_b, extended=True)
+        library, oracle = _libraries(table_a, table_b, extended=True)
         pairs = [
             Pair(a.record_id, b.record_id) for a in table_a for b in table_b
         ]
-        _assert_parity(table_a, table_b, pairs, library)
+        _assert_parity(table_a, table_b, pairs, library, oracle)
 
     def test_bit_vector_boundaries(self):
         """Inputs at the 64-character word of the bit-parallel kernels.
@@ -278,11 +263,11 @@ class TestPropertyParity:
 
         table_a = build("a", rows_a)
         table_b = build("b", rows_b)
-        library = build_feature_library(table_a, table_b, extended=True)
+        library, oracle = _libraries(table_a, table_b, extended=True)
         pairs = [
             Pair(a.record_id, b.record_id) for a in table_a for b in table_b
         ]
-        _assert_parity(table_a, table_b, pairs, library)
+        _assert_parity(table_a, table_b, pairs, library, oracle)
 
 
 def test_monge_elkan_means_add_like_the_scalar_loop(monkeypatch):
@@ -318,13 +303,13 @@ def test_cosine_tfidf_adds_like_the_scalar_loop(monkeypatch):
                         lambda values, start=0: math.fsum(values) + start)
     dataset = generate_citations(n_a=100, n_b=1000, n_matches=200, seed=0)
     table_a, table_b = dataset.table_a, dataset.table_b
-    library = build_feature_library(table_a, table_b)
+    library, oracle = _libraries(table_a, table_b)
     rows_a, rows_b = np.divmod(np.arange(20 * len(table_b)), len(table_b))
     for name in ("title_cosine_tfidf", "authors_cosine_tfidf"):
-        feature = library[name]
-        scalar = [feature.value(table_a.at(i), table_b.at(j))
+        scalar = [oracle.value(name, table_a.at(i), table_b.at(j))
                   for i, j in zip(rows_a.tolist(), rows_b.tolist())]
-        batched = feature.batch_value(table_a, rows_a, table_b, rows_b)
+        batched = library[name].batch_value(table_a, rows_a,
+                                            table_b, rows_b)
         assert np.array_equal(batched, scalar, equal_nan=True), name
 
 
@@ -347,14 +332,14 @@ def test_block_splits_keep_parity(monkeypatch, name, text):
     monkeypatch.setattr(batch, "_WORD_TABLE_ELEMENTS", 48)
     monkeypatch.setattr(batch, "_KERNEL_ROWS", 24)
     dataset = _GENERATORS[name](n_a=30, n_b=40, n_matches=10, seed=4)
-    library = build_feature_library(dataset.table_a, dataset.table_b,
-                                    extended=True)
+    library, oracle = _libraries(dataset.table_a, dataset.table_b,
+                                 extended=True)
     pairs = _random_pairs(dataset.table_a, dataset.table_b, 300, seed=2)
-    _assert_parity(dataset.table_a, dataset.table_b, pairs, library)
+    _assert_parity(dataset.table_a, dataset.table_b, pairs, library, oracle)
     a_order = dataset.table_a.record_ids
     _assert_parity(dataset.table_a, dataset.table_b,
                    sorted(pairs, key=lambda pair: a_order.index(pair.a_id)),
-                   library)
+                   library, oracle)
     column_a = batch.prepared_column(dataset.table_a, text)
     column_b = batch.prepared_column(dataset.table_b, text)
     assert column_a.word_table(column_b) is None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -142,6 +143,7 @@ class TestExtendedLibrary:
     def test_extended_features_computable(self, book_tables):
         table_a, table_b = book_tables
         library = build_feature_library(table_a, table_b, extended=True)
+        first = np.zeros(1, dtype=np.int64)  # a0 and b0
         for feature in library:
-            value = feature.value(table_a["a0"], table_b["b0"])
+            value = feature.batch_value(table_a, first, table_b, first)[0]
             assert value == value  # not NaN (no missing values in a0/b0)

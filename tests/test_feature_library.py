@@ -56,29 +56,36 @@ class TestGeneration:
         assert all(cost > 0 for cost in library.costs)
 
 
+def _value(feature, table_a, id_a, table_b, id_b) -> float:
+    """``feature`` on one pair of records, through its kernel."""
+    return float(feature.batch_value(table_a, table_a.positions([id_a]),
+                                     table_b, table_b.positions([id_b]))[0])
+
+
 class TestFeatureValue:
     def test_similarity_of_identical_values(self, library, book_tables):
         table_a, table_b = book_tables
         feature = library["title_levenshtein"]
         # a0 and b0 share the exact title.
-        assert feature.value(table_a["a0"], table_b["b0"]) == 1.0
+        assert _value(feature, table_a, "a0", table_b, "b0") == 1.0
 
     def test_missing_value_gives_nan(self, library, book_schema):
-        record = Record("x", {"title": None, "author": "someone",
-                              "pages": 3.0})
-        other = Record("y", {"title": "abc", "author": "someone",
-                             "pages": 3.0})
-        assert math.isnan(library["title_levenshtein"].value(record, other))
+        table_a = Table("a", book_schema, [
+            Record("x", {"title": None, "author": "someone",
+                         "pages": 3.0})])
+        table_b = Table("b", book_schema, [
+            Record("y", {"title": "abc", "author": "someone",
+                         "pages": 3.0})])
+        assert math.isnan(_value(library["title_levenshtein"],
+                                 table_a, "x", table_b, "y"))
 
     def test_numeric_features(self, library, book_tables):
         table_a, table_b = book_tables
         # a2 has 310 pages, b2 has 410.
-        assert library["pages_abs_diff"].value(
-            table_a["a2"], table_b["b2"]
-        ) == 100.0
-        assert library["pages_exact"].value(
-            table_a["a0"], table_b["b0"]
-        ) == 1.0
+        assert _value(library["pages_abs_diff"],
+                      table_a, "a2", table_b, "b2") == 100.0
+        assert _value(library["pages_exact"],
+                      table_a, "a0", table_b, "b0") == 1.0
 
 
 class TestLibraryContainer:

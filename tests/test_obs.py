@@ -557,8 +557,8 @@ class TestTelemetryByteIdentity:
 
     def test_resumed_progress_reports_the_whole_run(
             self, identity_scenario, kill_resume_sweep):
-        keys = ("finished", "checkpoints", "iteration", "pairs_labeled",
-                "answers", "dollars_spent")
+        keys = ("finished", "checkpoints", "iteration", "shards",
+                "pairs_labeled", "answers", "dollars_spent")
         golden = read_progress(identity_scenario[3])
         assert golden["finished"] is True
         for kill_at, run_dir in enumerate(kill_resume_sweep):

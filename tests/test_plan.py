@@ -2,12 +2,13 @@
 
 Four layers of coverage: property tests over the compiler's greedy
 cheapest-marginal-first ordering and predicate pushdown; a bit-exact
-parity sweep (plan executor vs the streaming oracle, under rule
-permutations, chunk geometries and worker counts) on all three
-synthetic datasets; the spill manager + external-candidates
-persistence contract; and engine-level integration — a spill-backed
-hands-off run must reproduce the in-RAM report byte for byte,
-including through kill/resume at spill-referencing checkpoints.
+parity sweep (plan executor vs the full-matrix oracle of
+``tests/blocking_oracle.py``, under rule permutations, chunk geometries
+and worker counts) on all three synthetic datasets; the spill manager +
+external-candidates persistence contract; and engine-level integration
+— a spill-backed hands-off run must reproduce the in-RAM report byte
+for byte, including through kill/resume at spill-referencing
+checkpoints.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ from repro.config import (
     MatcherConfig,
     PlanConfig,
 )
-from repro.core.blocker import apply_rules_streaming
+from repro.data.table import AttrType
 from repro.exceptions import ConfigurationError, DataError
 from repro.exec import apply_rules_sharded
-from repro.features.batch import cache_stats, reset_cache_stats
+from repro.features.batch import cache_stats, kernel_for, \
+    reset_cache_stats
 from repro.features.library import Feature, FeatureLibrary, \
     build_feature_library
 from repro.features.vectorize import vectorize_pairs
@@ -46,6 +48,8 @@ from repro.rules.rule import Rule
 from repro.synth.citations import generate_citations
 from repro.synth.products import generate_products
 from repro.synth.restaurants import generate_restaurants
+
+from .blocking_oracle import apply_rules_streaming
 
 _DATASETS = {
     "restaurants": lambda: generate_restaurants(
@@ -79,10 +83,11 @@ def _blocking_rules(library) -> list[Rule]:
 # ----------------------------------------------------------------------
 
 def _toy_library(costs: list[float]) -> FeatureLibrary:
-    """A feature library with the given per-column costs (no kernels)."""
+    """A feature library with the given per-column costs."""
+    kernel = kernel_for("exact", AttrType.STRING)
     return FeatureLibrary([
         Feature(name=f"f{i}", attribute=f"a{i}", measure="exact",
-                cost=cost, compute=lambda a, b: 0.0)
+                cost=cost, kernel=kernel)
         for i, cost in enumerate(costs)
     ])
 

@@ -2,11 +2,12 @@
 
 Covers the determinism contract from every angle: a parity sweep
 asserting that the executor returns the *identical* candidate list
-(same pairs, same order) as the ``apply_rules_streaming`` oracle on all
-three synthetic datasets, for 1, 2 and 4 workers and several shard
-sizes; shard planning invariants; kill/resume mid-shard at the executor
-level and mid-block at the engine level; the NaN-never-blocks
-missing-value guard; and the fork-unavailable fallback event.
+(same pairs, same order) as the full-matrix oracle
+(``tests/blocking_oracle.py``) on all three synthetic datasets, for 1,
+2 and 4 workers and several shard sizes; shard planning invariants;
+kill/resume mid-shard at the executor level and mid-block at the
+engine level; the NaN-never-blocks missing-value contract; and the
+fork-unavailable fallback event.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import pytest
 
 from repro.config import BlockerConfig, CorleoneConfig, ForestConfig, \
     MatcherConfig
-from repro.core.blocker import ChunkEvaluator, apply_rules_streaming
 from repro.data.table import AttrType, Record, Schema, Table
 from repro.engine.events import (
     EVENT_BLOCKER_FALLBACK,
@@ -33,6 +33,8 @@ from repro.rules.rule import Rule
 from repro.synth.citations import generate_citations
 from repro.synth.products import generate_products
 from repro.synth.restaurants import generate_restaurants
+
+from .blocking_oracle import ChunkEvaluator, apply_rules_streaming
 
 _DATASETS = {
     "restaurants": lambda: generate_restaurants(
@@ -282,7 +284,11 @@ class TestShardStore:
 
 
 class TestMissingValueSemantics:
-    """Blocking's NaN contract: a pair with missing evidence survives."""
+    """Blocking's NaN contract: a pair with missing evidence survives.
+
+    The production path has no explicit guard; the predicates' NaN
+    handling alone must keep it, in process and across forked workers.
+    """
 
     def _tables(self):
         schema = Schema.from_pairs([("name", AttrType.STRING)])
@@ -296,44 +302,51 @@ class TestMissingValueSemantics:
         ])
         return table_a, table_b
 
+    def _rule(self, library, nan_satisfies: bool = False) -> Rule:
+        index = library.names.index("name_jaro_winkler")
+        # le=True with a high threshold blocks everything comparable.
+        return Rule([Predicate(index, "name_jaro_winkler", True, 0.99,
+                               nan_satisfies=nan_satisfies)],
+                    predicts_match=False)
+
+    def _sharded(self, table_a, table_b, rule, library):
+        """The survivors at 1 and 2 workers (one-row shards)."""
+        return [apply_rules_sharded(table_a, table_b, [rule], library,
+                                    n_workers=n_workers, shard_size=1)
+                for n_workers in (1, 2)]
+
     def test_nan_never_blocks(self):
         table_a, table_b = self._tables()
         library = build_feature_library(table_a, table_b)
-        index = library.names.index("name_jaro_winkler")
-        # le=True with a high threshold blocks everything comparable.
-        rule = Rule([Predicate(index, "name_jaro_winkler", True, 0.99)],
-                    predicts_match=False)
-        survivors = apply_rules_streaming(table_a, table_b, [rule],
-                                          library)
-        survivor_ids = {(p.a_id, p.b_id) for p in survivors}
-        # Every pair touching a missing name carries no evidence and
-        # must survive; the fully-present dissimilar pair is blocked.
-        assert ("a0", "b0") not in survivor_ids
-        assert {("a0", "b1"), ("a1", "b0"), ("a1", "b1")} <= survivor_ids
+        rule = self._rule(library)
+        for survivors in [apply_rules_streaming(table_a, table_b, [rule],
+                                                library),
+                          *self._sharded(table_a, table_b, rule, library)]:
+            survivor_ids = {(p.a_id, p.b_id) for p in survivors}
+            # Every pair touching a missing name carries no evidence and
+            # must survive; the fully-present dissimilar pair is blocked.
+            assert ("a0", "b0") not in survivor_ids
+            assert {("a0", "b1"), ("a1", "b0"), ("a1", "b1")} \
+                <= survivor_ids
 
     def test_nan_satisfies_predicates_may_block(self):
         table_a, table_b = self._tables()
         library = build_feature_library(table_a, table_b)
-        index = library.names.index("name_jaro_winkler")
-        rule = Rule([Predicate(index, "name_jaro_winkler", True, 0.99,
-                               nan_satisfies=True)],
-                    predicts_match=False)
+        rule = self._rule(library, nan_satisfies=True)
         evaluator = ChunkEvaluator(table_a, table_b, [rule], library)
         assert evaluator.nan_can_block
-        survivors = apply_rules_streaming(table_a, table_b, [rule],
-                                          library)
-        assert survivors == []  # everything blocked, missing included
+        assert apply_rules_streaming(table_a, table_b, [rule],
+                                     library) == []
+        # Everything blocked, missing included.
+        assert self._sharded(table_a, table_b, rule, library) == [[], []]
 
     def test_guard_preserves_executor_parity(self):
         table_a, table_b = self._tables()
         library = build_feature_library(table_a, table_b)
-        index = library.names.index("name_jaro_winkler")
-        rule = Rule([Predicate(index, "name_jaro_winkler", True, 0.99)],
-                    predicts_match=False)
+        rule = self._rule(library)
         golden = apply_rules_streaming(table_a, table_b, [rule], library)
-        sharded = apply_rules_sharded(table_a, table_b, [rule], library,
-                                      n_workers=2, shard_size=1)
-        assert sharded == golden
+        assert self._sharded(table_a, table_b, rule, library) == \
+            [golden, golden]
 
 
 class TestFallbackSurfacing:
