@@ -659,6 +659,7 @@ def collect_obs(output: Path | None = None, repeats: int = 7,
     )
     from repro.core.pipeline import Corleone
     from repro.crowd.simulated import SimulatedCrowd
+    from repro.engine import load_checkpoint
     from repro.synth.restaurants import generate_restaurants
 
     dataset = generate_restaurants(n_a=120, n_b=90, n_matches=35, seed=7)
@@ -710,7 +711,7 @@ def collect_obs(output: Path | None = None, repeats: int = 7,
     metrics_doc = json.loads((kept_run_dir / "metrics.json").read_text())
     spans = (kept_run_dir / "spans.jsonl").read_text().splitlines()
     profile = json.loads((kept_run_dir / "profile.json").read_text())
-    checkpoint = json.loads((kept_run_dir / "checkpoint.json").read_text())
+    checkpoint = load_checkpoint(kept_run_dir)
 
     off = min(off_times)
     on = min(on_times)
@@ -840,9 +841,11 @@ def collect_storage(output: Path | None = None, repeats: int = 3) -> dict:
     asserting the crash fired, ``Corleone.resume`` completes, the
     resumed result is bit-identical to the clean run, every delivered
     answer was charged and every entry of the final ``MANIFEST.json``
-    verifies against its file.  A bit-rot pass (flip one bit of
-    ``checkpoint.json`` at rest, resume through the quarantine +
-    generation-fallback path) rides along.  Writes
+    verifies against its file.  The checkpoint log's append is swept
+    like any other write site (torn mid-append, crash before and after
+    its fsync), and a bit-rot pass (flip one bit of ``checkpoint.jsonl``
+    at rest, resume through the quarantine + last-good-record path)
+    rides along.  Writes
     ``BENCH_storage.json`` and a ``storage_durability`` result table,
     and returns the payload.
     """
@@ -864,7 +867,8 @@ def collect_storage(output: Path | None = None, repeats: int = 3) -> dict:
     )
     from repro.core.pipeline import Corleone
     from repro.crowd.simulated import SimulatedCrowd
-    from repro.engine.checkpoint import CANDIDATES_FILE, CHECKPOINT_FILE
+    from repro.engine import load_checkpoint
+    from repro.engine.checkpoint import CANDIDATES_FILE, CHECKPOINT_LOG
     from repro.storage import (
         SimulatedCrashError,
         StorageFaultInjector,
@@ -916,9 +920,7 @@ def collect_storage(output: Path | None = None, repeats: int = 3) -> dict:
     # instead of biasing whichever batch ran later.
     with tempfile.TemporaryDirectory() as tmp:
         _, golden = run_once(Path(tmp) / "run")
-        checkpoint_doc = json.loads(
-            (Path(tmp) / "run" / CHECKPOINT_FILE).read_text())
-        checkpoints = checkpoint_doc["index"] + 1
+        checkpoints = load_checkpoint(Path(tmp) / "run")["index"] + 1
     golden_report = persistence.result_report(golden)
     nosync_times, fsync_times = [], []
     for _ in range(repeats):
@@ -966,17 +968,18 @@ def collect_storage(output: Path | None = None, repeats: int = 3) -> dict:
             }
 
     sweep = [
-        crash_and_resume(CHECKPOINT_FILE, "torn_write", skip=1),
-        crash_and_resume(CHECKPOINT_FILE, "crash_before", skip=1),
-        crash_and_resume(CHECKPOINT_FILE, "crash_after", skip=1),
+        # The log's second record: torn mid-append, crashed before its
+        # fsync, crashed after it.
+        crash_and_resume(CHECKPOINT_LOG, "torn_write", skip=1),
+        crash_and_resume(CHECKPOINT_LOG, "crash_before", skip=1),
+        crash_and_resume(CHECKPOINT_LOG, "crash_after", skip=1),
         crash_and_resume(CANDIDATES_FILE, "torn_write", skip=0),
         crash_and_resume("MANIFEST.json", "crash_after", skip=2),
         # MANIFEST write 9 (the run's, five shard manifests, then one
-        # per checkpoint) is the fourth checkpoint's flush, the first
-        # that drops a pruned generation.
+        # per stage boundary) is the fourth stage boundary's flush.
         crash_and_resume("MANIFEST.json", "crash_before", skip=9),
-        crash_and_resume(CHECKPOINT_FILE, "crash_after", skip=2,
-                         bitflip=CHECKPOINT_FILE),
+        crash_and_resume(CHECKPOINT_LOG, "crash_after", skip=2,
+                         bitflip=CHECKPOINT_LOG),
     ]
 
     nosync = min(nosync_times)
@@ -1025,14 +1028,14 @@ def collect_storage(output: Path | None = None, repeats: int = 3) -> dict:
         f"fsync cost per checkpoint   "
         f"{run['fsync_ms_per_checkpoint']:.2f} ms",
         "",
-        "crash site       fault         skip  fired  resumed  "
+        "crash site        fault         skip  fired  resumed  "
         "bit-identical  manifest verifies",
-        "---------------  ------------  ----  -----  -------  "
+        "----------------  ------------  ----  -----  -------  "
         "-------------  -----------------",
     ]
     for entry in sweep:
         lines.append(
-            f"{entry['site']:<15}  {entry['kind']:<12}  "
+            f"{entry['site']:<16}  {entry['kind']:<12}  "
             f"{entry['skip']:<4}  "
             f"{'yes' if entry['crash_fired'] else 'NO':<5}  "
             f"{'yes' if entry['resumed'] else 'NO':<7}  "
@@ -1438,40 +1441,50 @@ def main() -> None:
     print(f"wrote {OUTPUT} ({len(ordered)} result tables)")
 
 
-if __name__ == "__main__":
+class _Collector(argparse.Action):
+    """Records a collector flag (and its value) in command-line order."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.collectors = [*namespace.collectors, (self.dest, values)]
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The command line: collector flags, each naming one record."""
     parser = argparse.ArgumentParser(description=__doc__)
+    parser.set_defaults(collectors=[])
     parser.add_argument(
         "--substrates", type=Path, metavar="BENCHMARK_JSON",
+        action=_Collector,
         help="distill this pytest-benchmark JSON dump into "
              "BENCH_substrates.json instead of collecting RESULTS.md",
     )
     parser.add_argument(
-        "--lint", action="store_true",
+        "--lint", action=_Collector, nargs=0,
         help="run corlint over src/repro and record per-rule finding "
              "counts, cold/warm wall times and per-rule timings in "
              "BENCH_lint.json instead of collecting RESULTS.md",
     )
     parser.add_argument(
-        "--engine", action="store_true",
+        "--engine", action=_Collector, nargs=0,
         help="measure staged-engine checkpoint overhead and event "
              "throughput, recording BENCH_engine.json instead of "
              "collecting RESULTS.md",
     )
     parser.add_argument(
-        "--faults", action="store_true",
+        "--faults", action=_Collector, nargs=0,
         help="measure the resilient gateway's overhead at 0%% faults "
              "and its recovery statistics at 10%%, recording "
              "BENCH_faults.json instead of collecting RESULTS.md",
     )
     parser.add_argument(
-        "--obs", action="store_true",
+        "--obs", action=_Collector, nargs=0,
         help="measure run-telemetry instrumentation overhead (telemetry "
              "on vs off), recording BENCH_obs.json and keeping an "
              "instrumented run at benchmarks/results/obs_run instead of "
              "collecting RESULTS.md",
     )
     parser.add_argument(
-        "--check-regress", action="store_true",
+        "--check-regress", action=_Collector, nargs=0,
         help="take a fresh instrumentation-overhead measurement (into a "
              "temp dir, leaving committed artifacts untouched) and exit "
              "non-zero when it breaks the 5%% bar or regresses past "
@@ -1484,13 +1497,13 @@ if __name__ == "__main__":
              "--check-regress fails (default 3.0)",
     )
     parser.add_argument(
-        "--shard", action="store_true",
+        "--shard", action=_Collector, nargs=0,
         help="measure the sharded blocking executor's 1/2/4/8-worker "
              "scaling curve and merge determinism, recording "
              "BENCH_shard.json instead of collecting RESULTS.md",
     )
     parser.add_argument(
-        "--plan", action="store_true",
+        "--plan", action=_Collector, nargs=0,
         help="measure the plan executor's speedup over the streaming "
              "oracle and memmap spill behaviour in fresh subprocesses "
              "(honest peak "
@@ -1498,37 +1511,51 @@ if __name__ == "__main__":
              "RESULTS.md",
     )
     parser.add_argument(
-        "--storage", action="store_true",
+        "--storage", action=_Collector, nargs=0,
         help="measure the durable-storage fsync overhead (on vs off) "
              "and run the crash-and-resume fault sweep, recording "
              "BENCH_storage.json instead of collecting RESULTS.md",
     )
     parser.add_argument(
-        "--shard-full", action="store_true",
+        "--shard-full", action=_Collector, nargs=0,
         help="like --shard, but additionally run one sharded blocking "
              "pass over the paper-size Citations product (~168M pairs; "
              "takes minutes) and record it under citations_full",
     )
-    args = parser.parse_args()
-    if args.substrates is not None:
-        distill_substrates(args.substrates)
-    elif args.lint:
-        collect_lint()
-    elif args.engine:
-        collect_engine()
-    elif args.faults:
-        collect_faults()
-    elif args.check_regress:
-        raise SystemExit(check_regress(args.regress_threshold_pp))
-    elif args.obs:
-        collect_obs()
-    elif args.plan:
-        collect_plan()
-    elif args.storage:
-        collect_storage()
-    elif args.shard_full:
-        collect_shard(full=True)
-    elif args.shard:
-        collect_shard()
-    else:
+    return parser
+
+
+def cli(argv: list[str] | None = None) -> int:
+    """Run every collector the command line names, in its order (each
+    once), or collect RESULTS.md when it names none; return the exit
+    status (non-zero when ``--check-regress`` failed)."""
+    args = _parser().parse_args(argv)
+    collectors = {
+        "substrates": lambda path: distill_substrates(path),
+        "lint": lambda _: collect_lint(),
+        "engine": lambda _: collect_engine(),
+        "faults": lambda _: collect_faults(),
+        "check_regress": lambda _: check_regress(
+            args.regress_threshold_pp),
+        "obs": lambda _: collect_obs(),
+        "plan": lambda _: collect_plan(),
+        "storage": lambda _: collect_storage(),
+        "shard_full": lambda _: collect_shard(full=True),
+        "shard": lambda _: collect_shard(),
+    }
+    named: dict[str, object] = {}
+    for name, value in args.collectors:
+        named.setdefault(name, value)
+    if not named:
         main()
+        return 0
+    status = 0
+    for name, value in named.items():
+        result = collectors[name](value)
+        if name == "check_regress":
+            status = status or int(result)
+    return status
+
+
+if __name__ == "__main__":
+    raise SystemExit(cli())

@@ -4,11 +4,14 @@ A hands-off run spends real crowd money, so losing one to a crash is
 losing dollars.  Giving ``Corleone`` a ``run_dir`` makes every stage
 boundary and matcher iteration durable: the directory holds the run's
 inputs (``run.json``), the blocked candidate set (``candidates.npz``),
-the latest resumable state (``checkpoint.json``) and a structured event
-trace (``trace.jsonl``).  ``Corleone.resume`` continues a killed run —
-label cache, cost ledger and per-stage RNG streams restored — to a
-result bit-identical to the uninterrupted one, paying only for the
-labels the crashed run had not bought yet.  See docs/architecture.md.
+the checkpoint log (``checkpoint.jsonl``: one self-checksummed record
+appended per checkpoint, holding only what changed since the one
+before) and a structured event trace (``trace.jsonl``).
+``Corleone.resume`` folds the log's records back into the latest state
+and continues a killed run — label cache, cost ledger and per-stage RNG
+streams restored — to a result bit-identical to the uninterrupted one,
+paying only for the labels the crashed run had not bought yet.  See
+docs/architecture.md.
 
 Run:  python examples/resumable_run.py
 """
@@ -19,7 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from repro import Corleone, SimulatedCrowd, scaled_config
-from repro.engine import EVENT_CHECKPOINT_WRITTEN, ProgressReporter
+from repro.engine import (
+    CHECKPOINT_LOG,
+    EVENT_CHECKPOINT_WRITTEN,
+    ProgressReporter,
+    load_checkpoint,
+)
 from repro.engine.events import read_trace
 from repro.synth import generate_restaurants
 
@@ -78,6 +86,13 @@ def main():
             print("    crashed (as scripted); run directory holds:")
             for artifact in sorted(run_dir.iterdir()):
                 print(f"      {artifact.name}")
+            log = run_dir / CHECKPOINT_LOG
+            checkpoint = load_checkpoint(run_dir)
+            print(f"    {CHECKPOINT_LOG}: "
+                  f"{len(log.read_bytes().splitlines())} records, "
+                  f"{log.stat().st_size} bytes; the newest is checkpoint "
+                  f"{checkpoint['index']}, at stage "
+                  f"{checkpoint['state']['next_stage']}")
 
         print("=== resuming from the run directory")
         resumed = Corleone.resume(run_dir, make_crowd(dataset))

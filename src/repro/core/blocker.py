@@ -192,7 +192,7 @@ class Blocker:
         target = len(sample) * (self.config.blocker.t_b / cartesian)
         # Sample rows the crowd has labelled a match: what a negative
         # rule covering them gets wrong.
-        positive = self.service.known_rows(sample.pairs) == 1
+        positive = self.service.known_rows(sample) == 1
         coverages = {rule: rule.applies(sample.features) for rule in rules}
 
         remaining = list(rules)

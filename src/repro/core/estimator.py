@@ -193,7 +193,7 @@ class AccuracyEstimator:
         """Top-k candidate reduction rules from the matcher's forest."""
         if forest is None:
             return []
-        known = self.service.known_rows(candidates.pairs)
+        known = self.service.known_rows(candidates)
         negative = extract_negative_rules(
             forest, candidates.feature_names
         )
@@ -233,10 +233,7 @@ class AccuracyEstimator:
             return False
         active &= ~removing
         rows = np.flatnonzero(removing & (sampled < 0))
-        pairs = candidates.pairs
-        sampled[rows] = self.service.known_rows(
-            [pairs[row] for row in rows.tolist()]
-        )
+        sampled[rows] = self.service.known_rows(candidates)[rows]
         return True
 
     def _audit_removed(self, candidates: CandidateSet,

@@ -60,7 +60,7 @@ class DifficultPairsLocator:
         cfg = self.config.locator
         before = self.service.tracker.snapshot()
 
-        known = self.service.known_rows(candidates.pairs)
+        known = self.service.known_rows(candidates)
 
         selected: list[Rule] = []
         for polarity in (False, True):

@@ -24,7 +24,7 @@ from ..data.pairs import CandidateSet, Pair
 from ..data.table import Table
 from ..engine.checkpoint import (
     CANDIDATES_FILE,
-    CHECKPOINT_FILE,
+    CHECKPOINT_LOG,
     TRACE_FILE,
     Checkpointer,
     load_checkpoint,
@@ -210,9 +210,7 @@ class Corleone:
                     f"{quarantined})"
                 )
             candidates = load_candidates(candidates_path)
-        # A generation copy of the same index holds the same bytes, so
-        # the primary's name plus the index identifies the document.
-        source = (f"{run_dir / CHECKPOINT_FILE} "
+        source = (f"{run_dir / CHECKPOINT_LOG} "
                   f"(checkpoint {checkpoint.get('index')})")
         try:
             ctx.tracker.load_state(checkpoint["tracker"])
@@ -289,17 +287,21 @@ class Corleone:
             if heartbeat is not None:
                 ctx.bus.unsubscribe(heartbeat)
                 heartbeat.flush()
-            if checkpointer is not None and ctx.telemetry is not None:
-                # Final telemetry artifacts: the metric snapshot and
-                # span tree (deterministic) plus the wall-clock profile
-                # (explicitly not) land next to trace.jsonl even when
-                # the run aborted mid-stage.  This is the one durable,
-                # manifested export — mid-run snapshots are volatile —
-                # so the manifest checksums describe the final bytes.
+            if checkpointer is not None:
+                # Run end, also when the run aborted mid-stage: the
+                # manifest records the checkpoint log as it stands, and
+                # the final telemetry artifacts land next to
+                # trace.jsonl — the metric snapshot and span tree
+                # (deterministic) plus the wall-clock profile
+                # (explicitly not).  This is the one durable, manifested
+                # export — mid-run snapshots are volatile — so the
+                # manifest checksums describe the final bytes.
                 with checkpointer.writer.batch():
-                    ctx.telemetry.export(checkpointer.run_dir,
-                                         include_profile=True,
-                                         writer=checkpointer.writer)
+                    checkpointer.record_log()
+                    if ctx.telemetry is not None:
+                        ctx.telemetry.export(checkpointer.run_dir,
+                                             include_profile=True,
+                                             writer=checkpointer.writer)
             ctx.checkpoint = None
         return state.to_result(ctx.tracker)
 

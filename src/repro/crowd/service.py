@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import CrowdConfig
-from ..data.pairs import Pair
+from ..data.pairs import CandidateSet, Pair
 from ..exceptions import (
     BudgetExhaustedError,
     CrowdError,
@@ -88,6 +88,9 @@ class LabelingService:
             price_per_question=config.price_per_question
         )
         self._cache: dict[Pair, CachedLabel] = {}
+        self._writes: list[Pair] = []
+        """Every pair written to the cache, in write order (a pair
+        relabelled to a stronger standard appears again)."""
         self.on_purchase: Callable[
             [int, int, CostSnapshot, CostSnapshot], None] | None = None
         """Optional observer called as ``on_purchase(labels, strong,
@@ -117,10 +120,10 @@ class LabelingService:
         """All labels obtained so far (a copy)."""
         return {pair: entry.label for pair, entry in self._cache.items()}
 
-    def known_rows(self, pairs: Sequence[Pair],
+    def known_rows(self, candidates: CandidateSet,
                    scheme: VoteScheme | None = None) -> np.ndarray:
-        """One int8 label per row of ``pairs``: 1 is a match, 0 is no
-        match and -1 is not cached.
+        """One int8 label per row of ``candidates`` (a candidate or
+        sample set): 1 is a match, 0 is no match and -1 is not cached.
 
         With ``scheme``, only labels that meet the standard it requires
         count.  That is §8's cache rule: a label may be reused only if
@@ -128,13 +131,22 @@ class LabelingService:
         strong-majority positives (rule evaluation) must seed from this
         view, or a wrong 2+1 label from active learning can circularly
         certify the very rule that was overfit to it.
+
+        The walk is over the label cache, looked up in the set's pair
+        index: the cache holds hundreds to a few thousand pairs where a
+        candidate set has tens of thousands of rows.
         """
-        labels = np.full(len(pairs), -1, dtype=np.int8)
-        for row, pair in enumerate(pairs):
-            entry = self._cache.get(pair)
-            if entry is not None and (scheme is None
-                                      or _satisfies(entry, scheme)):
-                labels[row] = entry.label
+        index = candidates.pair_index()
+        rows: list[int] = []
+        values: list[bool] = []
+        for pair, entry in self._cache.items():
+            row = index.get(pair)
+            if row is not None and (scheme is None
+                                    or _satisfies(entry, scheme)):
+                rows.append(row)
+                values.append(entry.label)
+        labels = np.full(len(candidates), -1, dtype=np.int8)
+        labels[rows] = values
         return labels
 
     def positive_pairs(self) -> set[Pair]:
@@ -144,7 +156,18 @@ class LabelingService:
     def seed(self, labels: dict[Pair, bool], strong: bool = True) -> None:
         """Inject known labels (e.g. the user's four seed examples)."""
         for pair, label in labels.items():
-            self._cache[Pair(*pair)] = CachedLabel(label, strong=strong)
+            self._put(Pair(*pair), CachedLabel(label, strong=strong))
+
+    def _put(self, pair: Pair, entry: CachedLabel) -> None:
+        """Write one cache entry and note the write."""
+        self._cache[pair] = entry
+        self._writes.append(pair)
+
+    @property
+    def cache_writes(self) -> int:
+        """Cache writes so far: the position :meth:`cache_changes`
+        counts from."""
+        return len(self._writes)
 
     def cache_state(self) -> list[list]:
         """The cache as JSON-compatible rows, in insertion order.
@@ -158,12 +181,30 @@ class LabelingService:
             for pair, entry in self._cache.items()
         ]
 
+    def cache_changes(self, since: int) -> list[list]:
+        """The rows of the pairs written after the first ``since`` cache
+        writes, each once, in first-write order, with its current value.
+
+        Restoring a cache's rows followed by its changes, in that order
+        (:meth:`restore_cache` keeps the position of a pair's first row
+        and the value of its last), rebuilds the cache exactly: that is
+        how the checkpoint log writes each label once.
+        """
+        return [
+            [pair.a_id, pair.b_id, entry.label, entry.strong]
+            for pair in dict.fromkeys(self._writes[since:])
+            for entry in (self._cache[pair],)
+        ]
+
     def restore_cache(self, rows: Iterable[Sequence]) -> None:
-        """Replace the cache with rows saved by :meth:`cache_state`."""
+        """Replace the cache with rows saved by :meth:`cache_state`
+        (or a sequence of :meth:`cache_changes` rows: a pair's later row
+        updates its earlier one in place)."""
         self._cache = {
             Pair(str(a), str(b)): CachedLabel(bool(label), strong=bool(strong))
             for a, b, label, strong in rows
         }
+        self._writes = list(self._cache)
 
     # ------------------------------------------------------------------
     # Labelling
@@ -293,5 +334,5 @@ class LabelingService:
         self.tracker.record_answers(counter.asked - consumed_before)
         if pair not in self._cache:
             self.tracker.record_pair()
-        self._cache[pair] = _entry_for(label, scheme)
+        self._put(pair, _entry_for(label, scheme))
         return label

@@ -103,6 +103,11 @@ class CandidateSet:
     def __contains__(self, pair: Pair) -> bool:
         return pair in self._lookup()
 
+    def pair_index(self) -> dict[Pair, int]:
+        """Pair -> row for every pair of the set (built on first use and
+        kept; callers must not modify it)."""
+        return self._lookup()
+
     def index_of(self, pair: Pair) -> int:
         """Row index of ``pair``; raises :class:`DataError` if absent."""
         try:

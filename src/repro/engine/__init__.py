@@ -25,7 +25,7 @@ through this layer; see ``docs/architecture.md`` for the full picture.
 from __future__ import annotations
 
 from .checkpoint import (
-    CHECKPOINT_FILE,
+    CHECKPOINT_LOG,
     Checkpointer,
     load_checkpoint,
     load_run_inputs,
@@ -63,7 +63,7 @@ from .stages import (
 from .state import RunState
 
 __all__ = [
-    "CHECKPOINT_FILE",
+    "CHECKPOINT_LOG",
     "Checkpointer",
     "EVENT_ARTIFACT_CORRUPT",
     "EVENT_ARTIFACT_QUARANTINED",

@@ -4,30 +4,36 @@ A run directory has a fixed layout:
 
 * ``run.json`` — the run's immutable inputs, written once: config,
   tables, seed labels, mode, budget plan and the root seed sequence;
-* ``candidates.npz`` — the vectorized umbrella set, written once as
-  soon as blocking produces it (the expensive artifact, so it is never
-  re-serialized per checkpoint);
-* ``checkpoint.json`` — the latest engine state, replaced durably
-  (:mod:`repro.storage.writer`) at every stage boundary and after every
-  matcher iteration.  It carries everything mutable: the serialized
-  :class:`~repro.engine.state.RunState`, the label cache with vote
-  strengths, the cost ledger, the phase-budget ledger, the platform's
-  answer-stream state and every RNG stream's bit-generator state;
-* ``generations/checkpoint-NNNNNN.json`` — a copy of each of the last
-  :data:`KEEP_GENERATIONS` checkpoints.  ``checkpoint.json`` is the fast
-  path; the generations are the fallback chain when it fails its
-  checksum on load (bit rot, or a stale manifest after a mid-batch
-  crash);
+* ``candidates.npz`` — the vectorized umbrella set, written once,
+  uncompressed, as soon as blocking produces it (the expensive
+  artifact, so it is never re-serialized per checkpoint);
+* ``checkpoint.jsonl`` — the checkpoint log.  Every checkpoint (each
+  stage boundary and each matcher iteration) appends one record and
+  fsyncs it once (:func:`repro.storage.writer.append_bytes`); each
+  record carries its own sha256 (:func:`repro.storage.writer.
+  frame_record`).  A record holds only what changed since the previous
+  one — new forests, new or relabelled label-cache rows, new labelled
+  rows, new or changed iteration-record fields — plus the small
+  mutable state written whole every time: the run state's scalars,
+  the cost and phase-budget ledgers, the platform's answer-stream
+  state, every RNG stream's bit-generator state and the telemetry
+  state.  :func:`load_checkpoint` folds the records that verify into
+  one checkpoint document; a torn or corrupt tail is moved under
+  ``quarantine/`` and cut off, and the run resumes from the newest good
+  record.  Each record is a generation of the checkpoint, so the log is
+  the generation chain, in one file;
 * ``MANIFEST.json`` — the storage layer's artifact ledger: sha256,
-  size and generation counter per artifact, flushed once per
-  checkpoint cycle (after the artifacts — data before metadata);
+  size and generation counter per artifact.  It records the log's
+  verified prefix (a ``prefix`` entry) at stage boundaries and at run
+  end, after the bytes it describes;
 * ``trace.jsonl`` — the structured event trace (append-only; a resumed
   run appends its tail again, so duplicate sequence numbers mark where
   a crash was resumed from);
 * ``metrics.json`` / ``spans.jsonl`` — the telemetry layer's metric
   snapshot and span tree (``docs/observability.md``), *rewritten* from
-  checkpointed telemetry state at every write so a resumed run's final
-  files are byte-identical to the uninterrupted run's;
+  checkpointed telemetry state at every stage boundary and at run end,
+  so a resumed run's final files are byte-identical to the
+  uninterrupted run's;
 * ``profile.json`` — wall-clock hot-path profile, written once at run
   end, deliberately non-deterministic and deliberately absent from the
   manifest;
@@ -36,8 +42,8 @@ A run directory has a fixed layout:
   atomically rewritten at checkpoint and shard boundaries for ``obs
   serve``/``watch``.  A live advisory like ``profile.json`` — outside
   both the manifest and the byte-identity contract;
-* ``quarantine/`` — artifacts that failed their checksum, moved aside
-  (never deleted) by :func:`load_checkpoint`'s recovery path.
+* ``quarantine/`` — artifacts and log tails that failed their
+  checksum, moved aside (never deleted) by the recovery path.
 
 Everything is plain JSON (candidates aside) — no pickling, so run
 directories are inspectable and portable.
@@ -46,6 +52,7 @@ directories are inspectable and portable.
 from __future__ import annotations
 
 import json
+import weakref
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -56,8 +63,18 @@ from ..core.budgeting import BudgetPlan
 from ..crowd.base import stack_state
 from ..data.pairs import Pair
 from ..exceptions import DataError
-from ..storage.recovery import quarantine_artifact, verify_artifact
-from ..storage.writer import ArtifactWriter, load_manifest
+from ..storage.recovery import (
+    quarantine_tail,
+    read_records,
+    verify_artifact,
+)
+from ..storage.writer import (
+    RECORD_HEAD,
+    ArtifactWriter,
+    append_bytes,
+    frame_record,
+    sha256_hex,
+)
 from .events import (
     EVENT_ARTIFACT_CORRUPT,
     EVENT_ARTIFACT_QUARANTINED,
@@ -66,19 +83,251 @@ from .events import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..forest.forest import RandomForest
     from ..storage.recovery import RecoveryLog
     from .context import RunContext
     from .state import RunState
 
 RUN_FILE = "run.json"
-CHECKPOINT_FILE = "checkpoint.json"
+CHECKPOINT_LOG = "checkpoint.jsonl"
 CANDIDATES_FILE = "candidates.npz"
 TRACE_FILE = "trace.jsonl"
-GENERATIONS_DIR = "generations"
-"""Run-dir subdirectory holding the last-N checkpoint copies."""
 
-KEEP_GENERATIONS = 3
-"""Checkpoint generations retained for checksum-failure fallback."""
+_MATCHER_TAILS = {field: ("matcher_forests" if field == "forests" else field)
+                  for field in persistence.MATCHER_TRAIN_STATE_SEQUENCES}
+"""A matcher train state's append-only fields -> their log tail name."""
+
+_UNSET = object()
+"""What a log writer has persisted of a field it never wrote."""
+
+
+class _RecordEncoder:
+    """Turns one writer's successive checkpoints into log records.
+
+    It remembers what this writer has persisted, so each record
+    carries only what changed since the previous one.  Append-only
+    sequences are logged as *tails* under the record's ``tails`` key —
+    ``{"from": n, "items": [...]}``, the items after the first ``n``
+    (0 when the sequence was replaced, e.g. by a new matcher training):
+
+    * ``forests``: every forest, numbered in the order it is first
+      written; a matcher train state's forest list (``matcher_forests``)
+      and an iteration record's chosen forest name those numbers;
+    * ``cache``: label-cache rows, from the service's write journal
+      (:meth:`~repro.crowd.service.LabelingService.cache_changes`);
+    * the matcher train state's ``labeled_rows``, ``monitor_rows`` and
+      ``confidences``, and the tracer's completed ``spans``.
+
+    An iteration record's fields are written when they are set or
+    replaced (the estimate stage sets ``estimate``, the locate stage
+    ``locator``), and the blocker result when it changes.  Everything
+    else — the run state's scalars, the ledgers, the platform and RNG
+    states, the metric registry, the open spans — is small and written
+    whole.
+
+    A fresh encoder has persisted nothing, so a writer's first record
+    restates the whole state and every tail starts from 0 — which is
+    what a resumed run's first record must do, since its objects are
+    new.  The fold (:func:`fold_records`) needs no other marker.
+    """
+
+    def __init__(self) -> None:
+        self._forest_numbers: weakref.WeakKeyDictionary[
+            "RandomForest", int] = weakref.WeakKeyDictionary()
+        """Forest -> its number, while the run still holds the forest
+        (one it dropped is never mentioned again)."""
+        self._forests_written = 0
+        self._new_forests: list["RandomForest"] = []
+        """Forests numbered since the last record: its forest tail."""
+        self._cache_writes = 0
+        """The service's journal position the last record reached."""
+        self._cache_rows = 0
+        """Cache rows this writer's records hold so far."""
+        self._tails: dict[str, tuple[Any, int]] = {}
+        """Tail name -> (the sequence object, items persisted)."""
+        self._fields: list[dict[str, Any]] = []
+        """Per iteration record: field -> the object last persisted."""
+        self._blocker: Any = _UNSET
+
+    def _forest_number(self, forest: "RandomForest") -> int:
+        number = self._forest_numbers.get(forest)
+        if number is None:
+            number = self._forests_written
+            self._forests_written += 1
+            self._forest_numbers[forest] = number
+            self._new_forests.append(forest)
+        return number
+
+    def _persisted(self, name: str, source: Any) -> int:
+        """How many leading items of the append-only sequence ``source``
+        this writer's records hold (0 if ``source`` replaced the one
+        they hold); the next record holds them all."""
+        persisted, count = self._tails.get(name, (None, 0))
+        if persisted is not source or len(source) < count:
+            count = 0
+        self._tails[name] = (source, len(source))
+        return count
+
+    def _iterations(self, records: list[Any]) -> dict[str, Any]:
+        """The iteration-record fields set or replaced since the last
+        record (each record's ``matcher`` names its forest's number)."""
+        changed = []
+        del self._fields[len(records):]
+        for position, record in enumerate(records):
+            if position == len(self._fields):
+                self._fields.append({})
+            fields = self._fields[position]
+            if fields.get("record") is not record:
+                fields.clear()
+                fields["record"] = record
+            names = [name for name in persistence.ITERATION_RECORD_FIELDS
+                     if fields.get(name, _UNSET) is not getattr(record,
+                                                                name)]
+            if names:
+                changed.append([position, persistence.iteration_record_to_dict(
+                    record, self._forest_number, names)])
+                fields.update((name, getattr(record, name))
+                              for name in names)
+        return {"count": len(records), "changed": changed}
+
+    def encode(self, state: "RunState", ctx: "RunContext",
+               index: int) -> dict[str, Any]:
+        """The log record of checkpoint ``index``."""
+        forests_before = self._forests_written
+        tails: dict[str, Any] = {}
+        record: dict[str, Any] = {
+            "format": "corleone-checkpoint",
+            "version": persistence.FORMAT_VERSION,
+            "index": index,
+            "sequence": ctx.bus.events_emitted,
+            "state": state.scalars_to_dict(),
+        }
+        if state.blocker is not self._blocker:
+            record["blocker"] = (
+                None if state.blocker is None
+                else persistence.blocker_result_to_dict(state.blocker))
+            self._blocker = state.blocker
+        record["iterations"] = self._iterations(state.iterations)
+        matcher_state = state.matcher_state
+        record["matcher_state"] = None
+        if matcher_state is not None:
+            skip = {field: self._persisted(name,
+                                           getattr(matcher_state, field))
+                    for field, name in _MATCHER_TAILS.items()}
+            document = persistence.matcher_train_state_to_dict(
+                matcher_state, self._forest_number, skip)
+            for field, name in _MATCHER_TAILS.items():
+                tails[name] = {"from": skip[field],
+                               "items": document.pop(field)}
+            record["matcher_state"] = document
+        tails["forests"] = {
+            "from": forests_before,
+            "items": [persistence.forest_to_dict(forest)
+                      for forest in self._new_forests],
+        }
+        self._new_forests.clear()
+        if ctx.service.cache_writes < self._cache_writes:
+            # The cache was replaced (restored): restate all of it.
+            self._cache_writes = self._cache_rows = 0
+        rows = ctx.service.cache_changes(self._cache_writes)
+        tails["cache"] = {"from": self._cache_rows, "items": rows}
+        self._cache_writes = ctx.service.cache_writes
+        self._cache_rows += len(rows)
+        telemetry = None
+        if ctx.telemetry is not None:
+            telemetry = ctx.telemetry.state_dict()
+            count = self._persisted("spans", ctx.telemetry.tracer.completed)
+            tails["spans"] = {
+                "from": count,
+                "items": telemetry["spans"].pop("completed")[count:]}
+        record.update(
+            tracker=ctx.tracker.state_dict(),
+            manager=(ctx.manager.state_dict()
+                     if ctx.manager is not None else None),
+            platform=stack_state(ctx.platform),
+            rng=ctx.rng_states(),
+            telemetry=telemetry,
+            tails=tails,
+        )
+        return record
+
+
+def fold_records(records: list[dict[str, Any]]) -> dict[str, Any] | None:
+    """The checkpoint document a log's records add up to (None: none).
+
+    Later records replace earlier values key by key, except the deltas
+    :class:`_RecordEncoder` writes: each ``tails`` entry extends its
+    sequence, and iteration-record fields update their record.  The
+    result has the layout readers expect — ``index``, ``sequence``,
+    ``state`` (:meth:`RunState.to_dict`, with forest numbers resolved
+    to forest documents), ``service_cache`` (:meth:`~repro.crowd.
+    service.LabelingService.cache_state` rows; a relabelled pair's
+    later row updates its earlier one), ``tracker``, ``manager``,
+    ``platform``, ``rng`` and ``telemetry``.  Raises
+    :class:`~repro.exceptions.DataError` for records that do not fold.
+    """
+    if not records:
+        return None
+    document: dict[str, Any] = {}
+    tails: dict[str, list[Any]] = {}
+    iterations: list[dict[str, Any]] = []
+    try:
+        for record in records:
+            for key, value in record.items():
+                if key == "tails":
+                    for name, tail in value.items():
+                        _extend(tails.setdefault(name, []), tail)
+                elif key == "iterations":
+                    del iterations[value["count"]:]
+                    for position, fields in value["changed"]:
+                        if position == len(iterations):
+                            iterations.append({})
+                        iterations[position].update(fields)
+                else:
+                    document[key] = value
+        if "state" in document:
+            _assemble(document, tails, iterations)
+    except (KeyError, IndexError, TypeError, ValueError) as error:
+        raise DataError(f"checkpoint records do not fold: {error!r}") \
+            from None
+    return document
+
+
+def _extend(items: list[Any], tail: dict[str, Any]) -> None:
+    """Apply one logged tail: keep the first ``from`` items, append."""
+    start = tail["from"]
+    if not 0 <= start <= len(items):
+        raise ValueError(f"a tail starts at item {start} of {len(items)}")
+    del items[start:]
+    items.extend(tail["items"])
+
+
+def _assemble(document: dict[str, Any], tails: dict[str, list[Any]],
+              iterations: list[dict[str, Any]]) -> None:
+    """Put the folded tails and iteration records back where
+    :meth:`RunState.to_dict` and the service, tracer state have them."""
+    forests = tails.get("forests", [])
+    state = dict(document["state"])
+    state["blocker"] = document.pop("blocker", None)
+    state["iterations"] = [
+        dict(fields, matcher=dict(
+            fields["matcher"], forest=forests[fields["matcher"]["forest"]]))
+        for fields in iterations
+    ]
+    matcher = document.pop("matcher_state", None)
+    if matcher is not None:
+        matcher = dict(matcher, **{
+            field: list(tails[name]) for field, name in _MATCHER_TAILS.items()
+        })
+        matcher["forests"] = [forests[number]
+                              for number in matcher["forests"]]
+    state["matcher_state"] = matcher
+    document["state"] = state
+    document["service_cache"] = list(tails.get("cache", []))
+    telemetry = document.get("telemetry")
+    if telemetry is not None:
+        document["telemetry"] = dict(telemetry, spans=dict(
+            telemetry["spans"], completed=list(tails["spans"])))
 
 
 class Checkpointer:
@@ -92,10 +341,15 @@ class Checkpointer:
         self.writer = ArtifactWriter(self.run_dir)
         self.checkpoints_written = 0
         """Checkpoints written by *this* instance (benchmarking)."""
+        # Appends continue the log's good prefix: a bad tail must be cut
+        # off first, and load_checkpoint does that.
         existing = load_checkpoint(self.run_dir)
         self._next_index = (existing["index"] + 1
                             if existing is not None else 0)
         self._have_candidates = (self.run_dir / CANDIDATES_FILE).exists()
+        self._encoder = _RecordEncoder()
+        self._log_bytes = 0
+        """The log size the manifest last recorded (this instance)."""
 
     @property
     def next_index(self) -> int:
@@ -145,6 +399,11 @@ class Checkpointer:
         backed by anything else — heap arrays, or maps outside the run
         directory — are serialized inline as before.
         """
+        node = state.candidates.features
+        while node is not None and not isinstance(node, np.memmap):
+            node = node.base
+        if node is None:
+            return None  # a heap matrix: no need to load the plan package
         from ..plan.spill import spill_path
 
         path = spill_path(state.candidates.features)
@@ -156,51 +415,26 @@ class Checkpointer:
         except ValueError:
             return None
 
-    def _generation_name(self, index: int) -> str:
-        """Run-relative path of checkpoint ``index``'s generation copy."""
-        return f"{GENERATIONS_DIR}/checkpoint-{index:06d}.json"
-
-    def _prune_generations(self, index: int) -> list[Path]:
-        """Stage the manifest removal of generation copies older than
-        the retention window; return their paths.
-
-        The caller unlinks them only after the batch's manifest flush.
-        A crash in between leaves an unmanifested old copy, which the
-        next checkpoint prunes; the reverse order could leave a
-        manifest entry for a deleted file that nothing ever removes.
-        """
-        gen_dir = self.run_dir / GENERATIONS_DIR
-        if not gen_dir.is_dir():
-            return []
-        floor = index - KEEP_GENERATIONS + 1
-        pruned = []
-        for path in sorted(gen_dir.glob("checkpoint-*.json")):
-            try:
-                gen_index = int(path.stem.split("-")[-1])
-            except ValueError:
-                continue
-            if gen_index < floor:
-                self.writer.forget(self._generation_name(gen_index))
-                pruned.append(path)
-        return pruned
-
     def write(self, state: "RunState", ctx: "RunContext") -> int:
         """Durably persist one checkpoint; return its index.
 
-        One checkpoint cycle writes, in order: ``candidates.npz`` (the
-        first cycle that has a candidate set), the generation copy,
-        ``checkpoint.json`` itself, the telemetry exports, and finally
-        one batched ``MANIFEST.json`` flush — data always lands before
-        the metadata that describes it.  The flush also drops the
-        entries of generations past the retention window, whose files
-        are unlinked only after it.  The mid-run telemetry exports
-        are volatile snapshots (atomic replace, no fsync, unmanifested
-        — regenerable from the checkpoint's ``telemetry`` state); the
-        pipeline's run-end export rewrites them durably and records
-        their final checksums in the manifest.
+        A checkpoint appends one record to ``checkpoint.jsonl`` and
+        fsyncs it — that is all a matcher-iteration checkpoint writes
+        (one taken mid-stage, the only kind with a ``matcher_state``;
+        it is None at stage boundaries).  The first checkpoint that
+        has a candidate set writes ``candidates.npz`` before the
+        record.  A stage boundary also records the log's new verified
+        prefix in ``MANIFEST.json`` (with ``candidates.npz``, in one
+        batched flush after the data it describes) and rewrites the
+        telemetry exports.  Those mid-run exports are volatile
+        snapshots (atomic replace, no fsync, unmanifested — regenerable
+        from the record's ``telemetry`` state); the pipeline's run-end
+        export rewrites them durably and records their final checksums,
+        along with the log's, so the run's last checkpoint (no next
+        stage) leaves both to it.
 
         The telemetry artifact-write counters increment *before* the
-        checkpoint document is serialized (the same pre-write rule as
+        record is serialized (the same pre-write rule as
         :meth:`~repro.obs.telemetry.RunTelemetry.record_checkpoint`),
         so a kill at this exact checkpoint resumes with the counts the
         uninterrupted run carries.  ``artifact_written`` events are
@@ -208,9 +442,13 @@ class Checkpointer:
         by the telemetry's bus sink for the same reason.
         """
         index = self._next_index
+        stage_boundary = (state.matcher_state is None
+                          and state.next_stage is not None)
         written: list[tuple[str, str]] = []
         with self.writer.batch():
-            if not self._have_candidates and state.candidates is not None:
+            new_candidates = (not self._have_candidates
+                              and state.candidates is not None)
+            if new_candidates:
                 sha = persistence.save_candidates(
                     state.candidates, self.run_dir / CANDIDATES_FILE,
                     external_features=self._spilled_features(state),
@@ -219,160 +457,127 @@ class Checkpointer:
                 self._have_candidates = True
                 written.append((CANDIDATES_FILE, sha))
             if ctx.telemetry is not None:
-                # Pre-serialize, so the counts ride inside the document
-                # below.  The cycle's artifact set is fixed (candidates
-                # are counted against the "checkpoint" cycle only via
-                # their own write above being manifest-recorded, not
-                # metered — a restarted run that finds candidates.npz
-                # already on disk must converge to the same totals).
-                for kind in ("generation", "checkpoint",
-                             "metrics", "spans", "manifest"):
+                # Pre-serialize, so the counts ride inside the record
+                # below.  candidates.npz is not metered: a restarted run
+                # that finds it already on disk must converge to the
+                # same totals.
+                kinds = ["checkpoint"]
+                if stage_boundary:
+                    kinds += ["metrics", "spans"]
+                if stage_boundary or new_candidates:
+                    kinds.append("manifest")
+                for kind in kinds:
                     ctx.telemetry.record_artifact_write(kind)
-            document = {
-                "format": "corleone-checkpoint",
-                "version": persistence.FORMAT_VERSION,
-                "index": index,
-                "sequence": ctx.bus.events_emitted,
-                "state": state.to_dict(),
-                "service_cache": ctx.service.cache_state(),
-                "tracker": ctx.tracker.state_dict(),
-                "manager": (ctx.manager.state_dict()
-                            if ctx.manager is not None else None),
-                "platform": stack_state(ctx.platform),
-                "rng": ctx.rng_states(),
-                "telemetry": (ctx.telemetry.state_dict()
-                              if ctx.telemetry is not None else None),
-            }
-            payload = json.dumps(document)
-            generation_name = self._generation_name(index)
-            self.writer.atomic_write_text(generation_name, payload)
-            written.append((generation_name,
-                            self.writer.entry(generation_name)["sha256"]))
-            self.writer.atomic_write_text(CHECKPOINT_FILE, payload)
-            written.append((CHECKPOINT_FILE,
-                            self.writer.entry(CHECKPOINT_FILE)["sha256"]))
-            pruned = self._prune_generations(index)
+            body = json.dumps(self._encoder.encode(state, ctx, index),
+                              separators=(",", ":"))
+            line = frame_record(body.encode("utf-8"))
+            append_bytes(self.run_dir / CHECKPOINT_LOG, line)
+            written.append((CHECKPOINT_LOG, _record_sha(line)))
             self._next_index += 1
             self.checkpoints_written += 1
-            if ctx.telemetry is not None:
-                # Telemetry artifacts are rewritten (not appended) from
-                # the just-persisted state: a later resume regenerates
-                # the same files byte for byte.  No writer: mid-run
-                # exports are volatile live snapshots, not manifested
-                # artifacts — the run-end export records the final
-                # checksums.
-                ctx.telemetry.export(self.run_dir)
-        for path in pruned:
-            path.unlink()
+            if stage_boundary:
+                self.record_log()
+                if ctx.telemetry is not None:
+                    # Rewritten (not appended) from the just-persisted
+                    # state: a later resume regenerates the same files
+                    # byte for byte.  No writer: mid-run exports are
+                    # volatile live snapshots, not manifested artifacts.
+                    ctx.telemetry.export(self.run_dir)
         for artifact, sha in written:
             ctx.bus.emit(EVENT_ARTIFACT_WRITTEN, artifact=artifact,
                          sha256=sha, index=index)
         return index
 
+    def record_log(self) -> None:
+        """Record the log's verified prefix — all of it: every append
+        was fsynced — in the manifest, if it grew since this writer
+        last did (staged in the caller's batch, if any)."""
+        path = self.run_dir / CHECKPOINT_LOG
+        size = path.stat().st_size if path.is_file() else 0
+        if size != self._log_bytes:
+            self.writer.record_file(CHECKPOINT_LOG, prefix=True)
+            self._log_bytes = size
 
-def _candidate_documents(run_dir: Path) -> list[Path]:
-    """Checkpoint documents to try, newest first.
 
-    ``checkpoint.json`` leads; the generation copies follow in
-    descending index order.  The latest generation duplicates
-    ``checkpoint.json``'s content, so a corrupt primary usually falls
-    back with *zero* rollback — only double corruption loses ground.
+def _record_sha(line: bytes) -> str:
+    """The sha256 a framed record line carries."""
+    start = len(RECORD_HEAD)
+    return line[start:start + 64].decode("ascii")
+
+
+def read_checkpoint(run_dir: str | Path) -> dict[str, Any] | None:
+    """The checkpoint document of a run directory's log, read-only.
+
+    Folds the records that verify (:func:`fold_records`) and leaves a
+    bad tail where it is — for readers such as ``obs report`` that must
+    not change the directory they inspect.  None when the run has no
+    good record.
     """
-    paths: list[Path] = []
-    primary = run_dir / CHECKPOINT_FILE
-    if primary.is_file():
-        paths.append(primary)
-    gen_dir = run_dir / GENERATIONS_DIR
-    if gen_dir.is_dir():
-        paths.extend(sorted(gen_dir.glob("checkpoint-*.json"),
-                            reverse=True))
-    return paths
+    records, _ = read_records(Path(run_dir) / CHECKPOINT_LOG)
+    return fold_records(records)
 
 
 def load_checkpoint(run_dir: str | Path,
                     recovery: "RecoveryLog | None" = None,
                     ) -> dict[str, Any] | None:
-    """The newest checkpoint document that verifies, or None.
+    """The checkpoint the log's good records add up to, or None.
 
-    Every candidate (``checkpoint.json``, then each retained
-    generation, newest first) is checked against the run manifest's
-    sha256 before it is parsed:
-
-    * a checksum **match** is trusted;
-    * **no manifest entry** (pre-durability directory, or a crash
-      landed between the artifact replace and the manifest flush)
-      falls back to the parse + format check — an artifact that parses
-      is accepted, because the manifest is metadata, not the artifact
-      of record;
-    * a checksum **mismatch**, or an unverifiable document that fails
-      to parse, is quarantined under ``quarantine/`` and the next
-      candidate is tried.
+    The log's records are read up to the first one that is torn or
+    fails its own sha256 (:func:`repro.storage.recovery.read_records`).
+    Everything from there on — a record cut short by a crash, a record
+    with rotted bits, and every record after it, since each may depend
+    on those before — is moved under ``quarantine/`` and cut off the
+    log, so the resumed run appends after the newest good record.  A
+    record whose digest matches but whose body does not parse is a
+    writer bug and raises.
 
     Recovery actions are recorded on ``recovery`` (when given) as
-    ``artifact_corrupt`` / ``artifact_quarantined`` /
-    ``checkpoint_fallback`` events for the resuming pipeline to replay
-    onto its bus.  When *no* candidate survives, returns None: the
-    caller restarts deterministically from ``run.json``, which the
-    seeded-replay contract makes equivalent.
+    ``artifact_corrupt`` / ``artifact_quarantined`` events, plus
+    ``checkpoint_fallback`` with the index resumed from when the cut
+    dropped a complete record (a tail without a newline is an append
+    the crash interrupted: nothing that was written whole is lost).
+    The resuming pipeline replays them onto its bus.  With no good
+    record, returns None: the caller restarts deterministically from
+    ``run.json``, which the seeded-replay contract makes equivalent.
     """
     run_dir = Path(run_dir)
-    manifest = load_manifest(run_dir)
-    fell_back = False
-    for path in _candidate_documents(run_dir):
-        verdict, actual, expected = verify_artifact(run_dir, path,
-                                                    manifest)
-        if verdict is False:
-            _quarantine(run_dir, path, actual, expected, recovery)
-            fell_back = True
-            continue
-        try:
-            document = persistence._load_document(path,
-                                                  "corleone-checkpoint")
-        except DataError:
-            if verdict is True:
-                # The bytes match what the writer recorded, yet they do
-                # not parse: the *recorded* artifact was bad.  That is
-                # a writer bug, not rot — surface it, don't mask it.
-                raise
-            _quarantine(run_dir, path, actual, expected, recovery)
-            fell_back = True
-            continue
-        if fell_back and recovery is not None:
-            recovery.emit(
-                EVENT_CHECKPOINT_FALLBACK,
-                artifact=_relname(run_dir, path),
-                index=int(document.get("index", -1)),
-            )
-        return document
-    return None
-
-
-def _relname(run_dir: Path, path: Path) -> str:
-    """``path`` relative to the run directory (manifest key form)."""
+    path = run_dir / CHECKPOINT_LOG
+    records, good = read_records(path)
+    if path.is_file() and path.stat().st_size > good:
+        _quarantine_tail(run_dir, path, good, records, recovery)
     try:
-        return path.resolve().relative_to(run_dir.resolve()).as_posix()
-    except ValueError:
-        return path.name
+        return fold_records(records)
+    except DataError as error:
+        raise DataError(f"{path}: {error}") from None
 
 
-def _quarantine(run_dir: Path, path: Path, actual: str,
-                expected: str | None,
-                recovery: "RecoveryLog | None") -> None:
-    """Move one failed artifact aside and record the actions."""
-    name = _relname(run_dir, path)
-    target = quarantine_artifact(run_dir, path)
-    if recovery is not None:
-        recovery.emit(
-            EVENT_ARTIFACT_CORRUPT,
-            artifact=name,
-            actual_sha256=actual,
-            expected_sha256=expected or "",
-        )
-        recovery.emit(
-            EVENT_ARTIFACT_QUARANTINED,
-            artifact=name,
-            quarantined_to=_relname(run_dir, target),
-        )
+def _quarantine_tail(run_dir: Path, path: Path, good: int,
+                     records: list[dict[str, Any]],
+                     recovery: "RecoveryLog | None") -> None:
+    """Move the log's bad tail aside and record the actions."""
+    with open(path, "rb") as handle:
+        handle.seek(good)
+        tail = handle.read()
+    target = quarantine_tail(run_dir, path, good)
+    if recovery is None:
+        return
+    claimed = b""
+    if tail.startswith(RECORD_HEAD):
+        claimed = tail[len(RECORD_HEAD):len(RECORD_HEAD) + 64]
+    recovery.emit(
+        EVENT_ARTIFACT_CORRUPT,
+        artifact=CHECKPOINT_LOG,
+        actual_sha256=sha256_hex(tail),
+        expected_sha256=claimed.decode("ascii", "replace"),
+    )
+    recovery.emit(
+        EVENT_ARTIFACT_QUARANTINED,
+        artifact=CHECKPOINT_LOG,
+        quarantined_to=target.relative_to(run_dir).as_posix(),
+    )
+    if records and b"\n" in tail:
+        recovery.emit(EVENT_CHECKPOINT_FALLBACK, artifact=CHECKPOINT_LOG,
+                      index=int(records[-1].get("index", -1)))
 
 
 def load_run_inputs(run_dir: str | Path) -> dict[str, Any]:

@@ -49,8 +49,8 @@ class StagedEngine:
         """Persist the state, then announce it on the bus.
 
         The telemetry checkpoint counter increments *before* the write
-        so the count rides inside the checkpoint document itself — a
-        run killed at this exact checkpoint then resumes with the same
+        so the count rides inside the checkpoint record itself — a run
+        killed at this exact checkpoint then resumes with the same
         count the uninterrupted run carries in memory.
         """
         if self.ctx.telemetry is not None:

@@ -166,6 +166,24 @@ class RunState:
         from .. import persistence as p
 
         return {
+            **self.scalars_to_dict(),
+            "blocker": (None if self.blocker is None
+                        else p.blocker_result_to_dict(self.blocker)),
+            "iterations": [
+                p.iteration_record_to_dict(record)
+                for record in self.iterations
+            ],
+            "matcher_state": (
+                None if self.matcher_state is None
+                else p.matcher_train_state_to_dict(self.matcher_state)
+            ),
+        }
+
+    def scalars_to_dict(self) -> dict[str, Any]:
+        """The small fields of :meth:`to_dict`: everything but the
+        blocker result, the iteration records and the matcher state,
+        which the checkpoint log writes only when they change."""
+        return {
             "mode": self.mode,
             "seed_labels": [
                 [pair.a_id, pair.b_id, bool(label)]
@@ -173,18 +191,8 @@ class RunState:
             ],
             "next_stage": self.next_stage,
             "iteration": self.iteration,
-            "blocker": (None if self.blocker is None
-                        else p.blocker_result_to_dict(self.blocker)),
-            "iterations": [
-                p.iteration_record_to_dict(record)
-                for record in self.iterations
-            ],
             "best_iteration": self.best_iteration,
             "stop_reason": self.stop_reason,
-            "matcher_state": (
-                None if self.matcher_state is None
-                else p.matcher_train_state_to_dict(self.matcher_state)
-            ),
         }
 
     @classmethod

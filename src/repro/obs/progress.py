@@ -90,13 +90,15 @@ class ProgressHeartbeat:
             self.iteration = int(payload.get("iteration", 0))
             flush = True
         elif event.name == EVENT_STAGE_FINISHED:
-            # ``dollars`` here is the ledger's running total too.
+            # ``dollars`` here is the ledger's running total too.  Only
+            # the run's last stage flushes here: every other boundary's
+            # checkpoint_written follows at once and flushes this too.
             self.dollars_spent = float(payload.get(
                 "dollars", self.dollars_spent))
             if payload.get("next_stage") is None:
                 self.stage = None
                 self.finished = True
-            flush = True
+                flush = True
         elif event.name == EVENT_CHECKPOINT_WRITTEN:
             self.checkpoints = max(self.checkpoints,
                                    int(payload.get("index", -1)) + 1)

@@ -250,9 +250,9 @@ class MetricsRegistry:
 
     def state_dict(self) -> dict[str, Any]:
         """Checkpointable registry state (series values only)."""
-        return {name: family.state_dict()
+        return {name: state
                 for name, family in sorted(self._families.items())
-                if family.state_dict()}
+                if (state := family.state_dict())}
 
     def load_state(self, state: dict[str, Any]) -> None:
         """Restore series state into the already-registered families.

@@ -3,9 +3,10 @@
 Renders a human-readable accounting of one checkpointed run — where the
 budget, time, labels and faults went, per stage — purely from the run
 directory's artifacts (``trace.jsonl``, ``spans.jsonl``,
-``metrics.json``, ``profile.json``, ``checkpoint.json``).  Nothing is
-recomputed from the data tables and nothing beyond the standard library
-is imported, so the report works on any machine that can read JSON.
+``metrics.json``, ``profile.json``, the folded ``checkpoint.jsonl``).
+Nothing is recomputed from the data tables and nothing beyond the
+standard library is imported, so the report works on any machine that
+can read JSON.
 
 A resumed run's ``trace.jsonl`` deliberately contains duplicate
 sequence numbers (the appended tail re-covers the events after the
@@ -20,7 +21,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from ..engine.checkpoint import CHECKPOINT_FILE, TRACE_FILE
+from ..engine.checkpoint import TRACE_FILE, read_checkpoint
 from ..storage.recovery import read_jsonl
 from .profiling import PROFILE_FILE
 from .progress import read_progress
@@ -61,7 +62,7 @@ def load_artifacts(run_dir: str | Path) -> dict[str, Any]:
         "spans": read_spans(spans_path) if spans_path.is_file() else None,
         "metrics": read_json(METRICS_FILE),
         "profile": read_json(PROFILE_FILE),
-        "checkpoint": read_json(CHECKPOINT_FILE),
+        "checkpoint": read_checkpoint(run_dir),
         "progress": read_progress(run_dir),
     }
 

@@ -6,7 +6,7 @@ live or finished — and exposes:
 
 * ``/metrics`` — the Prometheus text exposition rendered from
   ``metrics.json`` **at request time**.  The engine atomically rewrites
-  that file at every checkpoint from checkpointed state, so each
+  that file at every stage boundary from checkpointed state, so each
   response is a prefix-consistent snapshot of the run so far and the
   sequence of responses converges to the final export, byte for byte —
   no torn reads, no partially applied checkpoints.

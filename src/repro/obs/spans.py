@@ -12,8 +12,9 @@ The bit-identity across kill/resume is stronger than ``trace.jsonl``'s
 append-only contract and needs a different write discipline: completed
 spans live in memory, ride inside the engine checkpoint via
 :meth:`SpanTracer.state_dict`, and the whole file is atomically
-*rewritten* from that state at every checkpoint and at run end — so a
-resumed run's final file is the uninterrupted run's, byte for byte.
+*rewritten* from that state at every stage boundary and at run end —
+so a resumed run's final file is the uninterrupted run's, byte for
+byte.
 """
 
 from __future__ import annotations

@@ -458,13 +458,13 @@ class RunTelemetry:
         :class:`~repro.storage.writer.ArtifactWriter` (the pipeline's
         run-end export) the files land fully durable and are recorded
         in the run manifest, so the manifest checksums describe the
-        final bytes.  Without one (the per-checkpoint live export) they
-        are written as *volatile snapshots* — atomic replace so
-        ``/metrics`` readers never see a torn file, but no fsync and no
-        manifest entry: both files are regenerated byte-for-byte from
-        the checkpointed telemetry state on resume, so mid-run
-        durability buys nothing and costs two fsync pairs per
-        checkpoint.  ``profile.json`` is *never* manifested — it is
+        final bytes.  Without one (the live export at each stage
+        boundary) they are written as *volatile snapshots* — atomic
+        replace so ``/metrics`` readers never see a torn file, but no
+        fsync and no manifest entry: both files are regenerated
+        byte-for-byte from the checkpointed telemetry state on resume,
+        so mid-run durability buys nothing and costs two fsync pairs
+        per export.  ``profile.json`` is *never* manifested — it is
         wall-clock noise by design, and a checksum over it would flag
         every legitimate rewrite as corruption.
         """

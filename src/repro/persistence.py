@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from itertools import islice
 from pathlib import Path
 from typing import Any
 
@@ -44,6 +45,8 @@ from .rules.rule import Rule
 
 __all__ = [
     "FORMAT_VERSION",
+    "ITERATION_RECORD_FIELDS",
+    "MATCHER_TRAIN_STATE_SEQUENCES",
     "blocker_result_from_dict",
     "blocker_result_to_dict",
     "budget_plan_from_dict",
@@ -230,7 +233,7 @@ def load_forest(path: str | Path) -> RandomForest:
 def save_candidates(candidates: CandidateSet, path: str | Path,
                     external_features: str | None = None,
                     writer: Any = None) -> str:
-    """Persist a vectorized candidate set as a compressed ``.npz``.
+    """Persist a vectorized candidate set as an uncompressed ``.npz``.
 
     Vectorization dominates experiment start-up time; saving the matrix
     lets repeated experiments on the same umbrella set skip it.  The
@@ -238,7 +241,11 @@ def save_candidates(candidates: CandidateSet, path: str | Path,
     its ``.npy`` header reads ``fortran_order: True`` and
     :func:`load_candidates` hands it to :class:`CandidateSet` without a
     copy (a row-major file from an older run still loads: numpy reads
-    the header and the constructor copies it once).  The write is
+    the header and the constructor copies it once).  The matrix is
+    stored raw, as the spill path below stores it: deflating it took
+    longer than everything else a short durable run writes, and a
+    restaurants matrix (21,600 x 25) grows only from about 0.33 to
+    5 MB.  The write is
     durable (:func:`repro.storage.writer.atomic_write_npz`:
     tmp, fsync, atomic replace, directory fsync) and returns the
     file's sha256.  Pass the run's
@@ -262,8 +269,8 @@ def save_candidates(candidates: CandidateSet, path: str | Path,
 
     path = Path(path)
     arrays = {
-        "a_ids": np.array([pair.a_id for pair in candidates.pairs]),
-        "b_ids": np.array([pair.b_id for pair in candidates.pairs]),
+        "a_ids": _string_array([pair.a_id for pair in candidates.pairs]),
+        "b_ids": _string_array([pair.b_id for pair in candidates.pairs]),
         "feature_names": np.array(candidates.feature_names),
     }
     if external_features is None:
@@ -275,14 +282,23 @@ def save_candidates(candidates: CandidateSet, path: str | Path,
         arrays["features_dtype"] = np.array(
             [str(candidates.features.dtype)])
     if writer is not None:
-        writer.atomic_write_npz(path, arrays, compressed=True)
+        writer.atomic_write_npz(path, arrays)
         if external_features is not None:
             # The spill .npy is the matrix's canonical serialization;
             # hashing it into the manifest closes the verification gap
             # a bit-flipped spill file would otherwise slip through.
             writer.record_file(path.parent / external_features)
         return writer.entry(path)["sha256"]
-    return atomic_write_npz(path, arrays, compressed=True)
+    return atomic_write_npz(path, arrays)
+
+
+def _string_array(values: list[str]) -> Any:
+    """``np.array(values)`` for strings, built about twice as fast by
+    sizing the unicode dtype up front."""
+    import numpy as np
+
+    width = max(map(len, values), default=1)
+    return np.fromiter(values, dtype=f"<U{width}", count=len(values))
 
 
 def load_candidates(path: str | Path) -> CandidateSet:
@@ -519,17 +535,22 @@ def estimate_from_dict(data: dict[str, Any]) -> AccuracyEstimate:
         raise DataError(f"malformed estimate document: {error}") from None
 
 
-def matcher_result_to_dict(result: MatcherResult) -> dict[str, Any]:
+def matcher_result_to_dict(
+        result: MatcherResult,
+        forest_ref: Callable[[RandomForest], Any] = forest_to_dict,
+) -> dict[str, Any]:
     """A JSON-compatible representation of a matcher training outcome.
 
-    Predictions are stored as a 0/1 list aligned to the candidate rows
-    the matcher was trained on.
+    Predictions, one flag per candidate row the matcher was trained
+    on, are stored bit-packed (:func:`_flags_to_dict`: a restaurants
+    working set's 21,600 flags take 3.6 KB instead of 65 KB as a 0/1
+    list).  ``forest_ref`` encodes the forest; the checkpoint log
+    passes one that writes each forest once and refers to it by number
+    afterwards (:mod:`repro.engine.checkpoint`).
     """
-    import numpy as np
-
     return {
-        "forest": forest_to_dict(result.forest),
-        "predictions": np.asarray(result.predictions, dtype=int).tolist(),
+        "forest": forest_ref(result.forest),
+        "predictions": _flags_to_dict(result.predictions),
         "labeled_rows": [
             [int(row), bool(label)]
             for row, label in result.labeled_rows.items()
@@ -543,12 +564,10 @@ def matcher_result_to_dict(result: MatcherResult) -> dict[str, Any]:
 
 def matcher_result_from_dict(data: dict[str, Any]) -> MatcherResult:
     """Rebuild a matcher result saved with :func:`matcher_result_to_dict`."""
-    import numpy as np
-
     try:
         return MatcherResult(
             forest=forest_from_dict(data["forest"]),
-            predictions=np.asarray(data["predictions"], dtype=bool),
+            predictions=_flags_from_dict(data["predictions"]),
             labeled_rows={
                 int(row): bool(label) for row, label in data["labeled_rows"]
             },
@@ -561,16 +580,70 @@ def matcher_result_from_dict(data: dict[str, Any]) -> MatcherResult:
         raise DataError(f"malformed matcher result: {error}") from None
 
 
-def matcher_train_state_to_dict(state: MatcherTrainState) -> dict[str, Any]:
-    """A JSON-compatible snapshot of an in-progress matcher training."""
+def _flags_to_dict(flags: Any) -> dict[str, Any]:
+    """A boolean vector as its length and base64-packed bits."""
+    import base64
+
+    import numpy as np
+
+    flags = np.asarray(flags, dtype=bool)
+    return {"rows": int(flags.size),
+            "packed": base64.b64encode(np.packbits(flags)).decode("ascii")}
+
+
+def _flags_from_dict(data: dict[str, Any]) -> Any:
+    """The boolean vector :func:`_flags_to_dict` packed."""
+    import base64
+    import binascii
+
+    import numpy as np
+
+    try:
+        packed = np.frombuffer(base64.b64decode(data["packed"],
+                                                validate=True),
+                               dtype=np.uint8)
+    except binascii.Error as error:
+        raise TypeError(f"bad packed flags: {error}") from None
+    rows = int(data["rows"])
+    if packed.size != -(-rows // 8):
+        raise TypeError(f"{packed.size} packed bytes for {rows} flags")
+    return np.unpackbits(packed, count=rows).astype(bool)
+
+
+MATCHER_TRAIN_STATE_SEQUENCES = ("labeled_rows", "monitor_rows",
+                                 "confidences", "forests")
+"""The fields of a :class:`MatcherTrainState` that only ever grow."""
+
+
+def matcher_train_state_to_dict(
+        state: MatcherTrainState,
+        forest_ref: Callable[[RandomForest], Any] = forest_to_dict,
+        skip: dict[str, int] | None = None,
+) -> dict[str, Any]:
+    """A JSON-compatible snapshot of an in-progress matcher training
+    (``forest_ref`` as for :func:`matcher_result_to_dict`).
+
+    ``skip`` maps fields of :data:`MATCHER_TRAIN_STATE_SEQUENCES` to a
+    number of leading items to leave out: the checkpoint log writes
+    only the items it has not written before.
+    """
+    skip = skip or {}
+
+    def tail(name: str, items: Any) -> Any:
+        return islice(items, skip.get(name, 0), None)
+
     return {
         "labeled_rows": [
             [int(row), bool(label)]
-            for row, label in state.labeled_rows.items()
+            for row, label in tail("labeled_rows",
+                                   state.labeled_rows.items())
         ],
-        "monitor_rows": [int(row) for row in state.monitor_rows],
-        "confidences": [float(v) for v in state.confidences],
-        "forests": [forest_to_dict(forest) for forest in state.forests],
+        "monitor_rows": [int(row) for row in tail("monitor_rows",
+                                                  state.monitor_rows)],
+        "confidences": [float(v) for v in tail("confidences",
+                                               state.confidences)],
+        "forests": [forest_ref(forest)
+                    for forest in tail("forests", state.forests)],
         "pairs_before": state.pairs_before,
         "stop_reason": state.stop_reason,
         "rollback_index": state.rollback_index,
@@ -678,21 +751,44 @@ def locator_result_from_dict(data: dict[str, Any]) -> LocatorResult:
         raise DataError(f"malformed locator result: {error}") from None
 
 
-def iteration_record_to_dict(record: IterationRecord) -> dict[str, Any]:
-    """A JSON-compatible representation of one pipeline iteration."""
-    return {
-        "index": record.index,
-        "matcher": matcher_result_to_dict(record.matcher),
-        "predicted_pairs": [
-            [pair.a_id, pair.b_id] for pair in sorted(record.predicted_pairs)
-        ],
-        "estimate": (None if record.estimate is None
-                     else estimate_to_dict(record.estimate)),
-        "estimation_pairs_labeled": record.estimation_pairs_labeled,
-        "locator": (None if record.locator is None
-                    else locator_result_to_dict(record.locator)),
-        "reduction_pairs_labeled": record.reduction_pairs_labeled,
+ITERATION_RECORD_FIELDS = (
+    "index", "matcher", "predicted_pairs", "estimate",
+    "estimation_pairs_labeled", "locator", "reduction_pairs_labeled",
+)
+"""The serialized fields of an :class:`IterationRecord`, in order."""
+
+
+def iteration_record_to_dict(
+        record: IterationRecord,
+        forest_ref: Callable[[RandomForest], Any] = forest_to_dict,
+        fields: Sequence[str] = ITERATION_RECORD_FIELDS,
+) -> dict[str, Any]:
+    """A JSON-compatible representation of one pipeline iteration.
+
+    ``fields`` picks a subset of :data:`ITERATION_RECORD_FIELDS` (a
+    checkpoint-log record carries only the fields that changed since
+    the previous one); ``forest_ref`` is passed to
+    :func:`matcher_result_to_dict`.
+    """
+    encoders: dict[str, Callable[[Any], Any]] = {
+        "matcher": lambda matcher: matcher_result_to_dict(matcher,
+                                                          forest_ref),
+        "predicted_pairs": lambda pairs: [
+            [pair.a_id, pair.b_id] for pair in sorted(pairs)],
+        "estimate": lambda estimate: (
+            None if estimate is None else estimate_to_dict(estimate)),
+        "locator": lambda locator: (
+            None if locator is None else locator_result_to_dict(locator)),
     }
+    return {
+        name: encoders.get(name, _plain)(getattr(record, name))
+        for name in fields
+    }
+
+
+def _plain(value: Any) -> Any:
+    """A field already JSON-compatible as it is."""
+    return value
 
 
 def iteration_record_from_dict(data: dict[str, Any]) -> IterationRecord:

@@ -60,7 +60,7 @@ def evaluate_rules(rules: Sequence[Rule], sample: CandidateSet,
     # only labels "labeled the way we want") — seeding weak 2+1 positives
     # here would let a mislabeled training example circularly certify the
     # very rule the forest overfit to it.
-    labels = service.known_rows(sample.pairs, scheme)
+    labels = service.known_rows(sample, scheme)
 
     results = {
         i: RuleEvaluation(rules[i], False, 0.0, 0.0, 0, 0, "empty_coverage")

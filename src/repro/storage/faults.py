@@ -11,25 +11,31 @@ same torn-byte offsets and bit positions, and the crash-consistency
 harness (``tests/test_storage_chaos.py``) can assert bit-identical
 recovery.
 
-An injector interposes on the numbered steps of
-:func:`repro.storage.writer._atomic_write` via a module activation
-stack (the :data:`repro.obs.profiling._ACTIVE` pattern): production
-code never imports this module's machinery, it just hits the hook
-points, which are no-ops unless a test armed an injector.  The fault
-taxonomy, and where each fault lands in the write sequence:
+An injector interposes on the three hook points both write primitives
+share — :func:`repro.storage.writer._atomic_write` (tmp file, replace)
+and :func:`repro.storage.writer.append_bytes` (append, fsync) — via a
+module activation stack (the :data:`repro.obs.profiling._ACTIVE`
+pattern): production code never imports this module's machinery, it
+just hits the hook points, which are no-ops unless a test armed an
+injector.  The fault taxonomy, and where each fault lands in the write
+sequence:
 
 ================  ====================================================
 kind              effect
 ================  ====================================================
-torn_write        tmp file truncated at a drawn byte offset, then the
-                  process "crashes" (:class:`SimulatedCrashError`) —
-                  the target keeps its old complete content
-enospc            the tmp write raises ``OSError(ENOSPC)`` — the write
-                  fails cleanly, the caller sees a real disk error
-crash_before      crash after the tmp is complete and fsynced but
-                  before ``os.replace`` — old target + stale ``.tmp``
-crash_after       crash after ``os.replace`` but before the directory
-                  fsync — new target already visible
+torn_write        the bytes being written are cut at a drawn offset,
+                  then the process "crashes" (:class:`SimulatedCrashError`)
+                  — an atomic write's target keeps its old complete
+                  content; an append leaves a torn tail
+enospc            the write raises ``OSError(ENOSPC)`` — it fails
+                  cleanly, the caller sees a real disk error
+crash_before      crash before the commit: after the tmp is complete
+                  and fsynced but before ``os.replace`` (old target +
+                  stale ``.tmp``), or after an append but before its
+                  fsync
+crash_after       crash after the commit: after ``os.replace`` but
+                  before the directory fsync (new target already
+                  visible), or after an append's fsync
 bitflip           one deterministic bit of a *finished* artifact is
                   inverted in place (bit rot at rest; applied by the
                   harness between kill and resume)
@@ -145,9 +151,9 @@ class StorageFaultInjector:
     manager to scope activation::
 
         injector = StorageFaultInjector(seed=7)
-        injector.arm("torn_write", "checkpoint.json", skip=2)
+        injector.arm("torn_write", "checkpoint.jsonl", skip=2)
         with injector:
-            ...   # the third checkpoint.json write is torn
+            ...   # the third checkpoint record is torn
 
     Counts are kept per kind (`counts`) so the harness and the
     benchmark sweep can report how many faults actually fired.
@@ -213,31 +219,40 @@ class StorageFaultInjector:
         raise self.fired
 
     # ------------------------------------------------------------------
-    # Hook points (called by repro.storage.writer._atomic_write)
+    # Hook points (called by both repro.storage.writer primitives)
     # ------------------------------------------------------------------
 
-    def during_tmp_write(self, path: Path, tmp: Path, handle: Any) -> None:
-        """Hook after the payload hits the tmp handle, before fsync."""
+    def during_write(self, path: Path, handle: Any, start: int) -> None:
+        """Hook after the bytes hit the handle, before they are synced.
+
+        ``start`` is where this write's bytes begin in the file (0 for
+        an atomic write's tmp file, the old end of file for an append),
+        so a tear never reaches into bytes an earlier write committed.
+        """
         if self._take(FAULT_TORN_WRITE, path):
             handle.flush()
             size = os.fstat(handle.fileno()).st_size
-            # Tear strictly inside the payload: at least one byte is
+            # Tear strictly inside the new bytes: at least one byte is
             # lost, at least zero survive.
-            cut = (int(self._rngs[FAULT_TORN_WRITE].integers(0, size))
-                   if size > 0 else 0)
+            cut = (int(self._rngs[FAULT_TORN_WRITE].integers(start, size))
+                   if size > start else start)
             os.ftruncate(handle.fileno(), cut)
             self._crash(FAULT_TORN_WRITE, path)
         if self._take(FAULT_ENOSPC, path):
+            # The disk took none of the new bytes: an append fails
+            # cleanly, leaving the file as its last commit left it.
+            handle.flush()
+            os.ftruncate(handle.fileno(), start)
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC),
-                          str(tmp))
+                          str(handle.name))
 
-    def before_replace(self, path: Path, tmp: Path) -> None:
-        """Hook between the tmp fsync and ``os.replace``."""
+    def before_commit(self, path: Path) -> None:
+        """Hook before the write commits (the replace, or the fsync)."""
         if self._take(FAULT_CRASH_BEFORE, path):
             self._crash(FAULT_CRASH_BEFORE, path)
 
-    def after_replace(self, path: Path) -> None:
-        """Hook between ``os.replace`` and the directory fsync."""
+    def after_commit(self, path: Path) -> None:
+        """Hook after the write committed, before the directory fsync."""
         if self._take(FAULT_CRASH_AFTER, path):
             self._crash(FAULT_CRASH_AFTER, path)
 
@@ -245,20 +260,23 @@ class StorageFaultInjector:
     # At-rest faults (applied by the harness, not via write hooks)
     # ------------------------------------------------------------------
 
-    def flip_bit(self, path: str | Path) -> int:
+    def flip_bit(self, path: str | Path, start: int = 0,
+                 stop: int | None = None) -> int:
         """Invert one deterministic bit of ``path`` in place.
 
-        Simulates bit rot on a finished artifact: the byte offset and
-        bit index come from the ``bitflip`` stream.  Returns the byte
-        offset flipped.  The write is deliberately *not* atomic — rot
-        does not announce itself.
+        Simulates bit rot on a finished artifact: the byte offset (in
+        ``[start, stop)``, the whole file by default — narrow it to hit
+        one record of a log) and the bit index come from the ``bitflip``
+        stream.  Returns the byte offset flipped.  The write is
+        deliberately *not* atomic — rot does not announce itself.
         """
         path = Path(path)
         data = bytearray(path.read_bytes())
-        if not data:
-            return 0
+        stop = len(data) if stop is None else min(stop, len(data))
+        if stop <= start:
+            return start
         rng = self._rngs[FAULT_BITFLIP]
-        offset = int(rng.integers(0, len(data)))
+        offset = int(rng.integers(start, stop))
         bit = int(rng.integers(0, 8))
         data[offset] ^= 1 << bit
         path.write_bytes(bytes(data))

@@ -5,21 +5,27 @@ is either its old or its new complete content; this module is what a
 *resuming* run uses to cope with everything the guarantee does not
 cover — bit rot at rest, a stale manifest entry from a mid-batch
 crash, ``.tmp`` droppings from a dead predecessor, and a torn tail on
-the append-only JSONL files (:func:`repair_trace` cuts it off before a
-resume appends; :func:`read_jsonl` skips it for every reader).
+the append-only files (:func:`repair_trace` cuts it off before a
+resume appends; :func:`read_jsonl` skips it for every reader;
+:func:`read_records` stops before it in a framed record log).
 
-The policy, applied by :func:`repro.engine.checkpoint.load_checkpoint`:
+The policy:
 
 * an artifact whose manifest sha256 matches is trusted outright;
 * one with **no** manifest entry (pre-durability run directory, or a
-  crash landed between the artifact replace and the manifest flush) is
+  crash landed between the artifact write and the manifest flush) is
   accepted if it parses and passes its format check — the manifest is
   metadata, never the artifact of record;
 * one whose entry **mismatches** is corrupt: it is moved under
   ``<run_dir>/quarantine/`` (never silently deleted — the bytes are
-  evidence) and the loader falls back to the next-newest checkpoint
-  generation.  The engine's kill/resume sweeps prove a resume from
-  *any* checkpoint is bit-identical, so falling back is always safe;
+  evidence);
+* a framed record log (the checkpoint log) carries a sha256 per
+  record, so it needs no manifest: the records that verify, in order,
+  are its good prefix, and a torn or corrupt tail is moved under
+  ``quarantine/`` and cut off (:func:`quarantine_tail`) — the loader
+  resumes from the newest good record.  The engine's kill/resume
+  sweeps prove a resume from *any* checkpoint is bit-identical, so
+  falling back is always safe;
 * when nothing verifies, the caller raises a typed
   :class:`~repro.exceptions.DataError` naming the file and both
   checksums — never a raw JSON or numpy traceback.
@@ -38,14 +44,23 @@ from pathlib import Path
 from typing import Any
 
 from ..exceptions import DataError
-from .writer import TMP_SUFFIX, file_sha256, load_manifest
+from .writer import (
+    RECORD_BODY,
+    RECORD_HEAD,
+    TMP_SUFFIX,
+    file_sha256,
+    load_manifest,
+    sha256_hex,
+)
 
 __all__ = [
     "QUARANTINE_DIR",
     "RecoveryLog",
     "cleanup_stale_tmp",
     "quarantine_artifact",
+    "quarantine_tail",
     "read_jsonl",
+    "read_records",
     "repair_trace",
     "verify_artifact",
 ]
@@ -90,7 +105,10 @@ def verify_artifact(root: str | Path, path: str | Path,
     is True (entry matches), False (entry mismatches — the file is
     corrupt, missing (``actual_sha`` is then empty) or the manifest is
     stale) or None (no entry — verification unavailable, the caller
-    falls back to content-level checks).
+    falls back to content-level checks).  An entry marked ``prefix``
+    (an append-only log, :meth:`~repro.storage.writer.ArtifactWriter.
+    record_file`) vouches for the file's first ``bytes`` bytes only, so
+    records appended since the entry was made do not fail it.
     ``manifest`` lets callers checking many artifacts load the ledger
     once.
     """
@@ -110,7 +128,8 @@ def verify_artifact(root: str | Path, path: str | Path,
     expected = str(entry["sha256"])
     if not path.is_file():
         return False, "", expected
-    actual = file_sha256(path)
+    actual = file_sha256(path, limit=(int(entry["bytes"])
+                                      if entry.get("prefix") else None))
     return actual == expected, actual, expected
 
 
@@ -122,17 +141,49 @@ def quarantine_artifact(run_dir: str | Path, path: str | Path) -> Path:
     if a previous quarantine already claimed it.  Returns the new
     location.
     """
-    run_dir = Path(run_dir)
     path = Path(path)
-    pen = run_dir / QUARANTINE_DIR
-    pen.mkdir(parents=True, exist_ok=True)
-    target = pen / path.name
-    counter = 1
-    while target.exists():
-        target = pen / f"{path.name}.{counter}"
-        counter += 1
+    target = _pen_slot(run_dir, path.name)
     os.replace(path, target)
     return target
+
+
+def quarantine_tail(run_dir: str | Path, path: str | Path,
+                    keep: int) -> Path:
+    """Move the bytes of an append-only file past offset ``keep`` under
+    ``<run_dir>/quarantine/``, and cut the file back to ``keep`` bytes.
+
+    The append-only sibling of :func:`quarantine_artifact`: the good
+    prefix stays where appends continue, the torn or corrupt tail is
+    kept as evidence under the file's own name (same collision
+    suffixes).  Returns the tail's new location.
+    """
+    path = Path(path)
+    with open(path, "rb") as handle:
+        handle.seek(keep)
+        tail = handle.read()
+    target = _pen_slot(run_dir, path.name)
+    target.write_bytes(tail)
+    _truncate(path, keep)
+    return target
+
+
+def _pen_slot(run_dir: str | Path, name: str) -> Path:
+    """A free quarantine path for ``name``: the name itself, or with an
+    integer suffix if a previous quarantine already claimed it."""
+    pen = Path(run_dir) / QUARANTINE_DIR
+    pen.mkdir(parents=True, exist_ok=True)
+    target = pen / name
+    counter = 1
+    while target.exists():
+        target = pen / f"{name}.{counter}"
+        counter += 1
+    return target
+
+
+def _truncate(path: Path, keep: int) -> None:
+    """Cut ``path`` back to its first ``keep`` bytes."""
+    with open(path, "r+b") as handle:
+        handle.truncate(keep)
 
 
 def cleanup_stale_tmp(run_dir: str | Path) -> list[Path]:
@@ -174,9 +225,52 @@ def repair_trace(path: str | Path) -> int:
     if not data or data.endswith(b"\n"):
         return 0
     keep = data.rfind(b"\n") + 1
-    with open(path, "r+b") as handle:
-        handle.truncate(keep)
+    _truncate(path, keep)
     return len(data) - keep
+
+
+def read_records(path: str | Path) -> tuple[list[dict[str, Any]], int]:
+    """The records of a framed log that verify, and where they end.
+
+    Reads a log of :func:`repro.storage.writer.frame_record` lines and
+    returns ``(records, good_bytes)``: the decoded bodies of the lines
+    that verify, oldest first, and the byte length of that good
+    prefix.  Reading stops at the first line that is torn (no final
+    newline — a crash mid-append), unframed, or whose body fails its
+    sha256 (rot); each record may depend on those before it, so
+    nothing past a bad line is trusted.  A line whose digest matches
+    but whose body is not a JSON object is a writer bug, not rot, and
+    raises :class:`~repro.exceptions.DataError`.  A missing file reads
+    as an empty log.
+    """
+    path = Path(path)
+    if not path.is_file():
+        return [], 0
+    data = path.read_bytes()
+    digest_at = len(RECORD_HEAD)
+    body_at = digest_at + 64 + len(RECORD_BODY)
+    records: list[dict[str, Any]] = []
+    offset = 0
+    while (end := data.find(b"\n", offset)) >= 0:
+        line = data[offset:end]
+        body = line[body_at:-1]
+        if not (line.startswith(RECORD_HEAD)
+                and line[body_at - len(RECORD_BODY):body_at] == RECORD_BODY
+                and line.endswith(b"}") and len(line) > body_at
+                and sha256_hex(body).encode("ascii")
+                == line[digest_at:digest_at + 64]):
+            break
+        try:
+            record = json.loads(body)
+        except ValueError:
+            record = None
+        if not isinstance(record, dict):
+            raise DataError(
+                f"{path}: the record at byte {offset} matches its sha256 "
+                f"but is not a JSON object — written bad, not rotted")
+        records.append(record)
+        offset = end + 1
+    return records, offset
 
 
 def read_jsonl(path: str | Path, kind: str) -> list[dict[str, Any]]:

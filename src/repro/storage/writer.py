@@ -20,10 +20,21 @@ with the same discipline, always *after* the artifacts it describes —
 a crash between the two leaves a stale manifest, which the read side
 resolves by falling back to the newest artifact that still verifies.
 
-Fault injection (:mod:`repro.storage.faults`) hooks the numbered steps
-above: an activated injector can tear the tmp file at byte *k*, raise
-``ENOSPC`` mid-write, or crash the process between any two steps —
-which is how the crash-consistency harness proves the discipline holds.
+Append-only logs (the engine's checkpoint log) take the second
+primitive, :func:`append_bytes`: write the bytes at the end of the
+file, then ``fsync`` it once (and the directory too when the append
+created the file).  There is no tmp file and no replace — a crash
+mid-append leaves a torn tail, which the read side cuts off
+(:func:`repro.storage.recovery.read_records`).  :func:`frame_record`
+gives each appended record its own sha256, so a reader can verify
+every record without the manifest.
+
+Fault injection (:mod:`repro.storage.faults`) hooks three points of
+both primitives — while the bytes are written, before they are
+committed (the replace, or the append's fsync) and after: an activated
+injector can tear the write at byte *k*, raise ``ENOSPC`` mid-write,
+or crash the process between any two steps — which is how the
+crash-consistency harness proves the discipline holds.
 
 ``durable=False`` downgrades a write to a *volatile snapshot*: the tmp
 stage and atomic replace are kept (a concurrent reader still never
@@ -38,6 +49,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -46,11 +58,13 @@ from typing import Any, Callable
 __all__ = [
     "MANIFEST_FILE",
     "ArtifactWriter",
+    "append_bytes",
     "atomic_write_bytes",
     "atomic_write_json",
     "atomic_write_npz",
     "atomic_write_text",
     "file_sha256",
+    "frame_record",
     "fsync_enabled",
     "load_manifest",
     "set_fsync",
@@ -90,12 +104,16 @@ def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def file_sha256(path: str | Path) -> str:
-    """The sha256 hex digest of a file, read in bounded chunks."""
+def file_sha256(path: str | Path, limit: int | None = None) -> str:
+    """The sha256 hex digest of a file (of its first ``limit`` bytes,
+    when given), read in bounded chunks."""
     digest = hashlib.sha256()
+    remaining = math.inf if limit is None else limit
     with open(path, "rb") as handle:
-        while chunk := handle.read(_HASH_CHUNK):
+        while remaining > 0 and (
+                chunk := handle.read(min(_HASH_CHUNK, remaining))):
             digest.update(chunk)
+            remaining -= len(chunk)
     return digest.hexdigest()
 
 
@@ -160,22 +178,20 @@ def atomic_write_json(path: str | Path, document: Any,
         durable=durable)
 
 
-def atomic_write_npz(path: str | Path, arrays: dict[str, Any],
-                     compressed: bool = False) -> str:
-    """Durably replace ``path`` with an ``.npz`` archive of ``arrays``.
+def atomic_write_npz(path: str | Path, arrays: dict[str, Any]) -> str:
+    """Durably replace ``path`` with an uncompressed ``.npz`` archive.
 
     The archive bytes are produced by numpy directly into the tmp file
     (zip writing seeks, so the digest is computed by re-reading the
     just-written tmp — still page-cache-hot).  Returns the sha256 of
-    the final bytes.
+    the final bytes.  Arrays are stored raw: deflating a feature matrix
+    costs more time than the bytes it saves are worth to a run
+    directory.
     """
     import numpy as np
 
     def write(handle: Any) -> None:
-        if compressed:
-            np.savez_compressed(handle, **arrays)
-        else:
-            np.savez(handle, **arrays)
+        np.savez(handle, **arrays)
 
     return _atomic_write(Path(path), write, precomputed=None)
 
@@ -193,26 +209,86 @@ def _atomic_write(path: Path, write: Callable[[Any], None],
     the crash-consistency harness exercises volatile writes too.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + TMP_SUFFIX)
     injector = _active_injector()
-    with open(tmp, "wb") as handle:
+    with _create(tmp) as handle:
         write(handle)
         if injector is not None:
-            injector.during_tmp_write(path, tmp, handle)
+            injector.during_write(path, handle, 0)
         if durable:
             _fsync_file(handle)
         else:
             handle.flush()
     digest = precomputed if precomputed is not None else file_sha256(tmp)
     if injector is not None:
-        injector.before_replace(path, tmp)
+        injector.before_commit(path)
     os.replace(tmp, path)
     if injector is not None:
-        injector.after_replace(path)
+        injector.after_commit(path)
     if durable:
         _fsync_dir(path.parent)
     return digest
+
+
+def _create(path: Path) -> Any:
+    """Open ``path`` for writing, creating missing parent directories
+    (only when the open fails: most writes land in a directory that
+    exists, and checking first costs a syscall every time)."""
+    try:
+        return open(path, "wb")
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return open(path, "wb")
+
+
+def append_bytes(path: str | Path, data: bytes) -> int:
+    """Durably append ``data`` to ``path``; return the offset it starts at.
+
+    One write at the end of the file and one ``fsync`` of it — plus
+    one of the parent directory when this append created the file, so
+    the new name is durable too.  A crash mid-append can leave a prefix
+    of ``data`` at the end of the file; readers of an append-only file
+    must cut such a torn tail off (the checkpoint log's records are
+    framed by :func:`frame_record` for exactly that).  The injector
+    hooks sit where :func:`_atomic_write` has them: after the bytes hit
+    the handle, and before and after the commit (here, the fsync).
+    """
+    path = Path(path)
+    created = not path.exists()
+    injector = _active_injector()
+    with open(path, "ab") as handle:
+        start = handle.tell()
+        handle.write(data)
+        if injector is not None:
+            injector.during_write(path, handle, start)
+            injector.before_commit(path)
+        _fsync_file(handle)
+    if injector is not None:
+        injector.after_commit(path)
+    if created:
+        _fsync_dir(path.parent)
+    return start
+
+
+RECORD_HEAD = b'{"sha256":"'
+"""How every framed record line starts (see :func:`frame_record`)."""
+
+RECORD_BODY = b'","record":'
+"""What separates a framed record's digest from its body."""
+
+
+def frame_record(body: bytes) -> bytes:
+    """One self-checksummed line for an append-only record log.
+
+    The line is itself a JSON object, ``{"sha256": <hex>, "record":
+    <body>}``, so the log stays readable with any JSONL tool, while the
+    digest covers the exact ``body`` bytes at a fixed offset — a reader
+    verifies it by slicing, without re-serializing
+    (:func:`repro.storage.recovery.read_records`).  ``body`` must be
+    one line of JSON (``json.dumps`` without ``indent`` is).
+    """
+    return (RECORD_HEAD + sha256_hex(body).encode("ascii") + RECORD_BODY
+            + body + b"}\n")
 
 
 def load_manifest(root: str | Path) -> dict[str, Any] | None:
@@ -299,31 +375,37 @@ class ArtifactWriter:
             json.dumps(document, indent=indent, sort_keys=sort_keys))
 
     def atomic_write_npz(self, relpath: str | Path,
-                         arrays: dict[str, Any],
-                         compressed: bool = False) -> Path:
+                         arrays: dict[str, Any]) -> Path:
         """Durably write an ``.npz`` archive and record it."""
         path, key = self._resolve(relpath)
-        digest = atomic_write_npz(path, arrays, compressed=compressed)
+        digest = atomic_write_npz(path, arrays)
         self._record(key, digest, path.stat().st_size)
         return path
 
-    def record_file(self, relpath: str | Path) -> str:
+    def record_file(self, relpath: str | Path,
+                    prefix: bool = False) -> str:
         """Manifest an artifact that was written *outside* the writer.
 
         The escape hatch for bytes that cannot flow through a tmp file
         — memory-mapped spill matrices, whose canonical serialization
-        *is* the file on disk.  The caller must have flushed the file
-        first (:meth:`repro.plan.spill.SpillManager.flush`); this hashes
-        the on-disk bytes and records them.  Returns the sha256.
+        *is* the file on disk, and append-only logs.  The caller must
+        have flushed the file first (:meth:`repro.plan.spill.
+        SpillManager.flush`; :func:`append_bytes` fsyncs); this hashes
+        the on-disk bytes and records them.  ``prefix=True`` marks an
+        append-only file: the entry then vouches for its first
+        ``bytes`` bytes only, and later appends do not make it stale
+        (:func:`repro.storage.recovery.verify_artifact`).  Returns the
+        sha256.
         """
         path, key = self._resolve(relpath)
         digest = file_sha256(path)
-        self._record(key, digest, path.stat().st_size)
+        self._record(key, digest, path.stat().st_size, prefix=prefix)
         return digest
 
     # -- manifest -------------------------------------------------------
 
-    def _record(self, key: str, digest: str, nbytes: int) -> None:
+    def _record(self, key: str, digest: str, nbytes: int,
+                prefix: bool = False) -> None:
         """Stage one manifest entry; flush unless inside a batch."""
         if key in self._dirty:
             previous = self._dirty[key]
@@ -336,6 +418,8 @@ class ArtifactWriter:
             "bytes": int(nbytes),
             "generation": generation,
         }
+        if prefix:
+            self._dirty[key]["prefix"] = True
         if self._batch_depth == 0:
             self.flush_manifest()
 
@@ -349,7 +433,7 @@ class ArtifactWriter:
         return dict(value) if isinstance(value, dict) else None
 
     def forget(self, relpath: str | Path) -> None:
-        """Drop an artifact's manifest entry (pruned generations).
+        """Drop an artifact's manifest entry (a deleted shard file).
 
         Staged like a write: inside a :meth:`batch` the removal lands
         with the batch's one manifest flush, so a caller deleting the
@@ -391,10 +475,10 @@ class ArtifactWriter:
     def batch(self):
         """Defer manifest flushes to one rewrite at block exit.
 
-        The engine's checkpointer writes several manifested artifacts
-        per checkpoint (the generation file, ``checkpoint.json``, and
-        on the first cycle ``candidates.npz``); batching turns their
-        ledger rewrites into one.  A crash inside the batch loses only
+        The engine's checkpointer records several artifacts at a stage
+        boundary (the checkpoint log's verified prefix, and on the
+        first cycle ``candidates.npz``); batching turns their ledger
+        rewrites into one.  A crash inside the batch loses only
         manifest *entries* — the artifacts themselves are already
         durable, and recovery falls back past unverifiable ones.
         """

@@ -198,3 +198,38 @@ def test_collect_shard_scaling_curve(collector):
     assert "stream" in table
     assert "168112008 pairs in 434 s" in table
 
+
+
+def test_every_named_collector_runs_in_command_line_order(collector,
+                                                          monkeypatch):
+    module, _ = collector
+    calls = []
+    for name in ("collect_plan", "collect_shard", "collect_engine",
+                 "collect_storage", "main"):
+        monkeypatch.setattr(module, name,
+                            lambda *a, _name=name, **k: calls.append(
+                                (_name, a, k)))
+    assert module.cli(["--plan", "--shard"]) == 0
+    assert [call[0] for call in calls] == ["collect_plan", "collect_shard"]
+    calls.clear()
+    assert module.cli(["--storage", "--engine", "--storage",
+                       "--shard-full"]) == 0
+    assert calls == [("collect_storage", (), {}),
+                     ("collect_engine", (), {}),
+                     ("collect_shard", (), {"full": True})]
+    calls.clear()
+    assert module.cli([]) == 0
+    assert [call[0] for call in calls] == ["main"]
+
+
+def test_a_failed_regression_check_sets_the_exit_status(collector,
+                                                        monkeypatch):
+    module, _ = collector
+    calls = []
+    monkeypatch.setattr(module, "check_regress",
+                        lambda threshold: calls.append(threshold) or 1)
+    monkeypatch.setattr(module, "collect_engine",
+                        lambda: calls.append("engine"))
+    assert module.cli(["--check-regress", "--regress-threshold-pp", "2",
+                       "--engine"]) == 1
+    assert calls == [2.0, "engine"]

@@ -13,7 +13,7 @@ from repro.core.budgeting import BudgetPlan
 from repro.core.pipeline import Corleone
 from repro.crowd.service import VoteScheme
 from repro.crowd.simulated import PerfectCrowd, SimulatedCrowd
-from repro.data.pairs import Pair
+from repro.data.pairs import CandidateSet, Pair
 from repro.engine import (
     EVENT_CHECKPOINT_WRITTEN,
     EVENT_LABELS_PURCHASED,
@@ -208,7 +208,8 @@ class TestServiceCacheRoundTrip:
 
         # Insertion order is part of the resume contract.
         assert restored_ctx.service.cache_state() == ctx.service.cache_state()
-        cached = list(ctx.service.labeled_pairs())
+        pairs = list(ctx.service.labeled_pairs())
+        cached = CandidateSet(pairs, np.zeros((len(pairs), 1)), ["f"])
         for scheme in (VoteScheme.MAJORITY_2PLUS1, VoteScheme.ASYMMETRIC):
             np.testing.assert_array_equal(
                 restored_ctx.service.known_rows(cached, scheme),
@@ -275,7 +276,7 @@ def checkpointed_run(tmp_path_factory):
 class TestRunDirectory:
     def test_layout(self, checkpointed_run):
         _, _, _, run_dir, _ = checkpointed_run
-        for name in ("run.json", "checkpoint.json", "candidates.npz",
+        for name in ("run.json", "checkpoint.jsonl", "candidates.npz",
                      "trace.jsonl"):
             assert (run_dir / name).is_file(), name
 

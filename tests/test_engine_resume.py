@@ -34,10 +34,16 @@ from repro.core.dedup import Deduplicator
 from repro.core.pipeline import Corleone
 from repro.crowd.simulated import PerfectCrowd, SimulatedCrowd
 from repro.crowd.transcript import TranscriptingPlatform
-from repro.engine import EVENT_CHECKPOINT_WRITTEN, load_checkpoint
+from repro.engine import (
+    CHECKPOINT_LOG,
+    EVENT_CHECKPOINT_WRITTEN,
+    Checkpointer,
+    load_checkpoint,
+)
 from repro.engine.events import read_trace
 from repro.exceptions import BudgetExhaustedError, DataError
-from repro.storage.writer import ArtifactWriter, load_manifest
+from repro.storage.recovery import read_records
+from repro.storage.writer import frame_record, load_manifest
 from repro.synth.products import generate_products
 from repro.synth.restaurants import generate_restaurants
 
@@ -190,6 +196,109 @@ class TestResumeSweep:
         assert len(read_trace(run_dir / "trace.jsonl")) > before
 
 
+class TestResumeTwice:
+    def test_a_resumed_log_resumes_again_bit_identically(
+            self, tmp_path, monkeypatch):
+        """A resumed run's first record restates the whole state; a
+        second crash and resume must fold across it."""
+        make_dataset, config, error_rate = _SCENARIOS["products-iterating"]
+        dataset = make_dataset()
+
+        def crowd():
+            return SimulatedCrowd(dataset.matches, error_rate=error_rate,
+                                  rng=np.random.default_rng(11))
+
+        golden = persistence.result_report(Corleone(
+            config, crowd(), seed=123).run(
+                dataset.table_a, dataset.table_b, dataset.seed_labels))
+        run_dir = tmp_path / "run"
+        pipeline = Corleone(config, crowd(), seed=123, run_dir=run_dir)
+        pipeline.bus.subscribe(_killer_sink(3))
+        with pytest.raises(_Killed):
+            pipeline.run(dataset.table_a, dataset.table_b,
+                         dataset.seed_labels)
+        original = Checkpointer.write
+        written = [0]
+
+        def killing_write(self, state, ctx):
+            index = original(self, state, ctx)
+            written[0] += 1
+            if written[0] == 5:
+                raise _Killed()
+            return index
+
+        monkeypatch.setattr(Checkpointer, "write", killing_write)
+        with pytest.raises(_Killed):
+            Corleone.resume(run_dir, crowd())
+        monkeypatch.setattr(Checkpointer, "write", original)
+        resumed = Corleone.resume(run_dir, crowd())
+        assert persistence.result_report(resumed) == golden
+        records, _ = read_records(run_dir / CHECKPOINT_LOG)
+        indices = [record["index"] for record in records]
+        assert indices == list(range(len(records)))
+        # Each writer's first record restates the cache from row 0.
+        starts = [record["tails"]["cache"]["from"] for record in records]
+        assert [i for i, start in enumerate(starts) if start == 0] == [
+            0, 4, 9]
+
+
+class TestCheckpointLogCost:
+    """What a checkpoint writes: each fact once, one fsync per record."""
+
+    def _run(self, run_dir):
+        make_dataset, config, error_rate = _SCENARIOS["restaurants"]
+        dataset = make_dataset()
+        crowd = SimulatedCrowd(dataset.matches, error_rate=error_rate,
+                               rng=np.random.default_rng(11))
+        return Corleone(config, crowd, seed=123, run_dir=run_dir).run(
+            dataset.table_a, dataset.table_b, dataset.seed_labels)
+
+    def test_no_record_repeats_a_forest_or_cache_row(self, tmp_path):
+        self._run(tmp_path / "run")
+        records, _ = read_records(tmp_path / "run" / CHECKPOINT_LOG)
+        forests = [json.dumps(forest) for record in records
+                   for forest in record["tails"]["forests"]["items"]]
+        rows = [tuple(row) for record in records
+                for row in record["tails"]["cache"]["items"]]
+        assert len(records) >= 5 and len(forests) >= 2 and rows
+        assert len(set(forests)) == len(forests)
+        assert len(set(rows)) == len(rows)
+        # Later mentions of a forest are its number, never the document.
+        for record in records:
+            for _, fields in record["iterations"]["changed"]:
+                if "matcher" in fields:
+                    assert isinstance(fields["matcher"]["forest"], int)
+            if record["matcher_state"] is not None:
+                assert all(isinstance(number, int) for number in
+                           record["tails"]["matcher_forests"]["items"])
+
+    def test_matcher_step_checkpoint_fsyncs_once(self, tmp_path,
+                                                 monkeypatch):
+        import os
+
+        fsyncs = [0]
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            fsyncs[0] += 1
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        original = Checkpointer.write
+        per_step: list[int] = []
+
+        def counting_write(self, state, ctx):
+            before = fsyncs[0]
+            index = original(self, state, ctx)
+            if state.matcher_state is not None:
+                per_step.append(fsyncs[0] - before)
+            return index
+
+        monkeypatch.setattr(Checkpointer, "write", counting_write)
+        self._run(tmp_path / "run")
+        assert per_step and max(per_step) <= 1
+
+
 def test_relative_run_dir_resumes(tmp_path, monkeypatch):
     """A relative ``run_dir`` names one directory under the working
     directory: no nested copy, manifest keys relative to it, and a
@@ -278,14 +387,15 @@ class TestDeduplicatorOnTheEngine:
         golden = Deduplicator(config, crowd(), seed=9).run(table, seeds)
         checkpointed = Deduplicator(config, crowd(), seed=9,
                                     run_dir=run_dir).run(table, seeds)
-        assert (run_dir / "checkpoint.json").is_file()
+        assert (run_dir / CHECKPOINT_LOG).is_file()
         assert (run_dir / "trace.jsonl").is_file()
         assert checkpointed.duplicate_pairs == golden.duplicate_pairs
         assert checkpointed.clusters == golden.clusters
 
 
 def _parent_format(document):
-    """Rewrite a checkpoint's state in the older, duplicating layout.
+    """Rewrite a checkpoint record's state in the older, duplicating
+    layout.
 
     That layout stored the working set, the ensemble, the certified
     rules and the kept result beside the iteration records, and had no
@@ -318,17 +428,14 @@ class TestUnreadableCheckpoint:
         with pytest.raises(_Killed):
             pipeline.run(dataset.table_a, dataset.table_b,
                          dataset.seed_labels)
-        # Rewrite every document through the writer, so the manifest
-        # still verifies and no generation fallback can mask the gap.
-        writer = ArtifactWriter(run_dir)
-        documents = [run_dir / "checkpoint.json",
-                     *(run_dir / "generations").glob("*.json")]
-        with writer.batch():
-            for path in documents:
-                document = json.loads(path.read_text())
-                edit(document)
-                writer.atomic_write_text(
-                    path.relative_to(run_dir).as_posix(),
-                    json.dumps(document))
-        with pytest.raises(DataError, match=rf"checkpoint\.json.*'{key}'"):
+        # Edit and re-frame every record of the log, so each record
+        # still verifies and no fallback to an older one can mask the
+        # gap.
+        log = run_dir / CHECKPOINT_LOG
+        records, _ = read_records(log)
+        for record in records:
+            edit(record)
+        log.write_bytes(b"".join(frame_record(json.dumps(record).encode())
+                                 for record in records))
+        with pytest.raises(DataError, match=rf"checkpoint\.jsonl.*'{key}'"):
             Corleone.resume(run_dir, crowd())

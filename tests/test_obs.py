@@ -30,6 +30,7 @@ from repro.config import (
 )
 from repro.core.pipeline import Corleone
 from repro.crowd import FaultSpec, FaultyCrowd, ResilientCrowd
+from repro.engine.checkpoint import CHECKPOINT_LOG, load_checkpoint
 from repro.crowd.service import LabelingService
 from repro.crowd.simulated import SimulatedCrowd
 from repro.engine.events import (
@@ -57,6 +58,7 @@ from repro.obs.telemetry import (
     RunTelemetry,
     build_catalog,
 )
+from repro.storage.writer import frame_record
 from repro.synth.restaurants import generate_restaurants
 
 
@@ -348,9 +350,9 @@ def _write_fixture_run(run_dir: Path) -> None:
         "note": "wall-clock", "sections": {
             "forest.train_forest": {"calls": 12, "seconds": 0.345678}}},
         indent=2, sort_keys=True))
-    (run_dir / "checkpoint.json").write_text(json.dumps({
+    (run_dir / CHECKPOINT_LOG).write_bytes(frame_record(json.dumps({
         "index": 3, "state": {"mode": "full", "stop_reason": "converged",
-                              "iteration": 2}}))
+                              "iteration": 2}}).encode()))
 
 
 _REPORT_GOLDEN = """\
@@ -493,8 +495,7 @@ def kill_resume_sweep(identity_scenario, tmp_path_factory):
     """Run directories of the identity scenario killed at each of the
     golden run's checkpoints in turn, each then resumed to the end."""
     dataset, config, crowd, golden_dir = identity_scenario
-    n_checkpoints = json.loads(
-        (golden_dir / "checkpoint.json").read_text())["index"] + 1
+    n_checkpoints = load_checkpoint(golden_dir)["index"] + 1
     root = tmp_path_factory.mktemp("obs_kills")
     run_dirs = []
     for kill_at in range(n_checkpoints):
@@ -522,8 +523,7 @@ class TestTelemetryByteIdentity:
         assert stages["block"] == 1
         assert stages["train_matcher"] >= 1
         assert metrics["corleone_checkpoints_total"]["series"][0]["value"] \
-            == json.loads(
-                (golden_dir / "checkpoint.json").read_text())["index"] + 1
+            == load_checkpoint(golden_dir)["index"] + 1
         assert metrics["corleone_trees_trained_total"]["series"][0][
             "value"] > 0
 
@@ -590,7 +590,7 @@ class TestTelemetryByteIdentity:
         assert pipeline.context.telemetry is None
         assert not (run_dir / "metrics.json").exists()
         assert not (run_dir / "spans.jsonl").exists()
-        assert (run_dir / "checkpoint.json").is_file()
+        assert (run_dir / CHECKPOINT_LOG).is_file()
 
 
 # ----------------------------------------------------------------------
@@ -760,8 +760,7 @@ class TestShardedWorkerTelemetry:
             self, sharded_identity_scenario, tmp_path):
         dataset, config, crowd, golden_dir = sharded_identity_scenario
         golden = _telemetry_bytes(golden_dir)
-        n_checkpoints = json.loads(
-            (golden_dir / "checkpoint.json").read_text())["index"] + 1
+        n_checkpoints = load_checkpoint(golden_dir)["index"] + 1
         assert n_checkpoints >= 5
 
         for kill_at in range(n_checkpoints):
@@ -785,8 +784,8 @@ class TestShardedWorkerTelemetry:
         assert progress["format"] == "corleone-progress"
         assert progress["finished"] is True
         assert progress["stage"] is None
-        assert progress["checkpoints"] == json.loads(
-            (golden_dir / "checkpoint.json").read_text())["index"] + 1
+        assert progress["checkpoints"] == \
+            load_checkpoint(golden_dir)["index"] + 1
         assert progress["shards"]["completed"] \
             == progress["shards"]["started"] > 0
         assert progress["dollars_spent"] > 0

@@ -116,7 +116,7 @@ def reapplying_subset(blocker, rules, sample, cartesian):
     """Reference greedy selection: re-apply every remaining rule to the
     row-gathered active sample in every round."""
     target = len(sample) * (blocker.config.blocker.t_b / cartesian)
-    positive = blocker.service.known_rows(sample.pairs) == 1
+    positive = blocker.service.known_rows(sample) == 1
     remaining = list(rules)
     chosen = []
     active_rows = np.arange(len(sample))

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import CrowdConfig
 from repro.crowd.aggregation import VoteScheme
 from repro.crowd.cost import CostTracker
 from repro.crowd.service import CachedLabel, LabelingService, _satisfies
 from repro.crowd.simulated import PerfectCrowd, SimulatedCrowd
-from repro.data.pairs import Pair
+from repro.data.pairs import CandidateSet, Pair
 from repro.exceptions import BudgetExhaustedError
 
 MATCHES = {Pair(f"a{i}", f"b{i}") for i in range(40)}
@@ -160,6 +162,57 @@ class TestSeedsAndViews:
         view = service.labeled_pairs()
         view.clear()
         assert service.cache_size == 1
+
+
+class TestKnownRows:
+    """known_rows walks the cache against the set's pair index."""
+
+    UNIVERSE = [Pair(f"a{i}", f"b{j}") for i in range(6) for j in range(6)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_a_walk_over_the_rows(self, data):
+        cached = data.draw(st.lists(st.sampled_from(self.UNIVERSE),
+                                    unique=True))
+        rows = data.draw(st.lists(st.sampled_from(self.UNIVERSE),
+                                  unique=True))
+        service = make_service()
+        for pair in cached:
+            service.seed({pair: data.draw(st.booleans())},
+                         strong=data.draw(st.booleans()))
+        candidates = CandidateSet(rows, np.zeros((len(rows), 1)), ["f"])
+        entries = {Pair(a, b): CachedLabel(label, strong)
+                   for a, b, label, strong in service.cache_state()}
+        for scheme in (None, *VoteScheme):
+            expected = np.array(
+                [entries[pair].label if pair in entries and (
+                    scheme is None or _satisfies(entries[pair], scheme))
+                 else -1 for pair in rows], dtype=np.int8)
+            known = service.known_rows(candidates, scheme)
+            assert known.dtype == np.int8
+            np.testing.assert_array_equal(known, expected)
+
+
+class TestCacheChanges:
+    """The write journal the checkpoint log reads label rows from."""
+
+    def test_changes_rebuild_the_cache_exactly(self):
+        service = make_service()
+        service.seed({Pair("a0", "b0"): True}, strong=False)
+        first = service.cache_changes(0)
+        mark = service.cache_writes
+        # Asymmetric labelling re-asks the weak positive to the strong
+        # standard: its row comes again, updated, among the new ones.
+        service.label_all(pairs(3))
+        later = service.cache_changes(mark)
+        assert [row[:2] for row in later] == [["a0", "b0"], ["a1", "b1"],
+                                              ["a2", "b2"]]
+        assert later[0] == ["a0", "b0", True, True]
+        restored = make_service()
+        restored.restore_cache(first + later)
+        assert restored.cache_state() == service.cache_state()
+        assert restored.cache_changes(0) == service.cache_state()
+        assert service.cache_changes(service.cache_writes) == []
 
 
 class TestBudget:

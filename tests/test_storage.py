@@ -1,13 +1,14 @@
 """The durable-storage subsystem: writer, manifest, recovery, faults.
 
 Unit coverage for :mod:`repro.storage` — the atomic-write discipline,
-the per-run ``MANIFEST.json`` ledger, checkpoint generations with
-last-good fallback, quarantine/sweep/repair recovery, and the
-deterministic storage fault injector — plus hypothesis property tests
-proving the torn-write contract: a checkpoint document truncated at
-*any* byte offset resumes from the last good generation, and a torn
-``.npz`` always surfaces as a typed :class:`~repro.exceptions.DataError`
-rather than a raw zipfile/numpy traceback.
+the append primitive and its self-checksummed records, the per-run
+``MANIFEST.json`` ledger, the checkpoint log's last-good fallback,
+quarantine/sweep/repair recovery, and the deterministic storage fault
+injector — plus hypothesis property tests proving the torn-write
+contract: a checkpoint log truncated at *any* byte offset resumes from
+its last whole record, and a torn ``.npz`` always surfaces as a typed
+:class:`~repro.exceptions.DataError` rather than a raw zipfile/numpy
+traceback.
 """
 
 from __future__ import annotations
@@ -25,11 +26,7 @@ from hypothesis import strategies as st
 from repro import persistence
 from repro.exceptions import DataError
 from repro.exec.sharding import ShardStore
-from repro.engine.checkpoint import (
-    CHECKPOINT_FILE,
-    GENERATIONS_DIR,
-    load_checkpoint,
-)
+from repro.engine.checkpoint import CHECKPOINT_LOG, load_checkpoint
 from repro.storage import (
     MANIFEST_FILE,
     QUARANTINE_DIR,
@@ -38,15 +35,19 @@ from repro.storage import (
     RecoveryLog,
     SimulatedCrashError,
     StorageFaultInjector,
+    append_bytes,
     atomic_write_bytes,
     atomic_write_json,
     atomic_write_npz,
     atomic_write_text,
     cleanup_stale_tmp,
     file_sha256,
+    frame_record,
     fsync_enabled,
     load_manifest,
     quarantine_artifact,
+    quarantine_tail,
+    read_records,
     repair_trace,
     set_fsync,
     sha256_hex,
@@ -420,7 +421,7 @@ class TestFaultInjector:
 
 
 def _checkpoint_doc(index: int, payload) -> dict:
-    """A minimal parseable checkpoint document for fallback tests."""
+    """A minimal checkpoint record for fallback tests."""
     return {
         "format": "corleone-checkpoint",
         "version": persistence.FORMAT_VERSION,
@@ -429,76 +430,201 @@ def _checkpoint_doc(index: int, payload) -> dict:
     }
 
 
-def _write_generations(run_dir: Path, documents: list[dict]) -> None:
-    """Write a checkpoint chain the way the checkpointer lays it out."""
-    writer = ArtifactWriter(run_dir)
-    for document in documents:
-        body = json.dumps(document)
-        name = f"{GENERATIONS_DIR}/checkpoint-{document['index']:06d}.json"
-        writer.atomic_write_text(name, body)
-        writer.atomic_write_text(CHECKPOINT_FILE, body)
+def _line(document: dict) -> bytes:
+    """One framed log line holding ``document``."""
+    return frame_record(json.dumps(document).encode("utf-8"))
+
+
+def _write_log(run_dir: Path, documents: list[dict]) -> list[int]:
+    """Append a checkpoint log the way the checkpointer does; return
+    each record's starting offset."""
+    return [append_bytes(run_dir / CHECKPOINT_LOG, _line(document))
+            for document in documents]
+
+
+def _flip(path: Path, offset: int) -> None:
+    """Invert one bit of the byte at ``offset`` (rot at rest)."""
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 0x10
+    path.write_bytes(bytes(data))
 
 
 class TestGenerationFallback:
-    """load_checkpoint's last-good recovery chain."""
+    """load_checkpoint's last-good recovery: each log record is a
+    generation, and the newest good record wins."""
 
     def test_intact_primary_wins(self, tmp_path):
-        _write_generations(tmp_path, [_checkpoint_doc(0, "a"),
-                                      _checkpoint_doc(1, "b")])
-        document = load_checkpoint(tmp_path)
-        assert document["index"] == 1 and document["payload"] == "b"
-
-    def test_corrupt_primary_falls_back_with_zero_rollback(self, tmp_path):
-        _write_generations(tmp_path, [_checkpoint_doc(0, "a"),
-                                      _checkpoint_doc(1, "b")])
-        (tmp_path / CHECKPOINT_FILE).write_text("garbage")
+        _write_log(tmp_path, [_checkpoint_doc(0, "a"),
+                              _checkpoint_doc(1, "b")])
         recovery = RecoveryLog()
         document = load_checkpoint(tmp_path, recovery=recovery)
-        # The newest generation duplicates the primary: no ground lost.
         assert document["index"] == 1 and document["payload"] == "b"
-        names = [name for name, _ in recovery.records]
-        assert names == ["artifact_corrupt", "artifact_quarantined",
-                         "checkpoint_fallback"]
-        assert (tmp_path / QUARANTINE_DIR / CHECKPOINT_FILE).exists()
+        assert recovery.records == []
+        assert not (tmp_path / QUARANTINE_DIR).exists()
 
-    def test_double_corruption_rolls_back_one_generation(self, tmp_path):
-        _write_generations(tmp_path, [_checkpoint_doc(0, "a"),
-                                      _checkpoint_doc(1, "b")])
-        (tmp_path / CHECKPOINT_FILE).write_text("garbage")
-        newest = tmp_path / GENERATIONS_DIR / "checkpoint-000001.json"
-        newest.write_text("also garbage")
+    def test_corrupt_newest_record_rolls_back_one_record(self, tmp_path):
+        offsets = _write_log(tmp_path, [_checkpoint_doc(0, "a"),
+                                        _checkpoint_doc(1, "b")])
+        log = tmp_path / CHECKPOINT_LOG
+        bad = log.read_bytes()[offsets[1]:]
+        _flip(log, offsets[1] + 90)
         recovery = RecoveryLog()
         document = load_checkpoint(tmp_path, recovery=recovery)
         assert document["index"] == 0 and document["payload"] == "a"
+        names = [name for name, _ in recovery.records]
+        assert names == ["artifact_corrupt", "artifact_quarantined",
+                         "checkpoint_fallback"]
+        assert recovery.records[2][1] == {"artifact": CHECKPOINT_LOG,
+                                          "index": 0}
+        # The bad record moved aside, and the log ends at the good one.
+        quarantined = tmp_path / QUARANTINE_DIR / CHECKPOINT_LOG
+        assert len(quarantined.read_bytes()) == len(bad)
+        assert log.stat().st_size == offsets[1]
+
+    def test_corrupt_middle_record_cuts_the_log_there(self, tmp_path):
+        # Later records may depend on the bad one: all of them go.
+        offsets = _write_log(tmp_path, [_checkpoint_doc(i, str(i))
+                                        for i in range(4)])
+        log = tmp_path / CHECKPOINT_LOG
+        _flip(log, offsets[2] - 3)  # inside record 1
+        recovery = RecoveryLog()
+        document = load_checkpoint(tmp_path, recovery=recovery)
+        assert document["index"] == 0
+        assert log.stat().st_size == offsets[1]
         fallback = [payload for name, payload in recovery.records
                     if name == "checkpoint_fallback"]
-        assert fallback == [{"artifact":
-                             f"{GENERATIONS_DIR}/checkpoint-000000.json",
-                             "index": 0}]
+        assert fallback == [{"artifact": CHECKPOINT_LOG, "index": 0}]
+
+    def test_torn_tail_is_cut_without_a_fallback(self, tmp_path):
+        # A record the crash cut short was never committed: resuming
+        # from the record before it loses nothing that was written whole.
+        _write_log(tmp_path, [_checkpoint_doc(0, "a")])
+        log = tmp_path / CHECKPOINT_LOG
+        whole = log.stat().st_size
+        with open(log, "ab") as handle:
+            handle.write(_line(_checkpoint_doc(1, "b"))[:40])
+        recovery = RecoveryLog()
+        document = load_checkpoint(tmp_path, recovery=recovery)
+        assert document["index"] == 0
+        assert [name for name, _ in recovery.records] == [
+            "artifact_corrupt", "artifact_quarantined"]
+        assert log.stat().st_size == whole
+        # The next append continues the good prefix.
+        _write_log(tmp_path, [_checkpoint_doc(1, "c")])
+        assert load_checkpoint(tmp_path)["payload"] == "c"
 
     def test_everything_corrupt_returns_none(self, tmp_path):
-        _write_generations(tmp_path, [_checkpoint_doc(0, "a")])
-        (tmp_path / CHECKPOINT_FILE).write_text("garbage")
-        (tmp_path / GENERATIONS_DIR
-         / "checkpoint-000000.json").write_text("garbage")
+        _write_log(tmp_path, [_checkpoint_doc(0, "a")])
+        _flip(tmp_path / CHECKPOINT_LOG, 100)
         recovery = RecoveryLog()
         assert load_checkpoint(tmp_path, recovery=recovery) is None
-        assert len(recovery.records) == 4  # 2 x (corrupt + quarantined)
+        # Nothing to fall back to: corrupt + quarantined only.
+        assert [name for name, _ in recovery.records] == [
+            "artifact_corrupt", "artifact_quarantined"]
+        assert (tmp_path / CHECKPOINT_LOG).stat().st_size == 0
 
     def test_verified_but_unparseable_is_a_writer_bug(self, tmp_path):
-        # Manifest says these exact bytes are what the writer produced,
-        # yet they do not parse: that must surface, not be masked.
-        writer = ArtifactWriter(tmp_path)
-        writer.atomic_write_text(CHECKPOINT_FILE, "not json at all")
+        # The record's own digest says these exact bytes are what the
+        # writer produced, yet they do not parse: that must surface,
+        # not be masked.
+        append_bytes(tmp_path / CHECKPOINT_LOG,
+                     frame_record(b"not json at all"))
         with pytest.raises(DataError):
             load_checkpoint(tmp_path)
 
     def test_unmanifested_directory_still_loads(self, tmp_path):
-        # Pre-durability run dirs have no MANIFEST.json; parse checks
-        # carry the load.
-        doc = _checkpoint_doc(4, "legacy")
-        (tmp_path / CHECKPOINT_FILE).write_text(json.dumps(doc))
+        # Each record carries its own checksum: no MANIFEST.json needed.
+        _write_log(tmp_path, [_checkpoint_doc(4, "legacy")])
+        assert not (tmp_path / MANIFEST_FILE).exists()
         assert load_checkpoint(tmp_path)["index"] == 4
+
+
+class TestAppendAndRecords:
+    """append_bytes, frame_record and read_records."""
+
+    def test_append_returns_offsets_and_fsyncs_once(self, tmp_path,
+                                                    monkeypatch):
+        import os as _os
+
+        calls = []
+        real_fsync = _os.fsync
+        monkeypatch.setattr(
+            "os.fsync", lambda fd: calls.append(fd) or real_fsync(fd))
+        path = tmp_path / "log"
+        assert append_bytes(path, b"one\n") == 0
+        assert len(calls) == 2  # the file, and the directory it joined
+        calls.clear()
+        assert append_bytes(path, b"two\n") == 4
+        assert len(calls) == 1
+        assert path.read_bytes() == b"one\ntwo\n"
+        try:
+            set_fsync(False)
+            calls.clear()
+            append_bytes(path, b"three\n")
+            assert calls == []
+        finally:
+            set_fsync(True)
+
+    def test_framed_records_read_back_and_stop_at_rot(self, tmp_path):
+        path = tmp_path / "log"
+        lines = [_line({"n": n}) for n in range(3)]
+        for line in lines:
+            append_bytes(path, line)
+        assert json.loads(lines[0]) == {"sha256": sha256_hex(
+            json.dumps({"n": 0}).encode()), "record": {"n": 0}}
+        records, good = read_records(path)
+        assert records == [{"n": 0}, {"n": 1}, {"n": 2}]
+        assert good == path.stat().st_size
+        _flip(path, len(lines[0]) + 95)
+        records, good = read_records(path)
+        assert records == [{"n": 0}] and good == len(lines[0])
+        assert read_records(tmp_path / "absent") == ([], 0)
+
+    def test_quarantine_tail_moves_the_bytes_aside(self, tmp_path):
+        path = tmp_path / "log"
+        path.write_bytes(b"good bad")
+        target = quarantine_tail(tmp_path, path, 5)
+        assert path.read_bytes() == b"good "
+        assert target == tmp_path / QUARANTINE_DIR / "log"
+        assert target.read_bytes() == b"bad"
+
+    def test_prefix_entry_vouches_for_the_recorded_bytes_only(
+            self, tmp_path):
+        writer = ArtifactWriter(tmp_path)
+        path = tmp_path / "log"
+        append_bytes(path, b"first\n")
+        writer.record_file("log", prefix=True)
+        assert load_manifest(tmp_path)["log"]["prefix"] is True
+        append_bytes(path, b"second\n")
+        assert verify_artifact(tmp_path, path)[0] is True
+        _flip(path, 1)
+        assert verify_artifact(tmp_path, path)[0] is False
+
+    def test_torn_append_keeps_committed_bytes(self, tmp_path):
+        path = tmp_path / "checkpoint.jsonl"
+        append_bytes(path, b"committed\n")
+        injector = StorageFaultInjector(seed=3)
+        injector.arm("torn_write", "checkpoint.jsonl")
+        with injector, pytest.raises(SimulatedCrashError):
+            append_bytes(path, b"never finished\n")
+        data = path.read_bytes()
+        assert data.startswith(b"committed\n")
+        assert len(data) < len(b"committed\nnever finished\n")
+
+    def test_append_crash_points_and_enospc(self, tmp_path):
+        path = tmp_path / "checkpoint.jsonl"
+        for kind in ("crash_before", "crash_after"):
+            injector = StorageFaultInjector(seed=3)
+            injector.arm(kind, "checkpoint.jsonl")
+            with injector, pytest.raises(SimulatedCrashError):
+                append_bytes(path, kind.encode() + b"\n")
+        assert path.read_bytes() == b"crash_before\ncrash_after\n"
+        injector = StorageFaultInjector(seed=3)
+        injector.arm("enospc", "checkpoint.jsonl")
+        with injector, pytest.raises(OSError) as excinfo:
+            append_bytes(path, b"no room\n")
+        assert excinfo.value.errno == errno.ENOSPC
+        assert path.read_bytes() == b"crash_before\ncrash_after\n"
 
 
 _JSON_PAYLOADS = st.dictionaries(
@@ -518,19 +644,24 @@ class TestTornWriteProperties:
             self, payload_a, payload_b):
         with tempfile.TemporaryDirectory() as root:
             run_dir = Path(root)
-            _write_generations(run_dir, [_checkpoint_doc(0, payload_a),
-                                         _checkpoint_doc(1, payload_b)])
-            primary = run_dir / CHECKPOINT_FILE
-            full = primary.read_bytes()
+            offsets = _write_log(run_dir, [_checkpoint_doc(0, payload_a),
+                                           _checkpoint_doc(1, payload_b)])
+            log = run_dir / CHECKPOINT_LOG
+            full = log.read_bytes()
             for offset in range(len(full) + 1):
-                primary.write_bytes(full[:offset])
+                log.write_bytes(full[:offset])
                 document = load_checkpoint(run_dir)
-                # Either the truncation kept the full file (offset ==
-                # len) or the loader fell back — in both cases the
-                # newest generation's state is recovered, bit for bit.
-                assert document is not None
-                assert document["index"] == 1
-                assert document["payload"] == payload_b
+                # The newest record the cut left whole wins, bit for
+                # bit; the torn rest is cut off.
+                if offset < offsets[1]:
+                    assert document is None
+                elif offset < len(full):
+                    assert document["index"] == 0
+                    assert document["payload"] == payload_a
+                    assert log.stat().st_size == offsets[1]
+                else:
+                    assert document["index"] == 1
+                    assert document["payload"] == payload_b
 
     @settings(max_examples=4, deadline=None)
     @given(values=st.lists(st.integers(-10**6, 10**6),

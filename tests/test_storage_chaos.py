@@ -7,14 +7,16 @@ write site at a time.  The contract under test is the storage
 subsystem's end-to-end promise:
 
 * a simulated crash at *any* hook point of *any* run-dir artifact write
-  (torn tmp file, crash before the atomic replace, crash after it)
+  (torn tmp file, crash before the atomic replace, crash after it; a
+  torn checkpoint-log append, a crash before its fsync, after it)
   leaves a directory ``Corleone.resume`` drives to a result
   bit-identical to the uninterrupted run, with every delivered answer
   charged exactly once;
-* bit rot at rest on ``checkpoint.json`` is detected by its manifest
-  checksum, quarantined, surfaced as ``artifact_corrupt`` /
+* bit rot at rest in a ``checkpoint.jsonl`` record is detected by the
+  record's own checksum, the log is cut there and the tail
+  quarantined, surfaced as ``artifact_corrupt`` /
   ``artifact_quarantined`` / ``checkpoint_fallback`` trace events, and
-  recovered from the newest good generation;
+  the run recovers from the newest good record;
 * unrecoverable corruption (``candidates.npz``, ``run.json`` — written
   once, no generation chain) raises a typed
   :class:`~repro.exceptions.DataError` naming the file and checksums;
@@ -59,7 +61,7 @@ from repro.engine import (
 )
 from repro.engine.checkpoint import (
     CANDIDATES_FILE,
-    CHECKPOINT_FILE,
+    CHECKPOINT_LOG,
     RUN_FILE,
     TRACE_FILE,
 )
@@ -184,19 +186,28 @@ def _resume_and_check(scenario, run_dir) -> list:
 # ``skip`` picks a mid-run occurrence of the site (0 for write-once
 # artifacts).
 _SWEEP = [
-    (CHECKPOINT_FILE, "torn_write", 1),
-    (CHECKPOINT_FILE, "crash_before", 1),
-    (CHECKPOINT_FILE, "crash_after", 1),
-    ("checkpoint-", "torn_write", 1),       # a generation copy
+    # The checkpoint log's second record (a matcher iteration's): torn
+    # mid-append, crashed before its fsync, crashed after it.
+    (CHECKPOINT_LOG, "torn_write", 1),
+    (CHECKPOINT_LOG, "crash_before", 1),
+    (CHECKPOINT_LOG, "crash_after", 1),
     ("metrics.json", "crash_before", 1),
     ("spans.jsonl", "crash_after", 1),
     (CANDIDATES_FILE, "torn_write", 0),     # written exactly once
-    ("MANIFEST.json", "crash_after", 2),
-    # The first flush after a generation was pruned (the fourth
-    # checkpoint's): a crash there must not strand a manifest entry
-    # for the pruned file.
-    ("MANIFEST.json", "crash_before", 9),
+    ("MANIFEST.json", "crash_after", 2),    # a shard store's ledger
+    # The run-end flush of the run's ledger, after the log's last
+    # record (five of the eight before it are the shard store's).
+    ("MANIFEST.json", "crash_before", 8),
 ]
+
+
+def _record_spans(log) -> list[tuple[int, int]]:
+    """(start, stop) byte offsets of each record line of a log."""
+    spans, start = [], 0
+    for line in log.read_bytes().splitlines(keepends=True):
+        spans.append((start, start + len(line)))
+        start += len(line)
+    return spans
 
 
 class TestCrashSweep:
@@ -215,7 +226,7 @@ class TestCrashSweep:
         run_dir = tmp_path / "run"
         gateway, _ = accounted_stack(crowd())
         injector = StorageFaultInjector(seed=STORAGE_SEED)
-        injector.arm("enospc", CHECKPOINT_FILE, skip=1)
+        injector.arm("enospc", CHECKPOINT_LOG, skip=1)
         with injector, pytest.raises(OSError) as excinfo:
             Corleone(config, gateway, seed=123, run_dir=run_dir).run(
                 dataset.table_a, dataset.table_b, dataset.seed_labels)
@@ -239,14 +250,18 @@ class TestArtifactEventsAndManifest:
                    if event.name == EVENT_ARTIFACT_WRITTEN]
         assert written  # every checkpoint cycle emits its artifacts
         names = {event.payload["artifact"] for event in written}
-        assert CHECKPOINT_FILE in names
+        assert CHECKPOINT_LOG in names
         assert CANDIDATES_FILE in names
 
         manifest = load_manifest(run_dir)
         assert manifest is not None
         assert RUN_FILE in manifest
-        # The final export rewrites checkpoint.json's siblings after
-        # the last event, so spot-check the write-once artifact's sha.
+        # The run end records the whole log, every record verified.
+        assert manifest[CHECKPOINT_LOG]["prefix"] is True
+        assert manifest[CHECKPOINT_LOG]["sha256"] == \
+            file_sha256(run_dir / CHECKPOINT_LOG)
+        # The final export rewrites the telemetry files after the last
+        # event, so spot-check the write-once artifact's sha.
         event_sha = next(event.payload["sha256"] for event in written
                          if event.payload["artifact"] == CANDIDATES_FILE)
         assert manifest[CANDIDATES_FILE]["sha256"] == event_sha
@@ -264,38 +279,58 @@ class TestBitRotRecovery:
 
     def test_checkpoint_bitflip_falls_back_to_generation(
             self, scenario, tmp_path):
+        # Each log record is a generation: rot in the newest one falls
+        # back to the one before it.
         run_dir = tmp_path / "run"
-        injector = _crash_run(scenario, run_dir, CHECKPOINT_FILE,
+        injector = _crash_run(scenario, run_dir, CHECKPOINT_LOG,
                               "crash_after", skip=2)
-        injector.flip_bit(run_dir / CHECKPOINT_FILE)
+        log = run_dir / CHECKPOINT_LOG
+        start, stop = _record_spans(log)[-1]
+        injector.flip_bit(log, start, stop)
 
         trace = _resume_and_check(scenario, run_dir)
         names = {event.name for event in trace}
         assert EVENT_ARTIFACT_CORRUPT in names
         assert EVENT_ARTIFACT_QUARANTINED in names
         assert EVENT_CHECKPOINT_FALLBACK in names
-        assert (run_dir / QUARANTINE_DIR / CHECKPOINT_FILE).exists()
+        assert (run_dir / QUARANTINE_DIR / CHECKPOINT_LOG).exists()
+
+    def test_middle_record_bitflip_resumes_before_it(
+            self, scenario, tmp_path):
+        run_dir = tmp_path / "run"
+        injector = _crash_run(scenario, run_dir, CHECKPOINT_LOG,
+                              "crash_after", skip=4)
+        log = run_dir / CHECKPOINT_LOG
+        spans = _record_spans(log)
+        assert len(spans) == 5
+        injector.flip_bit(log, *spans[2])
+
+        trace = _resume_and_check(scenario, run_dir)
+        fallbacks = [event.payload for event in trace
+                     if event.name == EVENT_CHECKPOINT_FALLBACK]
+        assert [payload["index"] for payload in fallbacks] == [1]
+        # Records 2-4 went to quarantine together: 3 depend on 2.
+        quarantined = run_dir / QUARANTINE_DIR / CHECKPOINT_LOG
+        assert len(quarantined.read_bytes()) == spans[4][1] - spans[2][0]
 
     def test_all_generations_corrupt_restarts_deterministically(
             self, scenario, tmp_path):
         run_dir = tmp_path / "run"
-        _crash_run(scenario, run_dir, CHECKPOINT_FILE,
+        _crash_run(scenario, run_dir, CHECKPOINT_LOG,
                    "crash_before", skip=2)
-        (run_dir / CHECKPOINT_FILE).write_text("garbage")
-        for path in (run_dir / "generations").glob("checkpoint-*.json"):
-            path.write_text("garbage")
+        (run_dir / CHECKPOINT_LOG).write_text("garbage")
 
         trace = _resume_and_check(scenario, run_dir)
         names = {event.name for event in trace}
         assert EVENT_ARTIFACT_QUARANTINED in names
         # Nothing to fall back to: the run restarted from run.json, so
-        # no fallback event — just the quarantines.
+        # no fallback event — just the quarantine.
         assert EVENT_CHECKPOINT_FALLBACK not in names
 
     def test_corrupt_candidates_is_unrecoverable_and_typed(
             self, scenario, tmp_path):
         run_dir = tmp_path / "run"
-        injector = _crash_run(scenario, run_dir, CHECKPOINT_FILE,
+        injector = _crash_run(scenario, run_dir, CHECKPOINT_LOG,
                               "crash_after", skip=2)
         injector.flip_bit(run_dir / CANDIDATES_FILE)
 
@@ -311,7 +346,7 @@ class TestBitRotRecovery:
     def test_corrupt_run_inputs_is_unrecoverable_and_typed(
             self, scenario, tmp_path):
         run_dir = tmp_path / "run"
-        injector = _crash_run(scenario, run_dir, CHECKPOINT_FILE,
+        injector = _crash_run(scenario, run_dir, CHECKPOINT_LOG,
                               "crash_after", skip=1)
         injector.flip_bit(run_dir / RUN_FILE)
 
@@ -327,12 +362,12 @@ class TestResumeHygiene:
 
     def test_stale_tmp_litter_is_swept_on_resume(self, scenario, tmp_path):
         run_dir = tmp_path / "run"
-        injector = _crash_run(scenario, run_dir, CHECKPOINT_FILE,
+        injector = _crash_run(scenario, run_dir, "metrics.json",
                               "crash_before", skip=1)
-        # The crash itself left checkpoint.json.tmp; pile on the kind of
+        # The crash itself left metrics.json.tmp; pile on the kind of
         # junk a few more dead predecessors would leave.
         injector.scatter_stale_tmp(run_dir, count=2)
-        injector.scatter_stale_tmp(run_dir / "generations", count=1)
+        injector.scatter_stale_tmp(run_dir / QUARANTINE_DIR, count=1)
         assert list(run_dir.rglob("*.tmp"))
 
         _resume_and_check(scenario, run_dir)
@@ -341,7 +376,7 @@ class TestResumeHygiene:
     def test_torn_trace_tail_is_repaired_and_evented(
             self, scenario, tmp_path):
         run_dir = tmp_path / "run"
-        _crash_run(scenario, run_dir, CHECKPOINT_FILE,
+        _crash_run(scenario, run_dir, CHECKPOINT_LOG,
                    "crash_after", skip=1)
         with open(run_dir / TRACE_FILE, "ab") as handle:
             handle.write(b'{"sequence": 999, "event": "torn')
