@@ -353,6 +353,28 @@ class TestForestMicro:
         )
         assert predictions.shape == (20_000,)
 
+    def test_score_feature_major_21600x25(self, benchmark):
+        """Score a restaurants-shaped candidate set: 21,600 pairs of 25
+        features in Fortran order, as an active-learning step does,
+        with five columns holding NaN, so the node masks route it."""
+        rng = np.random.default_rng(7)
+        nan_columns = np.arange(5)
+        x = rng.random((400, 25))
+        x[:, nan_columns] = np.where(rng.random((400, 5)) < 0.3, np.nan,
+                                     x[:, nan_columns])
+        y = np.nan_to_num(x[:, 0], nan=1.0) + x[:, 5] > 1.0
+        forest = train_forest(x, y, ForestConfig(), np.random.default_rng(2))
+        matrix = np.asfortranarray(rng.random((21_600, 25)))
+        matrix[:, nan_columns] = np.where(
+            rng.random((21_600, 5)) < 0.3, np.nan, matrix[:, nan_columns])
+        votes = benchmark.pedantic(
+            lambda: forest.vote_fractions(matrix), rounds=5, iterations=1
+        )
+        assert votes.shape == (21_600,)
+        # Some split sends NaN left on a column that holds NaN.
+        assert any(np.isin(tree.feature[tree.nan_left & ~tree.is_leaf],
+                           nan_columns).any() for tree in forest.trees)
+
     def test_entropy_20k(self, benchmark, training_data):
         x, y, probe = training_data
         forest = train_forest(x, y, ForestConfig(),

@@ -14,14 +14,16 @@ module turns one prediction into:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from ..data.pairs import CandidateSet, Pair
 from ..exceptions import DataError
 from ..forest.forest import RandomForest
-from ..forest.tree import DecisionTree, condition_satisfied
+from ..forest.tree import DecisionTree, TreePath
 from ..rules.predicates import Predicate
 from ..rules.rule import Rule, simplify_predicates
 
@@ -133,18 +135,22 @@ def explain_pair(forest: RandomForest, candidates: CandidateSet,
     )
 
 
-def _followed_path(tree: DecisionTree, vector: np.ndarray):
-    """The unique root-to-leaf path this example satisfies."""
-    for path in tree.paths():
-        ok = True
-        for condition in path.conditions:
-            value = np.asarray([vector[condition.feature]])
-            if not condition_satisfied(condition, value)[0]:
-                ok = False
-                break
-        if ok:
-            return path
-    raise DataError("example satisfied no tree path (corrupt tree?)")
+def _followed_path(tree: DecisionTree, vector: np.ndarray) -> TreePath:
+    """The root-to-leaf path this example follows."""
+    feature = tree.feature.tolist()
+    threshold = tree.threshold.tolist()
+    nan_left = tree.nan_left.tolist()
+    node = 0
+    while feature[node] >= 0:
+        value = float(vector[feature[node]])
+        if value <= threshold[node] or (math.isnan(value)
+                                        and nan_left[node]):
+            node = int(tree.left[node])
+        else:
+            node = int(tree.right[node])
+    # paths() yields the leaves in id order, left before right.
+    leaf = int(np.count_nonzero(tree.is_leaf[:node]))
+    return next(islice(tree.paths(), leaf, None))
 
 
 def explain_errors(forest: RandomForest, candidates: CandidateSet,

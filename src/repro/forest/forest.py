@@ -39,12 +39,15 @@ class RandomForest:
         """P+(e): fraction of trees voting positive, per row of ``x``."""
         x = np.asarray(x, dtype=np.float64)
         # One feature-major view serves every tree (see
-        # DecisionTree.predict_columns); a candidate set's matrix is
+        # DecisionTree.add_votes); a candidate set's matrix is
         # Fortran-ordered, so this copies nothing.
         columns = np.ascontiguousarray(x.T)
-        votes = np.zeros(x.shape[0], dtype=np.float64)
+        nan: dict[int, np.ndarray | None] = {}
+        # The smallest unsigned type that counts every tree's vote.
+        votes = np.zeros(x.shape[0],
+                         dtype=np.min_scalar_type(len(self.trees)))
         for tree in self.trees:
-            votes += tree.predict_columns(columns)
+            tree.add_votes(columns, nan, votes)
         return votes / len(self.trees)
 
     def predict(self, x: np.ndarray) -> np.ndarray:

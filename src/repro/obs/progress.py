@@ -145,8 +145,8 @@ class ProgressHeartbeat:
         rewritten at the next boundary, so power-loss durability would
         only add two fsyncs per flush to every checkpointed run.
         """
-        atomic_write_json(self.path, self.document(), indent=2,
-                          sort_keys=True, durable=False)
+        atomic_write_json(self.path, self.document(), sort_keys=True,
+                          durable=False)
 
 
 def read_progress(run_dir: str | Path) -> dict[str, Any] | None:

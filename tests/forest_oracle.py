@@ -6,7 +6,10 @@ This module keeps the earlier implementation — a ``list[Node]`` grown
 recursively, one argsort per drawn feature, recursive prediction — so
 the parity tests can require the array tree to reproduce it exactly:
 the same node fields, the same generator state after ``fit`` and the
-same predictions.
+same predictions.  ``oracle_vote_fractions`` sums those recursive
+predictions the way the forest summed its votes before node masks, and
+``condition_satisfied`` evaluates one path condition over a column, the
+literal reading of a path that the path tests check against.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.forest.tree import TreeCondition
 
 
 @dataclass
@@ -143,6 +148,17 @@ class OracleTree:
                 best = (int(feature), threshold)
         return best
 
+    @classmethod
+    def from_tree(cls, tree) -> "OracleTree":
+        """The oracle reading a ``DecisionTree``'s node table."""
+        oracle = cls()
+        oracle.nodes = [Node(*fields) for fields in zip(
+            tree.feature.tolist(), tree.threshold.tolist(),
+            tree.left.tolist(), tree.right.tolist(),
+            tree.nan_left.tolist(), tree.label.tolist(),
+            tree.n_total.tolist(), tree.n_positive.tolist())]
+        return oracle
+
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         out = np.empty(x.shape[0], dtype=bool)
@@ -165,6 +181,15 @@ class OracleTree:
         self._predict_into(node.right, rows[~left], x, out)
 
 
+def oracle_vote_fractions(trees, x: np.ndarray) -> np.ndarray:
+    """P+(e) as the forest computed it before node masks: each tree's
+    recursive row partition, summed in float64 and divided."""
+    votes = np.zeros(np.shape(x)[0], dtype=np.float64)
+    for tree in trees:
+        votes += OracleTree.from_tree(tree).predict(x)
+    return votes / len(trees)
+
+
 def _gini(n_positive: float, n_total: float) -> float:
     if n_total == 0:
         return 0.0
@@ -176,3 +201,21 @@ def _gini_vec(n_positive: np.ndarray, n_total: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         p = np.where(n_total > 0, n_positive / n_total, 0.0)
     return 2.0 * p * (1.0 - p)
+
+
+def condition_satisfied(condition: TreeCondition,
+                        values: np.ndarray) -> np.ndarray:
+    """Vectorized truth of one tree condition over a feature column.
+
+    Follows the tree's NaN routing: missing values satisfy the condition
+    iff ``nan_satisfies``.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    nan = np.isnan(values)
+    if condition.le:
+        satisfied = values <= condition.threshold
+    else:
+        satisfied = values > condition.threshold
+    if condition.nan_satisfies:
+        return satisfied | nan
+    return satisfied & ~nan

@@ -7,8 +7,14 @@ import pytest
 
 from repro.config import ForestConfig
 from repro.data.pairs import CandidateSet, Pair
-from repro.evaluation.explain import explain_errors, explain_pair
+from repro.evaluation.explain import (
+    _followed_path,
+    explain_errors,
+    explain_pair,
+)
 from repro.forest.forest import train_forest
+
+from .forest_oracle import condition_satisfied
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +74,25 @@ class TestExplainPair:
         assert "a0 vs b0" in text
         assert "tree 0" in text
         assert ("MATCH" in text or "NO MATCH" in text)
+
+    def test_followed_path_is_the_one_the_example_satisfies(self):
+        """One walk of the node table finds the path that testing every
+        path condition by condition finds, NaN routing included."""
+        rng = np.random.default_rng(9)
+        x = rng.random((300, 4))
+        x[rng.random((300, 4)) < 0.25] = np.nan
+        y = np.nan_to_num(x[:, 0]) + np.nan_to_num(x[:, 1], nan=0.7) > 1.0
+        forest = train_forest(x, y, ForestConfig(), rng)
+        for vector in x[:40]:
+            for tree in forest.trees:
+                satisfied = [
+                    path for path in tree.paths()
+                    if all(condition_satisfied(
+                        condition, vector[condition.feature:
+                                          condition.feature + 1])[0]
+                        for condition in path.conditions)
+                ]
+                assert [_followed_path(tree, vector)] == satisfied
 
     def test_unknown_pair_raises(self, world):
         forest, candidates, _, _ = world
