@@ -67,10 +67,11 @@ bench-plan:
 
 # The whole-run benchmark declared in BENCHMARK.json: the Corleone
 # workloads timed end to end with per-layer times (benchmarks/e2e/
-# README.md).  Writes its set to benchmarks/e2e/.work/set.json;
+# README.md).  Writes its set, per-layer seconds and peak RSS per
+# workload included, to the committed benchmarks/BENCH_e2e.json;
 # compare two sets with `python3 benchmarks/e2e/run.py compare A B`.
 bench-e2e:
-	python3 benchmarks/e2e/run.py
+	python3 benchmarks/e2e/run.py --out benchmarks/BENCH_e2e.json
 
 # Render the obs report (docs/observability.md) for the newest run
 # directory under the repo — any directory holding a run.json; `make

@@ -6,8 +6,9 @@ dominate wall-clock: similarity features, pair vectorization, forest
 training/prediction, and rule application.  Useful for catching
 performance regressions when the substrates change.
 ``TestKernelMemoryMicro`` also asserts the transient memory of the
-batched feature kernels, so even an untimed ``--benchmark-disable``
-pass fails when a kernel's temporaries grow back.
+batched feature kernels, and ``TestPairMemoryMicro`` the bytes a run
+keeps per pair, so even an untimed ``--benchmark-disable`` pass fails
+when a kernel's temporaries grow back or pairs become objects again.
 """
 
 from __future__ import annotations
@@ -324,6 +325,103 @@ class TestKernelMemoryMicro:
                                     bound_mb=50.0, peak_mb=round(peak_mb, 2))
         assert table.values.shape == (1000, 1000)
         assert peak_mb <= 50.0, peak_mb
+
+
+def _retained_bytes(call):
+    """``call()``'s result and the bytes tracemalloc still traces once it
+    has returned, above the traced memory when it started."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        kept = call()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    return kept, retained
+
+
+class TestPairMemoryMicro:
+    """Bytes a run keeps per pair, features excluded: the restaurants
+    180 x 120 never-blocked candidate set, and the survivors of a
+    citations 100 x 1000 blocking pass.
+
+    A pair is two table rows (``repro.data.pairs.PairRows``: two int64
+    arrays, plus the sorted codes its lookup keeps), where a ``Pair``
+    object in a list, a tuple and a dict cost 139 bytes.  Each is
+    measured with tracemalloc on warmed tables (prepared columns and
+    id tuples built by an untraced first call), recorded as
+    ``extra_info["bytes_per_pair"]`` and must stay within ``BOUND``,
+    also under ``--benchmark-disable``.  The timed rounds run untraced.
+    """
+
+    BOUND = 40.0
+
+    def test_never_blocked_candidate_set(self, benchmark, kernel_datasets):
+        from repro.config import CorleoneConfig, CrowdConfig
+        from repro.core.blocker import Blocker
+        from repro.crowd.service import LabelingService
+        from repro.crowd.simulated import PerfectCrowd
+        from repro.features.library import build_feature_library
+        from repro.features.vectorize import vectorize_pairs
+
+        data = kernel_datasets["restaurants"]
+        library = build_feature_library(data.table_a, data.table_b)
+        service = LabelingService(PerfectCrowd(frozenset()), CrowdConfig())
+
+        def build():
+            """Blocking skipped (|A x B| <= t_B), then vectorized, with
+            the lookup every label query reads."""
+            blocker = Blocker(CorleoneConfig(), service,
+                              np.random.default_rng(0))
+            result = blocker.run(data.table_a, data.table_b, library, {})
+            candidates = vectorize_pairs(data.table_a, data.table_b,
+                                         result.candidate_pairs, library)
+            service.known_rows(candidates)
+            return result, candidates
+
+        build()
+        (result, candidates), retained = _retained_bytes(build)
+        per_pair = (retained - candidates.features.nbytes) / len(candidates)
+        benchmark.pedantic(build, rounds=3, iterations=1)
+        benchmark.extra_info.update(pairs=len(candidates),
+                                    bytes_per_pair=round(per_pair, 1),
+                                    bound=self.BOUND)
+        assert not result.triggered
+        assert len(candidates) == len(data.table_a) * len(data.table_b)
+        assert per_pair <= self.BOUND, per_pair
+
+    def test_blocking_survivors(self, benchmark, kernel_datasets):
+        from repro.exec import apply_rules_sharded
+        from repro.features.library import build_feature_library
+        from repro.rules.predicates import Predicate
+        from repro.rules.rule import Rule
+
+        data = kernel_datasets["citations"]
+        library = build_feature_library(data.table_a, data.table_b)
+        # About 11% of A x B survives, as with t_B = 12,000.
+        name = "title_jaccard_word"
+        rules = [Rule([Predicate(library.names.index(name), name, True,
+                                 0.1)], predicts_match=False)]
+
+        def block():
+            """One blocking pass, with the lookup the candidate set
+            built from its survivors reads."""
+            survivors = apply_rules_sharded(data.table_a, data.table_b,
+                                            rules, library)
+            survivors.indices(survivors[:1])
+            return survivors
+
+        block()
+        survivors, retained = _retained_bytes(block)
+        per_pair = retained / len(survivors)
+        benchmark.pedantic(block, rounds=3, iterations=1)
+        benchmark.extra_info.update(pairs=len(survivors),
+                                    bytes_per_pair=round(per_pair, 1),
+                                    bound=self.BOUND)
+        assert 1000 < len(survivors) < len(data.table_a) * len(data.table_b)
+        assert per_pair <= self.BOUND, per_pair
 
 
 class TestForestMicro:

@@ -233,6 +233,19 @@ def distill_substrates(benchmark_json: Path,
             for name, info in sorted(peaks.items()):
                 table += (f"{name:<58}  {info['peak_mb']:>5.1f}  "
                           f"{info['bound_mb']:>5.1f}\n")
+        kept = {name: entry["extra_info"] for name, entry in entries.items()
+                if "bytes_per_pair" in entry.get("extra_info", {})}
+        if kept:
+            table += (
+                "\nPair memory: bytes a run keeps per pair, features "
+                "excluded (tracemalloc)\n"
+                "\n"
+                f"{'bench':<58}  {'bytes':>5}  {'bound':>5}\n"
+                f"{'-' * 58}  -----  -----\n"
+            )
+            for name, info in sorted(kept.items()):
+                table += (f"{name:<58}  {info['bytes_per_pair']:>5.1f}  "
+                          f"{info['bound']:>5.1f}\n")
         (RESULTS_DIR / "micro_substrates.txt").write_text(table)
     return baseline
 

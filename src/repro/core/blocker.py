@@ -19,11 +19,11 @@ import numpy as np
 
 from ..config import CorleoneConfig
 from ..crowd.service import LabelingService
-from ..data.pairs import CandidateSet, Pair
+from ..data.pairs import CandidateSet, Pair, PairRows
 from ..data.sampling import (
     blocker_sample,
+    cartesian_rows,
     cartesian_size,
-    iter_cartesian,
     weighted_blocker_sample,
 )
 from ..data.table import Table
@@ -35,9 +35,6 @@ from ..rules.rule import Rule
 from ..rules.selection import select_top_k
 from .matcher import ActiveLearningMatcher, MatcherResult
 
-_STREAM_CHUNK = 8192
-"""Pairs per chunk when applying rules over A x B."""
-
 
 @dataclass
 class BlockerResult:
@@ -46,8 +43,10 @@ class BlockerResult:
     triggered: bool
     """False when |A x B| <= t_B and blocking was skipped."""
 
-    candidate_pairs: list[Pair]
-    """The umbrella set: pairs surviving the applied blocking rules."""
+    candidate_pairs: PairRows
+    """The umbrella set: pairs surviving the applied blocking rules, as
+    rows of the two tables (all of A x B when blocking was skipped or
+    no rule was applied)."""
 
     cartesian: int
     sample_size: int = 0
@@ -103,7 +102,7 @@ class Blocker:
             # Small product: skip blocking entirely (Restaurants' path).
             return BlockerResult(
                 triggered=False,
-                candidate_pairs=list(iter_cartesian(table_a, table_b)),
+                candidate_pairs=cartesian_rows(table_a, table_b),
                 cartesian=total,
             )
 
@@ -158,7 +157,7 @@ class Blocker:
             survivors, plan_stats = self._apply_rules(table_a, table_b,
                                                       chosen, library)
         else:
-            survivors = list(iter_cartesian(table_a, table_b))
+            survivors = cartesian_rows(table_a, table_b)
 
         spent = self.service.tracker.snapshot().minus(before)
         return BlockerResult(
@@ -221,14 +220,14 @@ class Blocker:
 
     def _apply_rules(self, table_a: Table, table_b: Table,
                      rules: list[Rule],
-                     library: FeatureLibrary) -> tuple[list[Pair], dict]:
+                     library: FeatureLibrary) -> tuple[PairRows, dict]:
         """Apply chosen rules over A x B with the sharded plan executor.
 
         Returns the survivors and the plan's cell accounting.
         ``blocker.n_workers`` sizes the pool (1 runs every shard
         in-process) and ``shard_dir``, when the run is durable, makes
-        completed shards survive a kill.  The survivor list is the
-        same either way (``tests/blocking_oracle.py`` pins it).
+        completed shards survive a kill.  The survivors are the same
+        either way (``tests/blocking_oracle.py`` pins them).
         """
         # Imported here: repro.exec and repro.plan import this module.
         from ..exec import apply_rules_sharded
@@ -247,8 +246,8 @@ class Blocker:
 
 
 def apply_rules_streaming(table_a: Table, table_b: Table,
-                          rules: list[Rule], library: FeatureLibrary,
-                          chunk_size: int = _STREAM_CHUNK) -> list[Pair]:
+                          rules: list[Rule],
+                          library: FeatureLibrary) -> PairRows:
     """:func:`repro.exec.apply_rules_sharded` with one worker.
 
     Kept under this name because ``benchmarks/e2e/tracing.py`` wraps it
@@ -257,5 +256,4 @@ def apply_rules_streaming(table_a: Table, table_b: Table,
     """
     from ..exec import apply_rules_sharded  # repro.exec imports this module
 
-    return apply_rules_sharded(table_a, table_b, rules, library,
-                               chunk_size=chunk_size)
+    return apply_rules_sharded(table_a, table_b, rules, library)

@@ -48,10 +48,7 @@ class MatcherResult:
 
     def predicted_pairs(self, candidates: CandidateSet) -> set[Pair]:
         """The pairs of ``candidates`` this matcher predicts as matches."""
-        return {
-            candidates.pairs[row]
-            for row in np.flatnonzero(self.predictions)
-        }
+        return set(candidates.pairs.take(np.flatnonzero(self.predictions)))
 
 
 @dataclass
@@ -133,9 +130,10 @@ class ActiveLearningMatcher:
         if len(candidates) == 0:
             raise DataError("cannot train a matcher on an empty candidate set")
         labeled_rows: dict[int, bool] = {}
-        for pair, label in initial_labels.items():
-            if pair in candidates:
-                labeled_rows[candidates.index_of(pair)] = label
+        rows = candidates.pairs.indices(list(initial_labels))
+        for row, label in zip(rows.tolist(), initial_labels.values()):
+            if row >= 0:
+                labeled_rows[row] = label
         monitor_rows = self._pick_monitor_rows(candidates, labeled_rows)
         return MatcherTrainState(
             labeled_rows=labeled_rows,

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..config import CorleoneConfig
 from ..crowd.base import CrowdPlatform, load_stack_state
-from ..data.pairs import CandidateSet, Pair
+from ..data.pairs import CandidateSet, Pair, PairRows
 from ..data.table import Table
 from ..engine.checkpoint import (
     CANDIDATES_FILE,
@@ -329,7 +329,7 @@ class Corleone:
             blocker=(state.blocker
                      if state.blocker is not None
                      else BlockerResult(triggered=False,
-                                        candidate_pairs=[],
+                                        candidate_pairs=PairRows.empty(),
                                         cartesian=0)),
             iterations=state.iterations,
             estimate=None if kept is None else kept.estimate,

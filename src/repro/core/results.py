@@ -8,10 +8,12 @@ build and serialize them without importing the pipeline driver.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from ..crowd.cost import CostSnapshot
 from ..data.pairs import CandidateSet, Pair
+from ..rules.evaluation import RuleEvaluation
 from .blocker import BlockerResult
 from .estimator import AccuracyEstimate
 from .locator import LocatorResult
@@ -37,6 +39,19 @@ class IterationRecord:
         if self.locator is None or self.locator.difficult_rows is None:
             return None
         return len(self.locator.difficult_rows)
+
+
+def certified_evaluations(
+        records: Sequence[IterationRecord]) -> list[RuleEvaluation]:
+    """The accepted evaluations of ``records``' estimates, in order:
+    the reduction rules certified by those estimation rounds, which the
+    next round re-applies for free."""
+    return [
+        evaluation
+        for record in records if record.estimate is not None
+        for evaluation in record.estimate.rule_evaluations
+        if evaluation.accepted
+    ]
 
 
 @dataclass

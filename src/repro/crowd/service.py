@@ -132,21 +132,18 @@ class LabelingService:
         view, or a wrong 2+1 label from active learning can circularly
         certify the very rule that was overfit to it.
 
-        The walk is over the label cache, looked up in the set's pair
-        index: the cache holds hundreds to a few thousand pairs where a
-        candidate set has tens of thousands of rows.
+        The cache's pairs are looked up in the set all at once
+        (:meth:`repro.data.pairs.PairRows.indices`): the cache holds
+        hundreds to a few thousand pairs where a candidate set has tens
+        of thousands of rows.
         """
-        index = candidates.pair_index()
-        rows: list[int] = []
-        values: list[bool] = []
-        for pair, entry in self._cache.items():
-            row = index.get(pair)
-            if row is not None and (scheme is None
-                                    or _satisfies(entry, scheme)):
-                rows.append(row)
-                values.append(entry.label)
+        entries = [(pair, entry) for pair, entry in self._cache.items()
+                   if scheme is None or _satisfies(entry, scheme)]
+        rows = candidates.pairs.indices([pair for pair, _ in entries])
+        found = rows >= 0
         labels = np.full(len(candidates), -1, dtype=np.int8)
-        labels[rows] = values
+        labels[rows[found]] = np.array(
+            [entry.label for _, entry in entries], dtype=bool)[found]
         return labels
 
     def positive_pairs(self) -> set[Pair]:

@@ -5,7 +5,9 @@ rather than sampling random pairs (which would contain almost no matches),
 Corleone samples ``t_B / |A|`` tuples from the larger table B and crosses
 them with *all* of the smaller table A.  If matches are spread roughly
 uniformly through B, the sample inherits the full product's positive
-density while fitting in memory.
+density while fitting in memory.  Samples and the full product are
+returned as :class:`~repro.data.pairs.PairRows` — two row arrays over
+the tables' ids — never as one Python object per pair.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from ..exceptions import DataError
-from .pairs import Pair
+from .pairs import Pair, PairRows
 from .table import Table
 
 __all__ = [
     "blocker_sample",
+    "cartesian_rows",
     "cartesian_size",
     "iter_cartesian",
     "random_pairs",
@@ -34,15 +37,24 @@ def cartesian_size(table_a: Table, table_b: Table) -> int:
 
 def iter_cartesian(table_a: Table, table_b: Table) -> Iterator[Pair]:
     """Stream every pair of A x B without materializing the product."""
-    b_ids = table_b.record_ids
-    for a_id in table_a.record_ids:
+    b_ids = table_b.ids
+    for a_id in table_a.ids:
         for b_id in b_ids:
             yield Pair(a_id, b_id)
 
 
+def cartesian_rows(table_a: Table, table_b: Table) -> PairRows:
+    """Every pair of A x B in :func:`iter_cartesian` order, as rows:
+    pair ``k`` is row ``k // |B|`` of A with row ``k % |B|`` of B."""
+    rows_a, rows_b = np.divmod(
+        np.arange(cartesian_size(table_a, table_b), dtype=np.int64),
+        max(1, len(table_b)))
+    return PairRows(rows_a, rows_b, table_a.ids, table_b.ids)
+
+
 def blocker_sample(table_a: Table, table_b: Table, t_b: int,
                    rng: np.random.Generator,
-                   seed_pairs: Iterable[Pair] = ()) -> list[Pair]:
+                   seed_pairs: Iterable[Pair] = ()) -> PairRows:
     """Draw the Blocker's learning sample S from A x B (Section 4.1).
 
     Let A be the smaller table (the roles are swapped internally if
@@ -68,29 +80,14 @@ def blocker_sample(table_a: Table, table_b: Table, t_b: int,
 
     n_large = min(len(large), max(1, -(-t_b // len(small))))  # ceil division
     chosen = rng.choice(len(large), size=n_large, replace=False)
-    large_ids = [large.at(int(i)).record_id for i in chosen]
-
-    sample: list[Pair] = []
-    for small_id in small.record_ids:
-        for large_id in large_ids:
-            if swapped:
-                sample.append(Pair(large_id, small_id))
-            else:
-                sample.append(Pair(small_id, large_id))
-
-    present = set(sample)
-    for pair in seed_pairs:
-        pair = Pair(*pair)
-        if pair not in present:
-            sample.append(pair)
-            present.add(pair)
-    return sample
+    return _crossed_sample(table_a, table_b, len(small), chosen, swapped,
+                           seed_pairs)
 
 
 def weighted_blocker_sample(table_a: Table, table_b: Table, t_b: int,
                             rng: np.random.Generator,
                             attribute: str | None = None,
-                            seed_pairs: Iterable[Pair] = ()) -> list[Pair]:
+                            seed_pairs: Iterable[Pair] = ()) -> PairRows:
     """A density-boosting variant of :func:`blocker_sample` (§10).
 
     The paper's sampler assumes matched rows are spread uniformly
@@ -162,22 +159,33 @@ def weighted_blocker_sample(table_a: Table, table_b: Table, t_b: int,
     chosen.extend(int(i) for i in rng.choice(pool, size=take,
                                              replace=False))
 
-    large_ids = [large.at(i).record_id for i in chosen]
-    sample: list[Pair] = []
-    for small_id in small.record_ids:
-        for large_id in large_ids:
-            if swapped:
-                sample.append(Pair(large_id, small_id))
-            else:
-                sample.append(Pair(small_id, large_id))
+    return _crossed_sample(table_a, table_b, len(small),
+                           np.array(chosen, dtype=np.int64), swapped,
+                           seed_pairs)
 
-    present = set(sample)
-    for pair in seed_pairs:
-        pair = Pair(*pair)
-        if pair not in present:
-            sample.append(pair)
-            present.add(pair)
-    return sample
+
+def _crossed_sample(table_a: Table, table_b: Table, n_small: int,
+                    chosen: np.ndarray, swapped: bool,
+                    seed_pairs: Iterable[Pair]) -> PairRows:
+    """Every row of the small table crossed with the ``chosen`` rows of
+    the large one (small-table-major, ``chosen`` in the order drawn),
+    then each seed pair not already there, in order, by row.  Seed
+    pairs are (a_id, b_id) in the original orientation; an id not in
+    its table raises :class:`DataError`."""
+    small_rows = np.repeat(np.arange(n_small, dtype=np.int64), chosen.size)
+    large_rows = np.tile(chosen.astype(np.int64), n_small)
+    rows_a, rows_b = ((large_rows, small_rows) if swapped
+                      else (small_rows, large_rows))
+    sample = PairRows(rows_a, rows_b, table_a.ids, table_b.ids)
+    seeds = list(dict.fromkeys(Pair(*pair) for pair in seed_pairs))
+    extra = [pair for pair, at in zip(seeds, sample.indices(seeds))
+             if at < 0]
+    if not extra:
+        return sample
+    return PairRows(
+        np.concatenate((rows_a, table_a.positions(p.a_id for p in extra))),
+        np.concatenate((rows_b, table_b.positions(p.b_id for p in extra))),
+        table_a.ids, table_b.ids)
 
 
 def _first_textual_attribute(table: Table) -> str:

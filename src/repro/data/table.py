@@ -120,6 +120,29 @@ class Record:
         return self.values.get(name)
 
 
+class RecordIds(tuple):
+    """Record ids in row order, with an id -> row map.
+
+    :attr:`Table.ids` hands out one per table size, reading rows from
+    the table's own id index, so every pair sequence over the table
+    (:class:`~repro.data.pairs.PairRows`) shares the ids and the map
+    instead of copying them.  Ids from elsewhere (a candidate file,
+    a list of pairs) build their map on first use.
+    """
+
+    def rows(self, record_ids: Iterable[str]) -> np.ndarray:
+        """The row of each id, -1 for an id not here (int64)."""
+        row_of = getattr(self, "_row_of", None)
+        if row_of is None:
+            row_of = self._row_of = {
+                record_id: row for row, record_id in enumerate(self)}
+        rows = np.fromiter((row_of.get(record_id, -1)
+                            for record_id in record_ids), dtype=np.int64)
+        # A table's index also holds ids added after this snapshot.
+        rows[rows >= len(self)] = -1
+        return rows
+
+
 class Table:
     """An ordered, id-indexed collection of records with a shared schema.
 
@@ -135,6 +158,7 @@ class Table:
         self.schema = schema
         self._records: list[Record] = []
         self._by_id: dict[str, int] = {}
+        self._ids: RecordIds | None = None
         for record in records:
             self.add(record)
 
@@ -148,6 +172,7 @@ class Table:
         self._validate(record)
         self._by_id[record.record_id] = len(self._records)
         self._records.append(record)
+        self._ids = None
 
     def _validate(self, record: Record) -> None:
         for key, value in record.values.items():
@@ -209,6 +234,18 @@ class Table:
     @property
     def record_ids(self) -> list[str]:
         return [record.record_id for record in self._records]
+
+    @property
+    def ids(self) -> RecordIds:
+        """The record ids in row order, as one :class:`RecordIds` kept
+        until the next :meth:`add`: what every pair sequence over this
+        table (:class:`~repro.data.pairs.PairRows`) shares instead of
+        copying."""
+        if self._ids is None:
+            self._ids = RecordIds(record.record_id
+                                  for record in self._records)
+            self._ids._row_of = self._by_id
+        return self._ids
 
     def subset(self, record_ids: Sequence[str], name: str | None = None) -> "Table":
         """Return a new table holding only the given records, in order."""

@@ -60,6 +60,7 @@ import numpy as np
 
 from .. import persistence
 from ..core.budgeting import BudgetPlan
+from ..core.results import certified_evaluations
 from ..crowd.base import stack_state
 from ..data.pairs import Pair
 from ..exceptions import DataError
@@ -185,7 +186,8 @@ class _RecordEncoder:
                                                                 name)]
             if names:
                 changed.append([position, persistence.iteration_record_to_dict(
-                    record, self._forest_number, names)])
+                    record, self._forest_number, names,
+                    certified_evaluations(records[:position]))])
                 fields.update((name, getattr(record, name))
                               for name in names)
         return {"count": len(records), "changed": changed}

@@ -115,11 +115,9 @@ class TrainMatcherStage:
         if state.matcher_state is None:
             # Fresh iteration (a resumed mid-training one keeps its index).
             state.iteration += 1
-        initial = {
-            pair: label
-            for pair, label in ctx.service.labeled_pairs().items()
-            if pair in working
-        }
+        cached = ctx.service.labeled_pairs()
+        initial = {pair: cached[pair] for pair in compress(
+            cached, working.pairs.indices(list(cached)) >= 0)}
         if ctx.telemetry is not None:
             ctx.telemetry.record_working_set(len(working))
         # Seed pairs may sit outside the umbrella set; vectorize them
@@ -155,8 +153,8 @@ class TrainMatcherStage:
         )
         state.iterations.append(record)
         # The ensemble includes this record's predictions.
-        record.predicted_pairs = frozenset(
-            compress(state.candidates.pairs, state.ensemble()))
+        record.predicted_pairs = frozenset(state.candidates.pairs.take(
+            np.flatnonzero(state.ensemble())))
 
         if state.mode == "blocker_matcher":
             state.best_iteration = len(state.iterations) - 1

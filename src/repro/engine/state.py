@@ -22,7 +22,11 @@ import numpy as np
 
 from ..core.blocker import BlockerResult
 from ..core.matcher import MatcherTrainState
-from ..core.results import CorleoneResult, IterationRecord
+from ..core.results import (
+    CorleoneResult,
+    IterationRecord,
+    certified_evaluations,
+)
 from ..data.pairs import CandidateSet, Pair
 from ..exceptions import DataError
 from ..rules.evaluation import RuleEvaluation
@@ -119,12 +123,7 @@ class RunState:
     def certified(self) -> list[RuleEvaluation]:
         """Reduction-rule evaluations accepted by earlier estimation
         rounds; later rounds re-apply them for free."""
-        return [
-            evaluation
-            for record in self.iterations if record.estimate is not None
-            for evaluation in record.estimate.rule_evaluations
-            if evaluation.accepted
-        ]
+        return certified_evaluations(self.iterations)
 
     @property
     def kept(self) -> IterationRecord | None:
@@ -170,8 +169,10 @@ class RunState:
             "blocker": (None if self.blocker is None
                         else p.blocker_result_to_dict(self.blocker)),
             "iterations": [
-                p.iteration_record_to_dict(record)
-                for record in self.iterations
+                p.iteration_record_to_dict(
+                    record,
+                    certified=certified_evaluations(self.iterations[:k]))
+                for k, record in enumerate(self.iterations)
             ],
             "matcher_state": (
                 None if self.matcher_state is None
@@ -223,10 +224,7 @@ class RunState:
                          else p.blocker_result_from_dict(
                              blocker, candidates.pairs)),
                 candidates=candidates,
-                iterations=[
-                    p.iteration_record_from_dict(record)
-                    for record in data["iterations"]
-                ],
+                iterations=_iteration_records(data["iterations"]),
                 best_iteration=data["best_iteration"],
                 stop_reason=data["stop_reason"],
                 matcher_state=(
@@ -237,3 +235,16 @@ class RunState:
             )
         except (KeyError, TypeError) as error:
             raise DataError(f"malformed run state: {error}") from None
+
+
+def _iteration_records(
+        documents: list[dict[str, Any]]) -> list[IterationRecord]:
+    """Rebuild iteration records in order: each record's estimate
+    refers to the evaluations the earlier ones certified."""
+    from .. import persistence as p
+
+    records: list[IterationRecord] = []
+    for document in documents:
+        records.append(p.iteration_record_from_dict(
+            document, certified_evaluations(records)))
+    return records

@@ -8,7 +8,7 @@ A into contiguous shards (:mod:`~repro.exec.sharding`), evaluates each
 shard's slice of A x B through the compiled blocking plan in worker
 processes that read the parent's prepared-column caches through fork
 copy-on-write memory (no per-job pickling of tables or features), and
-merges the per-shard survivor lists in shard order — bit-identical to
+merges the per-shard survivor rows in shard order — bit-identical to
 the full-matrix oracle in ``tests/blocking_oracle.py``.  With a shard
 directory, completed shards persist as ``shard-*.npz`` files and a
 killed run resumes by loading them instead of recomputing.

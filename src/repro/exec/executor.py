@@ -15,14 +15,15 @@ expensive state crosses the process boundary exactly once, for free:
   prepared arrays are all inherited through copy-on-write pages — no
   pickling, no rebuild, no per-job payload beyond a shard index;
 * each worker streams its shard (a contiguous slice of A's rows crossed
-  with all of B) through the plan, in
-  :data:`~repro.core.blocker._STREAM_CHUNK`-sized chunks of row
-  positions.
+  with all of B) through the plan, in chunks of
+  :attr:`~repro.plan.executor.PlanExecutor.chunk_pairs` row positions
+  (a budget over the plan's columns), and returns its survivors as two
+  row arrays.
 
 Determinism: shards partition A's row range in order, every kernel is
 bit-exact regardless of chunk boundaries (the documented
 ``repro.features.batch`` contract), and survivors are merged in shard
-order — so the merged list is bit-identical to the full-matrix oracle
+order — so the merged rows are bit-identical to the full-matrix oracle
 in ``tests/blocking_oracle.py``, worker count and shard size
 notwithstanding.  With a ``shard_dir``, completed shards persist
 (:class:`~repro.exec.sharding.ShardStore`) and a killed run resumes by
@@ -42,8 +43,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.blocker import _STREAM_CHUNK
-from ..data.pairs import Pair
+from ..data.pairs import PairRows
 from ..data.table import Table
 from ..engine.events import (
     EVENT_BLOCKER_FALLBACK,
@@ -62,8 +62,11 @@ from ..rules.rule import Rule
 from .sharding import Shard, ShardStore, auto_shard_size, plan_shards, \
     shard_fingerprint
 
-_ShardResult = tuple[
-    list[tuple[str, str]], int, int, dict[str, dict[str, float]]]
+_Survivors = tuple[np.ndarray, np.ndarray]
+"""A shard's survivors: their A rows and B rows, two aligned int64
+arrays in A-major order."""
+
+_ShardResult = tuple[_Survivors, int, int, dict[str, dict[str, float]]]
 """Per-shard outcome: (survivors, pairs_scanned, cells_computed,
 worker wall-clock sections).  The first three are deterministic and
 feed metrics/spans; the sections dict is wall-clock noise and flows
@@ -78,10 +81,9 @@ afterwards.  Never pickled — this only works because workers are forked.
 def apply_rules_sharded(table_a: Table, table_b: Table,
                         rules: list[Rule], library: FeatureLibrary,
                         n_workers: int = 1, shard_size: int = 0,
-                        chunk_size: int = _STREAM_CHUNK,
                         shard_dir: Any = None,
                         bus: Any = None,
-                        stats: PlanStats | None = None) -> list[Pair]:
+                        stats: PlanStats | None = None) -> PairRows:
     """Apply blocking rules over A x B via sharded workers; return survivors.
 
     ``shard_size`` of 0 picks :func:`~repro.exec.sharding.
@@ -101,9 +103,10 @@ def apply_rules_sharded(table_a: Table, table_b: Table,
     accounting; loaded shards re-contribute their persisted cell counts
     so resumed metrics converge to the uninterrupted run's.
 
-    The returned survivor list is bit-identical to the full-matrix
-    oracle's on the same inputs, for every worker count, shard size and
-    kill/resume history.
+    The survivors come back as rows over ``table_a.ids`` and
+    ``table_b.ids``, bit-identical to the full-matrix oracle's list on
+    the same inputs for every worker count, shard size and kill/resume
+    history.
     """
     if shard_size <= 0:
         shard_size = auto_shard_size(len(table_a), n_workers)
@@ -118,7 +121,7 @@ def apply_rules_sharded(table_a: Table, table_b: Table,
     completed: set[int] = set()
     if shard_dir is not None:
         fingerprint = shard_fingerprint(table_a, table_b, rules, library,
-                                        shard_size, chunk_size)
+                                        shard_size, evaluator.chunk_pairs)
         store = ShardStore(shard_dir, fingerprint)
         completed = store.prepare(len(shards))
     pending = [shard for shard in shards if shard.index not in completed]
@@ -142,7 +145,7 @@ def apply_rules_sharded(table_a: Table, table_b: Table,
             store.write(shard.index, survivors, scanned, cells,
                         sections=sections)
         _emit(bus, EVENT_SHARD_COMPLETED, shard=shard.index,
-              survivors=len(survivors), pairs_scanned=scanned,
+              survivors=int(survivors[0].size), pairs_scanned=scanned,
               worker=worker_slot(shard.index, n_workers), cached=cached)
 
     for index in sorted(completed):
@@ -151,31 +154,35 @@ def apply_rules_sharded(table_a: Table, table_b: Table,
     if use_pool:
         for shard in pending:
             _emit_started(bus, shard, n_workers, cached=False)
-        _run_pool(evaluator, shards, pending, chunk_size, n_workers,
-                  complete)
+        _run_pool(evaluator, shards, pending, n_workers, complete)
     else:
         for shard in pending:
             _emit_started(bus, shard, n_workers, cached=False)
-            complete(shard, _evaluate_shard(evaluator, shard, chunk_size),
-                     cached=False)
+            complete(shard, _evaluate_shard(evaluator, shard), cached=False)
 
     # Deterministic merge: shards partition A's row range, so survivors
     # concatenated in shard order equal the sequential A-major stream.
     # Worker wall-clock sections fold into the run profiler here, in
     # shard order, keyed by logical worker slot — the keys are stable
     # across replay/resume even though the seconds are wall-clock noise.
-    merged: list[Pair] = []
     for shard in shards:
-        survivors, scanned, cells, sections = results[shard.index]
-        merged.extend(Pair(a_id, b_id) for a_id, b_id in survivors)
+        _, scanned, cells, sections = results[shard.index]
         merge_worker_sections(worker_slot(shard.index, n_workers), sections)
         if stats is not None:
             stats.merge_counts(scanned, cells)
-    return merged
+    return PairRows(
+        _concat_rows([results[shard.index][0][0] for shard in shards]),
+        _concat_rows([results[shard.index][0][1] for shard in shards]),
+        table_a.ids, table_b.ids)
+
+
+def _concat_rows(parts: list[np.ndarray]) -> np.ndarray:
+    """Row arrays joined in order (int64, also for no parts)."""
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
 def _run_pool(evaluator: PlanExecutor, shards: list[Shard],
-              pending: list[Shard], chunk_size: int, n_workers: int,
+              pending: list[Shard], n_workers: int,
               complete: Callable[[Shard, _ShardResult, bool], None]) -> None:
     """Fan pending shards out to a forked worker pool.
 
@@ -188,8 +195,7 @@ def _run_pool(evaluator: PlanExecutor, shards: list[Shard],
     global _SHARED
     context = multiprocessing.get_context("fork")
     _SHARED = {"evaluator": evaluator,
-               "shards": {shard.index: shard for shard in shards},
-               "chunk_size": chunk_size}
+               "shards": {shard.index: shard for shard in shards}}
     try:
         with context.Pool(processes=min(n_workers, len(pending))) as pool:
             indices = [shard.index for shard in pending]
@@ -208,12 +214,10 @@ def _run_shard(index: int) -> tuple[int, _ShardResult]:
     through the job payload.
     """
     job = _SHARED
-    return index, _evaluate_shard(job["evaluator"], job["shards"][index],
-                                  job["chunk_size"])
+    return index, _evaluate_shard(job["evaluator"], job["shards"][index])
 
 
-def _evaluate_shard(evaluator: PlanExecutor, shard: Shard,
-                    chunk_size: int) -> _ShardResult:
+def _evaluate_shard(evaluator: PlanExecutor, shard: Shard) -> _ShardResult:
     """One shard's result, with the wall-clock sections it took.
 
     A forked child inherits the parent's profiler activation stack, so
@@ -221,37 +225,39 @@ def _evaluate_shard(evaluator: PlanExecutor, shard: Shard,
     profiler and returns them instead of recording into a doomed copy.
     """
     with capture_worker_sections() as sections:
-        survivors, scanned, cells = _shard_survivors(
-            evaluator, shard, chunk_size)
+        survivors, scanned, cells = _shard_survivors(evaluator, shard)
     return survivors, scanned, cells, sections
 
 
-def _shard_survivors(
-        evaluator: PlanExecutor, shard: Shard,
-        chunk_size: int) -> tuple[list[tuple[str, str]], int, int]:
+def _shard_survivors(evaluator: PlanExecutor,
+                     shard: Shard) -> tuple[_Survivors, int, int]:
     """Stream one shard's slice of A x B through the rule evaluator.
 
     Enumeration order within the shard matches ``iter_cartesian`` (A
     rows in table order, each crossed with all of B in table order);
     chunk boundaries differ from the global sequential stream, which is
     immaterial because every batch kernel is bit-exact regardless of
-    chunking.  The third return value is the number of feature cells
-    the plan computed for this shard.
+    chunking.  Each chunk's kept rows are concatenated in order.  The
+    third return value is the number of feature cells the plan computed
+    for this shard.
     """
-    table_a, table_b = evaluator.table_a, evaluator.table_b
     cells_before = evaluator.cells_computed
-    ids_a, ids_b = table_a.record_ids, table_b.record_ids
-    survivors: list[tuple[str, str]] = []
+    n_b = len(evaluator.table_b)
+    chunk_size = evaluator.chunk_pairs
+    kept_a: list[np.ndarray] = []
+    kept_b: list[np.ndarray] = []
     # Pair k of the shard is row k // |B| of A with row k % |B| of B.
-    first, stop = shard.start * len(ids_b), shard.stop * len(ids_b)
+    first, stop = shard.start * n_b, shard.stop * n_b
     for start in range(first, stop, chunk_size):
         with profile_section("blocker.shard_flush"):
             rows_a, rows_b = np.divmod(
-                np.arange(start, min(start + chunk_size, stop)), len(ids_b))
+                np.arange(start, min(start + chunk_size, stop),
+                          dtype=np.int64), n_b)
             kept = np.flatnonzero(~evaluator.blocked_mask(rows_a, rows_b))
-            survivors.extend(zip([ids_a[i] for i in rows_a[kept].tolist()],
-                                 [ids_b[j] for j in rows_b[kept].tolist()]))
-    return survivors, stop - first, evaluator.cells_computed - cells_before
+            kept_a.append(rows_a[kept])
+            kept_b.append(rows_b[kept])
+    return ((_concat_rows(kept_a), _concat_rows(kept_b)), stop - first,
+            evaluator.cells_computed - cells_before)
 
 
 def _prewarm(table_a: Table, table_b: Table,

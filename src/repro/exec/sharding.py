@@ -7,7 +7,8 @@ yields the same shard list, shards partition ``range(n_rows)`` exactly,
 and no shard is ever empty.
 
 :class:`ShardStore` persists one ``shard-NNNNN.npz`` file per completed
-shard under a run's ``shards/`` directory, next to a ``plan.json``
+shard (its survivors as two int64 arrays of table rows) under a run's
+``shards/`` directory, next to a ``plan.json``
 carrying a fingerprint of everything the shard results depend on
 (tables, feature names, rules, shard/chunk geometry).  A resumed run
 with the same fingerprint loads completed shards instead of recomputing
@@ -92,6 +93,11 @@ def shard_fingerprint(table_a: "Table", table_b: "Table",
     Two runs with the same fingerprint produce byte-identical shard
     files, so a resumed run may load them; anything else (different
     rules, tables, feature order or geometry) must recompute.
+    ``chunk_size`` is the pairs per chunk the executor derived from
+    its column budget (:attr:`repro.plan.PlanExecutor.chunk_pairs`).
+    The ``survivors`` entry names the shard-file layout, so a directory
+    of files in the older layout (survivor ids as strings) never
+    matches and is cleared.
     """
     from ..persistence import rule_to_dict
 
@@ -102,13 +108,14 @@ def shard_fingerprint(table_a: "Table", table_b: "Table",
         "rules": [rule_to_dict(rule) for rule in rules],
         "shard_size": int(shard_size),
         "chunk_size": int(chunk_size),
+        "survivors": "rows",
     }
     canonical = json.dumps(document, sort_keys=True).encode("utf-8")
     return hashlib.sha256(canonical).hexdigest()
 
 
 class ShardStore:
-    """Durable per-shard survivor lists under one directory.
+    """Durable per-shard survivor rows under one directory.
 
     Writes go through :mod:`repro.storage.writer` (tmp file, fsync,
     atomic replace, directory fsync), so a kill mid-write never leaves
@@ -199,11 +206,15 @@ class ShardStore:
             completed.add(index)
         return completed
 
-    def write(self, index: int, survivors: list[tuple[str, str]],
+    def write(self, index: int,
+              survivors: "tuple[np.ndarray, np.ndarray]",
               pairs_scanned: int, cells_computed: int,
               sections: "dict[str, dict[str, float]] | None" = None
               ) -> None:
         """Persist one completed shard durably.
+
+        ``survivors`` is the shard's (A rows, B rows): the fingerprint
+        pins both tables' ids, so rows name the pairs exactly.
 
         ``cells_computed`` is the plan's per-shard feature-cell count.
         Persisting it is what keeps plan metrics convergent across
@@ -218,13 +229,12 @@ class ShardStore:
         """
         from ..obs.workers import encode_sections
 
-        a_ids = np.array([a_id for a_id, _ in survivors], dtype=np.str_)
-        b_ids = np.array([b_id for _, b_id in survivors], dtype=np.str_)
+        rows_a, rows_b = survivors
         self.writer.atomic_write_npz(
             self.shard_path(index),
             {
-                "a_ids": a_ids,
-                "b_ids": b_ids,
+                "rows_a": np.asarray(rows_a, dtype=np.int64),
+                "rows_b": np.asarray(rows_b, dtype=np.int64),
                 "pairs_scanned": np.array([pairs_scanned],
                                           dtype=np.int64),
                 "cells_computed": np.array([cells_computed],
@@ -234,23 +244,25 @@ class ShardStore:
             },
         )
 
-    def load(self, index: int) -> tuple[list[tuple[str, str]], int, int,
+    def load(self, index: int) -> tuple["tuple[np.ndarray, np.ndarray]",
+                                        int, int,
                                         dict[str, dict[str, float]]]:
-        """Load a shard's (survivors, pairs_scanned, cells_computed,
-        worker sections).
+        """Load a shard's ((A rows, B rows), pairs_scanned,
+        cells_computed, worker sections).
 
         A shard file whose bytes no longer parse, or that lacks any of
-        the five arrays :meth:`write` stores, raises a typed
-        :class:`~repro.exceptions.DataError` naming the file — never a
-        raw zipfile or numpy traceback.
+        the five arrays :meth:`write` stores (a file of the older
+        layout, with ``a_ids``/``b_ids``, lacks ``rows_a``), raises a
+        typed :class:`~repro.exceptions.DataError` naming the file and
+        the key — never a raw zipfile or numpy traceback.
         """
         from ..obs.workers import decode_sections
 
         path = self.shard_path(index)
         try:
             with np.load(path, allow_pickle=False) as data:
-                survivors = list(zip(data["a_ids"].tolist(),
-                                     data["b_ids"].tolist()))
+                survivors = (data["rows_a"].astype(np.int64, copy=False),
+                             data["rows_b"].astype(np.int64, copy=False))
                 pairs_scanned = int(data["pairs_scanned"][0])
                 cells_computed = int(data["cells_computed"][0])
                 sections = decode_sections(data["telemetry"][0])

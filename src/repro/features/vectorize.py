@@ -4,9 +4,11 @@ Every surviving pair after blocking is converted immediately into a
 feature vector; all downstream modules then work on the numeric matrix.
 The matrix is feature-major and filled one contiguous column per
 feature through the batched feature engine
-(:mod:`repro.features.batch`): pair ids become table row positions once
-per side, tokenization comes from the tables' shared prepared columns,
-and each feature evaluates the whole pair column in one call.  The
+(:mod:`repro.features.batch`): the pairs' table rows go to the kernels
+as they are (a producer's :class:`~repro.data.pairs.PairRows`) or are
+looked up once per side (any other pair sequence), tokenization comes
+from the tables' shared prepared columns, and each feature evaluates
+the whole pair column in one call.  The
 tests hold it bit-identical to the per-pair scalar oracle in
 ``tests/feature_oracle.py``.
 """
@@ -17,7 +19,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..data.pairs import CandidateSet, Pair
+from ..data.pairs import CandidateSet, Pair, PairRows
 from ..data.table import Table
 from ..exceptions import DataError
 from ..obs.profiling import profile_section
@@ -29,7 +31,10 @@ def vectorize_pairs(table_a: Table, table_b: Table, pairs: Sequence[Pair],
                     out: np.ndarray | None = None) -> CandidateSet:
     """Build a :class:`CandidateSet` for ``pairs`` using ``library``.
 
-    Ids are looked up in their respective tables; unknown ids raise
+    A :class:`PairRows` over the tables' own ids (what the samplers, the
+    blocker and :func:`repro.exec.apply_rules_sharded` return) is used
+    as it is and becomes the set's pairs.  Any other pairs are looked
+    up in their tables once; unknown ids raise
     :class:`repro.exceptions.DataError` via :meth:`Table.positions`.
     Missing attribute values produce NaN feature entries.  Each feature
     is evaluated column-wise over all pairs at once and written as one
@@ -56,13 +61,25 @@ def vectorize_pairs(table_a: Table, table_b: Table, pairs: Sequence[Pair],
             )
         matrix = out
     if not pairs:
-        return CandidateSet(list(pairs), matrix, library.names)
+        return CandidateSet(PairRows.from_pairs(pairs), matrix,
+                            library.names)
 
     with profile_section("features.vectorize_pairs"):
-        ids_a, ids_b = zip(*pairs)
-        rows_a = table_a.positions(ids_a)
-        rows_b = table_b.positions(ids_b)
+        pairs = _table_rows(table_a, table_b, pairs)
         for col, feature in enumerate(library):
-            matrix[:, col] = feature.batch_value(table_a, rows_a,
-                                                 table_b, rows_b)
-    return CandidateSet(list(pairs), matrix, library.names)
+            matrix[:, col] = feature.batch_value(table_a, pairs.rows_a,
+                                                 table_b, pairs.rows_b)
+    return CandidateSet(pairs, matrix, library.names)
+
+
+def _table_rows(table_a: Table, table_b: Table,
+                pairs: Sequence[Pair]) -> PairRows:
+    """``pairs`` as rows over ``table_a.ids`` and ``table_b.ids``: a
+    :class:`PairRows` over those ids as it is, any other pairs looked
+    up once per side."""
+    if (isinstance(pairs, PairRows) and pairs.ids_a == table_a.ids
+            and pairs.ids_b == table_b.ids):
+        return pairs
+    return PairRows(table_a.positions([pair[0] for pair in pairs]),
+                    table_b.positions([pair[1] for pair in pairs]),
+                    table_a.ids, table_b.ids)

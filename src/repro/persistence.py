@@ -33,8 +33,8 @@ from .core.estimator import AccuracyEstimate
 from .core.locator import LocatorResult
 from .core.matcher import MatcherResult, MatcherTrainState
 from .core.results import CorleoneResult, IterationRecord
-from .data.pairs import CandidateSet, Pair
-from .data.table import AttrType, Record, Schema, Table
+from .data.pairs import CandidateSet, Pair, PairRows
+from .data.table import AttrType, Record, RecordIds, Schema, Table
 from .exceptions import DataError
 from .forest.forest import RandomForest
 from .forest.tree import DecisionTree
@@ -235,13 +235,16 @@ def save_candidates(candidates: CandidateSet, path: str | Path,
                     writer: Any = None) -> str:
     """Persist a vectorized candidate set as an uncompressed ``.npz``.
 
-    Vectorization dominates experiment start-up time; saving the matrix
-    lets repeated experiments on the same umbrella set skip it.  The
-    matrix is written as the candidate set stores it, feature-major, so
-    its ``.npy`` header reads ``fortran_order: True`` and
+    The pairs are stored as the set holds them: each side's ids once
+    (``ids_a``, ``ids_b``) and one int64 row per pair and side
+    (``rows_a``, ``rows_b``), so :func:`load_candidates` needs no
+    tables.  Vectorization dominates experiment start-up time; saving
+    the matrix lets repeated experiments on the same umbrella set skip
+    it.  The matrix is written as the candidate set stores it,
+    feature-major, so its ``.npy`` header reads ``fortran_order: True`` and
     :func:`load_candidates` hands it to :class:`CandidateSet` without a
-    copy (a row-major file from an older run still loads: numpy reads
-    the header and the constructor copies it once).  The matrix is
+    copy (a row-major matrix still loads: numpy reads the header and
+    the constructor copies it once).  The matrix is
     stored raw, as the spill path below stores it: deflating it took
     longer than everything else a short durable run writes, and a
     restaurants matrix (21,600 x 25) grows only from about 0.33 to
@@ -268,9 +271,12 @@ def save_candidates(candidates: CandidateSet, path: str | Path,
     from .storage.writer import atomic_write_npz
 
     path = Path(path)
+    pairs = candidates.pairs
     arrays = {
-        "a_ids": _string_array([pair.a_id for pair in candidates.pairs]),
-        "b_ids": _string_array([pair.b_id for pair in candidates.pairs]),
+        "ids_a": _string_array(pairs.ids_a),
+        "ids_b": _string_array(pairs.ids_b),
+        "rows_a": pairs.rows_a,
+        "rows_b": pairs.rows_b,
         "feature_names": np.array(candidates.feature_names),
     }
     if external_features is None:
@@ -292,7 +298,7 @@ def save_candidates(candidates: CandidateSet, path: str | Path,
     return atomic_write_npz(path, arrays)
 
 
-def _string_array(values: list[str]) -> Any:
+def _string_array(values: Sequence[str]) -> Any:
     """``np.array(values)`` for strings, built about twice as fast by
     sizing the unicode dtype up front."""
     import numpy as np
@@ -308,23 +314,25 @@ def load_candidates(path: str | Path) -> CandidateSet:
     resolves the referenced ``.npy`` relative to its own directory and
     memory-maps it read-only — the working set never has to fit in
     RAM, and the mapped bytes are exactly the checkpointed ones, so
-    resume stays bit-identical.
+    resume stays bit-identical.  A file of the older layout (one
+    ``a_ids``/``b_ids`` string per pair) lacks ``ids_a`` and fails
+    with a :class:`DataError` naming that key.
     """
-    import numpy as np
-
-    from .data.pairs import Pair
-
     import zipfile
+
+    import numpy as np
 
     path = Path(path)
     if not path.is_file():
         raise DataError(f"{path}: no such candidate file")
     try:
         with np.load(path, allow_pickle=False) as data:
-            pairs = [
-                Pair(str(a), str(b))
-                for a, b in zip(data["a_ids"], data["b_ids"])
-            ]
+            ids_a = RecordIds(data["ids_a"].tolist())
+            ids_b = RecordIds(data["ids_b"].tolist())
+            pairs = PairRows(data["rows_a"], data["rows_b"], ids_a, ids_b)
+            for rows, ids in ((pairs.rows_a, ids_a), (pairs.rows_b, ids_b)):
+                if rows.size and not 0 <= rows.min() <= rows.max() < len(ids):
+                    raise ValueError("pair rows out of range")
             if "features_file" in data:
                 features = _load_spilled_features(path, data)
             else:
@@ -495,8 +503,18 @@ def rule_evaluation_from_dict(data: dict[str, Any]) -> RuleEvaluation:
         raise DataError(f"malformed rule evaluation: {error}") from None
 
 
-def estimate_to_dict(estimate: AccuracyEstimate) -> dict[str, Any]:
-    """A JSON-compatible representation of an accuracy estimate."""
+def estimate_to_dict(estimate: AccuracyEstimate,
+                     certified: Sequence[RuleEvaluation] = (),
+                     ) -> dict[str, Any]:
+    """A JSON-compatible representation of an accuracy estimate.
+
+    ``certified`` is what the estimate was given to re-apply (the
+    accepted evaluations of the run's earlier estimates,
+    :meth:`repro.engine.state.RunState.certified`).  Every applied rule
+    is a rule of one of those or of the estimate's own accepted
+    evaluations, so it is stored as an index into ``certified``
+    followed by ``rule_evaluations``, never as a second copy.
+    """
     return {
         "precision": estimate.precision,
         "recall": estimate.recall,
@@ -506,16 +524,24 @@ def estimate_to_dict(estimate: AccuracyEstimate) -> dict[str, Any]:
         "n_probes": estimate.n_probes,
         "density": estimate.density,
         "converged": estimate.converged,
-        "applied_rules": [rule_to_dict(r) for r in estimate.applied_rules],
+        "applied_rules": _evaluation_indices(
+            estimate.applied_rules,
+            [*certified, *estimate.rule_evaluations]),
         "rule_evaluations": [
             rule_evaluation_to_dict(e) for e in estimate.rule_evaluations
         ],
     }
 
 
-def estimate_from_dict(data: dict[str, Any]) -> AccuracyEstimate:
-    """Rebuild an estimate saved with :func:`estimate_to_dict`."""
+def estimate_from_dict(data: dict[str, Any],
+                       certified: Sequence[RuleEvaluation] = (),
+                       ) -> AccuracyEstimate:
+    """Rebuild an estimate saved with :func:`estimate_to_dict` (given
+    the same ``certified`` evaluations, rebuilt)."""
     try:
+        evaluations = [
+            rule_evaluation_from_dict(e) for e in data["rule_evaluations"]
+        ]
         return AccuracyEstimate(
             precision=data["precision"],
             recall=data["recall"],
@@ -525,14 +551,43 @@ def estimate_from_dict(data: dict[str, Any]) -> AccuracyEstimate:
             n_probes=data["n_probes"],
             density=data["density"],
             converged=data["converged"],
-            applied_rules=[rule_from_dict(r) for r in data["applied_rules"]],
-            rule_evaluations=[
-                rule_evaluation_from_dict(e)
-                for e in data["rule_evaluations"]
-            ],
+            applied_rules=_evaluated_rules(data["applied_rules"],
+                                           [*certified, *evaluations]),
+            rule_evaluations=evaluations,
         )
-    except (KeyError, TypeError) as error:
+    except (KeyError, TypeError, IndexError) as error:
         raise DataError(f"malformed estimate document: {error}") from None
+
+
+def _evaluation_indices(rules: Sequence[Rule],
+                        evaluations: Sequence[RuleEvaluation]) -> list[int]:
+    """Each rule as the index of its accepted evaluation.
+
+    Applied rules are always rules of accepted evaluations, so a
+    document stores each rule once, inside its evaluation.  The
+    evaluation holding the very rule object is preferred over one
+    holding an equal rule (equality ignores cost and source).
+    """
+    by_object: dict[int, int] = {}
+    by_value: dict[Rule, int] = {}
+    for index, evaluation in enumerate(evaluations):
+        if evaluation.accepted:
+            by_object.setdefault(id(evaluation.rule), index)
+            by_value.setdefault(evaluation.rule, index)
+    indices = []
+    for rule in rules:
+        index = by_object.get(id(rule), by_value.get(rule))
+        if index is None:
+            raise DataError(f"applied rule {rule} has no accepted "
+                            f"evaluation")
+        indices.append(index)
+    return indices
+
+
+def _evaluated_rules(indices: Sequence[int],
+                     evaluations: Sequence[RuleEvaluation]) -> list[Rule]:
+    """The rules :func:`_evaluation_indices` stored as ``indices``."""
+    return [evaluations[int(index)].rule for index in indices]
 
 
 def matcher_result_to_dict(
@@ -682,7 +737,8 @@ def blocker_result_to_dict(result: BlockerResult) -> dict[str, Any]:
         "triggered": result.triggered,
         "cartesian": result.cartesian,
         "sample_size": result.sample_size,
-        "applied_rules": [rule_to_dict(r) for r in result.applied_rules],
+        "applied_rules": _evaluation_indices(result.applied_rules,
+                                             result.evaluations),
         "evaluations": [
             rule_evaluation_to_dict(e) for e in result.evaluations
         ],
@@ -698,23 +754,26 @@ def blocker_result_from_dict(data: dict[str, Any],
     """Rebuild a blocker result saved with :func:`blocker_result_to_dict`.
 
     ``candidate_pairs`` is the umbrella set, in blocking order — the
-    pairs of the candidate set vectorized from it.
+    pairs of the candidate set vectorized from it, shared as they are
+    when they already are a :class:`PairRows`.
     """
     try:
+        evaluations = [
+            rule_evaluation_from_dict(e) for e in data["evaluations"]
+        ]
         return BlockerResult(
             triggered=data["triggered"],
-            candidate_pairs=list(candidate_pairs),
+            candidate_pairs=PairRows.from_pairs(candidate_pairs),
             cartesian=data["cartesian"],
             sample_size=data["sample_size"],
-            applied_rules=[rule_from_dict(r) for r in data["applied_rules"]],
-            evaluations=[
-                rule_evaluation_from_dict(e) for e in data["evaluations"]
-            ],
+            applied_rules=_evaluated_rules(data["applied_rules"],
+                                           evaluations),
+            evaluations=evaluations,
             n_candidate_rules=data["n_candidate_rules"],
             pairs_labeled=data["pairs_labeled"],
             dollars=data["dollars"],
         )
-    except (KeyError, TypeError) as error:
+    except (KeyError, TypeError, IndexError) as error:
         raise DataError(f"malformed blocker result: {error}") from None
 
 
@@ -723,7 +782,6 @@ def locator_result_to_dict(result: LocatorResult) -> dict[str, Any]:
     return {
         "difficult_rows": result.difficult_rows,
         "stop_reason": result.stop_reason,
-        "accepted_rules": [rule_to_dict(r) for r in result.accepted_rules],
         "evaluations": [
             rule_evaluation_to_dict(e) for e in result.evaluations
         ],
@@ -732,19 +790,22 @@ def locator_result_to_dict(result: LocatorResult) -> dict[str, Any]:
 
 
 def locator_result_from_dict(data: dict[str, Any]) -> LocatorResult:
-    """Rebuild a verdict saved with :func:`locator_result_to_dict`."""
+    """Rebuild a verdict saved with :func:`locator_result_to_dict`.
+
+    The accepted rules are not stored: they are the rules of the
+    accepted evaluations, in order.
+    """
     try:
         rows = data["difficult_rows"]
+        evaluations = [
+            rule_evaluation_from_dict(e) for e in data["evaluations"]
+        ]
         return LocatorResult(
             difficult_rows=(None if rows is None
                             else [int(row) for row in rows]),
             stop_reason=data["stop_reason"],
-            accepted_rules=[
-                rule_from_dict(r) for r in data["accepted_rules"]
-            ],
-            evaluations=[
-                rule_evaluation_from_dict(e) for e in data["evaluations"]
-            ],
+            accepted_rules=[ev.rule for ev in evaluations if ev.accepted],
+            evaluations=evaluations,
             pairs_labeled=data["pairs_labeled"],
         )
     except (KeyError, TypeError) as error:
@@ -762,13 +823,17 @@ def iteration_record_to_dict(
         record: IterationRecord,
         forest_ref: Callable[[RandomForest], Any] = forest_to_dict,
         fields: Sequence[str] = ITERATION_RECORD_FIELDS,
+        certified: Sequence[RuleEvaluation] = (),
 ) -> dict[str, Any]:
     """A JSON-compatible representation of one pipeline iteration.
 
     ``fields`` picks a subset of :data:`ITERATION_RECORD_FIELDS` (a
     checkpoint-log record carries only the fields that changed since
     the previous one); ``forest_ref`` is passed to
-    :func:`matcher_result_to_dict`.
+    :func:`matcher_result_to_dict` and ``certified`` (the accepted
+    evaluations of the earlier records' estimates,
+    :func:`repro.core.results.certified_evaluations`) to
+    :func:`estimate_to_dict`.
     """
     encoders: dict[str, Callable[[Any], Any]] = {
         "matcher": lambda matcher: matcher_result_to_dict(matcher,
@@ -776,7 +841,8 @@ def iteration_record_to_dict(
         "predicted_pairs": lambda pairs: [
             [pair.a_id, pair.b_id] for pair in sorted(pairs)],
         "estimate": lambda estimate: (
-            None if estimate is None else estimate_to_dict(estimate)),
+            None if estimate is None
+            else estimate_to_dict(estimate, certified)),
         "locator": lambda locator: (
             None if locator is None else locator_result_to_dict(locator)),
     }
@@ -791,8 +857,11 @@ def _plain(value: Any) -> Any:
     return value
 
 
-def iteration_record_from_dict(data: dict[str, Any]) -> IterationRecord:
-    """Rebuild a record saved with :func:`iteration_record_to_dict`."""
+def iteration_record_from_dict(
+        data: dict[str, Any],
+        certified: Sequence[RuleEvaluation] = ()) -> IterationRecord:
+    """Rebuild a record saved with :func:`iteration_record_to_dict`
+    (given the same ``certified`` evaluations, rebuilt)."""
     try:
         return IterationRecord(
             index=data["index"],
@@ -801,7 +870,8 @@ def iteration_record_from_dict(data: dict[str, Any]) -> IterationRecord:
                 Pair(str(a), str(b)) for a, b in data["predicted_pairs"]
             ),
             estimate=(None if data["estimate"] is None
-                      else estimate_from_dict(data["estimate"])),
+                      else estimate_from_dict(data["estimate"],
+                                              certified)),
             estimation_pairs_labeled=data["estimation_pairs_labeled"],
             locator=(None if data["locator"] is None
                      else locator_result_from_dict(data["locator"])),

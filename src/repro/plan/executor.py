@@ -32,13 +32,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.blocker import _STREAM_CHUNK
-from ..data.pairs import Pair
+from ..data.pairs import PairRows
 from ..data.table import Table
 from ..features.library import Feature, FeatureLibrary
 from ..obs.profiling import profile_section
 from ..rules.rule import Rule
 from .compiler import BlockingPlan, compile_blocking_plan
+
+_COLUMN_ELEMENTS = 1 << 17
+"""Element budget of one chunk's plan columns.  The sharded executor
+streams a shard in chunks of :attr:`PlanExecutor.chunk_pairs` = this
+budget over the plan's needed width, so the float64 columns and the
+have-masks :meth:`PlanExecutor.blocked_mask` keeps for a chunk take
+about 9 bytes times this many, whatever the rule set.  Fewer, longer
+chunks pay each kernel's fixed per-call cost and vocabulary-sized work
+fewer times."""
 
 
 @dataclass
@@ -108,6 +116,12 @@ class PlanExecutor:
         self.cells_computed = 0
         """Feature cells this executor's kernels have evaluated."""
 
+    @property
+    def chunk_pairs(self) -> int:
+        """Pairs per :meth:`blocked_mask` call: the column budget
+        (:data:`_COLUMN_ELEMENTS`) over the needed width."""
+        return max(1, _COLUMN_ELEMENTS // max(1, len(self.needed_features)))
+
     def blocked_mask(self, rows_a: np.ndarray,
                      rows_b: np.ndarray) -> np.ndarray:
         """Boolean mask: True where some rule blocks the pair of row
@@ -165,8 +179,7 @@ class PlanExecutor:
 
 def apply_rules_plan(table_a: Table, table_b: Table, rules: list[Rule],
                      library: FeatureLibrary,
-                     chunk_size: int = _STREAM_CHUNK,
-                     stats: PlanStats | None = None) -> list[Pair]:
+                     stats: PlanStats | None = None) -> PairRows:
     """:func:`repro.exec.apply_rules_sharded` with one worker.
 
     Kept under this name because ``benchmarks/e2e/tracing.py`` wraps it
@@ -175,4 +188,4 @@ def apply_rules_plan(table_a: Table, table_b: Table, rules: list[Rule],
     from ..exec import apply_rules_sharded  # repro.exec imports this module
 
     return apply_rules_sharded(table_a, table_b, rules, library,
-                               chunk_size=chunk_size, stats=stats)
+                               stats=stats)

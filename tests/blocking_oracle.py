@@ -18,12 +18,14 @@ import itertools
 
 import numpy as np
 
-from repro.core.blocker import _STREAM_CHUNK
 from repro.data.pairs import Pair
 from repro.data.sampling import iter_cartesian
 from repro.data.table import Table
 from repro.features.library import FeatureLibrary
 from repro.rules.rule import Rule
+
+CHUNK = 8192
+"""Pairs per chunk of the oracle's stream."""
 
 
 class ChunkEvaluator:
@@ -101,7 +103,7 @@ class ChunkEvaluator:
 
 def apply_rules_streaming(table_a: Table, table_b: Table,
                           rules: list[Rule], library: FeatureLibrary,
-                          chunk_size: int = _STREAM_CHUNK) -> list[Pair]:
+                          chunk_size: int = CHUNK) -> list[Pair]:
     """Apply blocking rules over A x B in chunks; return the survivors.
 
     Every needed feature of every pair through the full-matrix

@@ -87,9 +87,14 @@ class TestBlockingQuality:
 
 
 class TestStreamingApplication:
-    def test_matches_vectorized_application(self, blocking_setup):
+    def test_matches_vectorized_application(self, blocking_setup,
+                                            monkeypatch):
         """Streaming rule application must agree with full vectorization."""
+        from repro.plan import executor as plan_executor
+
         dataset, _, _, library, _ = blocking_setup
+        # One needed feature: chunks of 700 pairs.
+        monkeypatch.setattr(plan_executor, "_COLUMN_ELEMENTS", 700)
         name_col = library.names.index("name_jaro_winkler")
         rule = Rule(
             [Predicate(name_col, "name_jaro_winkler", True, 0.5)],
@@ -97,7 +102,6 @@ class TestStreamingApplication:
         )
         survivors = apply_rules_streaming(
             dataset.table_a, dataset.table_b, [rule], library,
-            chunk_size=700,
         )
         # Check against direct evaluation on a sample of pairs.
         from repro.features.vectorize import vectorize_pairs

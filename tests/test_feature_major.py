@@ -116,17 +116,32 @@ class TestEveryConstructionIsFeatureMajor:
 
     def test_row_major_file_still_loads(self, candidates, tmp_path):
         path = tmp_path / "old.npz"
+        pairs = candidates.pairs
         np.savez_compressed(
             path,
-            a_ids=np.array([p.a_id for p in candidates.pairs]),
-            b_ids=np.array([p.b_id for p in candidates.pairs]),
+            ids_a=np.array(pairs.ids_a), ids_b=np.array(pairs.ids_b),
+            rows_a=pairs.rows_a, rows_b=pairs.rows_b,
             feature_names=np.array(candidates.feature_names),
             features=np.ascontiguousarray(candidates.features),
         )
         loaded = load_candidates(path)
         assert_feature_major(loaded)
+        assert loaded.pairs == candidates.pairs
         assert np.array_equal(loaded.features, candidates.features,
                               equal_nan=True)
+
+    def test_file_with_a_string_per_pair_is_a_typed_error(self, candidates,
+                                                          tmp_path):
+        path = tmp_path / "older.npz"
+        np.savez(
+            path,
+            a_ids=np.array([p.a_id for p in candidates.pairs]),
+            b_ids=np.array([p.b_id for p in candidates.pairs]),
+            feature_names=np.array(candidates.feature_names),
+            features=candidates.features,
+        )
+        with pytest.raises(DataError, match="ids_a"):
+            load_candidates(path)
 
     def test_load_candidates_spilled(self, restaurants, candidates,
                                      tmp_path):

@@ -214,6 +214,18 @@ class TestCandidateRoundTrip:
         with pytest.raises(DataError):
             load_candidates(tmp_path / "nope.npz")
 
+    def test_rows_outside_the_ids_are_a_typed_error(self, tmp_path):
+        import numpy as np
+        import pytest
+        from repro.exceptions import DataError
+        from repro.persistence import load_candidates
+        path = tmp_path / "candidates.npz"
+        np.savez(path, ids_a=np.array(["a0", "a1"]), ids_b=np.array(["b0"]),
+                 rows_a=np.array([0, 2]), rows_b=np.array([0, 0]),
+                 feature_names=np.array(["w"]), features=np.zeros((2, 1)))
+        with pytest.raises(DataError, match="out of range"):
+            load_candidates(path)
+
     def test_malformed_file(self, tmp_path):
         import numpy as np
         import pytest

@@ -36,6 +36,7 @@ from repro.features.library import Feature, FeatureLibrary, \
 from repro.features.vectorize import vectorize_pairs
 from repro.persistence import load_candidates, save_candidates
 from repro.plan import (
+    PlanExecutor,
     PlanStats,
     SpillManager,
     apply_rules_plan,
@@ -225,12 +226,17 @@ class TestPlanParity:
             assert apply_rules_plan(dataset.table_a, dataset.table_b,
                                     permuted, library) == golden
 
-    def test_chunk_geometry_invariant(self, parity_setup):
+    def test_chunk_geometry_invariant(self, parity_setup, monkeypatch):
+        from repro.plan import executor as plan_executor
+
         dataset, library, rules, golden = parity_setup
+        width = len(PlanExecutor(dataset.table_a, dataset.table_b, rules,
+                                 library).needed_features)
         for chunk_size in (7, 64):
+            monkeypatch.setattr(plan_executor, "_COLUMN_ELEMENTS",
+                                chunk_size * width)
             assert apply_rules_plan(dataset.table_a, dataset.table_b,
-                                    rules, library,
-                                    chunk_size=chunk_size) == golden
+                                    rules, library) == golden
 
     def test_sharded_stats_are_worker_count_invariant(self, parity_setup):
         dataset, library, rules, _ = parity_setup

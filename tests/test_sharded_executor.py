@@ -248,7 +248,8 @@ class TestShardStore:
     def _store(self, tmp_path) -> ShardStore:
         store = ShardStore(tmp_path / "shards", fingerprint="f")
         store.prepare(n_shards=2)
-        store.write(0, [("a0", "b0")], pairs_scanned=1, cells_computed=1)
+        store.write(0, (np.array([0]), np.array([0])), pairs_scanned=1,
+                    cells_computed=1)
         return store
 
     @pytest.mark.parametrize("manifested", [True, False])
@@ -418,10 +419,12 @@ class TestWorkerTelemetry:
                             library, n_workers=2, shard_size=9,
                             shard_dir=shard_dir)
         # The persisted shard carries the worker's wall-clock sections.
-        from repro.core.blocker import _STREAM_CHUNK
         from repro.exec.sharding import shard_fingerprint
+        from repro.plan import PlanExecutor
+        chunk = PlanExecutor(dataset.table_a, dataset.table_b, rules,
+                             library).chunk_pairs
         fingerprint = shard_fingerprint(dataset.table_a, dataset.table_b,
-                                        rules, library, 9, _STREAM_CHUNK)
+                                        rules, library, 9, chunk)
         store = ShardStore(shard_dir, fingerprint)
         _, _, _, sections = store.load(0)
         assert "blocker.shard_flush" in sections
