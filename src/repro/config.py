@@ -313,7 +313,6 @@ class CorleoneConfig:
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
     locator: LocatorConfig = field(default_factory=LocatorConfig)
     crowd: CrowdConfig = field(default_factory=CrowdConfig)
-    gateway: GatewayConfig = field(default_factory=GatewayConfig)
     plan: PlanConfig = field(default_factory=PlanConfig)
 
     max_pipeline_iterations: int = 5

@@ -40,7 +40,6 @@ from ..exceptions import (
     DataError,
 )
 from ..features.library import build_feature_library
-from ..obs.progress import ProgressHeartbeat
 from ..persistence import load_candidates
 from ..storage.recovery import (
     RecoveryLog,
@@ -241,25 +240,9 @@ class Corleone:
         ctx = self._ctx
         engine = StagedEngine(ctx, checkpointer=checkpointer)
         sink = None
-        heartbeat = None
         if checkpointer is not None:
             sink = JsonlTraceSink(checkpointer.run_dir / TRACE_FILE)
             ctx.bus.subscribe(sink)
-            # The live-monitor heartbeat: an atomic progress.json kept
-            # fresh at checkpoint/shard/stage boundaries for `python -m
-            # repro.obs serve|watch|report` (docs/observability.md).
-            # Seeded from the ledger, checkpoint count, state and shard
-            # counters as they stand: zeros for a fresh run, restored
-            # on resume.
-            heartbeat = ProgressHeartbeat(
-                checkpointer.run_dir, budget=ctx.tracker.budget,
-                spent=ctx.tracker.snapshot(),
-                checkpoints=checkpointer.next_index,
-                iteration=state.iteration,
-                finished=state.next_stage is None,
-                shards=(ctx.telemetry.shard_counts()
-                        if ctx.telemetry is not None else (0, 0)))
-            ctx.bus.subscribe(heartbeat)
         if recovery is not None:
             # Recovery findings (torn trace tail, quarantined
             # checkpoints, generation fallback) were collected before
@@ -284,9 +267,6 @@ class Corleone:
             if sink is not None:
                 ctx.bus.unsubscribe(sink)
                 sink.close()
-            if heartbeat is not None:
-                ctx.bus.unsubscribe(heartbeat)
-                heartbeat.flush()
             if checkpointer is not None:
                 # Run end, also when the run aborted mid-stage: the
                 # manifest records the checkpoint log as it stands, and

@@ -48,8 +48,8 @@ from .events import (
     Event,
     EventBus,
     JsonlTraceSink,
-    ProgressReporter,
 )
+from .reporter import ProgressReporter
 from .runner import StagedEngine
 from .stage import Stage
 from .stages import (

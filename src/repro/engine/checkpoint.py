@@ -28,7 +28,8 @@ A run directory has a fixed layout:
   end, after the bytes it describes;
 * ``trace.jsonl`` — the structured event trace (append-only; a resumed
   run appends its tail again, so duplicate sequence numbers mark where
-  a crash was resumed from);
+  a crash was resumed from).  :mod:`repro.obs.progress` folds the live
+  progress view from it, the log and ``run.json``; no file holds it;
 * ``metrics.json`` / ``spans.jsonl`` — the telemetry layer's metric
   snapshot and span tree (``docs/observability.md``), *rewritten* from
   checkpointed telemetry state at every stage boundary and at run end,
@@ -37,11 +38,6 @@ A run directory has a fixed layout:
 * ``profile.json`` — wall-clock hot-path profile, written once at run
   end, deliberately non-deterministic and deliberately absent from the
   manifest;
-* ``progress.json`` — the live heartbeat (:mod:`repro.obs.progress`):
-  stage, iteration, shard/checkpoint counts and budget burn,
-  atomically rewritten at checkpoint and shard boundaries for ``obs
-  serve``/``watch``.  A live advisory like ``profile.json`` — outside
-  both the manifest and the byte-identity contract;
 * ``quarantine/`` — artifacts and log tails that failed their
   checksum, moved aside (never deleted) by the recovery path.
 
@@ -341,8 +337,6 @@ class Checkpointer:
         self.run_dir = Path(run_dir).absolute()
         self.run_dir.mkdir(parents=True, exist_ok=True)
         self.writer = ArtifactWriter(self.run_dir)
-        self.checkpoints_written = 0
-        """Checkpoints written by *this* instance (benchmarking)."""
         # Appends continue the log's good prefix: a bad tail must be cut
         # off first, and load_checkpoint does that.
         existing = load_checkpoint(self.run_dir)
@@ -352,12 +346,6 @@ class Checkpointer:
         self._encoder = _RecordEncoder()
         self._log_bytes = 0
         """The log size the manifest last recorded (this instance)."""
-
-    @property
-    def next_index(self) -> int:
-        """The index the next checkpoint gets: the run's checkpoint
-        count so far, resumed ones included."""
-        return self._next_index
 
     def write_inputs(self, state: "RunState", ctx: "RunContext",
                      budget_plan: BudgetPlan | None = None) -> None:
@@ -476,7 +464,6 @@ class Checkpointer:
             append_bytes(self.run_dir / CHECKPOINT_LOG, line)
             written.append((CHECKPOINT_LOG, _record_sha(line)))
             self._next_index += 1
-            self.checkpoints_written += 1
             if stage_boundary:
                 self.record_log()
                 if ctx.telemetry is not None:
@@ -517,6 +504,16 @@ def read_checkpoint(run_dir: str | Path) -> dict[str, Any] | None:
     """
     records, _ = read_records(Path(run_dir) / CHECKPOINT_LOG)
     return fold_records(records)
+
+
+def count_checkpoints(run_dir: str | Path) -> int:
+    """How many records a run directory's log holds: its newlines, as
+    a torn append has none.  Nothing is decoded or verified, so a live
+    monitor can count on every poll (:mod:`repro.obs.progress`)."""
+    try:
+        return (Path(run_dir) / CHECKPOINT_LOG).read_bytes().count(b"\n")
+    except FileNotFoundError:
+        return 0
 
 
 def load_checkpoint(run_dir: str | Path,

@@ -68,9 +68,9 @@ arrays in A-major order."""
 
 _ShardResult = tuple[_Survivors, int, int, dict[str, dict[str, float]]]
 """Per-shard outcome: (survivors, pairs_scanned, cells_computed,
-worker wall-clock sections).  The first three are deterministic and
-feed metrics/spans; the sections dict is wall-clock noise and flows
-only to ``profile.json`` (see :mod:`repro.obs.workers`)."""
+worker wall-clock sections, none for a loaded shard).  The first three
+are deterministic and feed metrics/spans; the sections dict is wall-clock
+noise and flows only to ``profile.json`` (see :mod:`repro.obs.workers`)."""
 
 _SHARED: "dict[str, Any] | None" = None
 """Fork-inherited worker state: set in the parent immediately before the
@@ -140,17 +140,16 @@ def apply_rules_sharded(table_a: Table, table_b: Table,
         one re-emits a computed one's event, logical ``worker`` slot
         included, so resumed shard counters and spans converge."""
         results[shard.index] = result
-        survivors, scanned, cells, sections = result
+        survivors, scanned, cells, _ = result
         if store is not None and not cached:
-            store.write(shard.index, survivors, scanned, cells,
-                        sections=sections)
+            store.write(shard.index, survivors, scanned, cells)
         _emit(bus, EVENT_SHARD_COMPLETED, shard=shard.index,
               survivors=int(survivors[0].size), pairs_scanned=scanned,
               worker=worker_slot(shard.index, n_workers), cached=cached)
 
     for index in sorted(completed):
         _emit_started(bus, shards[index], n_workers, cached=True)
-        complete(shards[index], store.load(index), cached=True)
+        complete(shards[index], (*store.load(index), {}), cached=True)
     if use_pool:
         for shard in pending:
             _emit_started(bus, shard, n_workers, cached=False)

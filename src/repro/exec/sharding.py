@@ -131,8 +131,6 @@ class ShardStore:
         self.directory = Path(directory)
         self.fingerprint = fingerprint
         self.writer = ArtifactWriter(self.directory)
-        self.shards_quarantined = 0
-        """Corrupt shard files quarantined by :meth:`prepare`."""
 
     def shard_path(self, index: int) -> Path:
         """The npz file of shard ``index``."""
@@ -201,16 +199,13 @@ class ShardStore:
             if verdict is False:
                 quarantine_artifact(self.directory, path)
                 self.writer.forget(path.name)
-                self.shards_quarantined += 1
                 continue
             completed.add(index)
         return completed
 
     def write(self, index: int,
               survivors: "tuple[np.ndarray, np.ndarray]",
-              pairs_scanned: int, cells_computed: int,
-              sections: "dict[str, dict[str, float]] | None" = None
-              ) -> None:
+              pairs_scanned: int, cells_computed: int) -> None:
         """Persist one completed shard durably.
 
         ``survivors`` is the shard's (A rows, B rows): the fingerprint
@@ -219,16 +214,9 @@ class ShardStore:
         ``cells_computed`` is the plan's per-shard feature-cell count.
         Persisting it is what keeps plan metrics convergent across
         kill/resume: a resumed run re-contributes a loaded shard's
-        cells without recomputing the shard.
-
-        ``sections`` is the worker's captured wall-clock telemetry
-        (:mod:`repro.obs.workers`), stored as one canonical-JSON string
-        so a cached shard replays its sections into ``profile.json``
-        on resume.  It is wall-clock noise, deliberately excluded from
-        the shard fingerprint and from every deterministic artifact.
+        cells without recomputing the shard.  No wall-clock time is
+        stored: a resumed run's ``profile.json`` reports its own work.
         """
-        from ..obs.workers import encode_sections
-
         rows_a, rows_b = survivors
         self.writer.atomic_write_npz(
             self.shard_path(index),
@@ -239,25 +227,21 @@ class ShardStore:
                                           dtype=np.int64),
                 "cells_computed": np.array([cells_computed],
                                            dtype=np.int64),
-                "telemetry": np.array([encode_sections(sections or {})],
-                                      dtype=np.str_),
             },
         )
 
     def load(self, index: int) -> tuple["tuple[np.ndarray, np.ndarray]",
-                                        int, int,
-                                        dict[str, dict[str, float]]]:
+                                        int, int]:
         """Load a shard's ((A rows, B rows), pairs_scanned,
-        cells_computed, worker sections).
+        cells_computed).
 
         A shard file whose bytes no longer parse, or that lacks any of
-        the five arrays :meth:`write` stores (a file of the older
+        the four arrays :meth:`write` stores (a file of the older
         layout, with ``a_ids``/``b_ids``, lacks ``rows_a``), raises a
         typed :class:`~repro.exceptions.DataError` naming the file and
-        the key — never a raw zipfile or numpy traceback.
+        the key — never a raw zipfile or numpy traceback.  Other arrays
+        (older files hold wall-clock ``telemetry``) are ignored.
         """
-        from ..obs.workers import decode_sections
-
         path = self.shard_path(index)
         try:
             with np.load(path, allow_pickle=False) as data:
@@ -265,9 +249,8 @@ class ShardStore:
                              data["rows_b"].astype(np.int64, copy=False))
                 pairs_scanned = int(data["pairs_scanned"][0])
                 cells_computed = int(data["cells_computed"][0])
-                sections = decode_sections(data["telemetry"][0])
         except (KeyError, ValueError, EOFError, OSError,
                 zipfile.BadZipFile) as error:
             raise DataError(f"{path}: malformed shard file "
                             f"({error})") from None
-        return survivors, pairs_scanned, cells_computed, sections
+        return survivors, pairs_scanned, cells_computed

@@ -15,10 +15,10 @@ The observability layer of the staged engine (``docs/observability.md``):
 * :mod:`repro.obs.telemetry` — the per-run binder feeding metrics from
   the event bus and direct instrumentation;
 * :mod:`repro.obs.workers` — worker-side telemetry capture for the
-  sharded executor (logical worker slots, section shipping/merge);
+  sharded executor (logical worker slots, section capture/merge);
 * :mod:`repro.obs.prometheus` — text-exposition rendering;
 * :mod:`repro.obs.report` — the ``python -m repro.obs report`` tables;
-* :mod:`repro.obs.progress` — the live ``progress.json`` heartbeat;
+* :mod:`repro.obs.progress` — the live progress view (read, not written);
 * :mod:`repro.obs.tail` — incremental, torn-tolerant trace tailing;
 * :mod:`repro.obs.serve` — the ``/metrics`` + ``/progress`` +
   ``/trace`` run-monitor HTTP endpoint;

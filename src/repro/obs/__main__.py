@@ -9,8 +9,8 @@ Commands:
   text-exposition format (what a scrape endpoint would serve);
 * ``serve <run_dir>`` — expose ``/metrics``, ``/progress`` and
   ``/trace?after=N`` over stdlib HTTP (the live run monitor);
-* ``watch <run_dir>`` — tail ``trace.jsonl`` + ``progress.json`` into
-  a refreshing terminal progress view;
+* ``watch <run_dir>`` — tail ``trace.jsonl`` into a refreshing
+  terminal progress view;
 * ``diff <run_a> <run_b>`` — align two runs' metric families and stage
   spans and print every delta (exit 1 when the runs differ).
 
@@ -33,15 +33,12 @@ from .telemetry import METRICS_FILE
 
 def _watch(run_dir: Path, interval: float, iterations: int) -> int:
     """The ``watch`` refresh loop (bounded when ``iterations`` > 0)."""
-    from .progress import read_progress
-    from ..engine.checkpoint import TRACE_FILE
-    from .tail import TraceTail
+    from .progress import ProgressView
 
-    tail = TraceTail(run_dir / TRACE_FILE)
+    view = ProgressView(run_dir)
     count = 0
     while True:
-        tail.poll()
-        frame = render_watch(read_progress(run_dir), tail.effective())
+        frame = render_watch(view.read(), view.tail.effective())
         # One ANSI clear per frame; piped output just concatenates.
         if sys.stdout.isatty():
             sys.stdout.write("\x1b[2J\x1b[H")

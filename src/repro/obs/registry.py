@@ -129,11 +129,6 @@ class MetricFamily:
         """Observe into the (labelled) histogram series."""
         self.labels(**labels).observe(value)
 
-    def total(self) -> int | float:
-        """Sum of the counter or gauge series, 0 with none yet (read
-        without creating a series)."""
-        return sum(child.value for child in self._series.values())
-
     def _new_series(self) -> Any:
         if self.kind == COUNTER:
             return Counter()

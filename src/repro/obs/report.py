@@ -309,15 +309,14 @@ def render_watch(progress: dict[str, Any] | None,
                  recent: int = 8) -> str:
     """One frame of the ``obs watch`` terminal view.
 
-    Pure function over the heartbeat document and the effective event
+    Pure function over the progress document and the effective event
     list (latest-wins, as produced by
     :class:`repro.obs.tail.TraceTail`), so the refresh loop in
     ``python -m repro.obs watch`` stays trivially testable.
     """
     lines = []
     if progress is None:
-        lines.append("waiting for progress.json — run not started "
-                     "(or telemetry disabled)")
+        lines.append("waiting for trace.jsonl — run not started")
     else:
         state = ("finished" if progress.get("finished")
                  else f"stage {progress.get('stage') or '?'}")

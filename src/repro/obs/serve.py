@@ -10,8 +10,9 @@ live or finished — and exposes:
   response is a prefix-consistent snapshot of the run so far and the
   sequence of responses converges to the final export, byte for byte —
   no torn reads, no partially applied checkpoints.
-* ``/progress`` — the heartbeat document
-  (:mod:`repro.obs.progress`) as JSON.
+* ``/progress`` — the progress document (:mod:`repro.obs.progress`)
+  as JSON, folded at request time from the trace tail below, the
+  checkpoint log and ``run.json``.
 * ``/trace?after=N`` — engine events with ``sequence > N`` as a JSON
   array, read through the torn-tolerant incremental tail
   (:class:`repro.obs.tail.TraceTail`), resume seams deduplicated
@@ -32,19 +33,16 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
-from ..engine.checkpoint import TRACE_FILE
-from .progress import read_progress
+from .progress import ProgressView
 from .prometheus import render_prometheus
-from .tail import TraceTail
 from .telemetry import METRICS_FILE
 
 
 class RunMonitorHandler(BaseHTTPRequestHandler):
     """Serves one run directory; bound via :func:`build_server`."""
 
-    run_dir: Path
-    tail: TraceTail
-    tail_lock: threading.Lock
+    progress: ProgressView
+    progress_lock: threading.Lock
 
     # -- endpoints ------------------------------------------------------
 
@@ -62,7 +60,7 @@ class RunMonitorHandler(BaseHTTPRequestHandler):
                           "not found: try /metrics, /progress or /trace\n")
 
     def _serve_metrics(self) -> None:
-        path = self.run_dir / METRICS_FILE
+        path = self.progress.run_dir / METRICS_FILE
         if not path.is_file():
             self._respond(404, "text/plain; charset=utf-8",
                           "metrics.json not written yet\n")
@@ -81,10 +79,11 @@ class RunMonitorHandler(BaseHTTPRequestHandler):
                       body)
 
     def _serve_progress(self) -> None:
-        document = read_progress(self.run_dir)
+        with self.progress_lock:
+            document = self.progress.read()
         if document is None:
             self._respond(404, "text/plain; charset=utf-8",
-                          "progress.json not written yet\n")
+                          "trace.jsonl not written yet\n")
             return
         self._respond(200, "application/json",
                       json.dumps(document, indent=2, sort_keys=True) + "\n")
@@ -96,9 +95,10 @@ class RunMonitorHandler(BaseHTTPRequestHandler):
             self._respond(400, "text/plain; charset=utf-8",
                           "after must be an integer sequence number\n")
             return
-        with self.tail_lock:
-            self.tail.poll()
-            events = [record for record in self.tail.effective()
+        tail = self.progress.tail
+        with self.progress_lock:
+            tail.poll()
+            events = [record for record in tail.effective()
                       if record["sequence"] > after]
         self._respond(200, "application/json",
                       json.dumps(events, sort_keys=True) + "\n")
@@ -126,11 +126,9 @@ def build_server(run_dir: str | Path, host: str = "127.0.0.1",
     address is on ``server.server_address``.  The caller owns the
     lifecycle: ``serve_forever()`` to block, ``shutdown()`` to stop.
     """
-    directory = Path(run_dir)
     handler = type("BoundRunMonitorHandler", (RunMonitorHandler,), {
-        "run_dir": directory,
-        "tail": TraceTail(directory / TRACE_FILE),
-        "tail_lock": threading.Lock(),
+        "progress": ProgressView(run_dir),
+        "progress_lock": threading.Lock(),
     })
     return ThreadingHTTPServer((host, port), handler)
 

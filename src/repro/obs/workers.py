@@ -31,9 +31,7 @@ files byte-identical across replay and kill/resume.
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
-from typing import Any
 
 from .profiling import Profiler, activate, active_profiler, deactivate
 
@@ -41,8 +39,6 @@ __all__ = [
     "worker_slot",
     "capture_worker_sections",
     "merge_worker_sections",
-    "encode_sections",
-    "decode_sections",
 ]
 
 
@@ -95,29 +91,3 @@ def merge_worker_sections(slot: int, sections: dict[str, dict[str, float]],
             f"worker{int(slot)}.{name}", {"calls": 0, "seconds": 0.0})
         merged["calls"] += int(entry.get("calls", 0))
         merged["seconds"] += float(entry.get("seconds", 0.0))
-
-
-def encode_sections(sections: dict[str, dict[str, float]]) -> str:
-    """Canonical JSON string for persisting sections in a shard ``.npz``."""
-    return json.dumps({"sections": sections or {}}, sort_keys=True)
-
-
-def decode_sections(blob: Any) -> dict[str, dict[str, float]]:
-    """Inverse of :func:`encode_sections`.
-
-    A blob that does not parse yields no sections: they are advisory
-    wall-clock telemetry, never part of a deterministic artifact.
-    """
-    try:
-        document = json.loads(str(blob))
-    except (TypeError, ValueError):
-        return {}
-    sections = document.get("sections", {})
-    if not isinstance(sections, dict):
-        return {}
-    return {
-        str(name): {"calls": int(entry.get("calls", 0)),
-                    "seconds": float(entry.get("seconds", 0.0))}
-        for name, entry in sections.items()
-        if isinstance(entry, dict)
-    }

@@ -22,7 +22,6 @@ from .config import (
     CrowdConfig,
     EstimatorConfig,
     ForestConfig,
-    GatewayConfig,
     LocatorConfig,
     MatcherConfig,
     PlanConfig,
@@ -413,9 +412,7 @@ def config_from_dict(data: dict[str, Any]) -> CorleoneConfig:
             estimator=EstimatorConfig(**data["estimator"]),
             locator=LocatorConfig(**data["locator"]),
             crowd=CrowdConfig(**data["crowd"]),
-            # Documents written before the gateway/plan existed omit
-            # their keys.
-            gateway=GatewayConfig(**data.get("gateway", {})),
+            # Documents written before the plan existed omit its key.
             plan=PlanConfig(**data.get("plan", {})),
             max_pipeline_iterations=data["max_pipeline_iterations"],
             budget=data["budget"],

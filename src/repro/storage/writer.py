@@ -41,8 +41,8 @@ stage and atomic replace are kept (a concurrent reader still never
 sees a torn file) but both fsyncs are skipped, so a power loss may
 surface the previous complete version instead of the new one.  Reserve
 it for advisory artifacts that are regenerated from durable state —
-the live telemetry exports, the progress heartbeat, the wall-clock
-profile — never for anything resume reads.
+the live telemetry exports, the wall-clock profile — never for
+anything resume reads.
 """
 
 from __future__ import annotations

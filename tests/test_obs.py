@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import http.client
 import json
+import shutil
 import threading
 from pathlib import Path
 
@@ -40,14 +41,13 @@ from repro.engine.events import (
     EVENT_SHARD_STARTED,
     EVENT_STAGE_FINISHED,
     EVENT_STAGE_STARTED,
-    Event,
 )
 from repro.exceptions import DataError
 from repro.obs import MetricsRegistry, SpanTracer, render_prometheus
 from repro.obs import profiling
 from repro.obs.__main__ import main as obs_main
 from repro.obs.diffing import diff_runs, render_diff
-from repro.obs.progress import ProgressHeartbeat, read_progress
+from repro.obs.progress import fold_progress, read_progress
 from repro.obs.report import effective_trace, render_report, render_watch
 from repro.obs.serve import build_server
 from repro.obs.spans import read_spans
@@ -490,14 +490,13 @@ def identity_scenario(tmp_path_factory):
     return dataset, config, crowd, golden_dir
 
 
-@pytest.fixture(scope="module")
-def kill_resume_sweep(identity_scenario, tmp_path_factory):
-    """Run directories of the identity scenario killed at each of the
-    golden run's checkpoints in turn, each then resumed to the end."""
-    dataset, config, crowd, golden_dir = identity_scenario
+def _kill_sweep(scenario, root: Path) -> list[tuple[Path, Path]]:
+    """A scenario killed at each of its golden run's checkpoints in
+    turn: per kill, a copy of the directory as the kill left it and the
+    directory itself, resumed to the end."""
+    dataset, config, crowd, golden_dir = scenario
     n_checkpoints = load_checkpoint(golden_dir)["index"] + 1
-    root = tmp_path_factory.mktemp("obs_kills")
-    run_dirs = []
+    sweep = []
     for kill_at in range(n_checkpoints):
         run_dir = root / f"kill{kill_at}"
         pipeline = Corleone(config, crowd(), seed=123, run_dir=run_dir)
@@ -505,9 +504,44 @@ def kill_resume_sweep(identity_scenario, tmp_path_factory):
         with pytest.raises(_Killed):
             pipeline.run(dataset.table_a, dataset.table_b,
                          dataset.seed_labels)
+        killed = shutil.copytree(run_dir, root / f"killed{kill_at}")
         Corleone.resume(run_dir, crowd())
-        run_dirs.append(run_dir)
-    return run_dirs
+        sweep.append((killed, run_dir))
+    return sweep
+
+
+@pytest.fixture(scope="module")
+def kill_resume_sweep(identity_scenario, tmp_path_factory):
+    """The identity scenario's kill sweep (:func:`_kill_sweep`)."""
+    return _kill_sweep(identity_scenario,
+                       tmp_path_factory.mktemp("obs_kills"))
+
+
+def _assert_resumed_progress_is_golden(scenario, sweep) -> None:
+    """Each resumed directory's progress equals the uninterrupted
+    run's on every key but ``sequence`` (a resume renumbers the events
+    after its checkpoint)."""
+    golden = read_progress(scenario[3])
+    assert golden["finished"] is True
+    assert golden["checkpoints"] == load_checkpoint(scenario[3])["index"] + 1
+    del golden["sequence"]
+    for kill_at, (_, run_dir) in enumerate(sweep):
+        resumed = read_progress(run_dir)
+        del resumed["sequence"]
+        assert resumed == golden, (
+            f"progress diverged after a kill at checkpoint {kill_at}")
+
+
+def _assert_killed_progress_counts_the_log(sweep) -> None:
+    """A killed, unresumed directory counts every record its log holds
+    (the kill lands after the record's fsync, before its trace event)
+    and is finished only once the final stage has finished."""
+    for kill_at, (killed, _) in enumerate(sweep):
+        progress = read_progress(killed)
+        assert progress["checkpoints"] == \
+            load_checkpoint(killed)["index"] + 1 == kill_at + 1
+        # The last checkpoint follows the final stage_finished event.
+        assert progress["finished"] is (kill_at == len(sweep) - 1), kill_at
 
 
 class TestTelemetryByteIdentity:
@@ -550,24 +584,19 @@ class TestTelemetryByteIdentity:
             self, identity_scenario, kill_resume_sweep):
         golden = _telemetry_bytes(identity_scenario[3])
         assert len(kill_resume_sweep) >= 5
-        for kill_at, run_dir in enumerate(kill_resume_sweep):
+        for kill_at, (_, run_dir) in enumerate(kill_resume_sweep):
             assert _telemetry_bytes(run_dir) == golden, (
                 f"telemetry diverged after a kill at checkpoint {kill_at}"
             )
 
     def test_resumed_progress_reports_the_whole_run(
             self, identity_scenario, kill_resume_sweep):
-        keys = ("finished", "checkpoints", "iteration", "shards",
-                "pairs_labeled", "answers", "dollars_spent")
-        golden = read_progress(identity_scenario[3])
-        assert golden["finished"] is True
-        for kill_at, run_dir in enumerate(kill_resume_sweep):
-            resumed = read_progress(run_dir)
-            assert ({key: resumed[key] for key in keys}
-                    == {key: golden[key] for key in keys}), (
-                f"progress.json diverged after a kill at checkpoint "
-                f"{kill_at}"
-            )
+        _assert_resumed_progress_is_golden(identity_scenario,
+                                           kill_resume_sweep)
+
+    def test_killed_progress_counts_the_log(self, identity_scenario,
+                                            kill_resume_sweep):
+        _assert_killed_progress_counts_the_log(kill_resume_sweep)
 
     def test_report_smoke_on_a_real_run_dir(self, identity_scenario,
                                             capsys):
@@ -698,6 +727,13 @@ def sharded_identity_scenario(tmp_path_factory):
     return dataset, config, crowd, golden_dir
 
 
+@pytest.fixture(scope="module")
+def sharded_kill_resume_sweep(sharded_identity_scenario, tmp_path_factory):
+    """The 4-worker scenario's kill sweep (:func:`_kill_sweep`)."""
+    return _kill_sweep(sharded_identity_scenario,
+                       tmp_path_factory.mktemp("obs_sharded_kills"))
+
+
 class TestShardedWorkerTelemetry:
     """Worker-labelled telemetry from a real ``n_workers=4`` run."""
 
@@ -757,24 +793,23 @@ class TestShardedWorkerTelemetry:
         assert _telemetry_bytes(replay_dir) == _telemetry_bytes(golden_dir)
 
     def test_kill_resume_is_byte_identical_at_every_checkpoint(
-            self, sharded_identity_scenario, tmp_path):
-        dataset, config, crowd, golden_dir = sharded_identity_scenario
-        golden = _telemetry_bytes(golden_dir)
-        n_checkpoints = load_checkpoint(golden_dir)["index"] + 1
-        assert n_checkpoints >= 5
-
-        for kill_at in range(n_checkpoints):
-            run_dir = tmp_path / f"kill{kill_at}"
-            pipeline = Corleone(config, crowd(), seed=123, run_dir=run_dir)
-            pipeline.bus.subscribe(_killer_sink(kill_at))
-            with pytest.raises(_Killed):
-                pipeline.run(dataset.table_a, dataset.table_b,
-                             dataset.seed_labels)
-            Corleone.resume(run_dir, crowd())
+            self, sharded_identity_scenario, sharded_kill_resume_sweep):
+        golden = _telemetry_bytes(sharded_identity_scenario[3])
+        assert len(sharded_kill_resume_sweep) >= 5
+        for kill_at, (_, run_dir) in enumerate(sharded_kill_resume_sweep):
             assert _telemetry_bytes(run_dir) == golden, (
                 f"sharded telemetry diverged after a kill at "
                 f"checkpoint {kill_at}"
             )
+
+    def test_resumed_progress_reports_the_whole_run(
+            self, sharded_identity_scenario, sharded_kill_resume_sweep):
+        _assert_resumed_progress_is_golden(sharded_identity_scenario,
+                                           sharded_kill_resume_sweep)
+
+    def test_killed_progress_counts_the_log(self,
+                                            sharded_kill_resume_sweep):
+        _assert_killed_progress_counts_the_log(sharded_kill_resume_sweep)
 
     def test_progress_heartbeat_written_and_finished(
             self, sharded_identity_scenario):
@@ -932,14 +967,27 @@ class TestTraceTail:
 
 
 # ----------------------------------------------------------------------
-# Progress heartbeat
+# Progress view: folded from the trace, the log and run.json
 # ----------------------------------------------------------------------
 
 
-def _feed(heartbeat: ProgressHeartbeat,
-          events: list[tuple[str, dict]]) -> None:
-    for sequence, (name, payload) in enumerate(events):
-        heartbeat(Event(name=name, sequence=sequence, payload=payload))
+def _trace(events: list[tuple[str, dict]]) -> list[dict]:
+    """Trace records of ``(event name, payload)`` pairs, numbered."""
+    return [{"event": name, "sequence": sequence, **payload}
+            for sequence, (name, payload) in enumerate(events)]
+
+
+def _write_trace(run_dir: Path, records: list[dict]) -> None:
+    run_dir.mkdir(parents=True, exist_ok=True)
+    (run_dir / "trace.jsonl").write_text(
+        "".join(json.dumps(record, sort_keys=True) + "\n"
+                for record in records))
+
+
+def _write_budget(run_dir: Path, budget: float) -> None:
+    """The one ``run.json`` field the progress view reads."""
+    (run_dir / "run.json").write_text(
+        json.dumps({"config": {"budget": budget}}))
 
 
 def _first_purchase(answers: int, dollars: float) -> dict:
@@ -951,9 +999,10 @@ def _first_purchase(answers: int, dollars: float) -> dict:
 
 
 class TestProgressHeartbeat:
+    """The progress fold over trace records, and its reader."""
+
     def test_event_folding_and_round_trip(self, tmp_path):
-        heartbeat = ProgressHeartbeat(tmp_path, budget=10.0)
-        _feed(heartbeat, [
+        _write_trace(tmp_path, _trace([
             (EVENT_STAGE_STARTED, {"stage": "block", "iteration": 0}),
             (EVENT_SHARD_STARTED, {"shard": 0}),
             (EVENT_SHARD_STARTED, {"shard": 1}),
@@ -962,7 +1011,9 @@ class TestProgressHeartbeat:
             (EVENT_LABELS_PURCHASED, _first_purchase(answers=4,
                                                      dollars=0.4)),
             (EVENT_CHECKPOINT_WRITTEN, {"index": 0, "stage": "block"}),
-        ])
+        ]))
+        (tmp_path / CHECKPOINT_LOG).write_bytes(frame_record(b"{}"))
+        _write_budget(tmp_path, 10.0)
         document = read_progress(tmp_path)
         assert document is not None
         assert document["stage"] == "block"
@@ -975,31 +1026,41 @@ class TestProgressHeartbeat:
         assert document["budget_remaining"] == pytest.approx(9.6)
         assert document["sequence"] == 6
 
-    def test_resumed_shard_events_do_not_double_count(self, tmp_path):
-        heartbeat = ProgressHeartbeat(tmp_path)
-        _feed(heartbeat, [
+    def test_resumed_shard_events_do_not_double_count(self):
+        document = fold_progress(_trace([
             (EVENT_SHARD_COMPLETED, {"shard": 3}),
             (EVENT_SHARD_COMPLETED, {"shard": 3}),  # resume re-emission
-        ])
-        assert heartbeat.document()["shards"]["completed"] == 1
+        ]))
+        assert document["shards"]["completed"] == 1
 
-    def test_stage_finished_dollars_are_authoritative(self, tmp_path):
-        heartbeat = ProgressHeartbeat(tmp_path, budget=10.0)
-        _feed(heartbeat, [
+    def test_stage_finished_dollars_are_authoritative(self):
+        document = fold_progress(_trace([
             (EVENT_LABELS_PURCHASED, _first_purchase(answers=4,
                                                      dollars=0.4)),
             (EVENT_STAGE_FINISHED, {"stage": "block", "dollars": 2.4,
                                     "next_stage": None}),
-        ])
-        document = heartbeat.document()
+        ]), budget=10.0)
         assert document["finished"] is True
         assert document["stage"] is None
         assert document["dollars_spent"] == pytest.approx(2.4)
+        assert document["budget_remaining"] == pytest.approx(7.6)
 
     def test_read_progress_absent_or_damaged_is_none(self, tmp_path):
         assert read_progress(tmp_path) is None
-        (tmp_path / "progress.json").write_text("{ torn")
-        assert read_progress(tmp_path) is None
+        records = _trace([
+            (EVENT_STAGE_STARTED, {"stage": "block", "iteration": 0}),
+            (EVENT_STAGE_FINISHED, {"stage": "block", "dollars": 0.0,
+                                    "next_stage": None}),
+        ])
+        _write_trace(tmp_path, records[:1])
+        # A torn final line (a write the crash cut short) is not read.
+        with open(tmp_path / "trace.jsonl", "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(records[1])[:20])
+        document = read_progress(tmp_path)
+        assert document["stage"] == "block"
+        assert document["finished"] is False
+        assert document["sequence"] == 0
+        assert document["budget"] is None  # no run.json yet
 
 
 # ----------------------------------------------------------------------
@@ -1023,7 +1084,7 @@ def monitor(tmp_path):
     """A fixture run directory served on an ephemeral port."""
     run_dir = tmp_path / "served_run"
     _write_fixture_run(run_dir)
-    ProgressHeartbeat(run_dir, budget=10.0).flush()
+    _write_budget(run_dir, 10.0)
     server = build_server(run_dir, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -1062,12 +1123,13 @@ class TestRunMonitor:
         assert status == 503
 
     def test_progress_endpoint_serves_the_heartbeat(self, monitor):
-        _, server = monitor
+        run_dir, server = monitor
         status, body = _http_get(server, "/progress")
         assert status == 200
         document = json.loads(body)
         assert document["format"] == "corleone-progress"
         assert document["budget"] == 10.0
+        assert document == read_progress(run_dir)
 
     def test_trace_endpoint_filters_by_sequence(self, monitor):
         _, server = monitor
@@ -1182,19 +1244,19 @@ class TestRunDiffing:
 class TestWatchAndInFlightReport:
     def test_watch_frame_without_progress(self):
         frame = render_watch(None, [])
-        assert "waiting for progress.json" in frame
+        assert "waiting for trace.jsonl" in frame
 
     def test_watch_frame_with_progress_and_events(self, tmp_path):
-        heartbeat = ProgressHeartbeat(tmp_path, budget=10.0)
-        _feed(heartbeat, [
+        _write_trace(tmp_path, _trace([
             (EVENT_STAGE_STARTED, {"stage": "block", "iteration": 0}),
             (EVENT_SHARD_STARTED, {"shard": 0}),
             (EVENT_SHARD_COMPLETED, {"shard": 0}),
-        ])
+        ]))
+        _write_budget(tmp_path, 10.0)
         events = [{"event": "stage_started", "sequence": 0,
                    "stage": "block"},
                   {"event": "shard_completed", "sequence": 1, "shard": 0}]
-        frame = render_watch(heartbeat.document(), events, recent=1)
+        frame = render_watch(read_progress(tmp_path), events, recent=1)
         assert "stage block" in frame
         assert "shards 1/1" in frame
         assert "events seen: 2" in frame
@@ -1204,11 +1266,10 @@ class TestWatchAndInFlightReport:
     def test_report_marks_an_in_flight_run(self, tmp_path):
         run_dir = tmp_path / "inflight"
         _write_fixture_run(run_dir)
-        heartbeat = ProgressHeartbeat(run_dir, budget=10.0)
-        _feed(heartbeat, [
-            (EVENT_STAGE_STARTED, {"stage": "train_matcher",
-                                   "iteration": 1}),
-        ])
+        _write_budget(run_dir, 10.0)
+        # Cut the trace before the final stage_finished.
+        trace = run_dir / "trace.jsonl"
+        trace.write_text("".join(trace.read_text().splitlines(True)[:-1]))
         text = render_report(run_dir)
         assert "IN FLIGHT" in text
         assert "stage: train_matcher" in text
@@ -1217,9 +1278,6 @@ class TestWatchAndInFlightReport:
     def test_report_on_a_finished_run_has_no_banner(self, tmp_path):
         run_dir = tmp_path / "finished"
         _write_fixture_run(run_dir)
-        heartbeat = ProgressHeartbeat(run_dir, budget=10.0)
-        _feed(heartbeat, [
-            (EVENT_STAGE_FINISHED, {"stage": "train_matcher",
-                                    "dollars": 2.4, "next_stage": None}),
-        ])
+        _write_budget(run_dir, 10.0)
+        assert read_progress(run_dir)["finished"] is True
         assert "IN FLIGHT" not in render_report(run_dir)

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from repro.config import CorleoneConfig, ForestConfig
+from repro.config import CorleoneConfig, ForestConfig, GatewayConfig
 from repro.exceptions import DataError
 from repro.forest.forest import train_forest
 from repro.persistence import (
@@ -250,3 +251,11 @@ class TestConfigRoundTrip:
         with pytest.raises(DataError, match=rf"{section}\.{key}.*"
                            r"sharded plan executor.*blocker\.n_workers"):
             config_from_dict(document)
+
+    def test_older_gateway_section_is_ignored(self):
+        """A run.json written while the config carried a gateway section
+        (ResilientCrowd takes its own GatewayConfig) still loads."""
+        document = config_to_dict(CorleoneConfig())
+        assert "gateway" not in document
+        document["gateway"] = dataclasses.asdict(GatewayConfig())
+        assert config_from_dict(document) == CorleoneConfig()

@@ -271,6 +271,22 @@ class TestShardStore:
         assert ShardStore(store.directory, "f").prepare(n_shards=2) == set()
         assert not (store.directory / "quarantine" / f"{PLAN_FILE}.1").exists()
 
+    def test_shard_round_trips_and_older_telemetry_is_ignored(
+            self, tmp_path):
+        store = self._store(tmp_path)
+        path = store.shard_path(0)
+        with np.load(path) as data:
+            assert "telemetry" not in data.files
+            arrays = {name: data[name] for name in data.files}
+        (rows_a, rows_b), scanned, cells = store.load(0)
+        assert rows_a.tolist() == rows_b.tolist() == [0]
+        assert (scanned, cells) == (1, 1)
+        # A file written before shards stopped storing wall-clock
+        # sections still loads, the sections unread.
+        np.savez(path, telemetry=np.array(['{"sections": {}}']), **arrays)
+        (rows_a, _), scanned, cells = store.load(0)
+        assert rows_a.tolist() == [0] and (scanned, cells) == (1, 1)
+
     def test_shard_file_missing_a_key_is_a_typed_error(self, tmp_path):
         store = self._store(tmp_path)
         path = store.shard_path(0)
@@ -412,35 +428,37 @@ class TestWorkerTelemetry:
         # global order: the worker attribution must be identical.
         assert by_shard(pooled) == by_shard(fallback)
 
-    def test_cached_shards_replay_worker_slot_and_sections(self, tmp_path):
+    def test_cached_shards_replay_worker_slot_without_sections(
+            self, tmp_path):
+        from repro.obs.profiling import Profiler, activate, deactivate
         dataset, library, rules = self._setup()
         shard_dir = tmp_path / "shards"
         apply_rules_sharded(dataset.table_a, dataset.table_b, rules,
                             library, n_workers=2, shard_size=9,
                             shard_dir=shard_dir)
-        # The persisted shard carries the worker's wall-clock sections.
-        from repro.exec.sharding import shard_fingerprint
-        from repro.plan import PlanExecutor
-        chunk = PlanExecutor(dataset.table_a, dataset.table_b, rules,
-                             library).chunk_pairs
-        fingerprint = shard_fingerprint(dataset.table_a, dataset.table_b,
-                                        rules, library, 9, chunk)
-        store = ShardStore(shard_dir, fingerprint)
-        _, _, _, sections = store.load(0)
-        assert "blocker.shard_flush" in sections
-        assert sections["blocker.shard_flush"]["calls"] >= 1
+        # A shard file stores no wall-clock time.
+        with np.load(shard_dir / "shard-00000.npz") as data:
+            assert "telemetry" not in data.files
         # A resume loads every shard; the replayed events carry the
-        # same deterministic worker slot as the fresh run.
+        # same deterministic worker slot as the fresh run, and the
+        # profile holds only this process's own work.
         bus = EventBus()
         payloads = []
         bus.subscribe(lambda e: payloads.append(dict(e.payload))
                       if e.name == EVENT_SHARD_COMPLETED else None)
-        apply_rules_sharded(dataset.table_a, dataset.table_b, rules,
-                            library, n_workers=2, shard_size=9,
-                            shard_dir=shard_dir, bus=bus)
+        profiler = Profiler()
+        activate(profiler)
+        try:
+            apply_rules_sharded(dataset.table_a, dataset.table_b, rules,
+                                library, n_workers=2, shard_size=9,
+                                shard_dir=shard_dir, bus=bus)
+        finally:
+            deactivate(profiler)
         assert payloads and all(p["cached"] for p in payloads)
         for payload in payloads:
             assert payload["worker"] == payload["shard"] % 2
+        assert not [name for name in profiler.sections
+                    if name.startswith("worker")]
 
     def test_worker_sections_merge_into_active_profiler(self):
         from repro.obs.profiling import Profiler, activate, deactivate

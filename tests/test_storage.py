@@ -675,7 +675,7 @@ class TestTornWriteProperties:
                         cells_computed=len(values))
             path = store.shard_path(0)
             full = path.read_bytes()
-            loaded, scanned, _, _ = store.load(0)
+            loaded, scanned, _ = store.load(0)
             assert all(np.array_equal(got, want)
                        for got, want in zip(loaded, survivors))
             assert scanned == len(values)

@@ -270,8 +270,9 @@ class TestArtifactEventsAndManifest:
         for name in ("metrics.json", "spans.jsonl"):
             assert manifest[name]["sha256"] == \
                 file_sha256(run_dir / name)
-        for advisory in ("profile.json", "progress.json"):
-            assert advisory not in manifest
+        assert "profile.json" not in manifest
+        # Progress is folded from the trace and the log, never written.
+        assert not (run_dir / "progress.json").exists()
 
 
 class TestBitRotRecovery:
