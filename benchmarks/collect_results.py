@@ -125,6 +125,45 @@ def _peak_rss_kb() -> int | None:
         return None
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
+
+def _interleaved_overhead(base, treated, repeats: int) -> dict:
+    """Time ``treated`` against ``base``: two zero-argument callables
+    that each do one run and return its wall-clock seconds.
+
+    The signal is a few percent, or a few tens of milliseconds, of a
+    sub-second run on a shared box.  So the two arms are *interleaved*
+    (base, treated, base, treated, ...) after one untimed warm-up of
+    ``base``, and the overhead is the **median of the per-pair ratios**
+    ``treated_i / base_i - 1``, floored at 0.  Arm-level minima are
+    biased by whichever arm catches the luckiest window, and sequential
+    blocks let machine-state drift (page cache, CPU frequency, a
+    background build) land entirely on one side; adjacent pairs see
+    near-identical machine state, and the median shrugs off the
+    occasional scheduler stall that a mean or a min cannot.  Returns
+    the estimator's name, the per-arm minima (for reference), the
+    overhead and the quartiles of the ratios.
+    """
+    import statistics
+
+    base()
+    base_times: list[float] = []
+    treated_times: list[float] = []
+    for _ in range(repeats):
+        base_times.append(base())
+        treated_times.append(treated())
+    ratios = [t / b - 1.0 for b, t in zip(base_times, treated_times)]
+    # quantiles() needs two points; one pair is its own quartiles.
+    q1, _, q3 = (statistics.quantiles(ratios, n=4) if repeats > 1
+                 else ratios * 3)
+    return {
+        "estimator": "median of interleaved pair ratios",
+        "base_seconds": min(base_times),
+        "treated_seconds": min(treated_times),
+        "overhead_fraction": round(max(0.0, statistics.median(ratios)), 4),
+        "ratio_quartiles": [round(q1, 4), round(q3, 4)],
+    }
+
+
 # Display order: paper tables, figures, section studies, extensions.
 ORDER = [
     "table1_datasets",
@@ -339,16 +378,17 @@ def collect_lint(output: Path | None = None) -> dict:
     return payload
 
 
-def collect_engine(output: Path | None = None, repeats: int = 3) -> dict:
+def collect_engine(output: Path | None = None, repeats: int = 7) -> dict:
     """Measure the staged engine's checkpoint and event-bus costs.
 
-    Runs the same seeded hands-off run ``repeats`` times plain and
-    ``repeats`` times with a run directory, then derives the checkpoint
-    wall-clock overhead (the engine's acceptance bar is < 10%), the
-    per-checkpoint write cost, the checkpoint read cost, the event
-    throughput and the size of the checkpointed run's ``trace.jsonl``
-    (lines and bytes).  Writes ``BENCH_engine.json`` and an
-    ``engine_overhead`` result table, and returns the payload.
+    Runs the same seeded hands-off run plain and with a run directory,
+    ``repeats`` interleaved pairs after a warm-up
+    (:func:`_interleaved_overhead`), then derives the checkpoint
+    wall-clock overhead (the median of the pair ratios, with their
+    quartiles), the per-checkpoint write cost, the checkpoint read
+    cost, the event throughput and the size of the checkpointed run's
+    ``trace.jsonl`` (lines and bytes).  Writes ``BENCH_engine.json``
+    and an ``engine_overhead`` result table, and returns the payload.
     """
     import tempfile
     import time
@@ -394,33 +434,36 @@ def collect_engine(output: Path | None = None, repeats: int = 3) -> dict:
                      dataset.seed_labels)
         return time.perf_counter() - started, pipeline.bus.events_emitted
 
-    plain_times = [run_once(None)[0] for _ in range(repeats)]
-
-    checkpointed_times: list[float] = []
     read_times: list[float] = []
     events = checkpoints = trace_lines = trace_bytes = 0
-    for _ in range(repeats):
+
+    def checkpointed_run() -> float:
+        nonlocal events, checkpoints, trace_lines, trace_bytes
         with tempfile.TemporaryDirectory() as tmp:
             run_dir = Path(tmp) / "run"
             elapsed, events = run_once(run_dir)
-            checkpointed_times.append(elapsed)
             started = time.perf_counter()
             checkpoint = load_checkpoint(run_dir)
             read_times.append(time.perf_counter() - started)
             checkpoints = checkpoint["index"] + 1
             trace = (run_dir / TRACE_FILE).read_bytes()
             trace_lines, trace_bytes = trace.count(b"\n"), len(trace)
+        return elapsed
 
-    plain = min(plain_times)
-    checkpointed = min(checkpointed_times)
-    overhead = max(0.0, checkpointed - plain)
+    timing = _interleaved_overhead(lambda: run_once(None)[0],
+                                   checkpointed_run, repeats)
+    plain = timing["base_seconds"]
+    checkpointed = timing["treated_seconds"]
+    overhead = timing["overhead_fraction"]
     payload = {
         "run": {
             "dataset": "restaurants 120x90",
             "repeats": repeats,
+            "estimator": timing["estimator"],
             "plain_seconds": round(plain, 4),
             "checkpointed_seconds": round(checkpointed, 4),
-            "checkpoint_overhead_fraction": round(overhead / plain, 4),
+            "checkpoint_overhead_fraction": overhead,
+            "overhead_ratio_quartiles": timing["ratio_quartiles"],
             "checkpoints_written": checkpoints,
             "events_emitted": events,
             "trace_lines": trace_lines,
@@ -429,7 +472,7 @@ def collect_engine(output: Path | None = None, repeats: int = 3) -> dict:
         },
         "checkpoint": {
             "mean_write_overhead_seconds": round(
-                overhead / max(checkpoints, 1), 6
+                overhead * plain / max(checkpoints, 1), 6
             ),
             "read_seconds": round(min(read_times), 6),
         },
@@ -444,14 +487,16 @@ def collect_engine(output: Path | None = None, repeats: int = 3) -> dict:
     run = payload["run"]
     table = (
         "Staged engine: checkpoint/resume overhead "
-        f"({run['dataset']}, best of {repeats})\n"
+        f"({run['dataset']}, median of {repeats} interleaved pairs)\n"
         "\n"
         "metric                      value\n"
         "--------------------------  ---------\n"
         f"plain run                   {run['plain_seconds']:.3f} s\n"
         f"checkpointed run            {run['checkpointed_seconds']:.3f} s\n"
         f"overhead                    "
-        f"{run['checkpoint_overhead_fraction']:.1%}\n"
+        f"{run['checkpoint_overhead_fraction']:.1%} (quartiles "
+        f"{run['overhead_ratio_quartiles'][0]:.1%} to "
+        f"{run['overhead_ratio_quartiles'][1]:.1%})\n"
         f"checkpoints written         {run['checkpoints_written']}\n"
         f"mean write overhead         "
         f"{payload['checkpoint']['mean_write_overhead_seconds'] * 1e3:.2f}"
@@ -468,7 +513,7 @@ def collect_engine(output: Path | None = None, repeats: int = 3) -> dict:
     return payload
 
 
-def collect_faults(output: Path | None = None, repeats: int = 3) -> dict:
+def collect_faults(output: Path | None = None, repeats: int = 7) -> dict:
     """Measure the resilient gateway's overhead and recovery behaviour.
 
     Runs the same seeded hands-off run three ways: directly against the
@@ -476,7 +521,9 @@ def collect_faults(output: Path | None = None, repeats: int = 3) -> dict:
     fault rate (the pure wrapper tax; acceptance bar < 5%), and through
     the stack at a 10% uniform fault rate with spam disabled (the
     lossless-recovery taxonomy: timeouts, expiries, duplicates,
-    outages).  Records wall-clock overhead, per-kind injection counts,
+    outages).  The first two are timed as ``repeats`` interleaved pairs
+    (:func:`_interleaved_overhead`).  Records wall-clock overhead,
+    per-kind injection counts,
     retry/repost/recovery counters, simulated retry latency, the
     delivered-equals-charged accounting check and the F1 delta, as
     ``BENCH_faults.json`` plus a ``fault_gateway`` result table.
@@ -535,36 +582,29 @@ def collect_faults(output: Path | None = None, repeats: int = 3) -> dict:
             spec = FaultSpec.uniform(fault_rate, spammer_rate=0.0)
             faulty = FaultyCrowd(crowd, spec, seed=77)
             platform = ResilientCrowd(
-                faulty, GatewayConfig(max_attempts=7, failure_threshold=20))
+                faulty, GatewayConfig(failure_threshold=20))
         started = time.perf_counter()
         result = Corleone(config, platform, seed=123).run(
             dataset.table_a, dataset.table_b, dataset.seed_labels)
         elapsed = time.perf_counter() - started
         return elapsed, result, platform, faulty
 
-    direct_times = []
-    for _ in range(repeats):
-        elapsed, direct_result, _, _ = run_once(None)
-        direct_times.append(elapsed)
-    clean_times = []
-    for _ in range(repeats):
-        elapsed, clean_result, _, _ = run_once(0.0)
-        clean_times.append(elapsed)
+    timing = _interleaved_overhead(lambda: run_once(None)[0],
+                                   lambda: run_once(0.0)[0], repeats)
+    _, direct_result, _, _ = run_once(None)
     _, faulty_result, gateway, faulty = run_once(0.1)
 
-    direct = min(direct_times)
-    clean = min(clean_times)
     direct_f1 = f1_score(direct_result.predicted_matches)
     faulty_f1 = f1_score(faulty_result.predicted_matches)
     payload = {
         "run": {
             "dataset": "restaurants 120x90",
             "repeats": repeats,
-            "direct_seconds": round(direct, 4),
-            "gateway_clean_seconds": round(clean, 4),
-            "gateway_overhead_fraction": round(
-                max(0.0, clean - direct) / direct, 4
-            ),
+            "estimator": timing["estimator"],
+            "direct_seconds": round(timing["base_seconds"], 4),
+            "gateway_clean_seconds": round(timing["treated_seconds"], 4),
+            "gateway_overhead_fraction": timing["overhead_fraction"],
+            "overhead_ratio_quartiles": timing["ratio_quartiles"],
             "direct_f1": round(direct_f1, 4),
             "peak_rss_kb": _peak_rss_kb(),
         },
@@ -598,7 +638,7 @@ def collect_faults(output: Path | None = None, repeats: int = 3) -> dict:
     ) or "none"
     table = (
         "Resilient gateway: overhead and fault recovery "
-        f"({run['dataset']}, best of {repeats})\n"
+        f"({run['dataset']}, median of {repeats} interleaved pairs)\n"
         "\n"
         "metric                      value\n"
         "--------------------------  ---------\n"
@@ -635,16 +675,10 @@ def collect_obs(output: Path | None = None, repeats: int = 7,
     docs/observability.md), then derives the instrumentation overhead
     (acceptance bar < 5%) and the instrumented run's artifact counts.
 
-    Methodology, because the signal is a few percent of a sub-second
-    run on a shared box: the two arms are *interleaved* (off, on, off,
-    on, ...) after one untimed warm-up, and the overhead is the
-    **median of the per-pair ratios** ``on_i / off_i - 1``.  Arm-level
-    minima are biased by whichever arm catches the luckiest fsync
-    window, and sequential blocks let machine-state drift (page cache,
-    CPU frequency, a background build) land entirely on one side;
-    adjacent pairs see near-identical machine state, and the median
-    shrugs off the occasional scheduler stall that a mean or a min
-    cannot.  The per-arm minima are still recorded for reference.
+    The two arms are timed as interleaved off/on pairs after a warm-up,
+    and the overhead is the median of the pair ratios
+    (:func:`_interleaved_overhead`, which says why); the per-arm minima
+    and the ratios' quartiles are recorded too.
     The last instrumented run directory is preserved at
     ``benchmarks/results/obs_run`` for ``make trace-report`` (override
     with ``keep_run_dir`` — :func:`check_regress` points both ``output``
@@ -654,7 +688,6 @@ def collect_obs(output: Path | None = None, repeats: int = 7,
     and returns the payload.
     """
     import shutil
-    import statistics
     import tempfile
     import time
 
@@ -703,42 +736,42 @@ def collect_obs(output: Path | None = None, repeats: int = 7,
     kept_run_dir = (keep_run_dir if keep_run_dir is not None
                     else RESULTS_DIR / "obs_run")
 
-    with tempfile.TemporaryDirectory() as tmp:  # untimed warm-up
-        run_once(Path(tmp) / "run", False)
-
-    off_times: list[float] = []
-    on_times: list[float] = []
     events = 0
-    for index in range(repeats):
+
+    def plain_run() -> float:
         with tempfile.TemporaryDirectory() as tmp:
-            off_times.append(run_once(Path(tmp) / "run", False)[0])
-        with tempfile.TemporaryDirectory() as tmp:
-            run_dir = Path(tmp) / "run"
+            return run_once(Path(tmp) / "run", False)[0]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir = Path(tmp) / "run"
+
+        def instrumented_run() -> float:
+            """One instrumented run into ``run_dir``, replacing the last."""
+            nonlocal events
+            shutil.rmtree(run_dir, ignore_errors=True)
             elapsed, events = run_once(run_dir, True)
-            on_times.append(elapsed)
-            if index == repeats - 1:
-                if kept_run_dir.is_dir():
-                    shutil.rmtree(kept_run_dir)
-                shutil.copytree(run_dir, kept_run_dir)
+            return elapsed
+
+        timing = _interleaved_overhead(plain_run, instrumented_run, repeats)
+        if kept_run_dir.is_dir():
+            shutil.rmtree(kept_run_dir)
+        shutil.copytree(run_dir, kept_run_dir)
 
     metrics_doc = json.loads((kept_run_dir / "metrics.json").read_text())
     spans = (kept_run_dir / "spans.jsonl").read_text().splitlines()
     profile = json.loads((kept_run_dir / "profile.json").read_text())
     checkpoint = load_checkpoint(kept_run_dir)
 
-    off = min(off_times)
-    on = min(on_times)
-    pair_ratios = sorted(on_t / off_t - 1.0
-                         for on_t, off_t in zip(on_times, off_times))
-    overhead = round(max(0.0, statistics.median(pair_ratios)), 4)
+    overhead = timing["overhead_fraction"]
     payload = {
         "run": {
             "dataset": "restaurants 120x90",
             "repeats": repeats,
-            "estimator": "median of interleaved on/off pair ratios",
-            "telemetry_off_seconds": round(off, 4),
-            "telemetry_on_seconds": round(on, 4),
+            "estimator": timing["estimator"],
+            "telemetry_off_seconds": round(timing["base_seconds"], 4),
+            "telemetry_on_seconds": round(timing["treated_seconds"], 4),
             "instrumentation_overhead_fraction": overhead,
+            "overhead_ratio_quartiles": timing["ratio_quartiles"],
             "acceptance_bar_fraction": 0.05,
             "within_bar": overhead < 0.05,
             "peak_rss_kb": _peak_rss_kb(),

@@ -59,7 +59,7 @@ class AccountingRule(ModuleRule):
     def _in_platform_class(ctx: ModuleContext) -> bool:
         """Is the call inside a class deriving from the platform layer?
 
-        Decorator platforms (``_CountingPlatform(CrowdPlatform)`` etc.)
+        Decorator platforms (``ResilientCrowd(CrowdPlatform)`` etc.)
         forward ``ask`` to an inner platform by design; they sit below
         the service, which still meters every answer they produce.
         """

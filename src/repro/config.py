@@ -204,26 +204,19 @@ class CrowdConfig:
     strong_majority_max: int = 7
     """Strong majority: give up and take majority after this many answers."""
 
-    max_platform_retries: int = 2
-    """Transient platform failures (:class:`~repro.exceptions.CrowdError`
-    from ``ask``) are retried this many times per question before the
-    error propagates.  Budget exhaustion is never retried."""
-
 
 @dataclass(frozen=True)
 class GatewayConfig:
     """Resilient-gateway parameters (beyond the paper; see
     ``docs/robustness.md``).
 
-    Tunes :class:`repro.crowd.gateway.ResilientCrowd`: how hard the
-    labelling path retries transient platform failures before the
-    circuit breaker declares the crowd unavailable.  All delays are in
+    Tunes :class:`repro.crowd.gateway.ResilientCrowd`, the only layer
+    that retries transient platform failures: how long it backs off
+    between tries, and how many consecutive failures open the circuit
+    breaker that declares the crowd unavailable.  All delays are in
     *simulated* seconds on the shared :class:`repro.crowd.latency.
     SimulatedClock`; nothing here ever sleeps on wall time.
     """
-
-    max_attempts: int = 5
-    """Total tries per question (first attempt + retries)."""
 
     base_delay_seconds: float = 30.0
     """Backoff delay before the first retry."""
@@ -248,7 +241,6 @@ class GatewayConfig:
 
     def __post_init__(self) -> None:
         _raise_first_failure([
-            (self.max_attempts >= 1, "gateway.max_attempts must be >= 1"),
             (self.base_delay_seconds >= 0,
              "gateway.base_delay_seconds must be >= 0"),
             (self.backoff_factor >= 1.0,
@@ -275,8 +267,13 @@ class GatewayConfig:
         """
         if attempt < 0:
             raise ConfigurationError("attempt must be >= 0")
-        delay = min(self.max_delay_seconds,
-                    self.base_delay_seconds * self.backoff_factor ** attempt)
+        try:
+            delay = min(self.max_delay_seconds,
+                        self.base_delay_seconds
+                        * self.backoff_factor ** attempt)
+        except OverflowError:
+            # The growth is past the float range, so past any cap.
+            delay = self.max_delay_seconds if self.base_delay_seconds else 0.0
         if self.jitter_fraction:
             swing = self.jitter_fraction * (2.0 * float(rng.random()) - 1.0)
             delay *= 1.0 + swing
@@ -379,8 +376,6 @@ def _validate(cfg: CorleoneConfig) -> None:
          "crowd.strong_majority_gap must be >= 1"),
         (cfg.crowd.strong_majority_max >= cfg.crowd.strong_majority_gap,
          "crowd.strong_majority_max must be >= strong_majority_gap"),
-        (cfg.crowd.max_platform_retries >= 0,
-         "crowd.max_platform_retries must be >= 0"),
         (cfg.plan.spill_threshold_mb >= 0,
          "plan.spill_threshold_mb must be >= 0"),
         (cfg.max_pipeline_iterations >= 1,

@@ -18,9 +18,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Callable
 
-from ..data.pairs import Pair
 from ..exceptions import CrowdError
-from .base import CrowdPlatform
 
 
 class VoteScheme(enum.Enum):
@@ -97,10 +95,9 @@ def asymmetric_majority(ask: AskFn, gap: int = 3,
     return label, used + extra
 
 
-def aggregate(platform: CrowdPlatform, pair: Pair, scheme: VoteScheme,
+def aggregate(ask: AskFn, scheme: VoteScheme,
               gap: int = 3, max_answers: int = 7) -> tuple[bool, int]:
-    """Run ``scheme`` against ``platform`` for one pair."""
-    ask: AskFn = lambda: platform.ask(pair).label
+    """Run ``scheme`` over the answers ``ask`` solicits for one pair."""
     if scheme is VoteScheme.MAJORITY_2PLUS1:
         return majority_2plus1(ask)
     if scheme is VoteScheme.STRONG_MAJORITY:

@@ -24,6 +24,10 @@ taxonomy of :mod:`repro.crowd.faults`:
   simulated time the breaker goes *half-open* and lets one trial
   question through.
 
+The gateway is the only layer that retries: it retries a question until
+an answer arrives or the breaker opens, so the labelling service above
+it asks for each answer once.
+
 One :class:`~repro.config.GatewayConfig` sets every knob: the backoff
 schedule, the question deadline and the breaker's threshold and
 cooldown.  Every hook (``on_retry`` / ``on_repost`` /
@@ -43,8 +47,6 @@ from ..config import GatewayConfig
 from ..data.pairs import Pair
 from ..exceptions import (
     AnswerTimeoutError,
-    BudgetExhaustedError,
-    ConfigurationError,
     CrowdUnavailableError,
     HitExpiredError,
     TransientCrowdError,
@@ -74,18 +76,13 @@ class CircuitBreaker:
     questions are rejected until ``cooldown_seconds`` of *simulated*
     time pass.  Half-open: one trial question is allowed; success closes
     the circuit, failure re-opens it (and restarts the cooldown).
+    ``config`` sets the threshold and the cooldown.
     """
 
-    def __init__(self, failure_threshold: int = 5,
-                 cooldown_seconds: float = 3600.0,
-                 clock: SimulatedClock | None = None) -> None:
-        if failure_threshold < 1:
-            raise ConfigurationError("failure_threshold must be >= 1")
-        if cooldown_seconds < 0:
-            raise ConfigurationError("cooldown_seconds must be >= 0")
-        self.failure_threshold = failure_threshold
-        self.cooldown_seconds = cooldown_seconds
-        self.clock = clock if clock is not None else SimulatedClock()
+    def __init__(self, config: GatewayConfig, clock: SimulatedClock) -> None:
+        self.failure_threshold = config.failure_threshold
+        self.cooldown_seconds = config.cooldown_seconds
+        self.clock = clock
         self._failures = 0
         self._open = False
         self._opened_at = 0.0
@@ -179,30 +176,24 @@ class ResilientCrowd(CrowdPlatform):
 
     Wraps any platform (usually a :class:`~repro.crowd.faults.FaultyCrowd`
     or :class:`~repro.crowd.latency.TimedCrowd` stack) and guarantees its
-    caller one of exactly two outcomes per ``ask``: a
-    :class:`WorkerAnswer`, or a typed error —
-    :class:`CrowdUnavailableError` once the breaker opens,
-    :class:`BudgetExhaustedError` passed through untouched, or the last
-    :class:`TransientCrowdError` if retries ran out while the circuit
-    stayed closed.  ``config`` (default: :class:`GatewayConfig`'s
-    defaults) sets the retry schedule and sizes the breaker.
+    caller one of two outcomes per ``ask``: a :class:`WorkerAnswer`, or
+    :class:`CrowdUnavailableError` once the breaker is open.  A
+    :class:`~repro.exceptions.BudgetExhaustedError` from below passes
+    through untouched.  ``config`` (default: :class:`GatewayConfig`'s
+    defaults) sets the retry schedule and sizes the breaker.  The
+    gateway shares the first :class:`SimulatedClock` down the stack
+    (:func:`find_clock`) or keeps its own.
     """
 
     def __init__(self, inner: CrowdPlatform,
-                 config: GatewayConfig | None = None,
-                 clock: SimulatedClock | None = None,
-                 rng: np.random.Generator | None = None,
-                 tracker: CostTracker | None = None) -> None:
+                 config: GatewayConfig | None = None) -> None:
         self.inner = inner
         self.config = config if config is not None else GatewayConfig()
-        if clock is None:
-            clock = find_clock(inner)
+        clock = find_clock(inner)
         self.clock = clock if clock is not None else SimulatedClock()
-        self.breaker = CircuitBreaker(self.config.failure_threshold,
-                                      self.config.cooldown_seconds,
-                                      self.clock)
-        self._rng = rng if rng is not None else np.random.default_rng(0)
-        self.tracker = tracker  # corlint: derived
+        self.breaker = CircuitBreaker(self.config, self.clock)
+        self._rng = np.random.default_rng(0)
+        self.tracker: CostTracker | None = None  # corlint: derived
         """Bound by :class:`~repro.engine.context.RunContext` so reposted
         HITs are metered in the run's cost ledger — a rebindable
         dependency, re-injected on resume rather than serialized."""
@@ -225,48 +216,43 @@ class ResilientCrowd(CrowdPlatform):
     # ------------------------------------------------------------------
 
     def ask(self, pair: Pair) -> WorkerAnswer:
-        """One answer for ``pair``, retried/reposted as needed."""
-        last_error: TransientCrowdError | None = None
-        for attempt in range(self.config.max_attempts):
-            if not self.breaker.allow():
-                raise CrowdUnavailableError(
-                    self.breaker.consecutive_failures,
-                    "crowd platform unavailable: circuit is open "
-                    f"(cooldown {self.breaker.cooldown_seconds:.0f}s on "
-                    "the simulated clock)",
-                )
+        """One answer for ``pair``, retried until it arrives or the
+        circuit opens.
+
+        A failure that leaves the breaker open (it just opened, or a
+        half-open trial failed) ends the call, so one call makes at
+        most ``failure_threshold`` attempts.
+        """
+        if not self.breaker.allow():
+            raise CrowdUnavailableError(
+                self.breaker.consecutive_failures,
+                "crowd platform unavailable: circuit is open "
+                f"(cooldown {self.breaker.cooldown_seconds:.0f}s on "
+                "the simulated clock)",
+            )
+        attempt = 0
+        while True:
             try:
                 answer = self.inner.ask(pair)
-            except BudgetExhaustedError:
-                # Money running out is the caller's concern, not a
-                # platform failure; never counts against the breaker.
-                raise
             except TransientCrowdError as error:
-                last_error = error
                 if self._note_failure(pair, error, attempt):
-                    # The breaker just opened: degrade, don't retry.
-                    if self.on_circuit_open is not None:
-                        self.on_circuit_open(
-                            self.breaker.consecutive_failures
-                        )
                     raise CrowdUnavailableError(
                         self.breaker.consecutive_failures
                     ) from error
-                if attempt + 1 < self.config.max_attempts:
-                    self._schedule_retry(error, attempt)
+                self._schedule_retry(error, attempt)
+                attempt += 1
                 continue
             self.breaker.record_success()
             if attempt > 0:
                 self.answers_recovered += 1
             return answer
-        assert last_error is not None
-        raise last_error
 
     def _note_failure(self, pair: Pair, error: TransientCrowdError,
                       attempt: int) -> bool:
-        """Account one platform failure: clock, breaker, reposting.
+        """Account one platform failure: clock, reposting, breaker.
 
-        Returns True when this failure opened the circuit breaker.
+        Returns True when the circuit is open after this failure;
+        ``on_circuit_open`` fires only when this failure opened it.
         """
         if isinstance(error, AnswerTimeoutError):
             # We waited the full question deadline for nothing.
@@ -280,7 +266,10 @@ class ResilientCrowd(CrowdPlatform):
                 self.tracker.record_hits(1)
             if self.on_repost is not None:
                 self.on_repost(pair, attempt)
-        return self.breaker.record_failure()
+        if (self.breaker.record_failure()
+                and self.on_circuit_open is not None):
+            self.on_circuit_open(self.breaker.consecutive_failures)
+        return self.breaker.state != CIRCUIT_CLOSED
 
     def _schedule_retry(self, error: TransientCrowdError,
                         attempt: int) -> None:

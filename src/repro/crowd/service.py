@@ -24,28 +24,9 @@ import numpy as np
 
 from ..config import CrowdConfig
 from ..data.pairs import CandidateSet, Pair
-from ..exceptions import (
-    BudgetExhaustedError,
-    CrowdError,
-    CrowdUnavailableError,
-)
 from .aggregation import VoteScheme, aggregate
 from .base import CrowdPlatform
 from .cost import CostSnapshot, CostTracker
-
-
-class _CountingPlatform(CrowdPlatform):
-    """Pass-through proxy that counts consumed answers (for retry cost)."""
-
-    def __init__(self, inner: CrowdPlatform) -> None:
-        self.inner = inner
-        self.asked = 0
-
-    def ask(self, pair: Pair):
-        """Forward to the wrapped platform, counting the answer."""
-        answer = self.inner.ask(pair)
-        self.asked += 1
-        return answer
 
 
 @dataclass(frozen=True)
@@ -294,41 +275,28 @@ class LabelingService:
     def _label_one(self, pair: Pair, scheme: VoteScheme) -> bool:
         """Aggregate fresh answers for one pair, meter cost, cache it.
 
-        Transient platform failures are retried
-        (``max_platform_retries`` per question); answers consumed by a
-        failed aggregation attempt are still paid for — the workers
-        answered even if the platform then hiccuped.
+        Each answer is asked for once: retrying a failed question is the
+        gateway's job (:class:`~repro.crowd.gateway.ResilientCrowd`).
+        Answers consumed before an error are still paid for — the
+        workers answered even if the platform then failed.
         """
         self.tracker.check_budget()
-        counter = _CountingPlatform(self.platform)
-        attempts = self.config.max_platform_retries + 1
-        for attempt in range(attempts):
-            consumed_before = counter.asked
-            try:
-                label, _ = aggregate(
-                    counter, pair, scheme,
-                    gap=self.config.strong_majority_gap,
-                    max_answers=self.config.strong_majority_max,
-                )
-                break
-            except BudgetExhaustedError:
-                raise
-            except CrowdUnavailableError:
-                # The gateway's circuit is open: retrying here would just
-                # hammer a dead platform.  Pay for answers already served
-                # and let the engine degrade to its last checkpoint.
-                self.tracker.record_answers(
-                    counter.asked - consumed_before
-                )
-                raise
-            except CrowdError:
-                # Workers who answered before the failure still get paid.
-                self.tracker.record_answers(
-                    counter.asked - consumed_before
-                )
-                if attempt == attempts - 1:
-                    raise
-        self.tracker.record_answers(counter.asked - consumed_before)
+        consumed = 0
+
+        def ask() -> bool:
+            nonlocal consumed
+            answer = self.platform.ask(pair)
+            consumed += 1
+            return answer.label
+
+        try:
+            label, _ = aggregate(
+                ask, scheme,
+                gap=self.config.strong_majority_gap,
+                max_answers=self.config.strong_majority_max,
+            )
+        finally:
+            self.tracker.record_answers(consumed)
         if pair not in self._cache:
             self.tracker.record_pair()
         self._put(pair, _entry_for(label, scheme))

@@ -36,7 +36,7 @@ from ..crowd.cost import CostSnapshot, CostTracker
 from ..crowd.faults import FaultyCrowd
 from ..crowd.gateway import ResilientCrowd, find_clock
 from ..crowd.service import LabelingService
-from ..core.budgeting import BudgetPlan, PhaseBudgetManager
+from ..core.budgeting import PhaseBudgetManager
 from .events import (
     EVENT_CIRCUIT_OPENED,
     EVENT_FAULT_INJECTED,
@@ -70,7 +70,6 @@ class RunContext:
     def __init__(self, config: CorleoneConfig, platform: CrowdPlatform,
                  seed: int | np.random.SeedSequence | None = None,
                  rng: np.random.Generator | None = None,
-                 budget_plan: BudgetPlan | None = None,
                  bus: EventBus | None = None,
                  telemetry: bool = True) -> None:
         self.config = config
@@ -93,8 +92,9 @@ class RunContext:
             budget=config.budget,
         )
         self.service = LabelingService(platform, config.crowd, self.tracker)
-        self.manager = (PhaseBudgetManager(budget_plan, self.tracker)
-                        if budget_plan is not None else None)
+        self.manager: PhaseBudgetManager | None = None
+        """Set by :class:`~repro.core.pipeline.Corleone` when the run
+        has a budget plan."""
         self.checkpoint: Callable[["RunState"], None] | None = None
         """Set by the engine when a run directory is configured; stages
         call it to persist the run state mid-stage (e.g. after every

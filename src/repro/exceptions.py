@@ -43,9 +43,10 @@ class TransientCrowdError(CrowdError):
     Raised for the realistic microtask failure taxonomy
     (:mod:`repro.crowd.faults`): platform outages, per-answer timeouts
     and HIT expiry.  The resilient gateway
-    (:class:`repro.crowd.gateway.ResilientCrowd`) retries these with
-    capped exponential backoff; anything that escapes the gateway is no
-    longer transient from the caller's point of view.
+    (:class:`repro.crowd.gateway.ResilientCrowd`), the only layer that
+    retries, retries these with capped exponential backoff until an
+    answer arrives or its circuit breaker opens.  Without a gateway the
+    labelling service asks once and lets the error reach its caller.
     """
 
 
@@ -68,8 +69,10 @@ class HitExpiredError(TransientCrowdError):
 class CrowdUnavailableError(CrowdError):
     """The crowd platform is down and retrying is no longer useful.
 
-    Raised by the gateway when its circuit breaker opens after
-    ``failure_threshold`` consecutive platform failures.  The engine
+    The gateway's one give-up outcome: raised when a failure leaves its
+    circuit breaker open (``failure_threshold`` consecutive platform
+    failures, or a failed half-open trial), chained from that failure,
+    and by every call while the circuit stays open.  The engine
     degrades gracefully: the last stage-boundary checkpoint is already
     on disk, so :meth:`repro.core.pipeline.Corleone.resume` can continue
     the run (with a recovered platform) to a bit-identical result.

@@ -14,8 +14,8 @@ Commands:
 * ``diff <run_a> <run_b>`` — align two runs' metric families and stage
   spans and print every delta (exit 1 when the runs differ).
 
-Everything reads only the run directory (JSON + JSONL) and needs
-nothing beyond the standard library at inspection time.
+Everything reads only the run directory (JSON + JSONL); importing
+``repro`` still loads numpy.
 """
 
 from __future__ import annotations

@@ -4,9 +4,8 @@ Renders a human-readable accounting of one checkpointed run — where the
 budget, time, labels and faults went, per stage — purely from the run
 directory's artifacts (``trace.jsonl``, ``spans.jsonl``,
 ``metrics.json``, ``profile.json``, the folded ``checkpoint.jsonl``).
-Nothing is recomputed from the data tables and nothing beyond the
-standard library is imported, so the report works on any machine that
-can read JSON.
+Nothing is recomputed from the data tables: the report reads only the
+run directory, though importing ``repro`` still loads numpy.
 
 A resumed run's ``trace.jsonl`` deliberately contains duplicate
 sequence numbers (the appended tail re-covers the events after the

@@ -387,8 +387,17 @@ def config_to_dict(config: CorleoneConfig) -> dict[str, Any]:
     return dataclasses.asdict(config)
 
 
-_REMOVED_CONFIG_KEYS = (("blocker", "executor"), ("plan", "enabled"))
-"""Executor switches older documents may carry; blocking has one path."""
+_ONE_BLOCKING_PATH = ("blocking always runs the sharded plan executor, "
+                      "sized by blocker.n_workers")
+
+_REMOVED_CONFIG_KEYS = {
+    ("blocker", "executor"): _ONE_BLOCKING_PATH,
+    ("plan", "enabled"): _ONE_BLOCKING_PATH,
+    ("crowd", "max_platform_retries"): (
+        "the gateway (ResilientCrowd) owns retries; the labelling "
+        "service asks for each answer once"),
+}
+"""Keys older documents may carry, each with why it went."""
 
 
 def config_from_dict(data: dict[str, Any]) -> CorleoneConfig:
@@ -396,15 +405,13 @@ def config_from_dict(data: dict[str, Any]) -> CorleoneConfig:
 
     A document naming a removed key (see ``_REMOVED_CONFIG_KEYS``)
     raises a :class:`~repro.exceptions.DataError` that names the key
-    and its replacement.
+    and why it went.
     """
     try:
-        for section, key in _REMOVED_CONFIG_KEYS:
+        for (section, key), reason in _REMOVED_CONFIG_KEYS.items():
             if key in data.get(section, ()):
                 raise DataError(
-                    f"config key {section}.{key} was removed: blocking "
-                    "always runs the sharded plan executor, sized by "
-                    "blocker.n_workers")
+                    f"config key {section}.{key} was removed: {reason}")
         return CorleoneConfig(
             forest=ForestConfig(**data["forest"]),
             blocker=BlockerConfig(**data["blocker"]),

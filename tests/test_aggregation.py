@@ -135,7 +135,8 @@ class TestAggregateDispatch:
     def test_runs_against_platform(self, scheme):
         crowd = SimulatedCrowd({Pair("a", "b")}, error_rate=0.0,
                                rng=np.random.default_rng(0))
-        label, used = aggregate(crowd, Pair("a", "b"), scheme)
+        label, used = aggregate(lambda: crowd.ask(Pair("a", "b")).label,
+                                scheme)
         assert label is True
         assert used >= 2
 

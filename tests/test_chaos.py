@@ -17,11 +17,12 @@ Spam is tested separately with a loose bound: spammers corrupt labels
 (worker-quality noise the gateway cannot see), whereas timeouts,
 expiries, duplicates and outages are lossless through retry.
 
-The gateway is sized so a permanent outage trips the breaker inside one
-labelling call: the service retries each question up to 3 times, the
-gateway up to ``max_attempts`` per try, so ``failure_threshold`` must be
-at most ``3 * max_attempts`` for the typed error to escape (rather than
-a plain ``TransientCrowdError`` after retry exhaustion).
+The gateway is the only layer that retries: it retries a question until
+an answer arrives or ``failure_threshold`` consecutive failures open the
+breaker, and the labelling service asks for each answer once.  So a
+permanent outage always ends in the typed error, and the threshold of
+20 only has to stay above the longest run of failures a recoverable
+fault rate produces.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def chaos_stack(crowd, spec: FaultSpec):
     """
     faulty = FaultyCrowd(crowd, spec, seed=FAULT_SEED)
     gateway = ResilientCrowd(
-        faulty, GatewayConfig(max_attempts=7, failure_threshold=20))
+        faulty, GatewayConfig(failure_threshold=20))
     return gateway, faulty
 
 

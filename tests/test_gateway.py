@@ -55,21 +55,22 @@ MATCHES = {Pair("a1", "b1"), Pair("a2", "b2")}
 PAIR = Pair("a1", "b1")
 
 
-def stack(spec: FaultSpec, seed: int = 0, *, max_attempts: int = 6,
-          threshold: int = 50,
+def stack(spec: FaultSpec, seed: int = 0, *, threshold: int = 50,
           jitter: float = 0.1) -> tuple[ResilientCrowd, FaultyCrowd]:
     """A gateway over a faulty perfect oracle; returns both layers."""
     faulty = FaultyCrowd(PerfectCrowd(MATCHES), spec, seed=seed)
     gateway = ResilientCrowd(faulty, GatewayConfig(
-        max_attempts=max_attempts, jitter_fraction=jitter,
-        failure_threshold=threshold))
+        jitter_fraction=jitter, failure_threshold=threshold))
     return gateway, faulty
 
 
 class _AlwaysDown(PerfectCrowd):
     """A platform that never answers (permanent transient failure)."""
 
+    calls = 0
+
     def ask(self, pair):
+        self.calls += 1
         raise TransientCrowdError("down")
 
 
@@ -97,8 +98,18 @@ class TestGatewayConfig:
              for k in range(5)]
         assert a == b
 
+    def test_long_outage_waits_the_cap_without_overflow(self):
+        """factor ** attempt overflows a float; the delay stays capped."""
+        rng = np.random.default_rng(0)
+        capped = GatewayConfig(jitter_fraction=0.0, failure_threshold=10_000)
+        assert capped.delay_seconds(5_000, rng) == 600.0
+        jittered = GatewayConfig(failure_threshold=10_000)
+        assert 540.0 <= jittered.delay_seconds(5_000, rng) <= 660.0
+        instant = GatewayConfig(base_delay_seconds=0.0)
+        assert instant.delay_seconds(5_000, rng) == 0.0
+
     @pytest.mark.parametrize("kwargs", [
-        {"max_attempts": 0},
+        {"jitter_fraction": -0.1},
         {"base_delay_seconds": -1.0},
         {"backoff_factor": 0.5},
         {"jitter_fraction": 1.0},
@@ -119,7 +130,8 @@ class TestGatewayConfig:
 
 class TestCircuitBreaker:
     def test_opens_at_the_threshold(self):
-        breaker = CircuitBreaker(failure_threshold=3)
+        breaker = CircuitBreaker(GatewayConfig(failure_threshold=3),
+                                 SimulatedClock())
         assert breaker.state == CIRCUIT_CLOSED
         assert breaker.record_failure() is False
         assert breaker.record_failure() is False
@@ -128,7 +140,8 @@ class TestCircuitBreaker:
         assert breaker.allow() is False
 
     def test_success_resets_the_count(self):
-        breaker = CircuitBreaker(failure_threshold=2)
+        breaker = CircuitBreaker(GatewayConfig(failure_threshold=2),
+                                 SimulatedClock())
         breaker.record_failure()
         breaker.record_success()
         assert breaker.consecutive_failures == 0
@@ -137,8 +150,8 @@ class TestCircuitBreaker:
 
     def test_half_open_after_cooldown_admits_one_trial(self):
         clock = SimulatedClock()
-        breaker = CircuitBreaker(failure_threshold=1,
-                                 cooldown_seconds=60.0, clock=clock)
+        breaker = CircuitBreaker(
+            GatewayConfig(failure_threshold=1, cooldown_seconds=60.0), clock)
         breaker.record_failure()
         assert breaker.allow() is False
         clock.advance(61.0)
@@ -148,8 +161,8 @@ class TestCircuitBreaker:
 
     def test_half_open_trial_success_closes(self):
         clock = SimulatedClock()
-        breaker = CircuitBreaker(failure_threshold=1,
-                                 cooldown_seconds=60.0, clock=clock)
+        breaker = CircuitBreaker(
+            GatewayConfig(failure_threshold=1, cooldown_seconds=60.0), clock)
         breaker.record_failure()
         clock.advance(61.0)
         assert breaker.allow()
@@ -158,8 +171,8 @@ class TestCircuitBreaker:
 
     def test_half_open_trial_failure_reopens(self):
         clock = SimulatedClock()
-        breaker = CircuitBreaker(failure_threshold=1,
-                                 cooldown_seconds=60.0, clock=clock)
+        breaker = CircuitBreaker(
+            GatewayConfig(failure_threshold=1, cooldown_seconds=60.0), clock)
         breaker.record_failure()
         clock.advance(61.0)
         assert breaker.allow()
@@ -167,18 +180,13 @@ class TestCircuitBreaker:
         assert breaker.state == CIRCUIT_OPEN  # cooldown restarted
 
     def test_state_roundtrip(self):
-        breaker = CircuitBreaker(failure_threshold=2)
+        config = GatewayConfig(failure_threshold=2)
+        breaker = CircuitBreaker(config, SimulatedClock())
         breaker.record_failure()
         state = json.loads(json.dumps(breaker.state_dict()))
-        other = CircuitBreaker(failure_threshold=2)
+        other = CircuitBreaker(config, SimulatedClock())
         other.load_state(state)
         assert other.state_dict() == breaker.state_dict()
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ConfigurationError):
-            CircuitBreaker(cooldown_seconds=-1.0)
 
 
 class TestGatewayRetries:
@@ -197,15 +205,27 @@ class TestGatewayRetries:
         assert gateway.retries_scheduled > 0
         assert gateway.answers_recovered > 0
 
-    def test_retries_exhausted_reraises_the_last_error(self):
-        gateway = ResilientCrowd(
-            FaultyCrowd(PerfectCrowd(MATCHES),
-                        FaultSpec(timeout_rate=1.0)),
-            GatewayConfig(max_attempts=3, failure_threshold=50),
-        )
-        with pytest.raises(AnswerTimeoutError):
+    def test_retries_until_the_circuit_opens(self):
+        down = _AlwaysDown(MATCHES)
+        gateway = ResilientCrowd(down, GatewayConfig(failure_threshold=20))
+        with pytest.raises(CrowdUnavailableError) as info:
             gateway.ask(PAIR)
-        assert gateway.retries_scheduled == 2  # between the 3 attempts
+        assert down.calls == 20
+        assert gateway.retries_scheduled == 19  # between the 20 attempts
+        assert isinstance(info.value.__cause__, TransientCrowdError)
+
+    def test_failed_half_open_trial_ends_the_call(self):
+        down = _AlwaysDown(MATCHES)
+        gateway = ResilientCrowd(
+            down, GatewayConfig(failure_threshold=3, cooldown_seconds=0.0))
+        with pytest.raises(CrowdUnavailableError):
+            gateway.ask(PAIR)
+        assert down.calls == 3
+        # The cooldown has passed at once: one trial, then give up.
+        with pytest.raises(CrowdUnavailableError) as info:
+            gateway.ask(PAIR)
+        assert down.calls == 4
+        assert isinstance(info.value.__cause__, TransientCrowdError)
 
     def test_budget_exhaustion_is_never_retried(self):
         class Broke(PerfectCrowd):
@@ -220,8 +240,7 @@ class TestGatewayRetries:
 
     def test_circuit_opens_and_raises_typed_error(self):
         gateway = ResilientCrowd(
-            _AlwaysDown(MATCHES),
-            GatewayConfig(max_attempts=10, failure_threshold=4),
+            _AlwaysDown(MATCHES), GatewayConfig(failure_threshold=4),
         )
         with pytest.raises(CrowdUnavailableError) as info:
             gateway.ask(PAIR)
@@ -235,7 +254,7 @@ class TestGatewayRetries:
         gateway = ResilientCrowd(
             FaultyCrowd(PerfectCrowd(MATCHES),
                         FaultSpec(expiry_rate=1.0)),
-            GatewayConfig(max_attempts=2, failure_threshold=2),
+            GatewayConfig(failure_threshold=2),
         )
         gateway.on_retry = lambda kind, attempt, delay: events.append(
             ("retry", kind, attempt))
@@ -256,9 +275,9 @@ class TestMeteringAndClock:
         gateway = ResilientCrowd(
             FaultyCrowd(PerfectCrowd(MATCHES),
                         FaultSpec(expiry_rate=0.3), seed=2),
-            GatewayConfig(max_attempts=8, failure_threshold=100),
-            tracker=tracker,
+            GatewayConfig(failure_threshold=100),
         )
+        gateway.bind_tracker(tracker)
         for _ in range(40):
             gateway.ask(PAIR)
         assert gateway.hits_reposted > 0
@@ -268,11 +287,11 @@ class TestMeteringAndClock:
         gateway = ResilientCrowd(
             FaultyCrowd(PerfectCrowd(MATCHES),
                         FaultSpec(timeout_rate=1.0)),
-            GatewayConfig(max_attempts=2, question_timeout_seconds=300.0,
+            GatewayConfig(question_timeout_seconds=300.0,
                           base_delay_seconds=30.0, jitter_fraction=0.0,
-                          failure_threshold=100),
+                          failure_threshold=2),
         )
-        with pytest.raises(AnswerTimeoutError):
+        with pytest.raises(CrowdUnavailableError):
             gateway.ask(PAIR)
         # Two timeouts waited out plus one backoff sleep.
         assert gateway.clock.now == pytest.approx(630.0)
@@ -301,21 +320,21 @@ class TestMeteringAndClock:
         assert timed.elapsed_seconds >= timed.retry_seconds
 
     def test_config_applies_every_knob(self):
-        config = GatewayConfig(max_attempts=7, base_delay_seconds=1.0,
+        config = GatewayConfig(base_delay_seconds=1.0,
                                backoff_factor=3.0, max_delay_seconds=9.0,
                                jitter_fraction=0.0,
                                question_timeout_seconds=42.0,
-                               failure_threshold=11,
+                               failure_threshold=7,
                                cooldown_seconds=120.0)
         gateway = ResilientCrowd(
             FaultyCrowd(PerfectCrowd(MATCHES), FaultSpec(timeout_rate=1.0)),
             config)
-        with pytest.raises(AnswerTimeoutError):
+        with pytest.raises(CrowdUnavailableError):
             gateway.ask(PAIR)
         # 7 deadlines of 42 s plus backoff 1 + 3 + 9 + 9 + 9 + 9 (capped).
         assert gateway.retries_scheduled == 6
         assert gateway.clock.now == pytest.approx(7 * 42.0 + 40.0)
-        assert gateway.breaker.failure_threshold == 11
+        assert gateway.breaker.failure_threshold == 7
         assert gateway.breaker.cooldown_seconds == 120.0
 
 
@@ -325,10 +344,9 @@ class TestAccountingInvariant:
         tracker = CostTracker(price_per_question=0.01)
         faulty = FaultyCrowd(PerfectCrowd(MATCHES),
                              FaultSpec.uniform(0.1), seed=4)
-        gateway = ResilientCrowd(
-            faulty, GatewayConfig(max_attempts=8, failure_threshold=100),
-            tracker=tracker,
-        )
+        gateway = ResilientCrowd(faulty,
+                                 GatewayConfig(failure_threshold=100))
+        gateway.bind_tracker(tracker)
         service = LabelingService(gateway, CrowdConfig(), tracker)
         pairs = [Pair(f"a{i}", f"b{i}") for i in range(30)]
         service.label_all(pairs)
@@ -340,10 +358,8 @@ class TestAccountingInvariant:
                              FaultSpec.uniform(0.1,
                                                hard_outage_after=25),
                              seed=4)
-        gateway = ResilientCrowd(
-            faulty, GatewayConfig(max_attempts=4, failure_threshold=5),
-            tracker=tracker,
-        )
+        gateway = ResilientCrowd(faulty, GatewayConfig(failure_threshold=5))
+        gateway.bind_tracker(tracker)
         service = LabelingService(gateway, CrowdConfig(), tracker)
         pairs = [Pair(f"a{i}", f"b{i}") for i in range(30)]
         with pytest.raises(CrowdUnavailableError):
@@ -374,20 +390,6 @@ class TestAccountingInvariant:
         assert tracker.answers == 0
 
 
-def persistent_ask(gateway: ResilientCrowd, pair: Pair):
-    """Ask until an answer arrives, tolerating exhausted retry rounds.
-
-    Mirrors what the labelling service's own retry layer does above the
-    gateway; the determinism properties must hold through exhaustion
-    and re-ask cycles too.
-    """
-    while True:
-        try:
-            return gateway.ask(pair)
-        except TransientCrowdError:
-            continue
-
-
 class TestBackoffDeterminismProperties:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -398,12 +400,9 @@ class TestBackoffDeterminismProperties:
         """Two identically seeded gateway runs agree on everything."""
         def run():
             gateway, faulty = stack(FaultSpec.uniform(rate), seed=seed,
-                                    max_attempts=10, threshold=10_000)
-            labels = []
-            for i in range(n):
-                labels.append(
-                    persistent_ask(gateway,
-                                   Pair(f"a{i % 3}", f"b{i % 3}")).label)
+                                    threshold=10_000)
+            labels = [gateway.ask(Pair(f"a{i % 3}", f"b{i % 3}")).label
+                      for i in range(n)]
             return labels, stack_state(gateway), faulty.state_dict()
 
         labels_a, gw_a, fc_a = run()
@@ -421,23 +420,20 @@ class TestBackoffDeterminismProperties:
         total = 30
 
         def asks(gateway, start, stop):
-            return [
-                persistent_ask(gateway, Pair(f"a{i % 3}", f"b{i % 3}"))
-                .label
-                for i in range(start, stop)
-            ]
+            return [gateway.ask(Pair(f"a{i % 3}", f"b{i % 3}")).label
+                    for i in range(start, stop)]
 
         straight, _ = stack(FaultSpec.uniform(rate), seed=seed,
-                            max_attempts=10, threshold=10_000)
+                            threshold=10_000)
         golden = asks(straight, 0, total)
 
         first, _ = stack(FaultSpec.uniform(rate), seed=seed,
-                         max_attempts=10, threshold=10_000)
+                         threshold=10_000)
         head = asks(first, 0, split)
         state = json.loads(json.dumps(stack_state(first)))
 
         resumed, _ = stack(FaultSpec.uniform(rate), seed=seed,
-                           max_attempts=10, threshold=10_000)
+                           threshold=10_000)
         load_stack_state(resumed, state)
         tail = asks(resumed, split, total)
         assert head + tail == golden
@@ -448,10 +444,7 @@ class TestGatewayStateRoundtrip:
     def test_full_stack_state_is_json_compatible(self):
         gateway, _ = stack(FaultSpec.uniform(0.2), seed=6)
         for _ in range(30):
-            try:
-                gateway.ask(PAIR)
-            except TransientCrowdError:
-                pass
+            gateway.ask(PAIR)
         state = json.loads(json.dumps(stack_state(gateway)))
         fresh, _ = stack(FaultSpec.uniform(0.2), seed=6)
         load_stack_state(fresh, state)
@@ -479,8 +472,7 @@ class TestRunContextWiring:
         faulty = FaultyCrowd(PerfectCrowd(MATCHES),
                              FaultSpec(timeout_rate=0.3), seed=1)
         gateway = ResilientCrowd(TranscriptingPlatform(faulty),
-                                 GatewayConfig(max_attempts=10,
-                                               failure_threshold=100))
+                                 GatewayConfig(failure_threshold=100))
         ctx = RunContext(CorleoneConfig(), gateway, seed=0)
         events = []
         ctx.bus.subscribe(events.append)

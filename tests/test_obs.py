@@ -636,7 +636,7 @@ class TestSpendCountersMatchTheLedger:
                                rng=np.random.default_rng(11))
         faulty = FaultyCrowd(crowd, FaultSpec(expiry_rate=0.1), seed=77)
         gateway = ResilientCrowd(
-            faulty, GatewayConfig(max_attempts=7, failure_threshold=20))
+            faulty, GatewayConfig(failure_threshold=20))
         bought = [0]
         label_one = LabelingService._label_one
 

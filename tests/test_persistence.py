@@ -252,6 +252,15 @@ class TestConfigRoundTrip:
                            r"sharded plan executor.*blocker\.n_workers"):
             config_from_dict(document)
 
+    def test_service_retry_key_names_the_gateway(self):
+        """Every run.json written while the labelling service retried
+        carries crowd.max_platform_retries; it fails typed."""
+        document = config_to_dict(CorleoneConfig())
+        document["crowd"]["max_platform_retries"] = 2
+        with pytest.raises(DataError, match=r"crowd\.max_platform_retries.*"
+                           r"gateway \(ResilientCrowd\) owns retries"):
+            config_from_dict(document)
+
     def test_older_gateway_section_is_ignored(self):
         """A run.json written while the config carried a gateway section
         (ResilientCrowd takes its own GatewayConfig) still loads."""

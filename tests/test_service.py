@@ -10,10 +10,15 @@ from hypothesis import strategies as st
 from repro.config import CrowdConfig
 from repro.crowd.aggregation import VoteScheme
 from repro.crowd.cost import CostTracker
+from repro.crowd.gateway import ResilientCrowd
 from repro.crowd.service import CachedLabel, LabelingService, _satisfies
 from repro.crowd.simulated import PerfectCrowd, SimulatedCrowd
 from repro.data.pairs import CandidateSet, Pair
-from repro.exceptions import BudgetExhaustedError
+from repro.exceptions import (
+    BudgetExhaustedError,
+    CrowdError,
+    TransientCrowdError,
+)
 
 MATCHES = {Pair(f"a{i}", f"b{i}") for i in range(40)}
 
@@ -240,64 +245,82 @@ class TestNoisyLabels:
 
 
 class FlakyCrowd(SimulatedCrowd):
-    """Raises CrowdError on a configurable schedule of ask() calls."""
+    """Raises ``error`` (default: a transient failure) on a configurable
+    schedule of ask() calls."""
 
-    def __init__(self, matches, fail_on: set[int], **kwargs):
+    def __init__(self, matches, fail_on: set[int],
+                 error: Exception | None = None, **kwargs):
         super().__init__(matches, **kwargs)
         self._fail_on = fail_on
-        self._calls = 0
+        self._error = error
+        self.calls = 0
 
     def ask(self, pair):
-        self._calls += 1
-        if self._calls in self._fail_on:
-            from repro.exceptions import CrowdError
-            raise CrowdError(f"transient failure on call {self._calls}")
+        self.calls += 1
+        if self.calls in self._fail_on:
+            raise self._error or TransientCrowdError(
+                f"transient failure on call {self.calls}")
         return super().ask(pair)
 
 
 class TestPlatformRetries:
-    def _service(self, fail_on, retries=2):
-        config = CrowdConfig(max_platform_retries=retries)
+    """The service asks for each answer once; the gateway retries."""
+
+    def _service(self, fail_on, gateway=False):
         crowd = FlakyCrowd(MATCHES, fail_on,
                            rng=np.random.default_rng(0))
+        platform = ResilientCrowd(crowd) if gateway else crowd
         tracker = CostTracker(price_per_question=0.01)
-        return LabelingService(crowd, config, tracker), crowd
+        return LabelingService(platform, CrowdConfig(), tracker), crowd
 
     def test_transient_failure_is_retried(self):
-        service, _ = self._service(fail_on={2})
+        # Below a gateway, the failed call is retried there: the service
+        # sees an answer and pays for exactly the answers delivered.
+        service, crowd = self._service(fail_on={2}, gateway=True)
         labels = service.label_all(pairs(3))
         assert len(labels) == 3
         assert all(labels.values())
+        assert service.tracker.answers == crowd.calls - 1
 
     def test_partial_answers_still_paid(self):
-        # Call 2 fails after call 1 consumed an answer: that answer is
-        # metered even though the aggregation was retried.
-        service, _ = self._service(fail_on={2})
-        service.label_all(pairs(1))
-        # Successful attempt needs >= 3 answers (asymmetric positive),
-        # plus the 1 pre-failure answer.
-        assert service.tracker.answers >= 4
+        # Call 3 (the strong-majority escalation of a positive) fails
+        # after two answers were consumed: both are metered even though
+        # the aggregation never finished.
+        service, _ = self._service(fail_on={3})
+        with pytest.raises(TransientCrowdError):
+            service.label_all(pairs(1))
+        assert service.tracker.answers == 2
 
     def test_persistent_failure_propagates(self):
-        from repro.exceptions import CrowdError
-        service, _ = self._service(fail_on=set(range(1, 100)),
-                                   retries=2)
+        service, _ = self._service(fail_on=set(range(1, 100)))
         with pytest.raises(CrowdError):
             service.label_all(pairs(1))
+        assert service.tracker.answers == 0
 
     def test_zero_retries_fails_fast(self):
-        from repro.exceptions import CrowdError
-        service, _ = self._service(fail_on={1}, retries=0)
-        with pytest.raises(CrowdError):
-            service.label_all(pairs(1))
+        """The service asks once: no re-ask, no restarted aggregation."""
+        service, crowd = self._service(fail_on={2})
+        with pytest.raises(TransientCrowdError):
+            service.label_all(pairs(3))
+        assert crowd.calls == 2
+        assert service.tracker.answers == 1
+        assert service.cache_size == 0
 
     def test_budget_exhaustion_not_retried(self):
-        from repro.exceptions import BudgetExhaustedError
-        config = CrowdConfig(max_platform_retries=5)
         crowd = SimulatedCrowd(MATCHES, 0.0,
                                rng=np.random.default_rng(0))
         tracker = CostTracker(price_per_question=1.0, budget=0.5)
-        service = LabelingService(crowd, config, tracker)
+        service = LabelingService(crowd, CrowdConfig(), tracker)
         tracker.record_answers(1)  # blow the budget
         with pytest.raises(BudgetExhaustedError):
             service.label_all(pairs(1))
+
+    def test_budget_error_mid_aggregation_pays_consumed_answers(self):
+        crowd = FlakyCrowd(MATCHES, fail_on={2},
+                           error=BudgetExhaustedError(5.0, 5.0),
+                           rng=np.random.default_rng(0))
+        tracker = CostTracker(price_per_question=0.01)
+        service = LabelingService(crowd, CrowdConfig(), tracker)
+        with pytest.raises(BudgetExhaustedError):
+            service.label_all(pairs(1))
+        assert tracker.answers == 1

@@ -123,7 +123,7 @@ def accounted_stack(crowd):
     """
     faulty = FaultyCrowd(crowd, FaultSpec(), seed=3)
     gateway = ResilientCrowd(
-        faulty, GatewayConfig(max_attempts=7, failure_threshold=20))
+        faulty, GatewayConfig(failure_threshold=20))
     return gateway, faulty
 
 
