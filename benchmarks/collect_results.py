@@ -914,7 +914,7 @@ def collect_storage(output: Path | None = None, repeats: int = 3) -> dict:
     from repro.core.pipeline import Corleone
     from repro.crowd.simulated import SimulatedCrowd
     from repro.engine import load_checkpoint
-    from repro.engine.checkpoint import CANDIDATES_FILE, CHECKPOINT_LOG
+    from repro.engine.checkpoint import CHECKPOINT_LOG
     from repro.storage import (
         SimulatedCrashError,
         StorageFaultInjector,
@@ -1019,7 +1019,8 @@ def collect_storage(output: Path | None = None, repeats: int = 3) -> dict:
         crash_and_resume(CHECKPOINT_LOG, "torn_write", skip=1),
         crash_and_resume(CHECKPOINT_LOG, "crash_before", skip=1),
         crash_and_resume(CHECKPOINT_LOG, "crash_after", skip=1),
-        crash_and_resume(CANDIDATES_FILE, "torn_write", skip=0),
+        # A blocking shard file torn mid-write.
+        crash_and_resume("shard-00001", "torn_write", skip=0),
         crash_and_resume("MANIFEST.json", "crash_after", skip=2),
         # MANIFEST write 9 (the run's, five shard manifests, then one
         # per stage boundary) is the fourth stage boundary's flush.

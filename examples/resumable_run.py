@@ -3,15 +3,16 @@
 A hands-off run spends real crowd money, so losing one to a crash is
 losing dollars.  Giving ``Corleone`` a ``run_dir`` makes every stage
 boundary and matcher iteration durable: the directory holds the run's
-inputs (``run.json``), the blocked candidate set (``candidates.npz``),
-the checkpoint log (``checkpoint.jsonl``: one self-checksummed record
+inputs (``run.json``), the blocking survivors (``shards/``), the
+checkpoint log (``checkpoint.jsonl``: one self-checksummed record
 appended per checkpoint, holding only what changed since the one
 before) and a structured event trace (``trace.jsonl``).
-``Corleone.resume`` folds the log's records back into the latest state
-and continues a killed run — label cache, cost ledger and per-stage RNG
-streams restored — to a result bit-identical to the uninterrupted one,
-paying only for the labels the crashed run had not bought yet.  See
-docs/architecture.md.
+``Corleone.resume`` folds the log's records back into the latest state,
+rebuilds the vectorized candidate set from the inputs, the logged rules
+and the shards, and continues a killed run — label cache, cost ledger
+and per-stage RNG streams restored — to a result bit-identical to the
+uninterrupted one, paying only for the labels the crashed run had not
+bought yet.  See docs/architecture.md.
 
 Run:  python examples/resumable_run.py
 """

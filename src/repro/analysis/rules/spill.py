@@ -2,14 +2,12 @@
 
 The spill subsystem (:mod:`repro.plan.spill`) owns every memory-mapped
 array in the codebase: creation (``np.lib.format.open_memmap``, raw
-``np.memmap``) and read-only reopening (``np.load(...,
-mmap_mode=...)``) both go through it, so flush discipline, file
-layout under the run directory and the checkpointer's
-reference-not-reserialize contract are enforced in exactly one place.
-A memmap opened anywhere else bypasses the
-:class:`~repro.plan.spill.SpillManager` lifecycle — nothing tracks its
-bytes, nothing flushes it before a checkpoint references it, and
-``load_candidates`` cannot verify its fingerprint.
+``np.memmap``) and mapping on load (``np.load(..., mmap_mode=...)``)
+happen only there, so the file layout under the run directory and the
+spill accounting are enforced in exactly one place.  A memmap opened
+anywhere else bypasses the :class:`~repro.plan.spill.SpillManager`
+lifecycle — nothing tracks its bytes or releases its handle, and
+nothing counts it in ``bytes_spilled``.
 """
 
 from __future__ import annotations
@@ -30,8 +28,8 @@ class SpillOwnershipRule(ModuleRule):
     severity = Severity.ERROR
     summary = ("memory-mapped arrays (np.memmap, open_memmap, "
                "np.load(mmap_mode=...)) are created only in "
-               "plan/spill.py — route spill handles through "
-               "SpillManager / open_readonly")
+               "plan/spill.py — allocate spill matrices through "
+               "SpillManager")
 
     def applies_to(self, module: SourceModule) -> bool:
         """Everywhere except the owning module itself and tests."""
@@ -80,13 +78,13 @@ class SpillOwnershipRule(ModuleRule):
             ctx.report(self, node,
                        "memmap created outside plan/spill.py; allocate "
                        "through repro.plan.SpillManager so the spill "
-                       "lifecycle (flush, accounting, checkpoint "
-                       "reference) stays owned in one place")
+                       "lifecycle (accounting, handle release) stays "
+                       "owned in one place")
         elif self._maps_on_load(head, tail, node):
             ctx.report(self, node,
                        "np.load(mmap_mode=...) outside plan/spill.py; "
-                       "reopen spill files with "
-                       "repro.plan.spill.open_readonly instead")
+                       "memory-mapped arrays belong to "
+                       "repro.plan.SpillManager")
 
     def _creates_memmap(self, head: str, tail: tuple[str, ...]) -> bool:
         """Is this ``np.memmap`` / ``open_memmap`` under any alias?"""

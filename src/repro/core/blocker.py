@@ -152,12 +152,14 @@ class Blocker:
         accepted = [ev.rule for ev in evaluations if ev.accepted]
 
         chosen = self.select_rule_subset(accepted, sample, total)
-        plan_stats = None
+        stats = None
         if chosen:
-            survivors, plan_stats = self._apply_rules(table_a, table_b,
-                                                      chosen, library)
-        else:
-            survivors = cartesian_rows(table_a, table_b)
+            from ..plan import PlanStats  # repro.plan imports this module
+
+            stats = PlanStats()
+        survivors = umbrella_pairs(table_a, table_b, chosen, library,
+                                   self.config, shard_dir=self.shard_dir,
+                                   bus=self.bus, stats=stats)
 
         spent = self.service.tracker.snapshot().minus(before)
         return BlockerResult(
@@ -171,7 +173,7 @@ class Blocker:
             matcher_result=matcher_result,
             pairs_labeled=spent.pairs_labeled,
             dollars=spent.dollars,
-            plan_stats=plan_stats,
+            plan_stats=None if stats is None else stats.as_dict(),
         )
 
     def select_rule_subset(self, rules: list[Rule], sample: CandidateSet,
@@ -218,31 +220,36 @@ class Blocker:
             active_rows = active_rows[~best_mask]
         return chosen
 
-    def _apply_rules(self, table_a: Table, table_b: Table,
-                     rules: list[Rule],
-                     library: FeatureLibrary) -> tuple[PairRows, dict]:
-        """Apply chosen rules over A x B with the sharded plan executor.
 
-        Returns the survivors and the plan's cell accounting.
-        ``blocker.n_workers`` sizes the pool (1 runs every shard
-        in-process) and ``shard_dir``, when the run is durable, makes
-        completed shards survive a kill.  The survivors are the same
-        either way (``tests/blocking_oracle.py`` pins them).
-        """
-        # Imported here: repro.exec and repro.plan import this module.
-        from ..exec import apply_rules_sharded
-        from ..plan import PlanStats
+def umbrella_pairs(table_a: Table, table_b: Table, rules: list[Rule],
+                   library: FeatureLibrary, config: CorleoneConfig,
+                   shard_dir=None, bus=None, stats=None) -> PairRows:
+    """The umbrella set ``rules`` leave of A x B, in blocking order.
 
-        stats = PlanStats()
-        survivors = apply_rules_sharded(
-            table_a, table_b, rules, library,
-            n_workers=self.config.blocker.n_workers,
-            shard_size=self.config.blocker.shard_size,
-            shard_dir=self.shard_dir,
-            bus=self.bus,
-            stats=stats,
-        )
-        return survivors, stats.as_dict()
+    With no rule that is all of A x B.  Otherwise the sharded plan
+    executor (:func:`repro.exec.apply_rules_sharded`) applies them,
+    its pool sized by ``blocker.n_workers`` (1 runs every shard
+    in-process) and ``blocker.shard_size``; the survivors are the same
+    either way (``tests/blocking_oracle.py`` pins them).  ``shard_dir``,
+    when the run is durable, makes completed shards survive a kill: a
+    later call on the same inputs loads the shard files that verify and
+    recomputes the rest.  ``bus`` receives the shard events and
+    ``stats`` the plan's cell accounting.
+
+    :meth:`Blocker.run` calls this with the rules it chose, and a
+    resumed run with the rules its checkpoint logged, so both hold the
+    same set.
+    """
+    if not rules:
+        return cartesian_rows(table_a, table_b)
+    from ..exec import apply_rules_sharded  # repro.exec imports this module
+
+    return apply_rules_sharded(
+        table_a, table_b, rules, library,
+        n_workers=config.blocker.n_workers,
+        shard_size=config.blocker.shard_size,
+        shard_dir=shard_dir, bus=bus, stats=stats,
+    )
 
 
 def apply_rules_streaming(table_a: Table, table_b: Table,

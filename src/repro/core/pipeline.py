@@ -18,12 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .. import persistence
 from ..config import CorleoneConfig
 from ..crowd.base import CrowdPlatform, load_stack_state
 from ..data.pairs import CandidateSet, Pair, PairRows
 from ..data.table import Table
 from ..engine.checkpoint import (
-    CANDIDATES_FILE,
     CHECKPOINT_LOG,
     TRACE_FILE,
     Checkpointer,
@@ -33,6 +33,7 @@ from ..engine.checkpoint import (
 from ..engine.context import RunContext
 from ..engine.events import EVENT_TRACE_TORN, EventBus, JsonlTraceSink
 from ..engine.runner import StagedEngine
+from ..engine.stages import rebuild_candidates
 from ..engine.state import RunState
 from ..exceptions import (
     BudgetExhaustedError,
@@ -40,14 +41,7 @@ from ..exceptions import (
     DataError,
 )
 from ..features.library import build_feature_library
-from ..persistence import load_candidates
-from ..storage.recovery import (
-    RecoveryLog,
-    cleanup_stale_tmp,
-    quarantine_artifact,
-    repair_trace,
-    verify_artifact,
-)
+from ..storage.recovery import RecoveryLog, cleanup_stale_tmp, repair_trace
 from .blocker import Blocker, BlockerResult
 from .budgeting import BudgetPlan, PhaseBudgetManager
 from .estimator import AccuracyEstimate, AccuracyEstimator
@@ -82,8 +76,8 @@ class Corleone:
     ``seed`` (or a back-compat ``rng``) fixes the run's root seed
     sequence, from which each stage derives its own independent RNG
     stream.  ``run_dir`` enables checkpointing: the run writes its
-    inputs, candidate set, event trace and a resumable checkpoint into
-    that directory.
+    inputs, blocking shards, event trace and a resumable checkpoint
+    into that directory.
     """
 
     def __init__(self, config: CorleoneConfig, platform: CrowdPlatform,
@@ -152,6 +146,12 @@ class Corleone:
         ``platform`` must be constructed the same way as the original
         run's: every layer of its stack is then fast-forwarded from the
         checkpoint (:func:`~repro.crowd.base.load_stack_state`).
+
+        The umbrella set is machine work, rebuilt rather than loaded:
+        the logged blocking rules are applied to the ``run.json``
+        tables again, loading the shard files that verify, and the
+        survivors are re-vectorized (:func:`~repro.engine.stages.
+        rebuild_candidates`).
         """
         run_dir = Path(run_dir)
         # Heal the directory before reading anything from it: drop
@@ -190,25 +190,6 @@ class Corleone:
             return pipeline._execute(state, Checkpointer(run_dir),
                                      recovery=recovery)
 
-        candidates = None
-        candidates_path = run_dir / CANDIDATES_FILE
-        if candidates_path.is_file():
-            verdict, actual, expected = verify_artifact(run_dir,
-                                                        candidates_path)
-            if verdict is False:
-                # The candidate set has no older generation to fall
-                # back to — it is written once and never rewritten —
-                # so corruption here is unrecoverable.  Quarantine the
-                # bytes for inspection and say exactly what mismatched.
-                quarantined = quarantine_artifact(run_dir,
-                                                  candidates_path)
-                raise DataError(
-                    f"{candidates_path}: corrupt beyond recovery — "
-                    f"sha256 {actual} does not match the manifest's "
-                    f"recorded {expected} (bytes preserved at "
-                    f"{quarantined})"
-                )
-            candidates = load_candidates(candidates_path)
         source = (f"{run_dir / CHECKPOINT_LOG} "
                   f"(checkpoint {checkpoint.get('index')})")
         try:
@@ -222,6 +203,11 @@ class Corleone:
                 ctx.telemetry.load_state(telemetry_state)
             load_stack_state(platform, checkpoint["platform"])
             ctx.bus.restore_sequence(checkpoint["sequence"])
+            blocker = checkpoint["state"]["blocker"]
+            candidates = None if blocker is None else rebuild_candidates(
+                table_a, table_b, library,
+                persistence.blocker_applied_rules(blocker),
+                inputs["config"], run_dir)
             state = RunState.from_dict(checkpoint["state"], candidates)
         except KeyError as error:
             raise DataError(f"{source}: missing key {error}") from None

@@ -177,7 +177,8 @@ class ProfilingLabelingService(LabelingService):
             "error_rate_high": interval[1] if interval else None,
         }
 
-    def _label_one(self, pair: Pair, scheme: VoteScheme) -> bool:
+    def _label_one(self, pair: Pair, scheme: VoteScheme,
+                   served: list[bool | None]) -> bool:
         if self.policy is not None:
             scheme = self.policy.adapt(scheme, self.estimator.error_rate)
-        return super()._label_one(pair, scheme)
+        return super()._label_one(pair, scheme, served)

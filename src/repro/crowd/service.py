@@ -219,10 +219,9 @@ class LabelingService:
             to_label = uncached
             n_full = 1
         if to_label:
-            with self._paid_call() as bought:
+            with self._paid_call() as served:
                 for pair in to_label:
-                    result[pair] = self._label_one(pair, scheme)
-                    bought.append(self._cache[pair].strong)
+                    result[pair] = self._label_one(pair, scheme, served)
         return result
 
     def label_all(self, pairs: Iterable[Pair],
@@ -234,23 +233,24 @@ class LabelingService:
         """
         pairs = [Pair(*p) for p in pairs]
         result: dict[Pair, bool] = {}
-        with self._paid_call() as bought:
+        with self._paid_call() as served:
             for pair in pairs:
                 entry = self._cache.get(pair)
                 if entry is not None and _satisfies(entry, scheme):
                     result[pair] = entry.label
                 else:
-                    result[pair] = self._label_one(pair, scheme)
-                    bought.append(self._cache[pair].strong)
+                    result[pair] = self._label_one(pair, scheme, served)
         return result
 
     @contextmanager
-    def _paid_call(self) -> Iterator[list[bool]]:
+    def _paid_call(self) -> Iterator[list[bool | None]]:
         """Meter and report one labelling call.
 
-        The body appends the strength of every label it buys to the
-        yielded list.  On exit, also when the body raises, the call's
-        HITs are metered *after* their questions were consumed: a padded
+        The yielded list gets one entry per question the platform
+        served (:meth:`_label_one` appends it): the bought label's
+        strength, or None for a question that failed after consuming
+        answers.  On exit, also when the body raises, the call's HITs
+        are metered *after* their questions were consumed: a padded
         HIT that expires mid-flight and is reposted by the gateway is
         not double-charged here (the gateway meters the repost), and
         the charge always equals the questions the platform actually
@@ -258,27 +258,32 @@ class LabelingService:
         the call's ledger delta, if the call paid for anything.
         """
         before = self.tracker.snapshot()
-        bought: list[bool] = []
+        served: list[bool | None] = []
         try:
-            yield bought
+            yield served
         finally:
-            if bought:
+            if served:
                 per_hit = self.config.questions_per_hit
-                self.tracker.record_hits(-(-len(bought) // per_hit))
+                self.tracker.record_hits(-(-len(served) // per_hit))
             if self.on_purchase is not None:
                 totals = self.tracker.snapshot()
                 spent = totals.minus(before)
                 if spent.answers or spent.hits:
+                    bought = [strong for strong in served
+                              if strong is not None]
                     self.on_purchase(len(bought), sum(bought), spent,
                                      totals)
 
-    def _label_one(self, pair: Pair, scheme: VoteScheme) -> bool:
+    def _label_one(self, pair: Pair, scheme: VoteScheme,
+                   served: list[bool | None]) -> bool:
         """Aggregate fresh answers for one pair, meter cost, cache it.
 
         Each answer is asked for once: retrying a failed question is the
         gateway's job (:class:`~repro.crowd.gateway.ResilientCrowd`).
         Answers consumed before an error are still paid for — the
-        workers answered even if the platform then failed.
+        workers answered even if the platform then failed — and the
+        question counts as served (a None in ``served``), so its HIT is
+        metered too.
         """
         self.tracker.check_budget()
         consumed = 0
@@ -295,9 +300,15 @@ class LabelingService:
                 gap=self.config.strong_majority_gap,
                 max_answers=self.config.strong_majority_max,
             )
+        except BaseException:
+            if consumed:
+                served.append(None)
+            raise
         finally:
             self.tracker.record_answers(consumed)
         if pair not in self._cache:
             self.tracker.record_pair()
-        self._put(pair, _entry_for(label, scheme))
+        entry = _entry_for(label, scheme)
+        self._put(pair, entry)
+        served.append(entry.strong)
         return label

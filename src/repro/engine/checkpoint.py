@@ -4,9 +4,12 @@ A run directory has a fixed layout:
 
 * ``run.json`` — the run's immutable inputs, written once: config,
   tables, seed labels, mode, budget plan and the root seed sequence;
-* ``candidates.npz`` — the vectorized umbrella set, written once,
-  uncompressed, as soon as blocking produces it (the expensive
-  artifact, so it is never re-serialized per checkpoint);
+* ``shards/`` — a blocked run's survivors, one file per shard of A x B
+  (:class:`repro.exec.sharding.ShardStore`, with its own manifest).
+  The vectorized umbrella set is never written: a resumed run applies
+  the logged rules again, loading the shard files that verify, and
+  re-vectorizes the survivors (:func:`repro.engine.stages.
+  rebuild_candidates`);
 * ``checkpoint.jsonl`` — the checkpoint log.  Every checkpoint (each
   stage boundary and each matcher iteration) appends one record and
   fsyncs it once (:func:`repro.storage.writer.append_bytes`); each
@@ -41,7 +44,7 @@ A run directory has a fixed layout:
 * ``quarantine/`` — artifacts and log tails that failed their
   checksum, moved aside (never deleted) by the recovery path.
 
-Everything is plain JSON (candidates aside) — no pickling, so run
+Everything is plain JSON (shard files aside) — no pickling, so run
 directories are inspectable and portable.
 """
 
@@ -87,7 +90,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 RUN_FILE = "run.json"
 CHECKPOINT_LOG = "checkpoint.jsonl"
-CANDIDATES_FILE = "candidates.npz"
 TRACE_FILE = "trace.jsonl"
 
 _MATCHER_TAILS = {field: ("matcher_forests" if field == "forests" else field)
@@ -342,7 +344,6 @@ class Checkpointer:
         existing = load_checkpoint(self.run_dir)
         self._next_index = (existing["index"] + 1
                             if existing is not None else 0)
-        self._have_candidates = (self.run_dir / CANDIDATES_FILE).exists()
         self._encoder = _RecordEncoder()
         self._log_bytes = 0
         """The log size the manifest last recorded (this instance)."""
@@ -379,102 +380,55 @@ class Checkpointer:
         }
         self.writer.atomic_write_json(RUN_FILE, document)
 
-    def _spilled_features(self, state: "RunState") -> str | None:
-        """Relative spill-file path for the candidate matrix, if any.
-
-        When the block stage spilled the feature matrix to a
-        memory-mapped ``.npy`` under this run directory, the candidate
-        file stores a reference to it instead of re-serializing the
-        matrix (the spill file *is* the canonical bytes).  Matrices
-        backed by anything else — heap arrays, or maps outside the run
-        directory — are serialized inline as before.
-        """
-        node = state.candidates.features
-        while node is not None and not isinstance(node, np.memmap):
-            node = node.base
-        if node is None:
-            return None  # a heap matrix: no need to load the plan package
-        from ..plan.spill import spill_path
-
-        path = spill_path(state.candidates.features)
-        if path is None:
-            return None
-        try:
-            return path.resolve().relative_to(
-                self.run_dir.resolve()).as_posix()
-        except ValueError:
-            return None
-
     def write(self, state: "RunState", ctx: "RunContext") -> int:
         """Durably persist one checkpoint; return its index.
 
         A checkpoint appends one record to ``checkpoint.jsonl`` and
         fsyncs it — that is all a matcher-iteration checkpoint writes
         (one taken mid-stage, the only kind with a ``matcher_state``;
-        it is None at stage boundaries).  The first checkpoint that
-        has a candidate set writes ``candidates.npz`` before the
-        record.  A stage boundary also records the log's new verified
-        prefix in ``MANIFEST.json`` (with ``candidates.npz``, in one
-        batched flush after the data it describes) and rewrites the
-        telemetry exports.  Those mid-run exports are volatile
-        snapshots (atomic replace, no fsync, unmanifested — regenerable
-        from the record's ``telemetry`` state); the pipeline's run-end
-        export rewrites them durably and records their final checksums,
-        along with the log's, so the run's last checkpoint (no next
-        stage) leaves both to it.
+        it is None at stage boundaries).  A stage boundary also records
+        the log's new verified prefix in ``MANIFEST.json`` (after the
+        record it describes) and rewrites the telemetry exports.  Those
+        mid-run exports are volatile snapshots (atomic replace, no
+        fsync, unmanifested — regenerable from the record's
+        ``telemetry`` state); the pipeline's run-end export rewrites
+        them durably and records their final checksums, along with the
+        log's, so the run's last checkpoint (no next stage) leaves both
+        to it.
 
         The telemetry artifact-write counters increment *before* the
         record is serialized (the same pre-write rule as
         :meth:`~repro.obs.telemetry.RunTelemetry.record_checkpoint`),
         so a kill at this exact checkpoint resumes with the counts the
-        uninterrupted run carries.  ``artifact_written`` events are
-        emitted after the cycle completes and are deliberately ignored
+        uninterrupted run carries.  The ``artifact_written`` event is
+        emitted after the cycle completes and is deliberately ignored
         by the telemetry's bus sink for the same reason.
         """
         index = self._next_index
         stage_boundary = (state.matcher_state is None
                           and state.next_stage is not None)
-        written: list[tuple[str, str]] = []
-        with self.writer.batch():
-            new_candidates = (not self._have_candidates
-                              and state.candidates is not None)
-            if new_candidates:
-                sha = persistence.save_candidates(
-                    state.candidates, self.run_dir / CANDIDATES_FILE,
-                    external_features=self._spilled_features(state),
-                    writer=self.writer,
-                )
-                self._have_candidates = True
-                written.append((CANDIDATES_FILE, sha))
-            if ctx.telemetry is not None:
-                # Pre-serialize, so the counts ride inside the record
-                # below.  candidates.npz is not metered: a restarted run
-                # that finds it already on disk must converge to the
-                # same totals.
-                kinds = ["checkpoint"]
-                if stage_boundary:
-                    kinds += ["metrics", "spans"]
-                if stage_boundary or new_candidates:
-                    kinds.append("manifest")
-                for kind in kinds:
-                    ctx.telemetry.record_artifact_write(kind)
-            body = json.dumps(self._encoder.encode(state, ctx, index),
-                              separators=(",", ":"))
-            line = frame_record(body.encode("utf-8"))
-            append_bytes(self.run_dir / CHECKPOINT_LOG, line)
-            written.append((CHECKPOINT_LOG, _record_sha(line)))
-            self._next_index += 1
+        if ctx.telemetry is not None:
+            # Pre-serialize, so the counts ride inside the record below.
+            kinds = ["checkpoint"]
             if stage_boundary:
-                self.record_log()
-                if ctx.telemetry is not None:
-                    # Rewritten (not appended) from the just-persisted
-                    # state: a later resume regenerates the same files
-                    # byte for byte.  No writer: mid-run exports are
-                    # volatile live snapshots, not manifested artifacts.
-                    ctx.telemetry.export(self.run_dir)
-        for artifact, sha in written:
-            ctx.bus.emit(EVENT_ARTIFACT_WRITTEN, artifact=artifact,
-                         sha256=sha, index=index)
+                kinds += ["metrics", "spans", "manifest"]
+            for kind in kinds:
+                ctx.telemetry.record_artifact_write(kind)
+        body = json.dumps(self._encoder.encode(state, ctx, index),
+                          separators=(",", ":"))
+        line = frame_record(body.encode("utf-8"))
+        append_bytes(self.run_dir / CHECKPOINT_LOG, line)
+        self._next_index += 1
+        if stage_boundary:
+            self.record_log()
+            if ctx.telemetry is not None:
+                # Rewritten (not appended) from the just-persisted
+                # state: a later resume regenerates the same files
+                # byte for byte.  No writer: mid-run exports are
+                # volatile live snapshots, not manifested artifacts.
+                ctx.telemetry.export(self.run_dir)
+        ctx.bus.emit(EVENT_ARTIFACT_WRITTEN, artifact=CHECKPOINT_LOG,
+                     sha256=_record_sha(line), index=index)
         return index
 
     def record_log(self) -> None:

@@ -15,15 +15,21 @@ orchestrator could not offer.
 from __future__ import annotations
 
 from itertools import compress
+from pathlib import Path
 
 import numpy as np
 
-from ..core.blocker import Blocker
+from ..config import CorleoneConfig
+from ..core.blocker import Blocker, umbrella_pairs
 from ..core.estimator import AccuracyEstimator
 from ..core.locator import DifficultPairsLocator
 from ..core.matcher import ActiveLearningMatcher, MatcherTrainState
 from ..core.results import IterationRecord
+from ..data.pairs import CandidateSet, PairRows
+from ..data.table import Table
+from ..features.library import FeatureLibrary
 from ..features.vectorize import vectorize_pairs
+from ..rules.rule import Rule
 from .context import RunContext
 from .stage import Stage
 from .state import RunState
@@ -46,10 +52,8 @@ class BlockStage:
         # The sharded executor checkpoints per-shard progress under the
         # run directory; unpersisted runs pass shard_dir=None and simply
         # recompute on resume (there is nothing to resume from anyway).
-        shard_dir = (ctx.run_dir / "shards"
-                     if ctx.run_dir is not None else None)
         blocker = Blocker(ctx.config, ctx.service, ctx.rng("blocker"),
-                          bus=ctx.bus, shard_dir=shard_dir)
+                          bus=ctx.bus, shard_dir=shard_dir(ctx.run_dir))
         with ctx.span("section", section="blocker.run"):
             result = blocker.run(state.table_a, state.table_b,
                                  state.library, state.seed_labels)
@@ -58,41 +62,72 @@ class BlockStage:
             ctx.telemetry.record_blocker_result(result)
             if result.plan_stats is not None:
                 ctx.telemetry.record_plan_stats(result.plan_stats)
-        plan_cfg = ctx.config.plan
-        out = None
-        spill = None
-        if (ctx.run_dir is not None
-                and plan_cfg.spill_threshold_bytes > 0):
-            # Oversized feature matrices go straight into a
-            # memory-mapped .npy under the run directory; the
-            # checkpointer then references the spill file instead of
-            # re-serializing the matrix.
-            from ..plan import SPILL_DIR_NAME, SpillManager
-
-            spill = SpillManager(ctx.run_dir / SPILL_DIR_NAME,
-                                 plan_cfg.spill_threshold_bytes)
-            out = spill.allocate(
-                "candidates",
-                (len(result.candidate_pairs), len(state.library)),
-            )
         with ctx.span("section", section="vectorize_candidates"):
-            candidates = vectorize_pairs(
+            candidates, spilled = vectorize_candidates(
                 state.table_a, state.table_b, result.candidate_pairs,
-                state.library, out=out,
-            )
-        if spill is not None:
-            # Flush before anything references the file; the manager's
-            # handle is released here and the matrix lives on through
-            # the CandidateSet's read-only view (CL015 ownership
-            # contract).
-            if ctx.telemetry is not None:
-                ctx.telemetry.record_spill(spill.bytes_spilled)
-            spill.close()
+                state.library, ctx.config, ctx.run_dir)
+        if ctx.telemetry is not None:
+            ctx.telemetry.record_spill(spilled)
         state.candidates = candidates
         if len(candidates) == 0:
             state.stop_reason = "empty_candidate_set"
             return None
         return STAGE_TRAIN_MATCHER
+
+
+def shard_dir(run_dir: Path | None) -> Path | None:
+    """Where a durable run keeps its blocking shard files."""
+    return None if run_dir is None else run_dir / "shards"
+
+
+def vectorize_candidates(table_a: Table, table_b: Table, pairs: PairRows,
+                         library: FeatureLibrary, config: CorleoneConfig,
+                         run_dir: Path | None,
+                         ) -> tuple[CandidateSet, int]:
+    """The umbrella set ``pairs`` vectorized; and the bytes it spilled.
+
+    A durable run's matrix of at least ``plan.spill_threshold_bytes``
+    goes straight into a memory-mapped ``.npy`` under the run
+    directory.  The file is scratch space: no checkpoint refers to it,
+    and a resumed run allocates its own (:func:`rebuild_candidates`).
+    """
+    spill = out = None
+    if run_dir is not None and config.plan.spill_threshold_bytes > 0:
+        from ..plan import SPILL_DIR_NAME, SpillManager
+
+        spill = SpillManager(run_dir / SPILL_DIR_NAME,
+                             config.plan.spill_threshold_bytes)
+        out = spill.allocate("candidates", (len(pairs), len(library)))
+    candidates = vectorize_pairs(table_a, table_b, pairs, library, out=out)
+    if spill is None:
+        return candidates, 0
+    # The manager's handle is released here and the matrix lives on
+    # through the CandidateSet's read-only view (CL015 ownership
+    # contract).
+    spilled = spill.bytes_spilled
+    spill.close()
+    return candidates, spilled
+
+
+def rebuild_candidates(table_a: Table, table_b: Table,
+                       library: FeatureLibrary, rules: list[Rule],
+                       config: CorleoneConfig,
+                       run_dir: Path) -> CandidateSet:
+    """A resumed run's umbrella set C, rebuilt from durable inputs.
+
+    The tables come from ``run.json`` and ``rules`` are the applied
+    rules of the checkpoint's blocker record; re-applying them loads
+    the shard files under ``run_dir`` that verify and recomputes the
+    others (:func:`~repro.core.blocker.umbrella_pairs`), and
+    vectorizing the survivors gives the block stage's matrix byte for
+    byte.  The rebuild gets no event bus and no plan statistics, and
+    runs before the run's telemetry is active: the block stage already
+    counted this work, and the checkpoint restores those counts.
+    """
+    pairs = umbrella_pairs(table_a, table_b, rules, library, config,
+                           shard_dir=shard_dir(run_dir))
+    return vectorize_candidates(table_a, table_b, pairs, library, config,
+                                run_dir)[0]
 
 
 class TrainMatcherStage:

@@ -2,10 +2,11 @@
 
 :class:`RunState` is the *only* mutable object the stages operate on,
 and everything in it (beyond the input tables, which are persisted once
-per run directory, and the candidate set, persisted once as ``.npz``)
-round-trips through plain JSON via :meth:`RunState.to_dict` /
-:meth:`RunState.from_dict`.  That property is what makes checkpointed
-runs resumable to a bit-identical result.
+per run directory, and the candidate set, which a resumed run rebuilds
+from the tables and the blocker's logged rules) round-trips through
+plain JSON via :meth:`RunState.to_dict` / :meth:`RunState.from_dict`.
+That property is what makes checkpointed runs resumable to a
+bit-identical result.
 
 The state stores each fact once.  The loop of Figure 1 is fully
 described by its iteration records, so the working set, the ensemble
@@ -45,8 +46,10 @@ class RunState:
     """Everything a hands-off run has computed so far.
 
     The candidate set is referenced, not duplicated: locator results
-    store row indices, and the checkpointer persists the candidate set
-    once (as ``.npz``) rather than on every checkpoint.
+    store row indices, and no checkpoint stores the set itself — it is
+    what the blocker's applied rules leave of A x B, vectorized, and a
+    resumed run rebuilds it (:func:`repro.engine.stages.
+    rebuild_candidates`).
     """
 
     mode: str
@@ -159,8 +162,8 @@ class RunState:
     def to_dict(self) -> dict[str, Any]:
         """A JSON-compatible snapshot of the run state.
 
-        The candidate set itself is *not* included; the checkpointer
-        stores it once as ``.npz``.
+        The candidate set itself is *not* included: the blocker
+        result's applied rules and the run's tables determine it.
         """
         from .. import persistence as p
 
@@ -201,8 +204,9 @@ class RunState:
                   candidates: CandidateSet | None) -> "RunState":
         """Rebuild a state saved with :meth:`to_dict`.
 
-        ``candidates`` is the candidate set loaded from the run
-        directory's ``.npz`` (None when the run was checkpointed before
+        ``candidates`` is the candidate set rebuilt from the blocker
+        record's applied rules (:func:`repro.engine.stages.
+        rebuild_candidates`; None when the run was checkpointed before
         blocking produced one).  A document missing a key raises a
         :class:`~repro.exceptions.DataError` naming it.
         """

@@ -32,8 +32,8 @@ from .core.estimator import AccuracyEstimate
 from .core.locator import LocatorResult
 from .core.matcher import MatcherResult, MatcherTrainState
 from .core.results import CorleoneResult, IterationRecord
-from .data.pairs import CandidateSet, Pair, PairRows
-from .data.table import AttrType, Record, RecordIds, Schema, Table
+from .data.pairs import Pair, PairRows
+from .data.table import AttrType, Record, Schema, Table
 from .exceptions import DataError
 from .forest.forest import RandomForest
 from .forest.tree import DecisionTree
@@ -46,6 +46,7 @@ __all__ = [
     "FORMAT_VERSION",
     "ITERATION_RECORD_FIELDS",
     "MATCHER_TRAIN_STATE_SEQUENCES",
+    "blocker_applied_rules",
     "blocker_result_from_dict",
     "blocker_result_to_dict",
     "budget_plan_from_dict",
@@ -58,7 +59,6 @@ __all__ = [
     "forest_to_dict",
     "iteration_record_from_dict",
     "iteration_record_to_dict",
-    "load_candidates",
     "load_forest",
     "load_report",
     "load_rules",
@@ -73,7 +73,6 @@ __all__ = [
     "rule_evaluation_to_dict",
     "rule_from_dict",
     "rule_to_dict",
-    "save_candidates",
     "save_forest",
     "save_report",
     "save_rules",
@@ -223,159 +222,6 @@ def save_forest(forest: RandomForest, path: str | Path,
 def load_forest(path: str | Path) -> RandomForest:
     """Load a forest saved by :func:`save_forest`."""
     return forest_from_dict(json.loads(Path(path).read_text()))
-
-
-# ----------------------------------------------------------------------
-# Candidate sets
-# ----------------------------------------------------------------------
-
-def save_candidates(candidates: CandidateSet, path: str | Path,
-                    external_features: str | None = None,
-                    writer: Any = None) -> str:
-    """Persist a vectorized candidate set as an uncompressed ``.npz``.
-
-    The pairs are stored as the set holds them: each side's ids once
-    (``ids_a``, ``ids_b``) and one int64 row per pair and side
-    (``rows_a``, ``rows_b``), so :func:`load_candidates` needs no
-    tables.  Vectorization dominates experiment start-up time; saving
-    the matrix lets repeated experiments on the same umbrella set skip
-    it.  The matrix is written as the candidate set stores it,
-    feature-major, so its ``.npy`` header reads ``fortran_order: True`` and
-    :func:`load_candidates` hands it to :class:`CandidateSet` without a
-    copy (a row-major matrix still loads: numpy reads the header and
-    the constructor copies it once).  The matrix is
-    stored raw, as the spill path below stores it: deflating it took
-    longer than everything else a short durable run writes, and a
-    restaurants matrix (21,600 x 25) grows only from about 0.33 to
-    5 MB.  The write is
-    durable (:func:`repro.storage.writer.atomic_write_npz`:
-    tmp, fsync, atomic replace, directory fsync) and returns the
-    file's sha256.  Pass the run's
-    :class:`~repro.storage.writer.ArtifactWriter` as ``writer`` to
-    record the artifact — and any referenced spill file — in the run
-    manifest, which is what lets a resume detect bit rot.
-
-    ``external_features`` is the spill hook: the relative path (from
-    ``path``'s directory) of a memory-mapped ``.npy`` file already
-    holding the feature matrix.  The ``.npz`` then stores only a
-    reference plus the matrix's shape/dtype fingerprint — the spill
-    file *is* the canonical bytes, so a multi-gigabyte matrix is never
-    re-serialized into the checkpoint, and :func:`load_candidates`
-    reopens it read-only without materializing it in RAM.  Callers
-    must flush the spill file first (:meth:`repro.plan.SpillManager.
-    flush` — the engine's checkpointer does).
-    """
-    import numpy as np
-
-    from .storage.writer import atomic_write_npz
-
-    path = Path(path)
-    pairs = candidates.pairs
-    arrays = {
-        "ids_a": _string_array(pairs.ids_a),
-        "ids_b": _string_array(pairs.ids_b),
-        "rows_a": pairs.rows_a,
-        "rows_b": pairs.rows_b,
-        "feature_names": np.array(candidates.feature_names),
-    }
-    if external_features is None:
-        arrays["features"] = candidates.features
-    else:
-        arrays["features_file"] = np.array([external_features])
-        arrays["features_shape"] = np.array(candidates.features.shape,
-                                            dtype=np.int64)
-        arrays["features_dtype"] = np.array(
-            [str(candidates.features.dtype)])
-    if writer is not None:
-        writer.atomic_write_npz(path, arrays)
-        if external_features is not None:
-            # The spill .npy is the matrix's canonical serialization;
-            # hashing it into the manifest closes the verification gap
-            # a bit-flipped spill file would otherwise slip through.
-            writer.record_file(path.parent / external_features)
-        return writer.entry(path)["sha256"]
-    return atomic_write_npz(path, arrays)
-
-
-def _string_array(values: Sequence[str]) -> Any:
-    """``np.array(values)`` for strings, built about twice as fast by
-    sizing the unicode dtype up front."""
-    import numpy as np
-
-    width = max(map(len, values), default=1)
-    return np.fromiter(values, dtype=f"<U{width}", count=len(values))
-
-
-def load_candidates(path: str | Path) -> CandidateSet:
-    """Load a candidate set saved by :func:`save_candidates`.
-
-    A candidate file whose matrix was spilled (``external_features``)
-    resolves the referenced ``.npy`` relative to its own directory and
-    memory-maps it read-only — the working set never has to fit in
-    RAM, and the mapped bytes are exactly the checkpointed ones, so
-    resume stays bit-identical.  A file of the older layout (one
-    ``a_ids``/``b_ids`` string per pair) lacks ``ids_a`` and fails
-    with a :class:`DataError` naming that key.
-    """
-    import zipfile
-
-    import numpy as np
-
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"{path}: no such candidate file")
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            ids_a = RecordIds(data["ids_a"].tolist())
-            ids_b = RecordIds(data["ids_b"].tolist())
-            pairs = PairRows(data["rows_a"], data["rows_b"], ids_a, ids_b)
-            for rows, ids in ((pairs.rows_a, ids_a), (pairs.rows_b, ids_b)):
-                if rows.size and not 0 <= rows.min() <= rows.max() < len(ids):
-                    raise ValueError("pair rows out of range")
-            if "features_file" in data:
-                features = _load_spilled_features(path, data)
-            else:
-                features = data["features"]
-            return CandidateSet(
-                pairs,
-                features,
-                [str(name) for name in data["feature_names"]],
-            )
-    except (KeyError, ValueError, EOFError, OSError,
-            zipfile.BadZipFile) as error:
-        # BadZipFile/EOFError/OSError cover torn or bit-rotted archives:
-        # resume must see a typed error naming the file, never a raw
-        # zipfile or numpy traceback.
-        raise DataError(f"{path}: malformed candidate file "
-                        f"({error})") from None
-
-
-def _load_spilled_features(path: Path, data) -> "Any":
-    """Memory-map the spill file a candidate ``.npz`` references.
-
-    The stored shape/dtype fingerprint is verified against the mapped
-    file — a spill file swapped or truncated after the checkpoint was
-    written must fail loudly, not feed wrong features to a resumed run.
-    ``open_readonly`` additionally checks the file's sha256 against the
-    run manifest (the candidate file's directory is the manifest root),
-    so single-bit rot that preserves shape and dtype is caught too.
-    """
-    from .plan.spill import open_readonly
-
-    name = str(data["features_file"][0])
-    spill_file = path.parent / name
-    if not spill_file.is_file():
-        raise DataError(
-            f"{path}: references spill file {name!r}, which does not "
-            f"exist next to it")
-    features = open_readonly(spill_file, manifest_root=path.parent)
-    shape = tuple(int(n) for n in data["features_shape"])
-    dtype = str(data["features_dtype"][0])
-    if features.shape != shape or str(features.dtype) != dtype:
-        raise DataError(
-            f"{path}: spill file {name!r} holds {features.dtype} "
-            f"{features.shape}, checkpoint recorded {dtype} {shape}")
-    return features
 
 
 # ----------------------------------------------------------------------
@@ -734,8 +580,9 @@ def blocker_result_to_dict(result: BlockerResult) -> dict[str, Any]:
     derive rules from) is deliberately dropped: nothing downstream of
     the blocking stage reads it, and it would double checkpoint size.
     A restored result carries ``matcher_result=None``.  The umbrella
-    pairs are dropped too: the vectorized candidate set already holds
-    them, in the same order.
+    pairs are dropped too: they are what the applied rules leave of
+    A x B, so a resumed run applies the rules again
+    (:func:`blocker_applied_rules`) to rebuild them, in the same order.
     """
     return {
         "triggered": result.triggered,
@@ -750,6 +597,19 @@ def blocker_result_to_dict(result: BlockerResult) -> dict[str, Any]:
         "pairs_labeled": result.pairs_labeled,
         "dollars": result.dollars,
     }
+
+
+def blocker_applied_rules(data: dict[str, Any]) -> list[Rule]:
+    """The rules a blocker result saved with
+    :func:`blocker_result_to_dict` applied, in the order it applied
+    them."""
+    try:
+        evaluations = [
+            rule_evaluation_from_dict(e) for e in data["evaluations"]
+        ]
+        return _evaluated_rules(data["applied_rules"], evaluations)
+    except (KeyError, TypeError, IndexError) as error:
+        raise DataError(f"malformed blocker result: {error}") from None
 
 
 def blocker_result_from_dict(data: dict[str, Any],

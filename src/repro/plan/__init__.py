@@ -16,12 +16,7 @@ from .compiler import (
     compile_blocking_plan,
 )
 from .executor import PlanExecutor, PlanStats, apply_rules_plan
-from .spill import (
-    SPILL_DIR_NAME,
-    SpillManager,
-    open_readonly,
-    spill_path,
-)
+from .spill import SPILL_DIR_NAME, SpillManager
 
 __all__ = [
     "BlockingPlan",
@@ -33,6 +28,4 @@ __all__ = [
     "SpillManager",
     "apply_rules_plan",
     "compile_blocking_plan",
-    "open_readonly",
-    "spill_path",
 ]

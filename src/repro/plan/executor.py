@@ -43,8 +43,9 @@ _COLUMN_ELEMENTS = 1 << 17
 """Element budget of one chunk's plan columns.  The sharded executor
 streams a shard in chunks of :attr:`PlanExecutor.chunk_pairs` = this
 budget over the plan's needed width, so the float64 columns and the
-have-masks :meth:`PlanExecutor.blocked_mask` keeps for a chunk take
-about 9 bytes times this many, whatever the rule set.  Fewer, longer
+have-masks :meth:`PlanExecutor.blocked_mask` keeps for a chunk take at
+most about 9 bytes times this many, whatever the rule set (each column
+is dropped after the last plan node that reads it).  Fewer, longer
 chunks pay each kernel's fixed per-call cost and vocabulary-sized work
 fewer times."""
 
@@ -113,6 +114,14 @@ class PlanExecutor:
         self.needed_features: dict[int, Feature] = {
             index: library.features[index] for index in self.plan.needed
         }
+        last_reader = {step.predicate.feature_index: position
+                       for position, node in enumerate(self.plan.nodes)
+                       for step in node.steps}
+        self._released: list[list[int]] = [[] for _ in self.plan.nodes]
+        """Per plan node: the columns no later node reads, which
+        :meth:`blocked_mask` drops once the node has run."""
+        for index, position in last_reader.items():
+            self._released[position].append(index)
         self.cells_computed = 0
         """Feature cells this executor's kernels have evaluated."""
 
@@ -129,7 +138,7 @@ class PlanExecutor:
         blocked = np.zeros(rows_a.size, dtype=bool)
         columns: dict[int, np.ndarray] = {}
         have: dict[int, np.ndarray] = {}
-        for node in self.plan.nodes:
+        for node, released in zip(self.plan.nodes, self._released):
             rows = np.flatnonzero(~blocked)
             if rows.size == 0:
                 break
@@ -148,6 +157,9 @@ class PlanExecutor:
                     rows = rows[step.predicate.evaluate_column(column[rows])]
             if rows.size:
                 blocked[rows] = True
+            for index in released:
+                columns.pop(index, None)
+                have.pop(index, None)
         return blocked
 
     def _column(self, index: int, rows: np.ndarray, rows_a: np.ndarray,

@@ -386,12 +386,10 @@ class ArtifactWriter:
                     prefix: bool = False) -> str:
         """Manifest an artifact that was written *outside* the writer.
 
-        The escape hatch for bytes that cannot flow through a tmp file
-        — memory-mapped spill matrices, whose canonical serialization
-        *is* the file on disk, and append-only logs.  The caller must
-        have flushed the file first (:meth:`repro.plan.spill.
-        SpillManager.flush`; :func:`append_bytes` fsyncs); this hashes
-        the on-disk bytes and records them.  ``prefix=True`` marks an
+        The escape hatch for bytes that cannot flow through a tmp file:
+        append-only logs.  The caller must have made the bytes durable
+        first (:func:`append_bytes` fsyncs); this hashes the on-disk
+        bytes and records them.  ``prefix=True`` marks an
         append-only file: the entry then vouches for its first
         ``bytes`` bytes only, and later appends do not make it stale
         (:func:`repro.storage.recovery.verify_artifact`).  Returns the
@@ -475,12 +473,12 @@ class ArtifactWriter:
     def batch(self):
         """Defer manifest flushes to one rewrite at block exit.
 
-        The engine's checkpointer records several artifacts at a stage
-        boundary (the checkpoint log's verified prefix, and on the
-        first cycle ``candidates.npz``); batching turns their ledger
-        rewrites into one.  A crash inside the batch loses only
-        manifest *entries* — the artifacts themselves are already
-        durable, and recovery falls back past unverifiable ones.
+        A run's end records several artifacts (the checkpoint log's
+        verified prefix and the final telemetry exports); batching
+        turns their ledger rewrites into one.  A crash inside the batch
+        loses only manifest *entries* — the artifacts themselves are
+        already durable, and recovery falls back past unverifiable
+        ones.
         """
         self._batch_depth += 1
         try:

@@ -855,7 +855,7 @@ class TestSpillOwnershipRule:
             ),
         }, tmp_path)
         assert rule_ids(report) == {"CL015"}
-        assert "open_readonly" in report.new_findings[0].message
+        assert "SpillManager" in report.new_findings[0].message
 
     def test_plain_load_ok(self, tmp_path):
         report = check({

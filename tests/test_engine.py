@@ -276,9 +276,10 @@ def checkpointed_run(tmp_path_factory):
 class TestRunDirectory:
     def test_layout(self, checkpointed_run):
         _, _, _, run_dir, _ = checkpointed_run
-        for name in ("run.json", "checkpoint.jsonl", "candidates.npz",
-                     "trace.jsonl"):
+        for name in ("run.json", "checkpoint.jsonl", "trace.jsonl"):
             assert (run_dir / name).is_file(), name
+        # The umbrella set is rebuilt on resume, never written.
+        assert not (run_dir / "candidates.npz").exists()
 
     def test_run_inputs_round_trip(self, checkpointed_run):
         dataset, config, plan, run_dir, _ = checkpointed_run
@@ -307,8 +308,9 @@ class TestRunDirectory:
         assert checkpoint["manager"] is not None
         assert set(checkpoint["rng"]) <= set(RNG_STREAMS)
         # The state stores what cannot be recomputed, each fact once:
-        # the umbrella pairs live in candidates.npz, and the working
-        # set, ensemble and kept result are read off the records.
+        # the umbrella pairs follow from the tables and the applied
+        # rules, and the working set, ensemble and kept result are
+        # read off the records.
         assert set(checkpoint["state"]) == {
             "mode", "seed_labels", "next_stage", "iteration", "blocker",
             "iterations", "best_iteration", "stop_reason", "matcher_state",
@@ -316,11 +318,9 @@ class TestRunDirectory:
         assert "candidate_pairs" not in checkpoint["state"]["blocker"]
 
     def test_run_state_dict_round_trip(self, checkpointed_run):
-        _, _, _, run_dir, _ = checkpointed_run
+        _, _, _, run_dir, result = checkpointed_run
         checkpoint = load_checkpoint(run_dir)
-        candidates = persistence.load_candidates(
-            run_dir / "candidates.npz")
-        state = RunState.from_dict(checkpoint["state"], candidates)
+        state = RunState.from_dict(checkpoint["state"], result.candidates)
         assert state.to_dict() == checkpoint["state"]
 
     def test_trace_matches_event_schema(self, checkpointed_run):

@@ -16,7 +16,11 @@ inside the second matcher; a separate test injects
 
 from __future__ import annotations
 
+import builtins
+import io
 import json
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -42,7 +46,7 @@ from repro.engine import (
 )
 from repro.engine.events import read_trace
 from repro.exceptions import BudgetExhaustedError, DataError
-from repro.storage.recovery import read_records
+from repro.storage.recovery import read_records, verify_artifact
 from repro.storage.writer import frame_record, load_manifest
 from repro.synth.products import generate_products
 from repro.synth.restaurants import generate_restaurants
@@ -68,6 +72,14 @@ def _killer_sink(surviving_checkpoints: int):
                 raise _Killed()
 
     return sink
+
+
+def _assert_same_telemetry(run_dir, golden_dir) -> None:
+    """The resumed run's metric snapshot and span tree are the
+    uninterrupted run's, byte for byte."""
+    for name in ("metrics.json", "spans.jsonl"):
+        assert (run_dir / name).read_bytes() == \
+            (golden_dir / name).read_bytes(), name
 
 
 def _engine_config(max_pipeline_iterations: int, t_b: int,
@@ -180,6 +192,7 @@ class TestResumeSweep:
                         f"{label}: resume after checkpoint {kill_at} "
                         f"diverged"
                     )
+                _assert_same_telemetry(run_dir, probe_dir)
 
     def test_resumed_trace_appends_to_the_original(self, scenario,
                                                    tmp_path):
@@ -240,6 +253,87 @@ class TestResumeTwice:
         starts = [record["tails"]["cache"]["from"] for record in records]
         assert [i for i, start in enumerate(starts) if start == 0] == [
             0, 4, 9]
+
+
+class TestCandidateRebuild:
+    """No run writes its umbrella set: a resume rebuilds it from
+    ``run.json``, the logged rules and the shard files (a bit-flipped
+    shard file is ``tests/test_storage_chaos.py``'s case)."""
+
+    @pytest.fixture(scope="class")
+    def blocked(self, tmp_path_factory):
+        """(dataset, config, crowd factory, golden report, golden dir)
+        of an uninterrupted durable run whose blocker applied rules."""
+        make_dataset, config, error_rate = _SCENARIOS["restaurants"]
+        dataset = make_dataset()
+
+        def crowd():
+            return SimulatedCrowd(dataset.matches, error_rate=error_rate,
+                                  rng=np.random.default_rng(11))
+
+        golden_dir = tmp_path_factory.mktemp("rebuild") / "golden"
+        golden = Corleone(config, crowd(), seed=123,
+                          run_dir=golden_dir).run(
+            dataset.table_a, dataset.table_b, dataset.seed_labels)
+        assert golden.blocker.applied_rules
+        return (dataset, config, crowd, persistence.result_report(golden),
+                golden_dir)
+
+    def _killed_after_blocking(self, blocked, run_dir):
+        dataset, config, crowd, _, _ = blocked
+        pipeline = Corleone(config, crowd(), seed=123, run_dir=run_dir)
+        pipeline.bus.subscribe(_killer_sink(0))
+        with pytest.raises(_Killed):
+            pipeline.run(dataset.table_a, dataset.table_b,
+                         dataset.seed_labels)
+        assert load_checkpoint(run_dir)["state"]["blocker"] is not None
+
+    def _resume_matches_golden(self, blocked, run_dir) -> None:
+        _, _, crowd, golden_report, golden_dir = blocked
+        resumed = Corleone.resume(run_dir, crowd())
+        assert persistence.result_report(resumed) == golden_report
+        _assert_same_telemetry(run_dir, golden_dir)
+
+    def test_finished_run_writes_no_candidate_file(self, blocked):
+        golden_dir = blocked[4]
+        assert not (golden_dir / "candidates.npz").exists()
+        assert list((golden_dir / "shards").glob("shard-*.npz"))
+        manifest = load_manifest(golden_dir)
+        assert "candidates.npz" not in manifest
+        assert all(verify_artifact(golden_dir, golden_dir / key,
+                                   manifest)[0] is True
+                   for key in manifest)
+
+    def test_deleted_shards_are_recomputed(self, blocked, tmp_path):
+        run_dir = tmp_path / "run"
+        self._killed_after_blocking(blocked, run_dir)
+        shutil.rmtree(run_dir / "shards")
+        self._resume_matches_golden(blocked, run_dir)
+        assert list((run_dir / "shards").glob("shard-*.npz"))
+
+    def test_stray_candidate_file_is_never_opened(self, blocked, tmp_path,
+                                                  monkeypatch):
+        """A directory an older version wrote keeps its candidates.npz;
+        a resume neither needs nor reads it, even when it is corrupt."""
+        run_dir = tmp_path / "run"
+        self._killed_after_blocking(blocked, run_dir)
+        stray = run_dir / "candidates.npz"
+        stray.write_bytes(b"PK\x03\x04 not an archive")
+        opened = []
+
+        def recording(real):
+            def wrapper(file, *args, **kwargs):
+                if str(file).endswith("candidates.npz"):
+                    opened.append(file)
+                return real(file, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(builtins, "open", recording(builtins.open))
+        monkeypatch.setattr(io, "open", recording(io.open))
+        monkeypatch.setattr(os, "open", recording(os.open))
+        self._resume_matches_golden(blocked, run_dir)
+        assert opened == []
+        assert stray.read_bytes() == b"PK\x03\x04 not an archive"
 
 
 class TestCheckpointLogCost:
@@ -321,7 +415,8 @@ def test_relative_run_dir_resumes(tmp_path, monkeypatch):
 
     assert not (tmp_path / "run" / "run").exists()
     manifest = load_manifest(tmp_path / "run")
-    assert {"candidates.npz", "metrics.json", "spans.jsonl"} <= set(manifest)
+    assert {"run.json", CHECKPOINT_LOG, "metrics.json",
+            "spans.jsonl"} <= set(manifest)
     assert not any(key.startswith("run/") for key in manifest)
     assert persistence.result_report(resumed) == \
         persistence.result_report(golden)

@@ -9,8 +9,6 @@ and subsets.
 
 from __future__ import annotations
 
-import zipfile
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,8 +20,6 @@ from repro.exceptions import DataError
 from repro.features.library import build_feature_library
 from repro.features.vectorize import vectorize_pairs
 from repro.forest.forest import train_forest
-from repro.persistence import load_candidates, save_candidates
-from repro.plan import SpillManager
 from repro.rules.predicates import Predicate
 from repro.rules.rule import Rule
 from repro.synth.restaurants import generate_restaurants
@@ -101,69 +97,6 @@ class TestEveryConstructionIsFeatureMajor:
             candidates.subset([3, 4, 3])
         with pytest.raises(DataError, match="duplicate"):
             candidates.subset([len(candidates) - 1, -1])
-
-    def test_load_candidates_plain(self, candidates, tmp_path):
-        path = tmp_path / "candidates.npz"
-        save_candidates(candidates, path)
-        with zipfile.ZipFile(path) as archive:
-            with archive.open("features.npy") as handle:
-                header = handle.read(128)
-        assert b"'fortran_order': True" in header
-        loaded = load_candidates(path)
-        assert_feature_major(loaded)
-        assert loaded.features.tobytes("A") == \
-            candidates.features.tobytes("A")
-
-    def test_row_major_file_still_loads(self, candidates, tmp_path):
-        path = tmp_path / "old.npz"
-        pairs = candidates.pairs
-        np.savez_compressed(
-            path,
-            ids_a=np.array(pairs.ids_a), ids_b=np.array(pairs.ids_b),
-            rows_a=pairs.rows_a, rows_b=pairs.rows_b,
-            feature_names=np.array(candidates.feature_names),
-            features=np.ascontiguousarray(candidates.features),
-        )
-        loaded = load_candidates(path)
-        assert_feature_major(loaded)
-        assert loaded.pairs == candidates.pairs
-        assert np.array_equal(loaded.features, candidates.features,
-                              equal_nan=True)
-
-    def test_file_with_a_string_per_pair_is_a_typed_error(self, candidates,
-                                                          tmp_path):
-        path = tmp_path / "older.npz"
-        np.savez(
-            path,
-            a_ids=np.array([p.a_id for p in candidates.pairs]),
-            b_ids=np.array([p.b_id for p in candidates.pairs]),
-            feature_names=np.array(candidates.feature_names),
-            features=candidates.features,
-        )
-        with pytest.raises(DataError, match="ids_a"):
-            load_candidates(path)
-
-    def test_load_candidates_spilled(self, restaurants, candidates,
-                                     tmp_path):
-        dataset, library, pairs = restaurants
-        spill = SpillManager(tmp_path / "spill", threshold_bytes=1)
-        out = spill.allocate("candidates", (len(pairs), len(library)))
-        assert out.flags.f_contiguous
-        spilled = vectorize_pairs(dataset.table_a, dataset.table_b, pairs,
-                                  library, out=out)
-        spill.close()
-        assert_feature_major(spilled)
-        path = tmp_path / "candidates.npz"
-        save_candidates(spilled, path,
-                        external_features="spill/candidates.npy")
-        loaded = load_candidates(path)
-        assert_feature_major(loaded)
-        node = loaded.features
-        while not isinstance(node, np.memmap):
-            node = node.base
-        assert np.shares_memory(node, loaded.features)
-        assert np.array_equal(loaded.features, candidates.features,
-                              equal_nan=True)
 
 
 @st.composite

@@ -640,8 +640,8 @@ class TestSpendCountersMatchTheLedger:
         bought = [0]
         label_one = LabelingService._label_one
 
-        def counting_label_one(self, pair, scheme):
-            label = label_one(self, pair, scheme)
+        def counting_label_one(self, pair, scheme, served):
+            label = label_one(self, pair, scheme, served)
             bought[0] += 1
             return label
 

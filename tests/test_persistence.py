@@ -192,52 +192,6 @@ class TestRunReport:
         assert loaded["stop_reason"] == run_result.stop_reason
 
 
-class TestCandidateRoundTrip:
-    def test_round_trip(self, tmp_path, rng):
-        import numpy as np
-        from repro.data.pairs import CandidateSet, Pair
-        from repro.persistence import load_candidates, save_candidates
-        pairs = [Pair(f"a{i}", f"b{i}") for i in range(25)]
-        matrix = rng.random((25, 4))
-        matrix[::5, 2] = np.nan
-        original = CandidateSet(pairs, matrix, ["w", "x", "y", "z"])
-        path = tmp_path / "candidates.npz"
-        save_candidates(original, path)
-        loaded = load_candidates(path)
-        assert loaded.pairs == original.pairs
-        assert loaded.feature_names == original.feature_names
-        np.testing.assert_array_equal(loaded.features, original.features)
-
-    def test_missing_file(self, tmp_path):
-        import pytest
-        from repro.exceptions import DataError
-        from repro.persistence import load_candidates
-        with pytest.raises(DataError):
-            load_candidates(tmp_path / "nope.npz")
-
-    def test_rows_outside_the_ids_are_a_typed_error(self, tmp_path):
-        import numpy as np
-        import pytest
-        from repro.exceptions import DataError
-        from repro.persistence import load_candidates
-        path = tmp_path / "candidates.npz"
-        np.savez(path, ids_a=np.array(["a0", "a1"]), ids_b=np.array(["b0"]),
-                 rows_a=np.array([0, 2]), rows_b=np.array([0, 0]),
-                 feature_names=np.array(["w"]), features=np.zeros((2, 1)))
-        with pytest.raises(DataError, match="out of range"):
-            load_candidates(path)
-
-    def test_malformed_file(self, tmp_path):
-        import numpy as np
-        import pytest
-        from repro.exceptions import DataError
-        from repro.persistence import load_candidates
-        path = tmp_path / "bad.npz"
-        np.savez(path, wrong_key=np.zeros(3))
-        with pytest.raises(DataError):
-            load_candidates(path)
-
-
 class TestConfigRoundTrip:
     @pytest.mark.parametrize(("section", "key", "value"), [
         ("blocker", "executor", "sharded"),

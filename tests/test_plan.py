@@ -14,6 +14,7 @@ checkpoints.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,15 +35,12 @@ from repro.features.batch import cache_stats, kernel_for, \
 from repro.features.library import Feature, FeatureLibrary, \
     build_feature_library
 from repro.features.vectorize import vectorize_pairs
-from repro.persistence import load_candidates, save_candidates
 from repro.plan import (
     PlanExecutor,
     PlanStats,
     SpillManager,
     apply_rules_plan,
     compile_blocking_plan,
-    open_readonly,
-    spill_path,
 )
 from repro.rules.predicates import Predicate
 from repro.rules.rule import Rule
@@ -252,6 +250,33 @@ class TestPlanParity:
         assert snapshots[0]["cells_computed"] <= \
             snapshots[0]["pairs"] * snapshots[0]["needed_width"]
 
+    def test_dropped_columns_are_never_recomputed(self, parity_setup):
+        """Each column is dropped after the last plan node reading it,
+        so dropping never costs a kernel call or moves a survivor."""
+        dataset, library, rules, _ = parity_setup
+        first, second = rules[0].predicates[0], rules[1].predicates[0]
+        # A later rule re-reading both columns keeps them alive longer.
+        shared = rules + [Rule(
+            [Predicate(first.feature_index, first.feature_name, True, 0.6),
+             Predicate(second.feature_index, second.feature_name, True,
+                       0.6)],
+            predicts_match=False)]
+        n_b = len(dataset.table_b)
+        rows_a, rows_b = np.divmod(
+            np.arange(len(dataset.table_a) * n_b, dtype=np.int64), n_b)
+        runs = []
+        for keep_all in (False, True):
+            executor = PlanExecutor(dataset.table_a, dataset.table_b,
+                                    shared, library)
+            released = [index for node in executor._released
+                        for index in node]
+            assert sorted(released) == sorted(executor.needed_features)
+            if keep_all:
+                executor._released = [[] for _ in executor._released]
+            runs.append((executor.blocked_mask(rows_a, rows_b).tobytes(),
+                         executor.cells_computed))
+        assert runs[0] == runs[1]
+
     def test_plan_prunes_cells(self, parity_setup):
         dataset, library, rules, _ = parity_setup
         stats = PlanStats()
@@ -313,7 +338,7 @@ class TestCacheMissAccounting:
 
 
 # ----------------------------------------------------------------------
-# Spill manager + external candidates persistence
+# Spill manager
 # ----------------------------------------------------------------------
 
 class TestSpillManager:
@@ -322,7 +347,6 @@ class TestSpillManager:
         array = spill.allocate("tiny", (4, 4))
         assert not isinstance(array, np.memmap)
         assert spill.bytes_spilled == 0
-        assert spill_path(array) is None
         assert not (tmp_path / "spill").exists()
 
     def test_large_matrices_spill_to_npy(self, tmp_path):
@@ -330,9 +354,8 @@ class TestSpillManager:
         array = spill.allocate("big", (8, 8))
         assert isinstance(array, np.memmap)
         assert spill.bytes_spilled == array.nbytes
-        assert (tmp_path / "spill" / "big.npy").is_file()
-        assert spill_path(array) == tmp_path / "spill" / "big.npy"
-        assert "big" in spill.manifest()
+        assert Path(array.filename) == tmp_path / "spill" / "big.npy"
+        assert array.flags.f_contiguous
 
     def test_threshold_zero_disables_spilling(self, tmp_path):
         spill = SpillManager(tmp_path / "spill", threshold_bytes=0)
@@ -343,65 +366,10 @@ class TestSpillManager:
         array = spill.allocate("data", (5, 3))
         array[:] = np.arange(15, dtype=np.float64).reshape(5, 3)
         spill.close()
-        reread = open_readonly(tmp_path / "spill" / "data.npy")
+        reread = np.load(tmp_path / "spill" / "data.npy", mmap_mode="r")
         assert not reread.flags.writeable
         assert np.array_equal(
             reread, np.arange(15, dtype=np.float64).reshape(5, 3))
-
-    def test_spill_path_sees_through_asarray_views(self, tmp_path):
-        spill = SpillManager(tmp_path / "spill", threshold_bytes=1)
-        array = spill.allocate("v", (4, 2))
-        view = np.asarray(array)
-        assert spill_path(view) == tmp_path / "spill" / "v.npy"
-
-
-class TestExternalCandidates:
-    def _candidates(self, tmp_path):
-        dataset = _DATASETS["restaurants"]()
-        library = build_feature_library(dataset.table_a, dataset.table_b)
-        rules = _blocking_rules(library)
-        pairs = apply_rules_streaming(dataset.table_a, dataset.table_b,
-                                      rules, library)
-        spill = SpillManager(tmp_path / "spill", threshold_bytes=1)
-        out = spill.allocate("candidates", (len(pairs), len(library)))
-        candidates = vectorize_pairs(dataset.table_a, dataset.table_b,
-                                     pairs, library, out=out)
-        spill.close()
-        return candidates
-
-    def test_external_roundtrip_is_bit_identical(self, tmp_path):
-        candidates = self._candidates(tmp_path)
-        path = tmp_path / "candidates.npz"
-        save_candidates(candidates, path,
-                        external_features="spill/candidates.npy")
-        with np.load(path, allow_pickle=False) as data:
-            assert "features" not in data.files
-            assert str(data["features_file"][0]) == "spill/candidates.npy"
-        loaded = load_candidates(path)
-        assert loaded.pairs == candidates.pairs
-        assert loaded.features.tobytes() == candidates.features.tobytes()
-        assert isinstance(
-            loaded.features if isinstance(loaded.features, np.memmap)
-            else loaded.features.base, np.memmap)
-
-    def test_missing_spill_file_fails_loudly(self, tmp_path):
-        candidates = self._candidates(tmp_path)
-        path = tmp_path / "candidates.npz"
-        save_candidates(candidates, path,
-                        external_features="spill/candidates.npy")
-        (tmp_path / "spill" / "candidates.npy").unlink()
-        with pytest.raises(DataError, match="spill file"):
-            load_candidates(path)
-
-    def test_swapped_spill_file_fails_fingerprint_check(self, tmp_path):
-        candidates = self._candidates(tmp_path)
-        path = tmp_path / "candidates.npz"
-        save_candidates(candidates, path,
-                        external_features="spill/candidates.npy")
-        np.save(tmp_path / "spill" / "candidates.npy",
-                np.zeros((2, 2), dtype=np.float64))
-        with pytest.raises(DataError, match="recorded"):
-            load_candidates(path)
 
 
 class TestPlanConfig:
@@ -417,6 +385,16 @@ class TestPlanConfig:
 # ----------------------------------------------------------------------
 # Engine integration: spill through checkpoints
 # ----------------------------------------------------------------------
+
+def _assert_manifest_without_spill(run_dir: Path) -> None:
+    """Every MANIFEST entry verifies, and none is a spill file."""
+    from repro.storage import load_manifest, verify_artifact
+
+    manifest = load_manifest(run_dir)
+    assert not [key for key in manifest if key.startswith("spill")]
+    assert all(verify_artifact(run_dir, run_dir / key, manifest)[0] is True
+               for key in manifest)
+
 
 class TestEngineIntegration:
     def _config(self, plan: PlanConfig) -> CorleoneConfig:
@@ -461,17 +439,13 @@ class TestEngineIntegration:
         assert persistence.result_report(result) == golden_report
         return dataset, crowd, golden_report, run_dir, spill_plan
 
-    def test_spill_run_checkpoints_reference_the_spill_file(
-            self, engine_setup):
+    def test_spill_file_is_scratch_space(self, engine_setup):
+        """The run spills its matrix, but no checkpoint refers to the
+        file and the manifest does not hash it."""
         _, _, _, run_dir, _ = engine_setup
         assert (run_dir / "spill" / "candidates.npy").is_file()
-        with np.load(run_dir / "candidates.npz",
-                     allow_pickle=False) as data:
-            assert "features_file" in data.files
-            assert "features" not in data.files
-        loaded = load_candidates(run_dir / "candidates.npz")
-        spilled = open_readonly(run_dir / "spill" / "candidates.npy")
-        assert loaded.features.tobytes() == spilled.tobytes()
+        assert not (run_dir / "candidates.npz").exists()
+        _assert_manifest_without_spill(run_dir)
 
     def test_spill_run_records_plan_and_spill_metrics(self, engine_setup):
         _, _, _, run_dir, _ = engine_setup
@@ -522,8 +496,9 @@ class TestEngineIntegration:
 
     def test_kill_at_spill_checkpoint_resumes_bit_identically(
             self, engine_setup, tmp_path, monkeypatch):
-        """Die after checkpoint 3 (candidates already reference the
-        spill file); resume memory-maps them back and converges."""
+        """Die after checkpoint 3 (blocking has spilled the matrix);
+        resume rebuilds the candidate set into its own spill file and
+        converges, telemetry included."""
         from repro import persistence
         from repro.core.pipeline import Corleone
         from repro.engine.checkpoint import Checkpointer
@@ -549,12 +524,11 @@ class TestEngineIntegration:
             self._run(self._config(spill_plan), dataset, crowd,
                       run_dir=run_dir)
         monkeypatch.setattr(Checkpointer, "write", original)
-
-        with np.load(run_dir / "candidates.npz",
-                     allow_pickle=False) as data:
-            assert "features_file" in data.files  # killed post-spill
+        assert (run_dir / "spill" / "candidates.npy").is_file()
 
         resumed = Corleone.resume(run_dir, crowd())
         assert persistence.result_report(resumed) == golden_report
-        assert (run_dir / "metrics.json").read_text() == \
-            (golden_dir / "metrics.json").read_text()
+        for name in ("metrics.json", "spans.jsonl"):
+            assert (run_dir / name).read_bytes() == \
+                (golden_dir / name).read_bytes(), name
+        _assert_manifest_without_spill(run_dir)

@@ -291,6 +291,23 @@ class TestPlatformRetries:
             service.label_all(pairs(1))
         assert service.tracker.answers == 2
 
+    def test_question_failing_mid_aggregation_meters_its_hit(self):
+        # Call 2 fails after the question's first answer was consumed:
+        # the platform served the question, so its HIT is metered.
+        service, _ = self._service(fail_on={2})
+        with pytest.raises(TransientCrowdError):
+            service.label_all(pairs(1))
+        assert service.tracker.answers == 1
+        assert service.tracker.dollars == pytest.approx(0.01)
+        assert service.tracker.hits == 1
+
+    def test_question_failing_before_any_answer_meters_no_hit(self):
+        service, _ = self._service(fail_on={1})
+        with pytest.raises(TransientCrowdError):
+            service.label_all(pairs(1))
+        assert service.tracker.answers == 0
+        assert service.tracker.hits == 0
+
     def test_persistent_failure_propagates(self):
         service, _ = self._service(fail_on=set(range(1, 100)))
         with pytest.raises(CrowdError):

@@ -17,9 +17,12 @@ subsystem's end-to-end promise:
   quarantined, surfaced as ``artifact_corrupt`` /
   ``artifact_quarantined`` / ``checkpoint_fallback`` trace events, and
   the run recovers from the newest good record;
-* unrecoverable corruption (``candidates.npz``, ``run.json`` — written
-  once, no generation chain) raises a typed
-  :class:`~repro.exceptions.DataError` naming the file and checksums;
+* bit rot in a blocking shard file is caught by the shard store's
+  manifest: the file is quarantined and recomputed when the resume
+  rebuilds the umbrella set, which no run writes;
+* unrecoverable corruption (``run.json`` — written once, no generation
+  chain) raises a typed :class:`~repro.exceptions.DataError` naming the
+  file and checksums;
 * stale ``.tmp`` litter is swept and a torn trace tail is repaired (and
   recorded as a ``trace_torn_tail`` event) on resume.
 
@@ -59,12 +62,7 @@ from repro.engine import (
     EVENT_CHECKPOINT_FALLBACK,
     EVENT_TRACE_TORN,
 )
-from repro.engine.checkpoint import (
-    CANDIDATES_FILE,
-    CHECKPOINT_LOG,
-    RUN_FILE,
-    TRACE_FILE,
-)
+from repro.engine.checkpoint import CHECKPOINT_LOG, RUN_FILE, TRACE_FILE
 from repro.engine.events import read_trace
 from repro.exceptions import DataError
 from repro.storage import (
@@ -193,7 +191,7 @@ _SWEEP = [
     (CHECKPOINT_LOG, "crash_after", 1),
     ("metrics.json", "crash_before", 1),
     ("spans.jsonl", "crash_after", 1),
-    (CANDIDATES_FILE, "torn_write", 0),     # written exactly once
+    ("shard-00001", "torn_write", 0),       # a blocking shard file
     ("MANIFEST.json", "crash_after", 2),    # a shard store's ledger
     # The run-end flush of the run's ledger, after the log's last
     # record (five of the eight before it are the shard store's).
@@ -250,8 +248,7 @@ class TestArtifactEventsAndManifest:
                    if event.name == EVENT_ARTIFACT_WRITTEN]
         assert written  # every checkpoint cycle emits its artifacts
         names = {event.payload["artifact"] for event in written}
-        assert CHECKPOINT_LOG in names
-        assert CANDIDATES_FILE in names
+        assert names == {CHECKPOINT_LOG}
 
         manifest = load_manifest(run_dir)
         assert manifest is not None
@@ -260,11 +257,8 @@ class TestArtifactEventsAndManifest:
         assert manifest[CHECKPOINT_LOG]["prefix"] is True
         assert manifest[CHECKPOINT_LOG]["sha256"] == \
             file_sha256(run_dir / CHECKPOINT_LOG)
-        # The final export rewrites the telemetry files after the last
-        # event, so spot-check the write-once artifact's sha.
-        event_sha = next(event.payload["sha256"] for event in written
-                         if event.payload["artifact"] == CANDIDATES_FILE)
-        assert manifest[CANDIDATES_FILE]["sha256"] == event_sha
+        # The umbrella set is rebuilt on resume, never written.
+        assert not (run_dir / "candidates.npz").exists()
         # Telemetry exports: mid-run snapshots are volatile and
         # unmanifested, but the run-end export records the final bytes.
         for name in ("metrics.json", "spans.jsonl"):
@@ -328,21 +322,19 @@ class TestBitRotRecovery:
         # no fallback event — just the quarantine.
         assert EVENT_CHECKPOINT_FALLBACK not in names
 
-    def test_corrupt_candidates_is_unrecoverable_and_typed(
-            self, scenario, tmp_path):
+    def test_corrupt_shard_file_is_recomputed(self, scenario, tmp_path):
+        # Shard files are machine work: the resume's rebuild of the
+        # umbrella set quarantines a rotten one and recomputes it.
         run_dir = tmp_path / "run"
         injector = _crash_run(scenario, run_dir, CHECKPOINT_LOG,
                               "crash_after", skip=2)
-        injector.flip_bit(run_dir / CANDIDATES_FILE)
+        shards = run_dir / "shards"
+        shard = shards / "shard-00001.npz"
+        injector.flip_bit(shard)
 
-        _, dataset, config, crowd, _ = scenario
-        gateway, _ = accounted_stack(crowd())
-        with pytest.raises(DataError) as excinfo:
-            Corleone.resume(run_dir, gateway)
-        message = str(excinfo.value)
-        assert CANDIDATES_FILE in message
-        assert "sha256" in message
-        assert (run_dir / QUARANTINE_DIR / CANDIDATES_FILE).exists()
+        _resume_and_check(scenario, run_dir)
+        assert (shards / QUARANTINE_DIR / shard.name).exists()
+        assert verify_artifact(shards, shard)[0] is True
 
     def test_corrupt_run_inputs_is_unrecoverable_and_typed(
             self, scenario, tmp_path):
